@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData
+from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
 from .tensors import (
     Tensor3,
     _check_dims,
+    _pullback,
     _sym_pair,
     lee_forms,
     membership_residuals,
@@ -53,8 +54,6 @@ __all__ = [
 
 NUM_CLASSES = 11
 CLASS_NAMES = tuple(f"F{i}" for i in range(1, NUM_CLASSES + 1))
-
-DEFAULT_ABS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +97,7 @@ def _phi2(s: StructureData) -> np.ndarray:
 
 def _require_membership(s: StructureData, f: Tensor3, tol: float) -> None:
     res = membership_residuals(s, f)
-    scale = max(1.0, f.max_abs())
+    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
     bad = {k: v for k, v in res.items() if v > tol * scale}
     if bad:
         detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
@@ -107,7 +106,13 @@ def _require_membership(s: StructureData, f: Tensor3, tol: float) -> None:
 
 def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Matrix Q[i,j] = F(m1 e_i, m2 e_j, xi)."""
-    return np.einsum("abc,ai,bj,c->ij", c, m1, m2, xi)
+    return m1.T @ (c @ xi) @ m2
+
+
+def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Matrix M[j,k] = F(xi, e_j, e_k)."""
+    d = c.shape[0]
+    return (xi @ c.reshape(d, -1)).reshape(d, d)
 
 
 def project_w(s: StructureData, f: Tensor3, i: int) -> Tensor3:
@@ -123,21 +128,19 @@ def project_w(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     xi, eta = s.xi, s.eta
     P = _phi2(s)
     if i == 1:
-        return Tensor3(-np.einsum("abc,ai,bj,ck->ijk", c, P, P, P))
+        return Tensor3(-_pullback(c, P, P, P))
     if i == 2:
-        m_x_xi_z = np.einsum("abc,ai,b,ck->ik", c, P, xi, P)
+        m_x_xi_z = P.T @ (xi @ c) @ P
         m_x_y_xi = _xi_bracket(c, P, P, xi)
         return Tensor3(
             np.einsum("j,ik->ijk", eta, m_x_xi_z) + np.einsum("k,ij->ijk", eta, m_x_y_xi)
         )
+    m_xi = _xi_first(c, xi)
     if i == 3:
-        m_yz = np.einsum("abc,a,bj,ck->jk", c, xi, P, P)
-        return Tensor3(np.einsum("i,jk->ijk", eta, m_yz))
-    u = np.einsum("abc,a,b,ck->k", c, xi, xi, P)
-    w = np.einsum("abc,a,bj,c->j", c, xi, P, xi)
-    return Tensor3(
-        -(np.einsum("i,j,k->ijk", eta, eta, u) + np.einsum("i,k,j->ijk", eta, eta, w))
-    )
+        return Tensor3(np.einsum("i,jk->ijk", eta, P.T @ m_xi @ P))
+    u = (xi @ m_xi) @ P
+    w = (m_xi @ xi) @ P
+    return Tensor3(-eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta)))
 
 
 def w2_involution(s: StructureData, f: Tensor3, j: int, tol: float = DEFAULT_RTOL) -> Tensor3:
@@ -339,10 +342,10 @@ def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
             phi_r = float(np.max(np.abs(d_mat - b_mat)))
         return max(recon, sym_r, phi_r)
     if i == 10:
-        e_mat = np.einsum("abc,a,bj,ck->jk", c, xi, phi, phi)  # F(xi, phi y, phi z)
+        e_mat = phi.T @ _xi_first(c, xi) @ phi  # F(xi, phi y, phi z)
         return float(np.max(np.abs(c - np.einsum("i,jk->ijk", eta, e_mat))))
-    recon = np.einsum("i,j,k->ijk", eta, eta, lf.omega)
-    recon += np.einsum("i,k,j->ijk", eta, eta, lf.omega)
+    omega = lf.omega
+    recon = eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta))
     return float(np.max(np.abs(c - recon)))
 
 

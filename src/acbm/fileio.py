@@ -91,19 +91,27 @@ def _parse_array(value, shape, name: str) -> np.ndarray:
     )
 
 
+def _int_field(value, name: str) -> int:
+    """A JSON integer, or ParseError; bools, floats and lists are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"field '{name}' must be an integer, got {type(value).__name__}")
+    return value
+
+
 def _resolve_n(doc: dict) -> int:
     n = doc.get("n")
     dim = doc.get("dim")
     if n is None and dim is None:
         raise ParseError("missing field: 'n' (or 'dim')")
+    if dim is not None:
+        dim = _int_field(dim, "dim")
     if n is not None:
-        n = int(n)
+        n = _int_field(n, "n")
         if n < 1:
             raise ParseError(f"'n' must be >= 1, got {n}")
-        if dim is not None and int(dim) != 2 * n + 1:
+        if dim is not None and dim != 2 * n + 1:
             raise ParseError(f"'dim'={dim} inconsistent with n={n} (expected {2 * n + 1})")
         return n
-    dim = int(dim)
     if dim < 3 or dim % 2 == 0:
         raise ParseError(f"'dim' must be an odd integer >= 3, got {dim}")
     return (dim - 1) // 2
@@ -161,7 +169,8 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
     for idx, rec in enumerate(brackets):
         if not isinstance(rec, dict) or not {"i", "j", "coeffs"} <= set(rec):
             raise ParseError(f"brackets[{idx}]: expected fields 'i', 'j', 'coeffs'")
-        i, j = int(rec["i"]), int(rec["j"])
+        i = _int_field(rec["i"], f"brackets[{idx}].i")
+        j = _int_field(rec["j"], f"brackets[{idx}].j")
         if not (0 <= i < d and 0 <= j < d):
             raise ParseError(f"brackets[{idx}]: indices must be in 0..{d - 1}")
         if j <= i:

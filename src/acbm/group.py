@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import DEFAULT_RTOL, StructureData, is_canonical_basis
-from .tensors import Tensor3, _check_dims
+from .tensors import Tensor3, _check_dims, _pullback
 
 __all__ = [
     "GroupElement",
@@ -211,4 +211,4 @@ def act(s: StructureData, elem: GroupElement, f: Tensor3) -> Tensor3:
     if elem.a.shape != (s.dim, s.dim):
         raise ValueError("group element dimension does not match structure")
     ai = elem.a_inv
-    return Tensor3(np.einsum("abc,ai,bj,ck->ijk", f.comps, ai, ai, ai))
+    return Tensor3(_pullback(f.comps, ai, ai, ai))

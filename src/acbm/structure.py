@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_ABS_FLOOR",
     "DEFAULT_ATOL",
     "DEFAULT_RTOL",
     "StructureData",
@@ -37,6 +38,11 @@ __all__ = [
 # representable inputs, relative elsewhere.
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
+
+# Magnitude floor under relative tolerances: a tensor smaller than this
+# is measured against the floor, so the zero tensor keeps a positive
+# tolerance.
+DEFAULT_ABS_FLOOR = 1e-12
 
 # Eigenvalues below this magnitude do not count toward the signature.
 _SIGNATURE_EIG_TOL = 1e-10

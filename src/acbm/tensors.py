@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import DEFAULT_RTOL, StructureData
+from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
 
 __all__ = [
     "Tensor3",
@@ -101,6 +101,17 @@ def _check_dims(s: StructureData, *tensors: Tensor3) -> None:
             )
 
 
+def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """T[i,j,k] = c[p,q,r] a[p,i] b[q,j] m[r,k], as three matrix products.
+
+    Staged one slot at a time this costs O(d^4), against O(d^6) for the
+    single four-operand einsum, and it needs no contraction-path search.
+    """
+    d = c.shape[0]
+    t = (a.T @ c.reshape(d, -1)).reshape(d, d, d)
+    return (b.T @ t) @ m
+
+
 def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j]."""
     return np.einsum("ij,k->ijk", q, eta) + np.einsum("ik,j->ijk", q, eta)
@@ -112,10 +123,11 @@ def membership_residuals(s: StructureData, t: Tensor3) -> dict:
     c = t.comps
     sym = float(np.max(np.abs(c - c.transpose(0, 2, 1))))
     phi, xi, eta = s.phi, s.xi, s.eta
-    phiphi = np.einsum("iab,aj,bk->ijk", c, phi, phi)
-    f_xi_z = np.einsum("iak,a->ik", c, xi)
-    f_y_xi = np.einsum("ija,a->ij", c, xi)
-    rhs = phiphi + np.einsum("j,ik->ijk", eta, f_xi_z) + np.einsum("k,ij->ijk", eta, f_y_xi)
+    f_xi_z = xi @ c  # F(x, xi, z)
+    f_y_xi = c @ xi  # F(x, y, xi)
+    rhs = phi.T @ c @ phi
+    rhs += eta[:, None] * f_xi_z[:, None, :]
+    rhs += f_y_xi[:, :, None] * eta
     rel = float(np.max(np.abs(c - rhs)))
     return {"slot_symmetry": sym, "phi_relation": rel}
 
@@ -123,9 +135,10 @@ def membership_residuals(s: StructureData, t: Tensor3) -> dict:
 def is_structure_tensor(s: StructureData, t: Tensor3, tol: float = DEFAULT_RTOL) -> bool:
     """True iff t satisfies both defining identities of the admissible space.
 
-    tol is relative to the tensor magnitude, with floor 1.
+    tol is relative to the tensor magnitude, with floor DEFAULT_ABS_FLOOR,
+    so the verdict does not depend on the tensor's overall scale.
     """
-    scale = max(1.0, t.max_abs())
+    scale = max(t.max_abs(), DEFAULT_ABS_FLOOR)
     res = membership_residuals(s, t)
     return max(res.values()) <= tol * scale
 
@@ -146,12 +159,10 @@ def embed_structure_tensor(s: StructureData, t: Tensor3) -> Tensor3:
     S = 0.5 * (t.comps + t.comps.transpose(0, 2, 1))
     phi, xi, eta = s.phi, s.xi, s.eta
     h = -(phi @ phi)
-    hh = np.einsum("iab,aj,bk->ijk", S, h, h)
-    pp = np.einsum("iab,aj,bk->ijk", S, phi, phi)
-    s_h_xi = np.einsum("iab,aj,b->ij", S, h, xi)
-    out = 0.5 * (hh + pp)
-    out += np.einsum("j,ik->ijk", eta, s_h_xi)
-    out += np.einsum("k,ij->ijk", eta, s_h_xi)
+    s_h_xi = (S @ xi) @ h  # S(x, h y, xi)
+    out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
+    out += eta[:, None] * s_h_xi[:, None, :]
+    out += s_h_xi[:, :, None] * eta
     return Tensor3(out)
 
 
@@ -175,10 +186,8 @@ def inner_product(s: StructureData, f1: Tensor3, f2: Tensor3) -> float:
     components instead.
     """
     _check_dims(s, f1, f2)
-    gi = s.g_inv
-    return float(
-        np.einsum("iq,jr,ks,ijk,qrs->", gi, gi, gi, f1.comps, f2.comps, optimize=True)
-    )
+    gi_t = s.g_inv.T
+    return float(np.vdot(f1.comps, _pullback(f2.comps, gi_t, gi_t, gi_t)))
 
 
 def lee_forms(s: StructureData, f: Tensor3) -> LeeForms:
@@ -193,9 +202,10 @@ def lee_forms(s: StructureData, f: Tensor3) -> LeeForms:
     is unaffected by the restriction since phi xi = 0.
     """
     _check_dims(s, f)
-    c = f.comps
+    d = s.dim
+    c = f.comps.reshape(d * d, d)
     gi_h = s.g_inv - np.outer(s.xi, s.xi)
-    theta = np.einsum("ij,ijk->k", gi_h, c)
-    theta_star = np.einsum("ij,aj,iak->k", gi_h, s.phi, c)
-    omega = np.einsum("a,b,abk->k", s.xi, s.xi, c)
+    theta = gi_h.ravel() @ c
+    theta_star = (gi_h @ s.phi.T).ravel() @ c
+    omega = np.outer(s.xi, s.xi).ravel() @ c
     return LeeForms(theta=theta, theta_star=theta_star, omega=omega)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from acbm import fileio
 from acbm.cli import main
@@ -55,6 +56,15 @@ class TestClassify:
         path = write(tmp_path, "notf.json", {"n": 1, "comps": comps})
         assert main(["classify", path]) == 3
         assert "admissible" in capsys.readouterr().err
+
+    def test_tiny_inadmissible_tensor_exit_3(self, tmp_path, capsys):
+        raw = 1e-10 * np.random.default_rng(0).uniform(-1.0, 1.0, size=125)
+        path = write(tmp_path, "tiny.json", {"n": 2, "comps": raw.tolist()})
+        assert main(["classify", path]) == 3
+        assert "admissible" in capsys.readouterr().err
+        f = random_structure_tensor(canonical_structure(2), 0)
+        path = write(tmp_path, "tiny_ok.json", {"n": 2, "comps": (1e-10 * f.comps).ravel().tolist()})
+        assert main(["classify", path]) == 0
 
     def test_invalid_structure_exit_3(self, tmp_path, capsys):
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}
@@ -222,6 +232,20 @@ class TestFileFormats:
         path = write(tmp_path, "lower.json", doc)
         assert main(["classify", path]) == 2
         assert "antisymmetry" in capsys.readouterr().err
+
+    def test_bracket_index_must_be_integer(self, tmp_path, capsys):
+        doc = {"n": 1, "brackets": [{"i": [0], "j": 1, "coeffs": [0.0, 0.0, 0.0]}]}
+        path = write(tmp_path, "list_index.json", doc)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "brackets[0].i" in err and "integer" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("n", 1.7), ("n", True), ("n", [1]), ("dim", 3.0)])
+    def test_size_fields_must_be_integers(self, tmp_path, capsys, field, value):
+        path = write(tmp_path, "bad_n.json", {field: value, "comps": [0.0] * 27})
+        assert main(["classify", path]) == 2
+        assert f"'{field}' must be an integer" in capsys.readouterr().err
 
     def test_wrong_comps_length(self, tmp_path, capsys):
         path = write(tmp_path, "short.json", {"n": 1, "comps": [0.0] * 26})

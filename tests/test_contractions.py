@@ -1,0 +1,149 @@
+"""Staged matrix-product contractions against their einsum formulas.
+
+Each rewritten function is compared with the einsum expression it
+replaced, written out here, on non-canonical structures and on random
+tensors that are not admissible. Canonical structures would not do:
+there phi and phi^2 are signed permutations, so a transposed factor in
+a pullback can give exactly the same numbers.
+"""
+
+import numpy as np
+import pytest
+
+from acbm.decomposition import _class_residual, _xi_bracket, project_w
+from acbm.group import GroupElement, act
+from acbm.tensors import (
+    Tensor3,
+    _pullback,
+    embed_structure_tensor,
+    inner_product,
+    lee_forms,
+    membership_residuals,
+)
+
+from conftest import random_structure
+
+REL = 1e-12
+CASES = [(n, seed) for n in (1, 2, 3) for seed in range(3)]
+
+
+def raw_tensor(n: int, seed: int) -> Tensor3:
+    d = 2 * n + 1
+    return Tensor3(np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d)))
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = float(np.max(np.abs(want)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(got - want))) <= REL * scale
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_pullback(n, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * n + 1
+    c = rng.uniform(-1.0, 1.0, size=(d, d, d))
+    a, b, m = rng.uniform(-1.0, 1.0, size=(3, d, d))
+    assert_close(_pullback(c, a, b, m), np.einsum("pqr,pi,qj,rk->ijk", c, a, b, m))
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_membership_residuals(n, seed):
+    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    phi, xi, eta = s.phi, s.xi, s.eta
+    rhs = (
+        np.einsum("iab,aj,bk->ijk", c, phi, phi)
+        + np.einsum("j,ik->ijk", eta, np.einsum("iak,a->ik", c, xi))
+        + np.einsum("k,ij->ijk", eta, np.einsum("ija,a->ij", c, xi))
+    )
+    got = membership_residuals(s, Tensor3(c))
+    assert got["phi_relation"] == pytest.approx(np.max(np.abs(c - rhs)), rel=REL)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_embed_structure_tensor(n, seed):
+    s, t = random_structure(n, seed), raw_tensor(n, seed)
+    S = 0.5 * (t.comps + t.comps.transpose(0, 2, 1))
+    phi, xi, eta = s.phi, s.xi, s.eta
+    h = -(phi @ phi)
+    s_h_xi = np.einsum("iab,aj,b->ij", S, h, xi)
+    want = 0.5 * (
+        np.einsum("iab,aj,bk->ijk", S, h, h) + np.einsum("iab,aj,bk->ijk", S, phi, phi)
+    )
+    want += np.einsum("j,ik->ijk", eta, s_h_xi) + np.einsum("k,ij->ijk", eta, s_h_xi)
+    assert_close(embed_structure_tensor(s, t).comps, want)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_inner_product(n, seed):
+    s = random_structure(n, seed)
+    f1, f2 = raw_tensor(n, seed), raw_tensor(n, seed + 7)
+    gi = s.g_inv
+    terms = np.einsum("iq,jr,ks,ijk,qrs->ijkqrs", gi, gi, gi, f1.comps, f2.comps)
+    # relative to the sum of |terms|: the indefinite metric lets them cancel
+    got = inner_product(s, f1, f2)
+    assert abs(got - terms.sum()) <= REL * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_lee_forms(n, seed):
+    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    gi_h = s.g_inv - np.outer(s.xi, s.xi)
+    lf = lee_forms(s, Tensor3(c))
+    assert_close(lf.theta, np.einsum("ij,ijk->k", gi_h, c))
+    assert_close(lf.theta_star, np.einsum("ij,aj,iak->k", gi_h, s.phi, c))
+    assert_close(lf.omega, np.einsum("a,b,abk->k", s.xi, s.xi, c))
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_act(n, seed):
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    d = s.dim
+    a = np.eye(d) + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, d))
+    ai = np.linalg.inv(a)
+    # act only contracts with a_inv, so a general invertible matrix tests it
+    elem = GroupElement(a=a, a_inv=ai, blocks=(np.eye(n), np.zeros((n, n))))
+    assert_close(act(s, elem, f).comps, np.einsum("abc,ai,bj,ck->ijk", f.comps, ai, ai, ai))
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_xi_bracket(n, seed):
+    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    P = s.phi @ s.phi
+    for m1, m2 in ((P, P), (s.phi, s.phi), (s.phi, P)):
+        want = np.einsum("abc,ai,bj,c->ij", c, m1, m2, s.xi)
+        assert_close(_xi_bracket(c, m1, m2, s.xi), want)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_project_w(n, seed):
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    c, xi, eta = f.comps, s.xi, s.eta
+    P = s.phi @ s.phi
+    want = {
+        1: -np.einsum("abc,ai,bj,ck->ijk", c, P, P, P),
+        2: np.einsum("j,ik->ijk", eta, np.einsum("abc,ai,b,ck->ik", c, P, xi, P))
+        + np.einsum("k,ij->ijk", eta, np.einsum("abc,ai,bj,c->ij", c, P, P, xi)),
+        3: np.einsum("i,jk->ijk", eta, np.einsum("abc,a,bj,ck->jk", c, xi, P, P)),
+        4: -(
+            np.einsum("i,j,k->ijk", eta, eta, np.einsum("abc,a,b,ck->k", c, xi, xi, P))
+            + np.einsum("i,k,j->ijk", eta, eta, np.einsum("abc,a,bj,c->j", c, xi, P, xi))
+        ),
+    }
+    for i in (1, 2, 3, 4):
+        assert_close(project_w(s, f, i).comps, want[i])
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_class_residual_f10_f11(n, seed):
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    c, phi, xi, eta = f.comps, s.phi, s.xi, s.eta
+    e_mat = np.einsum("abc,a,bj,ck->jk", c, xi, phi, phi)
+    f10 = np.max(np.abs(c - np.einsum("i,jk->ijk", eta, e_mat)))
+    omega = np.einsum("a,b,abk->k", xi, xi, c)
+    recon = np.einsum("i,j,k->ijk", eta, eta, omega) + np.einsum("i,k,j->ijk", eta, eta, omega)
+    f11 = np.max(np.abs(c - recon))
+    assert _class_residual(s, f, 10) == pytest.approx(f10, rel=REL)
+    assert _class_residual(s, f, 11) == pytest.approx(f11, rel=REL)

@@ -337,6 +337,15 @@ class TestClassify:
         assert CLASS_NAMES[0] == "F1"
         assert CLASS_NAMES[-1] == "F11"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_membership_check_is_scale_relative(self, seed):
+        s = canonical_structure(2)
+        raw = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(5, 5, 5))
+        with pytest.raises(PreconditionError):
+            classify(s, Tensor3(1e-10 * raw))
+        f = random_structure_tensor(s, seed)
+        assert classify(s, 1e-10 * f).present == classify(s, f).present
+
 
 class TestCrossRouteOracle:
     """The involution route to the W2,1 component must agree with the

@@ -45,6 +45,14 @@ class TestMembership:
         assert not is_structure_tensor(s1, Tensor3(c))
         assert membership_residuals(s1, Tensor3(c))["phi_relation"] == pytest.approx(1.0)
 
+    def test_verdict_does_not_depend_on_scale(self):
+        s = random_structure(2, 0)
+        raw = Tensor3(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 5, 5)))
+        f = random_structure_tensor(s, 0)
+        for scale in (1e-10, 1.0, 1e10):
+            assert not is_structure_tensor(s, scale * raw)
+            assert is_structure_tensor(s, scale * f)
+
     def test_dimension_mismatch(self, s1):
         with pytest.raises(ValueError):
             is_structure_tensor(s1, Tensor3.zeros(5))
