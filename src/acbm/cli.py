@@ -97,6 +97,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "random":
+        fileio.check_size(args.dim, "--dim")
+    else:
+        fileio.check_size(2 * args.n + 1, "--n")
     if args.kind == "sphere":
         s, f = sphere_structure_tensor(args.n, args.t)
         doc = fileio.tensor_to_doc(s, f)

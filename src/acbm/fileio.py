@@ -20,11 +20,12 @@ import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import LieAlgebraSpec
-from .structure import StructureData, canonical_structure, is_canonical_basis
+from .structure import MAX_DIM, StructureData, canonical_structure, is_canonical_basis
 from .tensors import Tensor3
 
 __all__ = [
     "ParseError",
+    "check_size",
     "load_document",
     "detect_kind",
     "structure_from_doc",
@@ -111,10 +112,20 @@ def _resolve_n(doc: dict) -> int:
             raise ParseError(f"'n' must be >= 1, got {n}")
         if dim is not None and dim != 2 * n + 1:
             raise ParseError(f"'dim'={dim} inconsistent with n={n} (expected {2 * n + 1})")
-        return n
-    if dim < 3 or dim % 2 == 0:
+    elif dim < 3 or dim % 2 == 0:
         raise ParseError(f"'dim' must be an odd integer >= 3, got {dim}")
-    return (dim - 1) // 2
+    else:
+        n = (dim - 1) // 2
+    check_size(2 * n + 1, "'n'" if dim is None else "'dim'")
+    return n
+
+
+def check_size(dim: int, name: str) -> None:
+    """ParseError when dimension dim exceeds MAX_DIM; name is the field or flag that set it."""
+    if dim > MAX_DIM:
+        raise ParseError(
+            f"{name}: dimension {dim} exceeds the maximum {MAX_DIM} (n <= {(MAX_DIM - 1) // 2})"
+        )
 
 
 def structure_from_doc(doc: dict) -> StructureData:

@@ -113,8 +113,12 @@ def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.
 
 
 def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j]."""
-    return np.einsum("ij,k->ijk", q, eta) + np.einsum("ik,j->ijk", q, eta)
+    """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j].
+
+    Adding 0.0 turns a -0.0 sum (two negative products with zero eta
+    entries) into 0.0, so zero entries are emitted as 0.0.
+    """
+    return q[:, :, None] * eta + q[:, None, :] * eta[:, None] + 0.0
 
 
 def membership_residuals(s: StructureData, t: Tensor3) -> dict:

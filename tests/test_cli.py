@@ -6,8 +6,12 @@ import pytest
 from acbm import fileio
 from acbm.cli import main
 from acbm.group import validate_group_element
-from acbm.structure import canonical_structure
+from acbm.structure import MAX_DIM, canonical_structure
 from acbm.tensors import is_structure_tensor, random_structure_tensor
+
+
+def _must_not_allocate(n):
+    raise AssertionError(f"canonical_structure({n}) called for an oversize input")
 
 
 def write(tmp_path, name, doc):
@@ -159,6 +163,28 @@ class TestGen:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+    def test_oversize_dim_rejected_before_allocating(self, monkeypatch, capsys):
+        monkeypatch.setattr("acbm.cli.canonical_structure", _must_not_allocate)
+        assert main(["gen", "random", "--dim", "2000000001", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--dim" in err and f"maximum {MAX_DIM}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["sphere", "liegroup", "group"])
+    def test_oversize_n_rejected(self, capsys, kind):
+        extra = {"sphere": ["--t", "0"], "liegroup": ["--a", "1,1"], "group": []}[kind]
+        n = str((MAX_DIM + 1) // 2)
+        assert main(["gen", kind, "--n", n, *extra]) == 2
+        assert f"maximum {MAX_DIM}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_lie_coefficients_classify(self, tmp_path, capsys):
+        path = str(tmp_path / "big.json")
+        assert main(["gen", "liegroup", "--n", "1", "--a", "1e200,1e200", "--out", path]) == 0
+        assert main(["classify", path]) == 0
+        assert "classes: F9 F10" in capsys.readouterr().out
+
+
 class TestProject:
     def test_component_extraction(self, tmp_path, capsys):
         src = str(tmp_path / "sphere.json")
@@ -251,3 +277,22 @@ class TestFileFormats:
         path = write(tmp_path, "short.json", {"n": 1, "comps": [0.0] * 26})
         assert main(["classify", path]) == 2
         assert "comps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"n": 10**9, "comps": []}, {"dim": 2 * 10**9 + 1, "comps": []}])
+    def test_oversize_document_rejected_before_allocating(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.setattr("acbm.fileio.canonical_structure", _must_not_allocate)
+        path = write(tmp_path, "huge.json", doc)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert f"maximum {MAX_DIM}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_size_limit_boundary(self):
+        n_max = (MAX_DIM - 1) // 2
+        assert MAX_DIM >= 17
+        assert fileio._resolve_n({"n": n_max}) == n_max
+        assert fileio._resolve_n({"dim": MAX_DIM}) == n_max
+        with pytest.raises(fileio.ParseError):
+            fileio._resolve_n({"n": n_max + 1})
+        with pytest.raises(fileio.ParseError):
+            fileio._resolve_n({"dim": MAX_DIM + 2})

@@ -130,6 +130,15 @@ class TestW2Involutions:
         with pytest.raises(ValueError):
             w2_involution(s2, f, 3)
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_precondition_is_scale_relative(self, s2, j):
+        f = random_structure_tensor(s2, 4)
+        with pytest.raises(PreconditionError):
+            w2_involution(s2, 1e-10 * f, j)
+        p2f = project_w(s2, f, 2)
+        got = w2_involution(s2, 1e-10 * p2f, j)
+        assert (got - 1e-10 * w2_involution(s2, p2f, j)).max_abs() <= 1e-24
+
 
 class TestComponent:
     def test_lie_family_pure_f10(self):
@@ -269,6 +278,12 @@ class TestWSubspaces:
     def test_blocks_contain_their_projections(self, i, s2):
         f = random_structure_tensor(s2, 9)
         assert in_w_subspace(s2, project_w(s2, f, i), i)
+
+    @pytest.mark.parametrize("i", range(1, 5))
+    def test_membership_is_scale_relative(self, i, s2):
+        f = random_structure_tensor(s2, 9)
+        assert not in_w_subspace(s2, 1e-10 * f, i)
+        assert in_w_subspace(s2, 1e-10 * project_w(s2, f, i), i)
 
 
 class TestLeeFormVanishingTable:

@@ -1,0 +1,155 @@
+"""The one-pass component kernel against the per-class formulas.
+
+`_component_arrays` builds every shared intermediate once. Each of its
+eleven arrays is compared here with the component formula written out
+with einsum, on non-canonical structures and on random tensors both
+admissible and not. The decomposition is also checked to be natural
+under a change of basis.
+"""
+
+import numpy as np
+import pytest
+
+import acbm.decomposition as dec
+from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
+from acbm.structure import canonical_structure
+from acbm.tensors import Tensor3, embed_structure_tensor, random_structure_tensor
+
+from conftest import basis_change, push_structure, random_structure
+
+REL = 1e-12
+CASES = [(n, seed) for n in (1, 2, 3) for seed in range(3)]
+
+
+def sym_pair(q, eta):
+    return np.einsum("ij,k->ijk", q, eta) + np.einsum("ik,j->ijk", q, eta)
+
+
+def formula_components(s, c) -> dict:
+    """The eleven components of the tensor with comps c, one formula each."""
+    phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
+    P = phi @ phi
+    two_n = 2.0 * s.n
+    gi_h = s.g_inv - np.outer(xi, xi)
+    theta = np.einsum("ij,ijk->k", gi_h, c)
+    theta_star = np.einsum("ij,aj,iak->k", gi_h, phi, c)
+    gp = np.einsum("ia,aj->ij", g, phi)
+    gpp = np.einsum("ai,ab,bj->ij", phi, g, phi)
+    t_phi, t_phi2 = phi.T @ theta, P.T @ theta
+    f1 = (
+        np.einsum("ij,k->ijk", gpp, t_phi2)
+        + np.einsum("ij,k->ijk", gp, t_phi)
+        + np.einsum("ik,j->ijk", gpp, t_phi2)
+        + np.einsum("ik,j->ijk", gp, t_phi)
+    ) / two_n
+    t_xyz = np.einsum("abc,ai,bj,ck->ijk", c, P, P, P)
+    t_yzx = np.einsum("abc,aj,bk,ci->ijk", c, P, P, P)
+    t_yx = np.einsum("abc,aj,bk,ci->ijk", c, phi, P, phi)
+    t_xzy = np.einsum("abc,ai,bk,cj->ijk", c, P, P, P)
+    t_zyx = np.einsum("abc,ak,bj,ci->ijk", c, P, P, P)
+    t_zx = np.einsum("abc,ak,bj,ci->ijk", c, phi, P, phi)
+    theta_xi, theta_star_xi = theta @ xi, theta_star @ xi
+    a = np.einsum("abc,ai,bj,c->ij", c, P, P, xi)
+    b = np.einsum("abc,ai,bj,c->ij", c, phi, phi, xi)
+    f10 = np.einsum("i,jk->ijk", eta, np.einsum("abc,a,bj,ck->jk", c, xi, P, P))
+    f11 = -(
+        np.einsum("i,j,k->ijk", eta, eta, np.einsum("abc,a,b,ck->k", c, xi, xi, P))
+        + np.einsum("i,k,j->ijk", eta, eta, np.einsum("abc,a,bj,c->j", c, xi, P, xi))
+    )
+    return {
+        1: f1,
+        2: -0.25 * (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) - f1,
+        3: -0.25 * (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx),
+        4: -(theta_xi / two_n) * sym_pair(gpp, eta),
+        5: -(theta_star_xi / two_n) * sym_pair(gp, eta),
+        6: (theta_xi / two_n) * sym_pair(gpp, eta)
+        + (theta_star_xi / two_n) * sym_pair(gp, eta)
+        + sym_pair(0.25 * (a + a.T - b - b.T), eta),
+        7: sym_pair(0.25 * (a - a.T - b + b.T), eta),
+        8: sym_pair(0.25 * (a + a.T + b + b.T), eta),
+        9: sym_pair(0.25 * (a - a.T + b - b.T), eta),
+        10: f10,
+        11: f11,
+    }
+
+
+def raw_tensor(n: int, seed: int) -> Tensor3:
+    d = 2 * n + 1
+    return Tensor3(np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d)))
+
+
+@pytest.mark.parametrize("admissible", [True, False], ids=["admissible", "raw"])
+@pytest.mark.parametrize("n, seed", CASES)
+def test_kernel_matches_formulas(n, seed, admissible):
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    if admissible:
+        f = embed_structure_tensor(s, f)
+    got = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
+    want = formula_components(s, f.comps)
+    # relative to the input: at n = 1 some components of an admissible
+    # tensor vanish, and their formulas give rounding noise only
+    scale = f.max_abs()
+    for i in range(1, NUM_CLASSES + 1):
+        assert got[i].shape == want[i].shape
+        assert np.max(np.abs(got[i] - want[i])) <= REL * scale, f"F{i}"
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_decompose_equals_component_bitwise(n, seed):
+    s = random_structure(n, seed)
+    f = random_structure_tensor(s, seed)
+    d = decompose(s, f)
+    for i in range(1, NUM_CLASSES + 1):
+        assert d.components[i - 1].comps.tobytes() == component(s, f, i).comps.tobytes()
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(dec, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dec, name, counted)
+    return calls
+
+
+def test_decompose_builds_shared_terms_once(monkeypatch):
+    s = random_structure(2, 0)
+    f = random_structure_tensor(s, 0)
+    lee = _count_calls(monkeypatch, "lee_forms")
+    w1 = _count_calls(monkeypatch, "_w1_six_terms")
+    decompose(s, f)
+    assert (len(lee), len(w1)) == (1, 1)
+
+
+@pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))
+def test_component_builds_only_what_it_needs(monkeypatch, i):
+    s = random_structure(1, 0)
+    f = random_structure_tensor(s, 0)
+    lee = _count_calls(monkeypatch, "lee_forms")
+    w1 = _count_calls(monkeypatch, "_w1_six_terms")
+    component(s, f, i)
+    assert len(lee) == (i in (1, 2, 4, 5, 6))
+    assert len(w1) == (i in (2, 3))
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (1, 2, 3) for seed in range(5)])
+def test_gl_naturality(n, seed):
+    """Components of the pushed tensor are the pushed components."""
+    s = canonical_structure(n)
+    f = random_structure_tensor(s, seed)
+    t = basis_change(n, seed + 100)
+    t_inv = np.linalg.inv(t)
+    pushed = push_structure(s, t)
+
+    def push(x: Tensor3) -> Tensor3:
+        return Tensor3(np.einsum("abc,ai,bj,ck->ijk", x.comps, t_inv, t_inv, t_inv))
+
+    got = decompose(pushed, push(f))
+    want = decompose(s, f)
+    scale = f.max_abs()
+    for i in range(NUM_CLASSES):
+        diff = got.components[i] - push(want.components[i])
+        assert diff.max_abs() <= 1e-12 * scale, f"F{i + 1}"

@@ -17,6 +17,7 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
+from acbm.structure import canonical_structure
 from acbm.tensors import Tensor3, is_structure_tensor, lee_forms, random_structure_tensor
 
 from test_tensors import f8_form
@@ -66,6 +67,15 @@ class TestCheckJacobi:
         c[0, 1, 2] = 1.0
         c[1, 0, 2] = -1.0
         assert not check_jacobi(LieAlgebraSpec(structure=s1, c=c))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e200])
+    def test_scale_free(self, scale):
+        s = canonical_structure(2)
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5, 5))
+        c = c - c.transpose(1, 0, 2)  # antisymmetric, but violates Jacobi
+        assert not check_jacobi(LieAlgebraSpec(structure=s, c=scale * c))
+        assert check_jacobi(lie_family(2, [scale, -scale, 0.5 * scale, scale]))
 
     def test_rejects_non_antisymmetric(self, s1):
         c = np.zeros((3, 3, 3))
