@@ -7,9 +7,10 @@ Subcommands:
     gen       emit input files: sphere, liegroup, random, group
     verify    run the seeded invariant suites
 
-Exit codes: 0 success (verify: all checks passed), 2 parse error or bad
-parameters, 3 precondition failure (invalid structure, tensor outside
-the admissible space, broken bracket table), 1 failed verify checks.
+Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
+parameters or input whose arithmetic overflows the float range, 3
+precondition failure (invalid structure, tensor outside the admissible
+space, broken bracket table), 1 failed verify checks.
 
 Examples:
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import fileio
 from .decomposition import classify, component, project_w
@@ -171,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_sphere.add_argument("--t", type=float, required=True, help="sphere parameter (radians)")
     g_lie = gen_sub.add_parser("liegroup", help="solvable Lie-algebra family")
     g_lie.add_argument("--n", type=int, required=True)
-    g_lie.add_argument("--a", type=str, required=True, help="comma-separated 2n parameters")
+    g_lie.add_argument("--a", type=str, required=True,
+                       help="comma-separated 2n parameters; write --a=-0.5,1.5 when the"
+                       " first is negative (a value after a space may not start with '-')")
     g_random = gen_sub.add_parser("random", help="seeded random admissible tensor")
     g_random.add_argument("--dim", type=int, required=True, help="odd dimension >= 3")
     g_random.add_argument("--seed", type=int, default=0)
@@ -194,7 +199,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow anywhere, e.g. in the Koszul formula on brackets near
+        # the float maximum, ends in one error line, not a leaked warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
+        return EXIT_PARSE
     except fileio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

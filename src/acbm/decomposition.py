@@ -258,19 +258,15 @@ def component(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     return Tensor3(_component_arrays(s, f, (i,))[i])
 
 
-def decompose(
-    s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL, check: bool = True
-) -> Decomposition:
+def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomposition:
     """All eleven components of f with magnitudes and reconstruction residual.
 
-    Requires f admissible (skippable with check=False for benchmarking;
-    the component formulas are only meaningful on the admissible
-    space). The recorded residual is max-abs(sum of components - f)
-    relative to max-abs(f).
+    Requires f admissible within tol: the component formulas are only
+    meaningful on the admissible space. The recorded residual is
+    max-abs(sum of components - f) relative to max-abs(f).
     """
     _check_dims(s, f)
-    if check:
-        _require_membership(s, f, tol)
+    _require_membership(s, f, tol)
     arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
     comps = tuple(Tensor3(arrays[i]) for i in range(1, NUM_CLASSES + 1))
     magnitudes = np.array([t.max_abs() for t in comps])
@@ -395,7 +391,6 @@ def classify(
     f: Tensor3,
     rel_tol: float = DEFAULT_RTOL,
     abs_floor: float = DEFAULT_ABS_FLOOR,
-    check: bool = True,
 ) -> ClassReport:
     """Classify f into a direct sum of basic classes.
 
@@ -403,7 +398,7 @@ def classify(
     rel_tol * max(max-abs(f), abs_floor); F0 means nothing is present.
     Tolerances are echoed in the report for reproducibility.
     """
-    dec = decompose(s, f, tol=rel_tol, check=check)
+    dec = decompose(s, f, tol=rel_tol)
     input_magnitude = f.max_abs()
     threshold = rel_tol * max(input_magnitude, abs_floor)
     present = tuple(

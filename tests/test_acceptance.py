@@ -1,252 +1,95 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-summary lines; tolerances are pinned in the assertions.
+Each criterion is a set of named checks of the seeded invariant suites
+in `acbm.verify`, their only implementation; a test runs the suite and
+asserts by name that those checks pass, at the suite's tolerances. Run
+with `pytest tests/test_acceptance.py -s` to see the per-criterion
+summary lines.
 """
 
-import math
 import time
 
-import numpy as np
+import pytest
 
-from acbm.decomposition import (
-    NUM_CLASSES,
-    classify,
-    component,
-    decompose,
-    project_w,
-    satisfies_class,
-    w2_involution,
-)
-from acbm.group import act, random_group_element
-from acbm.models import (
-    koszul_connection,
-    lie_family,
-    sphere_structure_tensor,
-    structure_tensor_from_connection,
-)
-from acbm.structure import canonical_structure
-from acbm.tensors import (
-    inner_product,
-    lee_forms,
-    membership_residuals,
-    random_structure_tensor,
-)
+from acbm.verify import run_suite
 
 
-def _report(criterion: str, detail: str) -> None:
-    print(f"\n[acceptance] {criterion}: PASS  ({detail})")
-
-
-def test_criterion_1_lie_group_example():
-    """Koszul pipeline reproduces the dimension-3 family: connection
-    values, tensor components, and the classification table."""
+def _run(name: str, seeds: int) -> tuple:
+    """({check name: CheckResult}, wall seconds) of one suite run."""
     start = time.perf_counter()
-    worst = 0.0
-    for a1, a2 in [(1.0, 1.0), (2.0, 3.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)]:
-        spec = lie_family(1, [a1, a2])
-        gamma = koszul_connection(spec).gamma
-        expected_gamma = {
-            (1, 1): [-a1, 0.0, 0.0],
-            (2, 2): [-a1, 0.0, 0.0],
-            (0, 1): [0.0, 0.0, -a2],
-            (0, 2): [0.0, -a2, 0.0],
-            (1, 0): [0.0, a1, 0.0],
-            (2, 0): [0.0, 0.0, -a1],
-        }
-        for (i, j), value in expected_gamma.items():
-            worst = max(worst, float(np.max(np.abs(gamma[i, j] - value))))
-        f = structure_tensor_from_connection(spec, koszul_connection(spec))
-        c = f.comps
-        expected_f = {
-            (0, 1, 1): -2 * a2,
-            (0, 2, 2): -2 * a2,
-            (1, 0, 2): a1,
-            (1, 2, 0): a1,
-            (2, 0, 1): -a1,
-            (2, 1, 0): -a1,
-        }
-        for idx, value in expected_f.items():
-            worst = max(worst, abs(c[idx] - value))
-        assert worst <= 1e-12
-        report = classify(spec.structure, f)
-        expected_classes = tuple(
-            i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero
-        )
-        assert report.present == expected_classes
-        assert report.is_F0 == (a1 == 0.0 and a2 == 0.0)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    _report("criterion 1 (Lie-group example)", f"worst residual {worst:.2e}, {elapsed:.2f}s")
+    checks = {check.name: check for check in run_suite(name, seeds)}
+    return checks, time.perf_counter() - start
 
 
-def test_criterion_2_sphere_example():
+@pytest.fixture(scope="module")
+def decomposition():
+    return _run("decomposition", 100)
+
+
+@pytest.fixture(scope="module")
+def models():
+    return _run("models", 20)
+
+
+def _accept(criterion: str, run: tuple, names: tuple, max_seconds: float = None) -> None:
+    checks, elapsed = run
+    failed = [checks[name] for name in names if not checks[name].passed]
+    assert not failed
+    if max_seconds is not None:
+        assert elapsed < max_seconds
+    detail = ", ".join(f"{name} {checks[name].worst:.2e}" for name in names)
+    print(f"\n[acceptance] {criterion}: PASS  ({detail}; {elapsed:.2f}s)")
+
+
+def test_criterion_1_lie_group_example(models):
+    """Koszul pipeline reproduces the dimension-3 family on five fixed
+    (a1, a2) pairs, a1 = 0 and a2 = 0 among them, and on random draws:
+    connection values, tensor components and the exact class set."""
+    _accept("criterion 1 (Lie-group example)", models, (
+        "jacobi", "koszul torsion", "koszul metric compatibility", "family membership",
+        "family connection values", "family tensor components", "family classification",
+    ), max_seconds=1.0)
+
+
+def test_criterion_2_sphere_example(models):
     """Sphere tensors classify inside {F4, F5} with exact Lee values,
-    pure F4 at t = 0 and pure F5 at the endpoints."""
-    start = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        for t in np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 20):
-            s, f = sphere_structure_tensor(n, float(t))
-            report = classify(s, f)
-            assert set(report.present) <= {4, 5}
-            lf = lee_forms(s, f)
-            worst = max(worst, abs(float(lf.theta @ s.xi) - 2 * n * math.cos(t)))
-            worst = max(worst, abs(float(lf.theta_star @ s.xi) - 2 * n * math.sin(t)))
-        assert worst <= 1e-12
-        s, f = sphere_structure_tensor(n, 0.0)
-        assert classify(s, f).present == (4,)
-        for endpoint in (math.pi / 2, -math.pi / 2):
-            s, f = sphere_structure_tensor(n, endpoint)
-            assert classify(s, f).present == (5,)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    _report("criterion 2 (sphere example)", f"worst Lee residual {worst:.2e}, {elapsed:.2f}s")
+    pure F4 at t = 0 and pure F5 at t = +-pi/2."""
+    names = ("sphere lee values", "sphere classification")
+    _accept("criterion 2 (sphere example)", models, names, max_seconds=1.0)
 
 
-def test_criterion_3_decomposition_suite():
+def test_criterion_3_decomposition_suite(decomposition):
     """100 seeded random admissible tensors per dimension in {3, 5, 7}:
     reconstruction, orthogonality, class predicates, membership of
     components, and projector algebra."""
-    start = time.perf_counter()
-    worst = {"recon": 0.0, "orth": 0.0, "proj": 0.0}
-    for n in (1, 2, 3):
-        s = canonical_structure(n)
-        for seed in range(100):
-            f = random_structure_tensor(s, seed)
-            scale = max(1.0, f.max_abs())
-            d = decompose(s, f)
-            # (a) reconstruction
-            worst["recon"] = max(worst["recon"], d.reconstruction_residual)
-            assert d.reconstruction_residual <= 1e-9
-            # (b) pairwise orthogonality
-            bound = 1e-9 * max(1.0, abs(inner_product(s, f, f)))
-            for i in range(NUM_CLASSES):
-                for j in range(i + 1, NUM_CLASSES):
-                    ip = abs(inner_product(s, d.components[i], d.components[j]))
-                    worst["orth"] = max(worst["orth"], ip)
-                    assert ip <= bound
-            # (c) class predicates and membership
-            for i in range(1, NUM_CLASSES + 1):
-                ci = d.components[i - 1]
-                assert satisfies_class(s, ci, i, 1e-9)
-                assert max(membership_residuals(s, ci).values()) <= 1e-9 * scale
-            # (d) projector algebra
-            projs = [project_w(s, f, i) for i in range(1, 5)]
-            total = projs[0] + projs[1] + projs[2] + projs[3]
-            worst["proj"] = max(worst["proj"], (total - f).max_abs() / scale)
-            assert (total - f).max_abs() <= 1e-9 * scale
-            for i, p in enumerate(projs, start=1):
-                assert (project_w(s, p, i) - p).max_abs() <= 1e-9 * scale
-            g2 = random_structure_tensor(s, seed + 5000)
-            for i in range(1, 5):
-                lhs = inner_product(s, project_w(s, f, i), g2)
-                rhs = inner_product(s, f, project_w(s, g2, i))
-                assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
-    _report(
-        "criterion 3 (decomposition suite)",
-        f"recon {worst['recon']:.2e}, orth {worst['orth']:.2e}, "
-        f"proj {worst['proj']:.2e}, {elapsed:.1f}s",
-    )
+    _accept("criterion 3 (decomposition suite)", decomposition, (
+        "reconstruction", "orthogonality", "closure", "class predicates",
+        "projector sum", "projector idempotency", "projector self-adjointness",
+    ), max_seconds=30.0)
 
 
 def test_criterion_4_equivariance():
     """50 random (tensor, group element) pairs at n = 2: all eleven
     component maps commute with the action, inner product preserved."""
-    s = canonical_structure(2)
-    worst = 0.0
-    for seed in range(50):
-        f = random_structure_tensor(s, seed)
-        elem = random_group_element(2, seed)
-        af = act(s, elem, f)
-        scale = max(1.0, f.max_abs())
-        for i in range(1, NUM_CLASSES + 1):
-            diff = (component(s, af, i) - act(s, elem, component(s, f, i))).max_abs()
-            worst = max(worst, diff / scale)
-            assert diff <= 1e-9 * scale
-        g2 = random_structure_tensor(s, seed + 7000)
-        before = inner_product(s, f, g2)
-        after = inner_product(s, af, act(s, elem, g2))
-        assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
-    _report("criterion 4 (equivariance)", f"worst relative deviation {worst:.2e}")
+    names = ("element validity", "component equivariance", "inner product invariance")
+    _accept("criterion 4 (equivariance)", _run("group", 50), names)
 
 
 def test_criterion_5_dim3_vanishing():
     """In dimension 3, components F2, F3, F6, F7 vanish and the fast
     path matches the general formulas entrywise."""
-    s = canonical_structure(1)
-    from acbm.models import dim3_component
-
-    worst_vanish = 0.0
-    worst_match = 0.0
-    for seed in range(100):
-        f = random_structure_tensor(s, seed)
-        for i in (2, 3, 6, 7):
-            worst_vanish = max(worst_vanish, component(s, f, i).max_abs())
-        for i in range(1, NUM_CLASSES + 1):
-            worst_match = max(
-                worst_match, (dim3_component(f, i) - component(s, f, i)).max_abs()
-            )
-    assert worst_vanish <= 1e-12
-    assert worst_match <= 1e-12
-    _report(
-        "criterion 5 (dimension-3 vanishing)",
-        f"vanishing {worst_vanish:.2e}, fast path {worst_match:.2e}",
-    )
+    names = ("components 2,3,6,7 vanish", "fast path matches general")
+    _accept("criterion 5 (dimension-3 vanishing)", _run("dim3", 100), names)
 
 
-def test_criterion_6_lee_form_identities():
+def test_criterion_6_lee_form_identities(decomposition):
     """omega(xi) = 0 and theta*(phi z) = -theta(phi^2 z) for 100 random
     tensors per dimension, plus the per-block Lee vanishing table."""
-    worst = 0.0
-    for n in (1, 2, 3):
-        s = canonical_structure(n)
-        phi2 = s.phi @ s.phi
-        h = -phi2
-        for seed in range(100):
-            f = random_structure_tensor(s, seed)
-            tol = 1e-12 * max(1.0, f.max_abs())
-            lf = lee_forms(s, f)
-            worst = max(worst, abs(float(lf.omega @ s.xi)))
-            worst = max(
-                worst, float(np.max(np.abs(s.phi.T @ lf.theta_star + phi2.T @ lf.theta)))
-            )
-            assert worst <= 1e-12
-            p1, p2, p3, p4 = (project_w(s, f, i) for i in range(1, 5))
-            lf1 = lee_forms(s, p1)
-            assert abs(lf1.theta @ s.xi) <= tol
-            assert abs(lf1.theta_star @ s.xi) <= tol
-            assert np.max(np.abs(lf1.omega)) <= tol
-            lf2 = lee_forms(s, p2)
-            assert np.max(np.abs(h.T @ lf2.theta)) <= tol
-            assert np.max(np.abs(h.T @ lf2.theta_star)) <= tol
-            assert np.max(np.abs(lf2.omega)) <= tol
-            lf3 = lee_forms(s, p3)
-            assert max(np.max(np.abs(lf3.theta)), np.max(np.abs(lf3.theta_star))) <= tol
-            assert np.max(np.abs(lf3.omega)) <= tol
-            lf4 = lee_forms(s, p4)
-            assert max(np.max(np.abs(lf4.theta)), np.max(np.abs(lf4.theta_star))) <= tol
-    _report("criterion 6 (Lee-form identities)", f"worst residual {worst:.2e}")
+    names = ("lee form identities", "lee form table")
+    _accept("criterion 6 (Lee-form identities)", decomposition, names)
 
 
-def test_criterion_7_involution_oracle_cross_check():
+def test_criterion_7_involution_oracle_cross_check(decomposition):
     """The involution route (F + L1 F - L2 F - L2 L1 F)/4 on p2(F)
     agrees with F4 + F5 + F6 from the printed component formulas."""
-    worst = 0.0
-    for n in (1, 2):
-        s = canonical_structure(n)
-        for seed in range(50):
-            f = random_structure_tensor(s, seed)
-            p2f = project_w(s, f, 2)
-            l1 = w2_involution(s, p2f, 1)
-            l2 = w2_involution(s, p2f, 2)
-            l2l1 = w2_involution(s, l1, 2)
-            via_involutions = 0.25 * (p2f + l1 - l2 - l2l1)
-            via_formulas = component(s, f, 4) + component(s, f, 5) + component(s, f, 6)
-            scale = max(1.0, f.max_abs())
-            diff = (via_involutions - via_formulas).max_abs() / scale
-            worst = max(worst, diff)
-            assert diff <= 1e-9
-    _report("criterion 7 (involution oracle)", f"worst relative deviation {worst:.2e}")
+    _accept("criterion 7 (involution oracle)", decomposition, ("involution oracle",))

@@ -184,6 +184,31 @@ class TestGen:
         assert main(["classify", path]) == 0
         assert "classes: F9 F10" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("source", ["lie 1e308", "lie 5e307", "tensor 1e308"])
+    def test_overflow_is_one_line_exit_2(self, tmp_path, capsys, source):
+        kind, size = source.split()
+        target = tmp_path / "big.json"
+        path = str(target)
+        if kind == "lie":
+            assert main(["gen", "liegroup", "--n", "1", "--a", f"{size},{size}", "--out", path]) == 0
+        else:
+            s = canonical_structure(2)
+            f = random_structure_tensor(s, 1)
+            target.write_text(fileio.dumps(fileio.tensor_to_doc(s, f * (float(size) / f.max_abs()))))
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and len(err.strip().splitlines()) == 1
+
+    def test_negative_first_parameter_needs_equals_form(self, tmp_path, capsys):
+        path = str(tmp_path / "lie.json")
+        assert main(["gen", "liegroup", "--n", "1", "--a=-0.5,1.5", "--out", path]) == 0
+        assert main(["classify", path]) == 0
+        assert "classes: F9 F10" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "liegroup", "--n", "1", "--a", "-0.5,1.5"])
+        assert exc.value.code == 2
+
 
 class TestProject:
     def test_component_extraction(self, tmp_path, capsys):

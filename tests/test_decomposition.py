@@ -210,12 +210,6 @@ class TestDecompose:
         with pytest.raises(PreconditionError, match="phi_relation"):
             decompose(s1, Tensor3(c))
 
-    def test_unchecked_variant_accepts_anything(self, s1):
-        c = np.zeros((3, 3, 3))
-        c[0, 0, 0] = 1.0
-        d = decompose(s1, Tensor3(c), check=False)
-        assert len(d.components) == NUM_CLASSES
-
     @pytest.mark.parametrize("seed", range(6))
     def test_orthogonality(self, seed):
         n = 1 + seed % 3
