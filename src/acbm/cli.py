@@ -8,9 +8,11 @@ Subcommands:
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
-parameters or input whose arithmetic overflows the float range, 3
-precondition failure (invalid structure, tensor outside the admissible
-space, broken bracket table), 1 failed verify checks.
+parameters (non-finite numbers included) or input whose arithmetic
+overflows the float range, 3 precondition failure (invalid structure,
+tensor outside the admissible space, broken bracket table), 1 failed
+verify checks, 141 output pipe closed by its reader (as for a process
+ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
 
 Examples:
 
@@ -23,6 +25,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -46,6 +49,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, the status a shell gives a writer the signal ended
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -202,7 +206,20 @@ def main(argv=None) -> int:
         # an overflow anywhere, e.g. in the Koszul formula on brackets near
         # the float maximum, ends in one error line, not a leaked warning
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left (`acbm verify | head -n 1`); send what is still
+        # buffered to devnull so the flush at exit does not raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return EXIT_PIPE_CLOSED  # stdout was replaced in-process: no descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
     except FloatingPointError as exc:
         print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_PARSE

@@ -33,6 +33,7 @@ from .tensors import (
     Tensor3,
     _check_dims,
     _pullback,
+    _sealed,
     _sym_pair,
     lee_forms,
     membership_residuals,
@@ -268,11 +269,13 @@ def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomp
     _check_dims(s, f)
     _require_membership(s, f, tol)
     arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
-    comps = tuple(Tensor3(arrays[i]) for i in range(1, NUM_CLASSES + 1))
-    magnitudes = np.array([t.max_abs() for t in comps])
+    # one read-only (11, d, d, d) stack, checked once; components are its views
+    stack = _sealed(np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
+    comps = tuple(Tensor3._wrap(a) for a in stack)
+    magnitudes = np.max(np.abs(stack), axis=(1, 2, 3))
     total = np.zeros_like(f.comps)
-    for t in comps:
-        total = total + t.comps
+    for a in stack:
+        total = total + a
     diff = float(np.max(np.abs(total - f.comps)))
     scale = f.max_abs()
     residual = diff / scale if scale > 0.0 else diff

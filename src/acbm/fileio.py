@@ -168,7 +168,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
 
     Brackets are records {i, j, coeffs} meaning [E_i, E_j] = sum_k
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
-    implied, the diagonal is zero).
+    implied, the diagonal is zero), and so are non-finite coefficients.
     """
     sub = doc.get("structure")
     s = structure_from_doc(sub if isinstance(sub, dict) else doc)
@@ -190,6 +190,8 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
                 " antisymmetry is implied"
             )
         coeffs = _parse_array(rec["coeffs"], (d,), f"brackets[{idx}].coeffs")
+        if not np.all(np.isfinite(coeffs)):
+            raise ParseError(f"field 'brackets[{idx}].coeffs' contains non-finite entries")
         c[i, j] = coeffs
         c[j, i] = -coeffs
     return LieAlgebraSpec(structure=s, c=c)

@@ -59,6 +59,8 @@ class LieAlgebraSpec:
         arr = np.array(self.c, dtype=float)
         if arr.shape != (d, d, d):
             raise ValueError(f"structure constants must have shape {(d, d, d)}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("structure constants contain non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "c", arr)
 
@@ -263,6 +265,9 @@ _DIM3_ZERO_TRIPLES = (
     (2, 2, 1),
     (2, 1, 2),
 )
+# The same triples as index arrays, for one vectorized test of each kind.
+_DIM3_LEFT, _DIM3_RIGHT = (tuple(np.array(side).T) for side in zip(*_DIM3_EQUAL_PAIRS))
+_DIM3_ZERO = tuple(np.array(_DIM3_ZERO_TRIPLES).T)
 
 
 def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients:
@@ -282,18 +287,21 @@ def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients
     _require_dim3(f)
     c = f.comps
     scale = max(1.0, f.max_abs())
-    for left, right in _DIM3_EQUAL_PAIRS:
-        if abs(c[left] - c[right]) > tol * scale:
-            raise PreconditionError(
-                f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
-                " tensor is not admissible in dimension 3"
-            )
-    for triple in _DIM3_ZERO_TRIPLES:
-        if abs(c[triple]) > tol * scale:
-            raise PreconditionError(
-                f"component {triple} = {c[triple]:.3e} must vanish for admissible"
-                " dimension-3 tensors"
-            )
+    unequal = np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale
+    if unequal.any() or (np.abs(c[_DIM3_ZERO]) > tol * scale).any():
+        # name the first offending entry
+        for left, right in _DIM3_EQUAL_PAIRS:
+            if abs(c[left] - c[right]) > tol * scale:
+                raise PreconditionError(
+                    f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
+                    " tensor is not admissible in dimension 3"
+                )
+        for triple in _DIM3_ZERO_TRIPLES:
+            if abs(c[triple]) > tol * scale:
+                raise PreconditionError(
+                    f"component {triple} = {c[triple]:.3e} must vanish for admissible"
+                    " dimension-3 tensors"
+                )
     return Dim3Coefficients(
         theta0=float(c[1, 1, 0] - c[2, 2, 0]),
         theta_star0=float(c[1, 2, 0] + c[2, 1, 0]),

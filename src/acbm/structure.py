@@ -120,16 +120,23 @@ class ValidationReport:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
+_CANONICAL = {}  # n -> canonical_structure(n), built on first use
+
+
 def canonical_structure(n: int) -> StructureData:
     """Structure in the canonical basis {xi, e_1..e_n, phi e_1..phi e_n}.
 
     g = diag(1, I_n, -I_n); phi sends e_i to e_(n+i), e_(n+i) to -e_i
-    and kills xi; eta is the first coordinate form.
+    and kills xi; eta is the first coordinate form. Built once per n
+    and shared: the structure is immutable.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    n = int(n)
+    if n in _CANONICAL:
+        return _CANONICAL[n]
     d = 2 * n + 1
     g = np.diag(np.concatenate(([1.0], np.ones(n), -np.ones(n))))
     phi = np.zeros((d, d))
@@ -140,7 +147,8 @@ def canonical_structure(n: int) -> StructureData:
     xi[0] = 1.0
     eta = np.zeros(d)
     eta[0] = 1.0
-    return StructureData(n=n, g=g, phi=phi, xi=xi, eta=eta)
+    s = _CANONICAL[n] = StructureData(n=n, g=g, phi=phi, xi=xi, eta=eta)
+    return s
 
 
 def _signature_residual(g: np.ndarray, n: int) -> float:

@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only; ValueError when it holds inf or NaN."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("comps contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor3:
     """A rank-3 covariant tensor by components over a fixed basis.
@@ -53,10 +61,14 @@ class Tensor3:
         arr = np.array(self.comps, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"comps must be a cube, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("comps contains non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "comps", arr)
+        object.__setattr__(self, "comps", _sealed(arr))
+
+    @classmethod
+    def _wrap(cls, comps: np.ndarray) -> "Tensor3":
+        """A Tensor3 around comps, a cube already _sealed, neither copied nor checked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "comps", comps)
+        return t
 
     @property
     def dim(self) -> int:
@@ -70,16 +82,16 @@ class Tensor3:
         return cls(np.zeros((dim, dim, dim)))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.comps + other.comps)
+        return Tensor3._wrap(_sealed(self.comps + other.comps))
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.comps - other.comps)
+        return Tensor3._wrap(_sealed(self.comps - other.comps))
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3(-self.comps)
+        return Tensor3._wrap(_sealed(-self.comps))
 
     def __mul__(self, scalar) -> "Tensor3":
-        return Tensor3(self.comps * float(scalar))
+        return Tensor3._wrap(_sealed(self.comps * float(scalar)))
 
     __rmul__ = __mul__
 

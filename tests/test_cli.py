@@ -1,10 +1,12 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from acbm import fileio
-from acbm.cli import main
+from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
 from acbm.structure import MAX_DIM, canonical_structure
 from acbm.tensors import is_structure_tensor, random_structure_tensor
@@ -200,6 +202,13 @@ class TestGen:
         err = capsys.readouterr().err
         assert "overflow" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("params", ["nan,1", "1,inf"])
+    def test_non_finite_lie_parameters_rejected(self, capsys, params):
+        assert main(["gen", "liegroup", "--n", "1", "--a", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_negative_first_parameter_needs_equals_form(self, tmp_path, capsys):
         path = str(tmp_path / "lie.json")
         assert main(["gen", "liegroup", "--n", "1", "--a=-0.5,1.5", "--out", path]) == 0
@@ -257,6 +266,18 @@ class TestVerify:
         assert main(["verify", "--suite", "group", "--seeds", "3"]) == 0
         assert "p_i equivariance" in capsys.readouterr().out
 
+    def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        # only sys.stdout is replaced, so pytest's own capture keeps working
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["verify", "--suite", "dim3", "--seeds", "1"]) == EXIT_PIPE_CLOSED
+        monkeypatch.undo()
+        assert EXIT_PIPE_CLOSED not in (0, 1, 2, 3)
+        assert capsys.readouterr().err == ""
+
 
 class TestFileFormats:
     def test_nested_arrays_accepted(self, tmp_path):
@@ -283,6 +304,19 @@ class TestFileFormats:
         path = write(tmp_path, "lower.json", doc)
         assert main(["classify", path]) == 2
         assert "antisymmetry" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_bracket_coefficients_rejected(self, tmp_path, capsys, bad):
+        doc = {"n": 1, "brackets": [
+            {"i": 0, "j": 1, "coeffs": [0.0, -1.0, 0.0]},
+            {"i": 0, "j": 2, "coeffs": [0.0, bad, 0.0]},
+        ]}
+        path = write(tmp_path, "non_finite.json", doc)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "brackets[1].coeffs" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bracket_index_must_be_integer(self, tmp_path, capsys):
         doc = {"n": 1, "brackets": [{"i": [0], "j": 1, "coeffs": [0.0, 0.0, 0.0]}]}

@@ -210,6 +210,18 @@ class TestDecompose:
         with pytest.raises(PreconditionError, match="phi_relation"):
             decompose(s1, Tensor3(c))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_components_are_read_only_and_apart_from_input(self, n):
+        s = canonical_structure(n)
+        f = random_structure_tensor(s, n)
+        d = decompose(s, f)
+        for t, mag in zip(d.components, d.magnitudes):
+            assert not t.comps.flags.writeable
+            assert not np.shares_memory(t.comps, f.comps)
+            assert mag == t.max_abs()
+        with pytest.raises(ValueError):
+            d.components[0].comps[0, 0, 0] = 1.0
+
     @pytest.mark.parametrize("seed", range(6))
     def test_orthogonality(self, seed):
         n = 1 + seed % 3

@@ -14,6 +14,7 @@ import acbm.decomposition as dec
 from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
 from acbm.structure import canonical_structure
 from acbm.tensors import Tensor3, embed_structure_tensor, random_structure_tensor
+from acbm.verify import run_suite
 
 from conftest import basis_change, push_structure, random_structure
 
@@ -103,6 +104,15 @@ def test_decompose_equals_component_bitwise(n, seed):
         assert d.components[i - 1].comps.tobytes() == component(s, f, i).comps.tobytes()
 
 
+@pytest.mark.parametrize("n, seed", [(1, seed) for seed in range(5)] + [(2, 0), (3, 0)])
+def test_decompose_equals_component_bitwise_canonical(n, seed):
+    s = canonical_structure(n)
+    f = random_structure_tensor(s, seed)
+    d = decompose(s, f)
+    for i in range(1, NUM_CLASSES + 1):
+        assert d.components[i - 1].comps.tobytes() == component(s, f, i).comps.tobytes()
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     calls = []
     original = getattr(dec, name)
@@ -122,6 +132,13 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
     w1 = _count_calls(monkeypatch, "_w1_six_terms")
     decompose(s, f)
     assert (len(lee), len(w1)) == (1, 1)
+
+
+def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
+    single = _count_calls(monkeypatch, "component")
+    whole = _count_calls(monkeypatch, "decompose")
+    assert all(check.passed for check in run_suite("dim3", 3))
+    assert (len(single), len(whole)) == (0, 3)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))

@@ -6,6 +6,8 @@ import pytest
 from acbm.decomposition import NUM_CLASSES, classify, component
 from acbm.errors import PreconditionError
 from acbm.models import (
+    _DIM3_EQUAL_PAIRS,
+    _DIM3_ZERO_TRIPLES,
     LieAlgebraSpec,
     check_jacobi,
     connection_residuals,
@@ -250,6 +252,33 @@ class TestDim3Components:
         c[1, 0, 1] = 1.0  # missing the symmetric partner F110
         with pytest.raises(PreconditionError):
             dim3_component(Tensor3(c), 8)
+
+    @pytest.mark.parametrize("k", range(len(_DIM3_EQUAL_PAIRS)))
+    def test_names_the_unequal_pair(self, k):
+        left, right = _DIM3_EQUAL_PAIRS[k]
+        c = np.zeros((3, 3, 3))
+        c[left] = 0.5
+        c[_DIM3_ZERO_TRIPLES[-1]] = 0.25  # also broken, but pairs are named first
+        want = f"components {left} and {right} differ by 5.000e-01; tensor is not admissible in dimension 3"
+        with pytest.raises(PreconditionError) as info:
+            dim3_coefficients(Tensor3(c))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("triple", _DIM3_ZERO_TRIPLES)
+    def test_names_the_nonzero_triple(self, triple):
+        c = np.zeros((3, 3, 3))
+        c[triple] = -0.5
+        want = f"component {triple} = -5.000e-01 must vanish for admissible dimension-3 tensors"
+        with pytest.raises(PreconditionError) as info:
+            dim3_coefficients(Tensor3(c))
+        assert str(info.value) == want
+
+    def test_names_the_first_of_two_unequal_pairs(self):
+        c = np.zeros((3, 3, 3))
+        c[_DIM3_EQUAL_PAIRS[5][0]] = 1.0
+        c[_DIM3_EQUAL_PAIRS[2][1]] = 1.0
+        with pytest.raises(PreconditionError, match=r"components \(1, 0, 2\) and \(1, 2, 0\)"):
+            dim3_coefficients(Tensor3(c))
 
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acbm import structure
 from acbm.structure import (
     StructureData,
     associated_metric,
@@ -39,6 +40,20 @@ class TestCanonicalStructure:
     def test_rejects_bad_rank(self, n):
         with pytest.raises(ValueError):
             canonical_structure(n)
+
+    @pytest.mark.parametrize("n", [True, 1.5, "1"])
+    def test_rejects_non_integer_rank(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            canonical_structure(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_once_per_rank_and_read_only(self, monkeypatch, n):
+        monkeypatch.setattr(structure, "_CANONICAL", {})
+        s = canonical_structure(np.int64(n))
+        assert type(s.n) is int
+        assert canonical_structure(n) is s
+        for arr in (s.g, s.phi, s.xi, s.eta, s.g_inv):
+            assert not arr.flags.writeable
 
 
 class TestValidateStructure:

@@ -200,3 +200,17 @@ class TestTensor3:
         f = random_structure_tensor(s1, 0)
         with pytest.raises(ValueError):
             f.comps[0, 0, 0] = 1.0
+
+    def test_arithmetic_results_are_sealed(self, s1):
+        f, g = random_structure_tensor(s1, 0), random_structure_tensor(s1, 1)
+        for result in (f + g, f - g, -f, 2.0 * f, f * 3):
+            assert not result.comps.flags.writeable
+            assert not np.shares_memory(result.comps, f.comps)
+            assert not np.shares_memory(result.comps, g.comps)
+
+    def test_overflowing_arithmetic_raises(self):
+        big = Tensor3(np.full((3, 3, 3), 1e308))
+        with np.errstate(over="ignore"):
+            for overflow in (lambda: big + big, lambda: -big - big, lambda: big * 10):
+                with pytest.raises(ValueError, match="non-finite"):
+                    overflow()
