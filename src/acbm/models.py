@@ -287,21 +287,20 @@ def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients
     _require_dim3(f)
     c = f.comps
     scale = max(1.0, f.max_abs())
-    unequal = np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale
-    if unequal.any() or (np.abs(c[_DIM3_ZERO]) > tol * scale).any():
-        # name the first offending entry
-        for left, right in _DIM3_EQUAL_PAIRS:
-            if abs(c[left] - c[right]) > tol * scale:
-                raise PreconditionError(
-                    f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
-                    " tensor is not admissible in dimension 3"
-                )
-        for triple in _DIM3_ZERO_TRIPLES:
-            if abs(c[triple]) > tol * scale:
-                raise PreconditionError(
-                    f"component {triple} = {c[triple]:.3e} must vanish for admissible"
-                    " dimension-3 tensors"
-                )
+    unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale)
+    if unequal.size:
+        left, right = _DIM3_EQUAL_PAIRS[unequal[0]]
+        raise PreconditionError(
+            f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
+            " tensor is not admissible in dimension 3"
+        )
+    nonzero = np.flatnonzero(np.abs(c[_DIM3_ZERO]) > tol * scale)
+    if nonzero.size:
+        triple = _DIM3_ZERO_TRIPLES[nonzero[0]]
+        raise PreconditionError(
+            f"component {triple} = {c[triple]:.3e} must vanish for admissible"
+            " dimension-3 tensors"
+        )
     return Dim3Coefficients(
         theta0=float(c[1, 1, 0] - c[2, 2, 0]),
         theta_star0=float(c[1, 2, 0] + c[2, 1, 0]),

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acbm
 from acbm import fileio
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
@@ -277,6 +281,29 @@ class TestVerify:
         monkeypatch.undo()
         assert EXIT_PIPE_CLOSED not in (0, 1, 2, 3)
         assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_process(self):
+        # a real pipe whose reader is gone before the first write: the
+        # handler must redirect the descriptor, or the flush at interpreter
+        # exit raises again and prints a traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(acbm.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe is by default
+        code = "import sys; from acbm.cli import main; sys.exit(main())"
+        args = ["verify", "--suite", "dim3", "--seeds", "1"]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", code, *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_PIPE_CLOSED
+        assert done.stderr == b""
 
 
 class TestFileFormats:

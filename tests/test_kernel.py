@@ -95,18 +95,20 @@ def test_kernel_matches_formulas(n, seed, admissible):
         assert np.max(np.abs(got[i] - want[i])) <= REL * scale, f"F{i}"
 
 
-@pytest.mark.parametrize("n, seed", CASES)
-def test_decompose_equals_component_bitwise(n, seed):
-    s = random_structure(n, seed)
-    f = random_structure_tensor(s, seed)
-    d = decompose(s, f)
-    for i in range(1, NUM_CLASSES + 1):
-        assert d.components[i - 1].comps.tobytes() == component(s, f, i).comps.tobytes()
+def _canonical(n: int, seed: int):
+    return canonical_structure(n)
 
 
-@pytest.mark.parametrize("n, seed", [(1, seed) for seed in range(5)] + [(2, 0), (3, 0)])
-def test_decompose_equals_component_bitwise_canonical(n, seed):
-    s = canonical_structure(n)
+@pytest.mark.parametrize(
+    "make_structure, n, seed",
+    [pytest.param(random_structure, n, seed, id=f"{n}-{seed}") for n, seed in CASES]
+    + [
+        pytest.param(_canonical, n, seed, id=f"canonical-{n}-{seed}")
+        for n, seed in [(1, seed) for seed in range(5)] + [(2, 0), (3, 0)]
+    ],
+)
+def test_decompose_equals_component_bitwise(make_structure, n, seed):
+    s = make_structure(n, seed)
     f = random_structure_tensor(s, seed)
     d = decompose(s, f)
     for i in range(1, NUM_CLASSES + 1):
