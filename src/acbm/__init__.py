@@ -36,7 +36,7 @@ from .models import (
     check_jacobi,
     connection_residuals,
     dim3_coefficients,
-    dim3_component,
+    dim3_decompose,
     dim3_lee_forms,
     koszul_connection,
     lie_family,
@@ -89,7 +89,7 @@ __all__ = [
     "connection_residuals",
     "decompose",
     "dim3_coefficients",
-    "dim3_component",
+    "dim3_decompose",
     "dim3_lee_forms",
     "embed_structure_tensor",
     "group_element_from_blocks",

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .decomposition import classify, component, project_w
+from .decomposition import _require_membership, classify, component, project_w
 from .errors import PreconditionError
 from .group import random_group_element
 from .models import (
@@ -41,7 +41,7 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import canonical_structure, validate_structure
+from .structure import DEFAULT_RTOL, canonical_structure, validate_structure
 from .tensors import random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -95,6 +95,7 @@ def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
     if (args.class_index is None) == (args.w is None):
         raise fileio.ParseError("specify exactly one of --class-index or --w")
+    _require_membership(s, f, DEFAULT_RTOL)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
     else:

@@ -61,9 +61,9 @@ CLASS_NAMES = tuple(f"F{i}" for i in range(1, NUM_CLASSES + 1))
 class Decomposition:
     """The eleven components of a tensor with their max-abs magnitudes.
 
-    The components sum back to the input within tolerance (residual
-    recorded, relative to the input magnitude) and are pairwise
-    orthogonal under the induced inner product.
+    The components sum back to the input (residual recorded relative
+    to the input magnitude, and checked) and are pairwise orthogonal
+    under the induced inner product.
     """
 
     components: tuple
@@ -125,7 +125,7 @@ def project_w(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     _check_dims(s, f)
     if i not in (1, 2, 3, 4):
         raise ValueError(f"block index must be 1..4, got {i}")
-    return Tensor3(_block(s, f.comps, _phi2(s), i))
+    return Tensor3._wrap(_block(s, f.comps, _phi2(s), i))
 
 
 def _block(s: StructureData, c: np.ndarray, P: np.ndarray, i: int) -> np.ndarray:
@@ -176,9 +176,9 @@ def w2_involution(s: StructureData, f: Tensor3, j: int, tol: float = DEFAULT_RTO
     xi, eta = s.xi, s.eta
     if j == 1:
         a = _xi_bracket(c, _phi2(s), _phi2(s), xi)
-        return Tensor3(_sym_pair(a.T, eta))
+        return Tensor3._wrap(_sym_pair(a.T, eta))
     b = _xi_bracket(c, s.phi, s.phi, xi)
-    return Tensor3(_sym_pair(b, eta))
+    return Tensor3._wrap(_sym_pair(b, eta))
 
 
 def _w1_six_terms(c: np.ndarray, phi: np.ndarray, P: np.ndarray):
@@ -256,7 +256,7 @@ def component(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     _check_dims(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    return Tensor3(_component_arrays(s, f, (i,))[i])
+    return Tensor3._wrap(_component_arrays(s, f, (i,))[i])
 
 
 def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomposition:
@@ -264,23 +264,37 @@ def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomp
 
     Requires f admissible within tol: the component formulas are only
     meaningful on the admissible space. The recorded residual is
-    max-abs(sum of components - f) relative to max-abs(f).
+    max-abs(sum of components - f) relative to max-abs(f); past the
+    fixed bound of _decomposition it raises PreconditionError.
     """
     _check_dims(s, f)
     _require_membership(s, f, tol)
     arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
-    # one read-only (11, d, d, d) stack, checked once; components are its views
-    stack = _sealed(np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
-    comps = tuple(Tensor3._wrap(a) for a in stack)
-    magnitudes = np.max(np.abs(stack), axis=(1, 2, 3))
+    return _decomposition(f, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
+
+
+def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
+    """f split into the views of one sealed (11, d, d, d) stack.
+
+    The components must sum back to f within DEFAULT_RTOL relative to
+    max(max-abs(f), DEFAULT_ABS_FLOOR), not within the caller's tol: on
+    admissible input the difference is rounding noise at any scale.
+    """
+    stack = _sealed(stack)
     total = np.zeros_like(f.comps)
     for a in stack:
         total = total + a
     diff = float(np.max(np.abs(total - f.comps)))
     scale = f.max_abs()
     residual = diff / scale if scale > 0.0 else diff
+    if diff > DEFAULT_RTOL * max(scale, DEFAULT_ABS_FLOOR):
+        raise PreconditionError(
+            f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
+        )
     return Decomposition(
-        components=comps, magnitudes=magnitudes, reconstruction_residual=residual
+        components=tuple(Tensor3._wrap(a) for a in stack),
+        magnitudes=np.max(np.abs(stack), axis=(1, 2, 3)),
+        reconstruction_residual=residual,
     )
 
 

@@ -211,4 +211,4 @@ def act(s: StructureData, elem: GroupElement, f: Tensor3) -> Tensor3:
     if elem.a.shape != (s.dim, s.dim):
         raise ValueError("group element dimension does not match structure")
     ai = elem.a_inv
-    return Tensor3(_pullback(f.comps, ai, ai, ai))
+    return Tensor3._wrap(_pullback(f.comps, ai, ai, ai))

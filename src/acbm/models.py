@@ -10,10 +10,10 @@ Two sources of concrete structure tensors:
   its structure tensor at a point (the ambient hypersurface derivation
   is out of scope; the closed form fully exercises the classifier).
 
-For dimension 3 the eleven component formulas collapse to a handful of
-scalar coefficients; this module provides that fast path and the
-explicit dimension-3 Lee forms, both cross-checked in the test suite
-against the general machinery.
+For dimension 3 over the canonical structure the eleven component
+formulas collapse to a handful of scalar coefficients; this module
+provides that fast path and the explicit dimension-3 Lee forms, both
+cross-checked in the test suite against the general machinery.
 """
 
 from __future__ import annotations
@@ -23,8 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomposition import NUM_CLASSES, Decomposition, _decomposition
 from .errors import PreconditionError
-from .structure import DEFAULT_ATOL, DEFAULT_RTOL, StructureData, canonical_structure
+from .structure import (
+    DEFAULT_ABS_FLOOR,
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    StructureData,
+    canonical_structure,
+    is_canonical_basis,
+)
 from .tensors import LeeForms, Tensor3, _sym_pair
 
 __all__ = [
@@ -39,7 +47,7 @@ __all__ = [
     "sphere_structure_tensor",
     "dim3_lee_forms",
     "dim3_coefficients",
-    "dim3_component",
+    "dim3_decompose",
 ]
 
 
@@ -192,7 +200,7 @@ def structure_tensor_from_connection(spec: LieAlgebraSpec, conn: Connection) -> 
     nabla_phi = np.einsum("mj,iml->ijl", s.phi, gamma) - np.einsum(
         "ijm,lm->ijl", gamma, s.phi
     )
-    return Tensor3(np.einsum("ijl,lk->ijk", nabla_phi, s.g))
+    return Tensor3._wrap(np.einsum("ijl,lk->ijk", nabla_phi, s.g))
 
 
 def sphere_structure_tensor(n: int, t: float) -> tuple:
@@ -211,25 +219,27 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
     gp = s.g @ s.phi
     gpp = s.phi.T @ s.g @ s.phi
     comps = -math.cos(t) * _sym_pair(gpp, s.eta) - math.sin(t) * _sym_pair(gp, s.eta)
-    return s, Tensor3(comps)
+    return s, Tensor3._wrap(comps)
 
 
-def _require_dim3(f: Tensor3) -> None:
-    if f.dim != 3:
-        raise ValueError(f"expected a dimension-3 tensor, got dim {f.dim}")
+def _require_canonical_dim3(s: StructureData, f: Tensor3) -> None:
+    if (s.dim, f.dim) != (3, 3):
+        raise ValueError(f"expected a dimension-3 structure and tensor, got dims {s.dim}, {f.dim}")
+    if not is_canonical_basis(s):
+        raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
 
 
-def dim3_lee_forms(f: Tensor3) -> LeeForms:
+def dim3_lee_forms(s: StructureData, f: Tensor3) -> LeeForms:
     """Lee forms in dimension 3 by the explicit index formulas.
 
-    Assumes the canonical structure. Agrees entrywise with the general
+    Requires the canonical structure s. Agrees entrywise with the general
     contractions for any admissible tensor:
 
         theta  = (F110 - F220, F111 - F221, F112 - F211)
         theta* = (F120 + F210, F112 + F211, F111 + F221)
         omega  = (0, F001, F002)
     """
-    _require_dim3(f)
+    _require_canonical_dim3(s, f)
     c = f.comps
     theta = np.array([c[1, 1, 0] - c[2, 2, 0], c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]])
     theta_star = np.array(
@@ -270,7 +280,7 @@ _DIM3_LEFT, _DIM3_RIGHT = (tuple(np.array(side).T) for side in zip(*_DIM3_EQUAL_
 _DIM3_ZERO = tuple(np.array(_DIM3_ZERO_TRIPLES).T)
 
 
-def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients:
+def dim3_coefficients(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients:
     """Extract the seven class coefficients of a dimension-3 tensor.
 
     Reads the representative components, after separating the
@@ -281,12 +291,13 @@ def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients
         nu = F011                   omega1 = F001,  omega2 = F002
 
     The consistency equalities between equivalent components (for
-    example F101 = F110) are verified first; a violation means the
-    tensor is not admissible for the canonical structure.
+    example F101 = F110) are verified first, within tol relative to
+    max(max-abs(f), DEFAULT_ABS_FLOOR); a violation means the tensor is
+    not admissible for the canonical structure s.
     """
-    _require_dim3(f)
+    _require_canonical_dim3(s, f)
     c = f.comps
-    scale = max(1.0, f.max_abs())
+    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
     unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale)
     if unequal.size:
         left, right = _DIM3_EQUAL_PAIRS[unequal[0]]
@@ -312,42 +323,27 @@ def dim3_coefficients(f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients
     )
 
 
-def dim3_component(f: Tensor3, i: int, tol: float = DEFAULT_RTOL) -> Tensor3:
-    """Component of a dimension-3 tensor in class F_i by the closed forms.
+def dim3_decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomposition:
+    """decompose(s, f) by the closed forms, from one dim3_coefficients check.
 
-    Classes F2, F3, F6 and F7 are identically zero in dimension 3.
-    Matches the general component formulas entrywise on admissible
-    tensors over the canonical structure.
+    F2, F3, F6 and F7 are identically zero in dimension 3. Matches
+    decompose entrywise on admissible tensors over the canonical s.
     """
-    _require_dim3(f)
-    if i not in range(1, 12):
-        raise ValueError(f"class index must be 1..11, got {i}")
-    out = np.zeros((3, 3, 3))
-    if i in (2, 3, 6, 7):
-        return Tensor3(out)
-    q = dim3_coefficients(f, tol=tol)
-    if i == 1:
-        lf = dim3_lee_forms(f)
-        th1, th2 = lf.theta[1], lf.theta[2]
-        out[1, 1, 1] = out[1, 2, 2] = th1
-        out[2, 1, 1] = out[2, 2, 2] = -th2
-    elif i == 4:
-        half = 0.5 * q.theta0
-        out[1, 0, 1] = out[1, 1, 0] = half
-        out[2, 0, 2] = out[2, 2, 0] = -half
-    elif i == 5:
-        half = 0.5 * q.theta_star0
-        out[1, 0, 2] = out[1, 2, 0] = half
-        out[2, 0, 1] = out[2, 1, 0] = half
-    elif i == 8:
-        out[1, 0, 1] = out[1, 1, 0] = q.lam
-        out[2, 0, 2] = out[2, 2, 0] = q.lam
-    elif i == 9:
-        out[1, 0, 2] = out[1, 2, 0] = q.mu
-        out[2, 0, 1] = out[2, 1, 0] = -q.mu
-    elif i == 10:
-        out[0, 1, 1] = out[0, 2, 2] = q.nu
-    else:
-        out[0, 1, 0] = out[0, 0, 1] = q.omega1
-        out[0, 2, 0] = out[0, 0, 2] = q.omega2
-    return Tensor3(out)
+    q = dim3_coefficients(s, f, tol=tol)
+    c = f.comps
+    out = np.zeros((NUM_CLASSES, 3, 3, 3))
+    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
+    th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
+    f1[1, 1, 1] = f1[1, 2, 2] = th1
+    f1[2, 1, 1] = f1[2, 2, 2] = -th2
+    half = 0.5 * q.theta0
+    f4[1, 0, 1] = f4[1, 1, 0] = half
+    f4[2, 0, 2] = f4[2, 2, 0] = -half
+    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * q.theta_star0
+    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = q.lam
+    f9[1, 0, 2] = f9[1, 2, 0] = q.mu
+    f9[2, 0, 1] = f9[2, 1, 0] = -q.mu
+    f10[0, 1, 1] = f10[0, 2, 2] = q.nu
+    f11[0, 1, 0] = f11[0, 0, 1] = q.omega1
+    f11[0, 2, 0] = f11[0, 0, 2] = q.omega2
+    return _decomposition(f, out)

@@ -65,9 +65,10 @@ class Tensor3:
 
     @classmethod
     def _wrap(cls, comps: np.ndarray) -> "Tensor3":
-        """A Tensor3 around comps, a cube already _sealed, neither copied nor checked."""
+        """A Tensor3 around the float cube comps, not copied; sealed here unless
+        read-only, which inside the package means sealed or a view of a sealed array."""
         t = object.__new__(cls)
-        object.__setattr__(t, "comps", comps)
+        object.__setattr__(t, "comps", _sealed(comps) if comps.flags.writeable else comps)
         return t
 
     @property
@@ -79,19 +80,19 @@ class Tensor3:
 
     @classmethod
     def zeros(cls, dim: int) -> "Tensor3":
-        return cls(np.zeros((dim, dim, dim)))
+        return cls._wrap(np.zeros((dim, dim, dim)))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3._wrap(_sealed(self.comps + other.comps))
+        return Tensor3._wrap(self.comps + other.comps)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3._wrap(_sealed(self.comps - other.comps))
+        return Tensor3._wrap(self.comps - other.comps)
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3._wrap(_sealed(-self.comps))
+        return Tensor3._wrap(-self.comps)
 
     def __mul__(self, scalar) -> "Tensor3":
-        return Tensor3._wrap(_sealed(self.comps * float(scalar)))
+        return Tensor3._wrap(self.comps * float(scalar))
 
     __rmul__ = __mul__
 
@@ -179,7 +180,7 @@ def embed_structure_tensor(s: StructureData, t: Tensor3) -> Tensor3:
     out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
     out += eta[:, None] * s_h_xi[:, None, :]
     out += s_h_xi[:, :, None] * eta
-    return Tensor3(out)
+    return Tensor3._wrap(out)
 
 
 def random_structure_tensor(s: StructureData, seed: int) -> Tensor3:
@@ -190,7 +191,7 @@ def random_structure_tensor(s: StructureData, seed: int) -> Tensor3:
     """
     rng = np.random.default_rng(seed)
     d = s.dim
-    raw = Tensor3(rng.uniform(-1.0, 1.0, size=(d, d, d)))
+    raw = Tensor3._wrap(rng.uniform(-1.0, 1.0, size=(d, d, d)))
     return embed_structure_tensor(s, raw)
 
 

@@ -284,9 +284,9 @@ def dim3_suite(seeds: int) -> list:
         comps = dec.decompose(s, f).components
         for i in (2, 3, 6, 7):
             w.add("components 2,3,6,7 vanish", comps[i - 1].max_abs())
-        for i in range(1, dec.NUM_CLASSES + 1):
-            w.add("fast path matches general", (models.dim3_component(f, i) - comps[i - 1]).max_abs())
-        fast = models.dim3_lee_forms(f)
+        for closed_form, comp in zip(models.dim3_decompose(s, f).components, comps):
+            w.add("fast path matches general", (closed_form - comp).max_abs())
+        fast = models.dim3_lee_forms(s, f)
         general = lee_forms(s, f)
         w.add("lee forms fast path", np.max(np.abs(fast.theta - general.theta)))
         w.add("lee forms fast path", np.max(np.abs(fast.theta_star - general.theta_star)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import acbm
+from acbm import decomposition as dec
 from acbm import fileio
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
@@ -75,6 +76,12 @@ class TestClassify:
         f = random_structure_tensor(canonical_structure(2), 0)
         path = write(tmp_path, "tiny_ok.json", {"n": 2, "comps": (1e-10 * f.comps).ravel().tolist()})
         assert main(["classify", path]) == 0
+
+    def test_reconstruction_gate_ignores_tol(self, tmp_path, capsys):
+        """--tol sets the admissibility and class thresholds, not the reconstruction gate."""
+        src = str(tmp_path / "rand.json")
+        main(["gen", "random", "--dim", "5", "--seed", "1", "--out", src])
+        assert main(["classify", src, "--tol", "1e-20"]) == 0
 
     def test_invalid_structure_exit_3(self, tmp_path, capsys):
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}
@@ -240,6 +247,27 @@ class TestProject:
         assert main(["project", src, "--w", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["comps"]) == 125
+
+    @pytest.mark.parametrize("selector", [("--class-index", "4"), ("--w", "2")])
+    def test_inadmissible_tensor_exit_3(self, tmp_path, capsys, selector):
+        path = write(tmp_path, "bad.json", {"n": 1, "comps": [float(k) for k in range(1, 28)]})
+        assert main(["classify", path]) == 3
+        refused = capsys.readouterr().err
+        assert main(["project", path, *selector]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", refused)
+        assert err.startswith("error: tensor is not an admissible structure tensor:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["classify"], ["project", "--class-index", "4"]])
+    def test_admissibility_checked_once(self, tmp_path, monkeypatch, capsys, command):
+        src = str(tmp_path / "rand.json")
+        main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])
+        calls = []
+        original = dec.membership_residuals
+        monkeypatch.setattr(dec, "membership_residuals", lambda *a: calls.append(1) or original(*a))
+        assert main([command[0], src, *command[1:]]) == 0
+        assert len(calls) == 1
 
     def test_requires_exactly_one_selector(self, tmp_path, capsys):
         src = str(tmp_path / "rand.json")

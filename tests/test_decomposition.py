@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acbm import decomposition as dec
 from acbm.decomposition import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -23,6 +24,7 @@ from acbm.tensors import (
     random_structure_tensor,
 )
 
+from conftest import random_structure
 from test_tensors import f4_form, f8_form
 
 
@@ -209,6 +211,25 @@ class TestDecompose:
         c[0, 0, 0] = 1.0
         with pytest.raises(PreconditionError, match="phi_relation"):
             decompose(s1, Tensor3(c))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_residual_gate(self, n, monkeypatch):
+        """Component formulas that do not sum back are refused, naming the residual."""
+        s = random_structure(n, 0)
+        f = random_structure_tensor(s, 0)
+        original = dec._component_arrays
+
+        def broken(*args):
+            arrays = original(*args)
+            arrays[10] = arrays[10] + 0.5 * f.max_abs()
+            return arrays
+
+        monkeypatch.setattr(dec, "_component_arrays", broken)
+        with pytest.raises(PreconditionError) as info:
+            decompose(s, f)
+        assert str(info.value) == (
+            "components do not sum back to the tensor: reconstruction residual 5.000e-01"
+        )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_components_are_read_only_and_apart_from_input(self, n):

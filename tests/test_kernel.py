@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import acbm.decomposition as dec
+from acbm import models
 from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
+from acbm.group import act, random_group_element
 from acbm.structure import canonical_structure
 from acbm.tensors import Tensor3, embed_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
@@ -141,6 +143,24 @@ def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
     whole = _count_calls(monkeypatch, "decompose")
     assert all(check.passed for check in run_suite("dim3", 3))
     assert (len(single), len(whole)) == (0, 3)
+
+
+def test_fresh_results_are_not_copied(monkeypatch):
+    """Tensor3(...) copies its input; arrays the package has just built are sealed in place."""
+    copies = []
+    original = Tensor3.__post_init__
+    monkeypatch.setattr(Tensor3, "__post_init__", lambda t: copies.append(1) or original(t))
+    s = canonical_structure(2)
+    f = random_structure_tensor(s, 0)
+    p2 = dec.project_w(s, f, 2)
+    results = [p2, dec.component(s, f, 3), dec.w2_involution(s, p2, 1), dec.w2_involution(s, p2, 2)]
+    results += [act(s, random_group_element(2, 0), f), f + p2, f - p2, -f, 2.0 * f, Tensor3.zeros(5)]
+    results.append(models.sphere_structure_tensor(2, 0.3)[1])
+    spec = models.lie_family(2, [0.5, -1.0, 2.0, 0.25])
+    results.append(models.structure_tensor_from_connection(spec, models.koszul_connection(spec)))
+    assert all(check.passed for check in run_suite("dim3", 3))
+    assert copies == []
+    assert not any(t.comps.flags.writeable for t in results)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))

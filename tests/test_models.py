@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from acbm.decomposition import NUM_CLASSES, classify, component
+from acbm import models
+from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
     _DIM3_EQUAL_PAIRS,
     _DIM3_ZERO_TRIPLES,
+    Dim3Coefficients,
     LieAlgebraSpec,
     check_jacobi,
     connection_residuals,
     dim3_coefficients,
-    dim3_component,
+    dim3_decompose,
     dim3_lee_forms,
     koszul_connection,
     lie_family,
@@ -21,6 +23,9 @@ from acbm.models import (
 )
 from acbm.structure import canonical_structure
 from acbm.tensors import Tensor3, is_structure_tensor, lee_forms, random_structure_tensor
+from acbm.verify import run_suite
+
+from conftest import random_structure
 
 from test_tensors import f8_form
 from test_decomposition import f11_form
@@ -158,8 +163,8 @@ class TestFamilyStructureTensor:
     def test_class_coefficients(self):
         # F9 coefficient mu = a1, F10 coefficient nu = -2 a2
         a1, a2 = 0.7, -1.2
-        _, f = family_tensor(1, [a1, a2])
-        q = dim3_coefficients(f)
+        spec, f = family_tensor(1, [a1, a2])
+        q = dim3_coefficients(spec.structure, f)
         assert q.mu == pytest.approx(a1)
         assert q.nu == pytest.approx(-2 * a2)
 
@@ -202,88 +207,136 @@ class TestSphere:
 
 
 class TestDim3LeeForms:
-    def test_f8_form_all_zero(self):
-        lf = dim3_lee_forms(f8_form())
+    def test_f8_form_all_zero(self, s1):
+        lf = dim3_lee_forms(s1, f8_form())
         assert np.max(np.abs(lf.theta)) == 0.0
         assert np.max(np.abs(lf.theta_star)) == 0.0
         assert np.max(np.abs(lf.omega)) == 0.0
 
-    def test_f11_form_omega(self):
-        lf = dim3_lee_forms(f11_form(w1=1.0, w2=0.0))
+    def test_f11_form_omega(self, s1):
+        lf = dim3_lee_forms(s1, f11_form(w1=1.0, w2=0.0))
         np.testing.assert_array_equal(lf.omega, [0.0, 1.0, 0.0])
         assert np.max(np.abs(lf.theta)) == 0.0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_general_contraction(self, seed, s1):
         f = random_structure_tensor(s1, seed)
-        fast = dim3_lee_forms(f)
+        fast = dim3_lee_forms(s1, f)
         general = lee_forms(s1, f)
         np.testing.assert_allclose(fast.theta, general.theta, atol=1e-12)
         np.testing.assert_allclose(fast.theta_star, general.theta_star, atol=1e-12)
         np.testing.assert_allclose(fast.omega, general.omega, atol=1e-12)
 
-    def test_rejects_wrong_dim(self):
+    def test_rejects_wrong_dim(self, s1, s2):
+        with pytest.raises(ValueError, match="expected a dimension-3 structure"):
+            dim3_lee_forms(s2, Tensor3.zeros(5))
         with pytest.raises(ValueError):
-            dim3_lee_forms(Tensor3.zeros(5))
+            dim3_lee_forms(s1, Tensor3.zeros(5))
+
+
+def _inadmissible_dim3() -> Tensor3:
+    return Tensor3(np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3, 3)))
 
 
 class TestDim3Components:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_general_path(self, seed, s1):
         f = random_structure_tensor(s1, seed)
-        for i in range(1, NUM_CLASSES + 1):
-            diff = dim3_component(f, i) - component(s1, f, i)
-            assert diff.max_abs() <= 1e-12
+        fast, general = dim3_decompose(s1, f), decompose(s1, f)
+        for c_fast, c_general in zip(fast.components, general.components):
+            assert (c_fast - c_general).max_abs() <= 1e-12
+        np.testing.assert_allclose(fast.magnitudes, general.magnitudes, rtol=0, atol=1e-12)
+        assert fast.reconstruction_residual <= 1e-15
 
     @pytest.mark.parametrize("seed", range(20))
     def test_vanishing_classes(self, seed, s1):
         f = random_structure_tensor(s1, seed)
+        fast, general = dim3_decompose(s1, f), decompose(s1, f)
         for i in (2, 3, 6, 7):
-            assert dim3_component(f, i).max_abs() == 0.0
-            assert component(s1, f, i).max_abs() <= 1e-12
+            assert fast.components[i - 1].max_abs() == 0.0
+            assert general.components[i - 1].max_abs() <= 1e-12
 
     def test_sphere_splits_into_f4_f5(self):
-        _, f = sphere_structure_tensor(1, math.pi / 4)
-        recon = dim3_component(f, 4) + dim3_component(f, 5)
+        s, f = sphere_structure_tensor(1, math.pi / 4)
+        comps = dim3_decompose(s, f).components
+        recon = comps[3] + comps[4]
         assert (recon - f).max_abs() <= 1e-12
 
-    def test_rejects_inconsistent_tensor(self):
+    def test_rejects_inconsistent_tensor(self, s1):
         c = np.zeros((3, 3, 3))
         c[1, 0, 1] = 1.0  # missing the symmetric partner F110
         with pytest.raises(PreconditionError):
-            dim3_component(Tensor3(c), 8)
+            dim3_decompose(s1, Tensor3(c))
 
     @pytest.mark.parametrize("k", range(len(_DIM3_EQUAL_PAIRS)))
-    def test_names_the_unequal_pair(self, k):
+    def test_names_the_unequal_pair(self, k, s1):
         left, right = _DIM3_EQUAL_PAIRS[k]
         c = np.zeros((3, 3, 3))
         c[left] = 0.5
         c[_DIM3_ZERO_TRIPLES[-1]] = 0.25  # also broken, but pairs are named first
         want = f"components {left} and {right} differ by 5.000e-01; tensor is not admissible in dimension 3"
         with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(Tensor3(c))
+            dim3_coefficients(s1, Tensor3(c))
         assert str(info.value) == want
 
     @pytest.mark.parametrize("triple", _DIM3_ZERO_TRIPLES)
-    def test_names_the_nonzero_triple(self, triple):
+    def test_names_the_nonzero_triple(self, triple, s1):
         c = np.zeros((3, 3, 3))
         c[triple] = -0.5
         want = f"component {triple} = -5.000e-01 must vanish for admissible dimension-3 tensors"
         with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(Tensor3(c))
+            dim3_coefficients(s1, Tensor3(c))
         assert str(info.value) == want
 
-    def test_names_the_first_of_two_unequal_pairs(self):
+    def test_names_the_first_of_two_unequal_pairs(self, s1):
         c = np.zeros((3, 3, 3))
         c[_DIM3_EQUAL_PAIRS[5][0]] = 1.0
         c[_DIM3_EQUAL_PAIRS[2][1]] = 1.0
         with pytest.raises(PreconditionError, match=r"components \(1, 0, 2\) and \(1, 2, 0\)"):
-            dim3_coefficients(Tensor3(c))
+            dim3_coefficients(s1, Tensor3(c))
 
-    def test_rejects_wrong_dim(self):
+    def test_rejects_wrong_dim(self, s1, s2):
+        with pytest.raises(ValueError, match="expected a dimension-3 structure"):
+            dim3_decompose(s2, Tensor3.zeros(5))
         with pytest.raises(ValueError):
-            dim3_component(Tensor3.zeros(5), 4)
+            dim3_decompose(s1, Tensor3.zeros(5))
 
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            dim3_component(Tensor3.zeros(3), 0)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fn", [dim3_lee_forms, dim3_coefficients, dim3_decompose])
+    def test_rejects_non_canonical_structure(self, fn, seed):
+        s = random_structure(1, seed)
+        f = random_structure_tensor(s, seed)  # admissible for s
+        with pytest.raises(PreconditionError, match="^structure is not canonical;"):
+            fn(s, f)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_rejects_inadmissible_at_any_scale(self, s1, scale):
+        with pytest.raises(PreconditionError, match="not admissible in dimension 3"):
+            dim3_coefficients(s1, scale * _inadmissible_dim3())
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-300, 1e-315, 1e10])
+    def test_accepts_admissible_at_any_scale(self, s1, scale):
+        f = scale * random_structure_tensor(s1, 0)
+        fast, general = dim3_decompose(s1, f), decompose(s1, f)
+        for c_fast, c_general in zip(fast.components, general.components):
+            assert (c_fast - c_general).max_abs() <= 1e-12 * scale
+
+    def test_residual_gate(self, s1, monkeypatch):
+        """Closed forms that do not sum back are refused, naming the residual."""
+        f = random_structure_tensor(s1, 0)
+        q = dim3_coefficients(s1, f)
+        wrong = Dim3Coefficients(**{**vars(q), "nu": q.nu + 1.0})
+        monkeypatch.setattr(models, "dim3_coefficients", lambda *args, **kwargs: wrong)
+        residual = 1.0 / f.max_abs()
+        with pytest.raises(PreconditionError) as info:
+            dim3_decompose(s1, f)
+        assert str(info.value) == (
+            f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
+        )
+
+    def test_dim3_suite_checks_each_seed_once(self, monkeypatch):
+        calls = []
+        original = models.dim3_coefficients
+        monkeypatch.setattr(models, "dim3_coefficients", lambda *a, **k: calls.append(1) or original(*a, **k))
+        assert all(check.passed for check in run_suite("dim3", 3))
+        assert len(calls) == 3
