@@ -30,7 +30,6 @@ from .group import (
     validate_group_element,
 )
 from .models import (
-    Connection,
     Dim3Coefficients,
     LieAlgebraSpec,
     check_jacobi,
@@ -45,16 +44,11 @@ from .models import (
 )
 from .structure import (
     StructureData,
-    ValidationReport,
-    associated_metric,
     canonical_structure,
-    h_project,
     is_canonical_basis,
-    v_project,
     validate_structure,
 )
 from .tensors import (
-    LeeForms,
     Tensor3,
     embed_structure_tensor,
     inner_product,
@@ -70,18 +64,14 @@ __all__ = [
     "CLASS_NAMES",
     "NUM_CLASSES",
     "ClassReport",
-    "Connection",
     "Decomposition",
     "Dim3Coefficients",
     "GroupElement",
-    "LeeForms",
     "LieAlgebraSpec",
     "PreconditionError",
     "StructureData",
     "Tensor3",
-    "ValidationReport",
     "act",
-    "associated_metric",
     "canonical_structure",
     "check_jacobi",
     "classify",
@@ -93,7 +83,6 @@ __all__ = [
     "dim3_lee_forms",
     "embed_structure_tensor",
     "group_element_from_blocks",
-    "h_project",
     "in_w_subspace",
     "inner_product",
     "is_canonical_basis",
@@ -108,7 +97,6 @@ __all__ = [
     "satisfies_class",
     "sphere_structure_tensor",
     "structure_tensor_from_connection",
-    "v_project",
     "validate_group_element",
     "validate_structure",
     "w2_involution",

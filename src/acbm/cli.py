@@ -25,13 +25,14 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .decomposition import _require_membership, classify, component, project_w
+from .decomposition import classify, component, project_w
 from .errors import PreconditionError
 from .group import random_group_element
 from .models import (
@@ -42,7 +43,7 @@ from .models import (
     structure_tensor_from_connection,
 )
 from .structure import DEFAULT_RTOL, canonical_structure, validate_structure
-from .tensors import random_structure_tensor
+from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -80,7 +81,14 @@ def _load_classifiable(path: str):
     return s, f
 
 
+def _require_flag(ok: bool, flag: str, rule: str, value) -> None:
+    if not ok:
+        raise fileio.ParseError(f"{flag} must be {rule}, got {value}")
+
+
 def cmd_classify(args) -> int:
+    _require_flag(0.0 < args.tol < math.inf, "--tol", "a finite number > 0", args.tol)
+    _require_flag(0.0 <= args.abs_floor < math.inf, "--abs-floor", "a finite number >= 0", args.abs_floor)
     s, f = _load_classifiable(args.input)
     report = classify(s, f, rel_tol=args.tol, abs_floor=args.abs_floor)
     if args.format == "json":
@@ -95,7 +103,7 @@ def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
     if (args.class_index is None) == (args.w is None):
         raise fileio.ParseError("specify exactly one of --class-index or --w")
-    _require_membership(s, f, DEFAULT_RTOL)  # the gate decompose runs for classify
+    _require_structure_tensor(s, f, DEFAULT_RTOL)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
     else:
@@ -105,6 +113,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind in ("random", "group"):
+        _require_flag(args.seed >= 0, "--seed", "an integer >= 0", args.seed)
     if args.kind == "random":
         fileio.check_size(args.dim, "--dim")
     else:
@@ -135,6 +145,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_flag(args.seeds >= 1, "--seeds", "an integer >= 1", args.seeds)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, args.seeds)
     all_passed = True

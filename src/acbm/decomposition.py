@@ -33,10 +33,11 @@ from .tensors import (
     Tensor3,
     _check_dims,
     _pullback,
+    _require_structure_tensor,
+    _scale,
     _sealed,
     _sym_pair,
     lee_forms,
-    membership_residuals,
 )
 
 __all__ = [
@@ -96,15 +97,6 @@ def _phi2(s: StructureData) -> np.ndarray:
     return s.phi @ s.phi
 
 
-def _require_membership(s: StructureData, f: Tensor3, tol: float) -> None:
-    res = membership_residuals(s, f)
-    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
-    bad = {k: v for k, v in res.items() if v > tol * scale}
-    if bad:
-        detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
-        raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
-
-
 def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Matrix Q[i,j] = F(m1 e_i, m2 e_j, xi)."""
     return m1.T @ (c @ xi) @ m2
@@ -160,15 +152,14 @@ def w2_involution(s: StructureData, f: Tensor3, j: int, tol: float = DEFAULT_RTO
     Their joint eigenspaces carve W2 into the classes F4..F9: L1 fixes
     F4+F5+F6+F8 and negates F7+F9; L2 fixes F8+F9 and negates
     F4+F5+F6+F7. Requires f in W2 (f = p2(f) within tol relative to
-    max(max-abs(f), DEFAULT_ABS_FLOOR), so the check does not depend on
-    the scale of f); both operators are involutions only there.
+    max-abs(f) floored at DEFAULT_ABS_FLOOR, so the check does not
+    depend on the scale of f); both operators are involutions only there.
     """
     _check_dims(s, f)
     if j not in (1, 2):
         raise ValueError(f"involution index must be 1 or 2, got {j}")
-    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
     w2_residual = (f - project_w(s, f, 2)).max_abs()
-    if w2_residual > tol * scale:
+    if w2_residual > tol * _scale(f):
         raise PreconditionError(
             f"operand is not in W2: p2 fixed-point residual {w2_residual:.3e}"
         )
@@ -268,7 +259,7 @@ def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomp
     fixed bound of _decomposition it raises PreconditionError.
     """
     _check_dims(s, f)
-    _require_membership(s, f, tol)
+    _require_structure_tensor(s, f, tol)
     arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
     return _decomposition(f, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
@@ -277,7 +268,7 @@ def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
     """f split into the views of one sealed (11, d, d, d) stack.
 
     The components must sum back to f within DEFAULT_RTOL relative to
-    max(max-abs(f), DEFAULT_ABS_FLOOR), not within the caller's tol: on
+    max-abs(f) floored at DEFAULT_ABS_FLOOR, not within the caller's tol: on
     admissible input the difference is rounding noise at any scale.
     """
     stack = _sealed(stack)
@@ -287,7 +278,7 @@ def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
     diff = float(np.max(np.abs(total - f.comps)))
     scale = f.max_abs()
     residual = diff / scale if scale > 0.0 else diff
-    if diff > DEFAULT_RTOL * max(scale, DEFAULT_ABS_FLOOR):
+    if diff > DEFAULT_RTOL * _scale(f):
         raise PreconditionError(
             f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
         )
@@ -298,59 +289,41 @@ def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
     )
 
 
+def _max_abs(*arrays) -> float:
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
+# Per class F6..F9, the signs s, t in the conditions D = s D^T and D = t B
+# on D = F(x, y, xi) and B = F(phi x, phi y, xi).
+_W2_SIGNS = {6: (1.0, -1.0), 7: (-1.0, -1.0), 8: (1.0, 1.0), 9: (-1.0, 1.0)}
+
+
 def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
     """Worst residual of the defining identities of class F_i."""
     if i in (1, 4, 5):
-        return float(np.max(np.abs(f.comps - _component_arrays(s, f, (i,))[i])))
+        return _max_abs(f.comps - _component_arrays(s, f, (i,))[i])
     c = f.comps
     phi, xi, eta = s.phi, s.xi, s.eta
-    lf = lee_forms(s, f)
-
-    def xi_slot_residuals():
-        first = np.einsum("ajk,a->jk", c, xi)
-        second = np.einsum("iak,a->ik", c, xi)
-        return float(np.max(np.abs(first))), float(np.max(np.abs(second)))
-
-    if i == 2:
-        r1, r2 = xi_slot_residuals()
-        cyc = (
-            np.einsum("ijc,ck->ijk", c, phi)
-            + np.einsum("jkc,ci->ijk", c, phi)
-            + np.einsum("kic,cj->ijk", c, phi)
-        )
-        return max(r1, r2, float(np.max(np.abs(cyc))), float(np.max(np.abs(lf.theta))))
-    if i == 3:
-        r1, r2 = xi_slot_residuals()
-        cyc = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
-        return max(r1, r2, float(np.max(np.abs(cyc))))
-    if i in (6, 7, 8, 9):
-        d_mat = np.einsum("ija,a->ij", c, xi)  # F(e_i, e_j, xi)
-        b_mat = _xi_bracket(c, phi, phi, xi)  # F(phi e_i, phi e_j, xi)
-        recon = float(np.max(np.abs(c - _sym_pair(d_mat, eta))))
+    if i in _W2_SIGNS:
+        d_mat = c @ xi  # F(x, y, xi)
+        b_mat = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
+        sym, phi_sign = _W2_SIGNS[i]
+        extra = ()
         if i == 6:
-            return max(
-                recon,
-                float(np.max(np.abs(d_mat - d_mat.T))),
-                float(np.max(np.abs(d_mat + b_mat))),
-                float(np.max(np.abs(lf.theta))),
-                float(np.max(np.abs(lf.theta_star))),
-            )
-        if i == 7:
-            sym_r = float(np.max(np.abs(d_mat + d_mat.T)))
-            phi_r = float(np.max(np.abs(d_mat + b_mat)))
-        elif i == 8:
-            sym_r = float(np.max(np.abs(d_mat - d_mat.T)))
-            phi_r = float(np.max(np.abs(d_mat - b_mat)))
-        else:
-            sym_r = float(np.max(np.abs(d_mat + d_mat.T)))
-            phi_r = float(np.max(np.abs(d_mat - b_mat)))
-        return max(recon, sym_r, phi_r)
+            lf = lee_forms(s, f)
+            extra = (lf.theta, lf.theta_star)
+        recon = c - _sym_pair(d_mat, eta)
+        return _max_abs(recon, d_mat - sym * d_mat.T, d_mat - phi_sign * b_mat, *extra)
+    first = _xi_first(c, xi)  # F(xi, y, z)
+    if i in (2, 3):
+        cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F
+        cyc = cp + cp.transpose(1, 2, 0) + cp.transpose(2, 0, 1)
+        extra = (lee_forms(s, f).theta,) if i == 2 else ()
+        return _max_abs(first, xi @ c, cyc, *extra)
     if i == 10:
-        e_mat = phi.T @ _xi_first(c, xi) @ phi  # F(xi, phi y, phi z)
-        return float(np.max(np.abs(c - np.einsum("i,jk->ijk", eta, e_mat))))
-    omega = lf.omega
-    recon = eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta))
-    return float(np.max(np.abs(c - recon)))
+        return _max_abs(c - eta[:, None, None] * (phi.T @ first @ phi))  # eta(x) F(xi, phi y, phi z)
+    omega = xi @ first  # F(xi, xi, z)
+    return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
 def satisfies_class(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTOL) -> bool:
@@ -378,7 +351,7 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTO
     W1 tensors vanish whenever any slot is vertical; W2 whenever the
     first slot is vertical or the last two are both horizontal; W3 and
     W4 are the mirror conditions on the first slot. tol is relative to
-    max(max-abs(f), DEFAULT_ABS_FLOOR).
+    max-abs(f) floored at DEFAULT_ABS_FLOOR.
     """
     _check_dims(s, f)
     if i not in (1, 2, 3, 4):
@@ -386,7 +359,6 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTO
     c = f.comps
     xi = s.xi
     h = -_phi2(s)
-    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
     v1 = float(np.max(np.abs(np.einsum("ajk,a->jk", c, xi))))
     v2 = float(np.max(np.abs(np.einsum("iak,a->ik", c, xi))))
     v3 = float(np.max(np.abs(np.einsum("ija,a->ij", c, xi))))
@@ -400,7 +372,7 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTO
         worst = max(h1, v2, v3)
     else:
         worst = max(h1, h23)
-    return worst <= tol * scale
+    return worst <= tol * _scale(f)
 
 
 def classify(

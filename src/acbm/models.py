@@ -26,18 +26,17 @@ import numpy as np
 from .decomposition import NUM_CLASSES, Decomposition, _decomposition
 from .errors import PreconditionError
 from .structure import (
-    DEFAULT_ABS_FLOOR,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     StructureData,
+    _as_float_array,
     canonical_structure,
     is_canonical_basis,
 )
-from .tensors import LeeForms, Tensor3, _sym_pair
+from .tensors import LeeForms, Tensor3, _scale, _sym_pair
 
 __all__ = [
     "LieAlgebraSpec",
-    "Connection",
     "Dim3Coefficients",
     "lie_family",
     "check_jacobi",
@@ -64,20 +63,7 @@ class LieAlgebraSpec:
 
     def __post_init__(self):
         d = self.structure.dim
-        arr = np.array(self.c, dtype=float)
-        if arr.shape != (d, d, d):
-            raise ValueError(f"structure constants must have shape {(d, d, d)}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("structure constants contain non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "c", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Christoffel coefficients: gamma[i, j, k] is the E_k part of nabla_{E_i} E_j."""
-
-    gamma: np.ndarray
+        object.__setattr__(self, "c", _as_float_array(self.c, (d, d, d), "structure constants"))
 
 
 @dataclass(frozen=True)
@@ -152,43 +138,33 @@ def check_jacobi(spec: LieAlgebraSpec, tol: float = DEFAULT_ATOL) -> bool:
     return float(np.max(np.abs(jac))) <= tol
 
 
-def koszul_connection(spec: LieAlgebraSpec) -> Connection:
-    """Levi-Civita connection of the left-invariant metric.
+def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
+    """Christoffel array gamma of the left-invariant Levi-Civita connection.
 
-    Solves, for every pair (i, j),
+    gamma[i, j, k] is the E_k part of nabla_{E_i} E_j, solved from
 
         2 g(nabla_{E_i} E_j, E_k) = g([E_i, E_j], E_k)
                                     + g([E_k, E_i], E_j)
                                     + g([E_k, E_j], E_i)
 
-    by a dense linear solve against g per pair. The result is
-    torsion-free and metric-compatible on all basis triples.
+    by one dense linear solve against g for all d^2 pairs (i, j). The
+    result is torsion-free and metric-compatible on all basis triples.
     """
     g = spec.structure.g
-    c = spec.c
     d = spec.structure.dim
-    rhs = (
-        np.einsum("ijm,mk->ijk", c, g)
-        + np.einsum("kim,mj->ijk", c, g)
-        + np.einsum("kjm,mi->ijk", c, g)
-    )
-    gamma = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            gamma[i, j] = np.linalg.solve(g, 0.5 * rhs[i, j])
-    return Connection(gamma=gamma)
+    cg = spec.c @ g  # g([E_i, E_j], E_k)
+    rhs = cg + cg.transpose(1, 2, 0) + cg.transpose(2, 1, 0)
+    return np.linalg.solve(g, 0.5 * rhs.reshape(d * d, d).T).T.reshape(d, d, d)
 
 
-def connection_residuals(spec: LieAlgebraSpec, conn: Connection) -> tuple:
-    """(torsion, metric-compatibility) worst-case residuals of a connection."""
-    g = spec.structure.g
-    gamma = conn.gamma
+def connection_residuals(spec: LieAlgebraSpec, gamma: np.ndarray) -> tuple:
+    """(torsion, metric-compatibility) worst-case residuals of a Christoffel array."""
     torsion = gamma - gamma.transpose(1, 0, 2) - spec.c
-    compat = np.einsum("ijm,mk->ijk", gamma, g) + np.einsum("ikm,mj->ijk", gamma, g)
-    return float(np.max(np.abs(torsion))), float(np.max(np.abs(compat)))
+    gg = gamma @ spec.structure.g  # g(nabla_{E_i} E_j, E_k)
+    return float(np.max(np.abs(torsion))), float(np.max(np.abs(gg + gg.transpose(0, 2, 1))))
 
 
-def structure_tensor_from_connection(spec: LieAlgebraSpec, conn: Connection) -> Tensor3:
+def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) -> Tensor3:
     """F(x, y, z) = g((nabla_x phi) y, z) in the left-invariant frame.
 
     phi has constant components there, so (nabla_{E_i} phi) E_j =
@@ -196,11 +172,7 @@ def structure_tensor_from_connection(spec: LieAlgebraSpec, conn: Connection) -> 
     satisfies the two defining identities of the admissible space.
     """
     s = spec.structure
-    gamma = conn.gamma
-    nabla_phi = np.einsum("mj,iml->ijl", s.phi, gamma) - np.einsum(
-        "ijm,lm->ijl", gamma, s.phi
-    )
-    return Tensor3._wrap(np.einsum("ijl,lk->ijk", nabla_phi, s.g))
+    return Tensor3._wrap((s.phi.T @ gamma - gamma @ s.phi.T) @ s.g)
 
 
 def sphere_structure_tensor(n: int, t: float) -> tuple:
@@ -292,12 +264,12 @@ def dim3_coefficients(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -
 
     The consistency equalities between equivalent components (for
     example F101 = F110) are verified first, within tol relative to
-    max(max-abs(f), DEFAULT_ABS_FLOOR); a violation means the tensor is
+    max-abs(f) floored at DEFAULT_ABS_FLOOR; a violation means the tensor is
     not admissible for the canonical structure s.
     """
     _require_canonical_dim3(s, f)
     c = f.comps
-    scale = max(f.max_abs(), DEFAULT_ABS_FLOOR)
+    scale = _scale(f)
     unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale)
     if unequal.size:
         left, right = _DIM3_EQUAL_PAIRS[unequal[0]]

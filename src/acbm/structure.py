@@ -26,12 +26,8 @@ __all__ = [
     "DEFAULT_RTOL",
     "MAX_DIM",
     "StructureData",
-    "ValidationReport",
     "canonical_structure",
     "validate_structure",
-    "associated_metric",
-    "h_project",
-    "v_project",
     "is_canonical_basis",
 ]
 
@@ -187,7 +183,7 @@ def validate_structure(s: StructureData, tol: float = DEFAULT_RTOL) -> Validatio
     )
 
 
-def associated_metric(s: StructureData) -> np.ndarray:
+def _associated_metric(s: StructureData) -> np.ndarray:
     """The companion B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y).
 
     For a valid structure the result is symmetric, has the same
@@ -197,13 +193,13 @@ def associated_metric(s: StructureData) -> np.ndarray:
     return s.g @ s.phi + np.outer(s.eta, s.eta)
 
 
-def h_project(s: StructureData, x) -> np.ndarray:
+def _h_project(s: StructureData, x) -> np.ndarray:
     """Projection h(x) = -phi^2 x onto the contact distribution ker(eta)."""
     x = np.asarray(x, dtype=float)
     return -(s.phi @ (s.phi @ x))
 
 
-def v_project(s: StructureData, x) -> np.ndarray:
+def _v_project(s: StructureData, x) -> np.ndarray:
     """Projection v(x) = eta(x) xi onto the Reeb line."""
     x = np.asarray(x, dtype=float)
     return (s.eta @ x) * s.xi

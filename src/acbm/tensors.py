@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
 
 __all__ = [
     "Tensor3",
-    "LeeForms",
     "membership_residuals",
     "is_structure_tensor",
     "embed_structure_tensor",
@@ -106,6 +106,13 @@ class LeeForms:
     omega: np.ndarray
 
 
+def _scale(t: Tensor3) -> float:
+    """max(max-abs(t), DEFAULT_ABS_FLOOR): the magnitude every relative
+    precondition is measured against, so no verdict depends on the overall
+    scale of t and the zero tensor keeps a positive tolerance."""
+    return max(t.max_abs(), DEFAULT_ABS_FLOOR)
+
+
 def _check_dims(s: StructureData, *tensors: Tensor3) -> None:
     for t in tensors:
         if t.dim != s.dim:
@@ -149,15 +156,31 @@ def membership_residuals(s: StructureData, t: Tensor3) -> dict:
     return {"slot_symmetry": sym, "phi_relation": rel}
 
 
+def _require_structure_tensor(s: StructureData, t: Tensor3, tol: float = DEFAULT_RTOL) -> None:
+    """PreconditionError naming each membership residual above tol * _scale(t).
+
+    This is the one admissibility verdict: is_structure_tensor, decompose
+    and the project command all ask it.
+    """
+    bound = tol * _scale(t)
+    # `not <=` so that a NaN bound refuses rather than passes
+    bad = {k: v for k, v in membership_residuals(s, t).items() if not v <= bound}
+    if bad:
+        detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
+        raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
+
+
 def is_structure_tensor(s: StructureData, t: Tensor3, tol: float = DEFAULT_RTOL) -> bool:
     """True iff t satisfies both defining identities of the admissible space.
 
     tol is relative to the tensor magnitude, with floor DEFAULT_ABS_FLOOR,
     so the verdict does not depend on the tensor's overall scale.
     """
-    scale = max(t.max_abs(), DEFAULT_ABS_FLOOR)
-    res = membership_residuals(s, t)
-    return max(res.values()) <= tol * scale
+    try:
+        _require_structure_tensor(s, t, tol)
+    except PreconditionError:
+        return False
+    return True
 
 
 def embed_structure_tensor(s: StructureData, t: Tensor3) -> Tensor3:

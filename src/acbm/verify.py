@@ -222,16 +222,15 @@ def models_suite(seeds: int) -> list:
         for params in ([*_LIE_PAIRS, *draws] if n == 1 else draws):
             spec = models.lie_family(n, params)
             w.add("jacobi", 0.0 if models.check_jacobi(spec) else 1.0)
-            conn = models.koszul_connection(spec)
-            torsion, compat = models.connection_residuals(spec, conn)
+            g = models.koszul_connection(spec)
+            torsion, compat = models.connection_residuals(spec, g)
             w.add("koszul torsion", torsion)
             w.add("koszul metric compatibility", compat)
-            f = models.structure_tensor_from_connection(spec, conn)
+            f = models.structure_tensor_from_connection(spec, g)
             res = max(membership_residuals(spec.structure, f).values())
             w.add("family membership", _rel(res, f.max_abs()))
             if n == 1:
                 a1, a2 = params
-                g = conn.gamma
                 w.add("family connection values", np.max(np.abs(g[1, 1] - [-a1, 0, 0])))
                 w.add("family connection values", np.max(np.abs(g[2, 2] - [-a1, 0, 0])))
                 w.add("family connection values", np.max(np.abs(g[0, 1] - [0, 0, -a2])))

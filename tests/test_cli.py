@@ -10,7 +10,7 @@ import pytest
 
 import acbm
 from acbm import decomposition as dec
-from acbm import fileio
+from acbm import fileio, tensors
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
 from acbm.structure import MAX_DIM, canonical_structure
@@ -82,6 +82,24 @@ class TestClassify:
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "1", "--out", src])
         assert main(["classify", src, "--tol", "1e-20"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [("--tol", v, "> 0") for v in ("nan", "inf", "-inf", "0", "-1")]
+        + [("--abs-floor", v, ">= 0") for v in ("nan", "inf", "-1")],
+    )
+    def test_refuses_bad_tolerance(self, tmp_path, capsys, flag, value, rule):
+        src = str(tmp_path / "rand.json")
+        main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
+        for fmt in ("text", "json"):
+            assert main(["classify", src, f"{flag}={value}", "--format", fmt]) == 2
+            error = f"error: {flag} must be a finite number {rule}, got {float(value)}\n"
+            assert capsys.readouterr() == ("", error)
+
+    def test_zero_abs_floor_accepted(self, tmp_path, capsys):
+        src = str(tmp_path / "rand.json")
+        main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
+        assert main(["classify", src, "--abs-floor", "0"]) == 0
 
     def test_invalid_structure_exit_3(self, tmp_path, capsys):
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}
@@ -161,6 +179,11 @@ class TestGen:
         doc = fileio.load_document(path)
         matrix = np.asarray(doc["matrix"]).reshape(5, 5)
         assert validate_group_element(canonical_structure(2), matrix)
+
+    @pytest.mark.parametrize("kind", [["random", "--dim", "3"], ["group", "--n", "1"]])
+    def test_negative_seed_names_the_flag(self, capsys, kind):
+        assert main(["gen", *kind, "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be an integer >= 0, got -1\n")
 
     def test_even_dim_rejected(self, capsys):
         assert main(["gen", "random", "--dim", "4", "--seed", "0"]) == 2
@@ -264,8 +287,8 @@ class TestProject:
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])
         calls = []
-        original = dec.membership_residuals
-        monkeypatch.setattr(dec, "membership_residuals", lambda *a: calls.append(1) or original(*a))
+        original = tensors.membership_residuals
+        monkeypatch.setattr(tensors, "membership_residuals", lambda *a: calls.append(1) or original(*a))
         assert main([command[0], src, *command[1:]]) == 0
         assert len(calls) == 1
 
@@ -282,6 +305,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "result: PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-5"])
+    def test_refuses_fewer_than_one_seed(self, capsys, seeds):
+        assert main(["verify", "--suite", "dim3", "--seeds", seeds]) == 2
+        assert capsys.readouterr() == ("", f"error: --seeds must be an integer >= 1, got {seeds}\n")
 
     def test_dim3_suite_names_vanishing_check(self, capsys):
         assert main(["verify", "--suite", "dim3", "--seeds", "5"]) == 0

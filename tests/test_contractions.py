@@ -10,8 +10,15 @@ a pullback can give exactly the same numbers.
 import numpy as np
 import pytest
 
-from acbm.decomposition import _class_residual, _xi_bracket, project_w
+from acbm.decomposition import _class_residual, _xi_bracket, component, project_w
 from acbm.group import GroupElement, act
+from acbm.structure import canonical_structure
+from acbm.models import (
+    LieAlgebraSpec,
+    connection_residuals,
+    koszul_connection,
+    structure_tensor_from_connection,
+)
 from acbm.tensors import (
     Tensor3,
     _pullback,
@@ -147,3 +154,72 @@ def test_class_residual_f10_f11(n, seed):
     f11 = np.max(np.abs(c - recon))
     assert _class_residual(s, f, 10) == pytest.approx(f10, rel=REL)
     assert _class_residual(s, f, 11) == pytest.approx(f11, rel=REL)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_class_residual(n, seed):
+    """Classes F1..F9; F10 and F11 are in test_class_residual_f10_f11."""
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    c, phi, xi, eta = f.comps, s.phi, s.xi, s.eta
+    lf = lee_forms(s, f)
+
+    def worst(*arrays):
+        return max(float(np.max(np.abs(a))) for a in arrays)
+
+    first, second = np.einsum("ajk,a->jk", c, xi), np.einsum("iak,a->ik", c, xi)
+    cyc_phi = (
+        np.einsum("ijc,ck->ijk", c, phi)
+        + np.einsum("jkc,ci->ijk", c, phi)
+        + np.einsum("kic,cj->ijk", c, phi)
+    )
+    cyc = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
+    d_mat = np.einsum("ija,a->ij", c, xi)
+    b_mat = np.einsum("abc,ai,bj,c->ij", c, phi, phi, xi)
+    recon = c - np.einsum("ij,k->ijk", d_mat, eta) - np.einsum("ik,j->ijk", d_mat, eta)
+    want = {i: worst(c - component(s, f, i).comps) for i in (1, 4, 5)}
+    want[2] = worst(first, second, cyc_phi, lf.theta)
+    want[3] = worst(first, second, cyc)
+    want[6] = worst(recon, d_mat - d_mat.T, d_mat + b_mat, lf.theta, lf.theta_star)
+    want[7] = worst(recon, d_mat + d_mat.T, d_mat + b_mat)
+    want[8] = worst(recon, d_mat - d_mat.T, d_mat - b_mat)
+    want[9] = worst(recon, d_mat + d_mat.T, d_mat - b_mat)
+    for i in range(1, 10):
+        assert _class_residual(s, f, i) == pytest.approx(want[i], rel=REL)
+
+
+
+def test_class_residual_second_slot_xi():
+    """F3 on a tensor whose only violated F3 condition is F(x, xi, z) = 0
+    (no vertical first slot, zero cyclic sum), which random tensors never isolate."""
+    c = np.zeros((3, 3, 3))
+    c[1, 0, 2], c[2, 1, 0] = 1.0, -1.0
+    assert _class_residual(canonical_structure(1), Tensor3(c), 3) == 1.0
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_koszul_pipeline(n, seed):
+    """The Koszul solve on a non-diagonal metric, and the two maps that read
+    a Christoffel array on an arbitrary one (not a Levi-Civita connection,
+    whose residuals would be rounding noise)."""
+    s = random_structure(n, seed)
+    d, g, phi = s.dim, s.g, s.phi
+    spec = LieAlgebraSpec(structure=s, c=raw_tensor(n, seed + 3).comps)
+    c = spec.c
+    rhs = (
+        np.einsum("ijm,mk->ijk", c, g)
+        + np.einsum("kim,mj->ijk", c, g)
+        + np.einsum("kjm,mi->ijk", c, g)
+    )
+    want = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            want[i, j] = np.linalg.solve(g, 0.5 * rhs[i, j])
+    assert_close(koszul_connection(spec), want)
+
+    gamma = raw_tensor(n, seed + 5).comps
+    torsion = gamma - gamma.transpose(1, 0, 2) - c
+    compat = np.einsum("ijm,mk->ijk", gamma, g) + np.einsum("ikm,mj->ijk", gamma, g)
+    got = connection_residuals(spec, gamma)
+    assert got == pytest.approx((np.max(np.abs(torsion)), np.max(np.abs(compat))), rel=REL)
+    nabla_phi = np.einsum("mj,iml->ijl", phi, gamma) - np.einsum("ijm,lm->ijl", gamma, phi)
+    want_f = np.einsum("ijl,lk->ijk", nabla_phi, g)
+    assert_close(structure_tensor_from_connection(spec, gamma).comps, want_f)

@@ -95,7 +95,7 @@ class TestKoszulConnection:
     def test_connection_values_n1(self):
         a1, a2 = 1.5, -0.5
         spec = lie_family(1, [a1, a2])
-        gamma = koszul_connection(spec).gamma
+        gamma = koszul_connection(spec)
         np.testing.assert_allclose(gamma[1, 1], [-a1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(gamma[2, 2], [-a1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(gamma[0, 1], [0, 0, -a2], atol=1e-12)
@@ -108,7 +108,7 @@ class TestKoszulConnection:
 
     def test_abelian_gives_zero(self, s1):
         spec = LieAlgebraSpec(structure=s1, c=np.zeros((3, 3, 3)))
-        assert np.max(np.abs(koszul_connection(spec).gamma)) == 0.0
+        assert np.max(np.abs(koszul_connection(spec))) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("seed", range(5))

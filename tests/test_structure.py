@@ -4,11 +4,11 @@ import pytest
 from acbm import structure
 from acbm.structure import (
     StructureData,
-    associated_metric,
+    _associated_metric,
+    _h_project,
+    _v_project,
     canonical_structure,
-    h_project,
     is_canonical_basis,
-    v_project,
     validate_structure,
 )
 
@@ -84,31 +84,31 @@ class TestValidateStructure:
 class TestAssociatedMetric:
     def test_dim3_matrix(self, s1):
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
-        np.testing.assert_allclose(associated_metric(s1), expected, atol=1e-15)
+        np.testing.assert_allclose(_associated_metric(s1), expected, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [1, 2])
     def test_g_tilde_of_xi_xi_is_one(self, n, seed):
         s = random_structure(n, seed)
-        gt = associated_metric(s)
+        gt = _associated_metric(s)
         assert s.xi @ gt @ s.xi == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_companion_structure_is_valid(self, seed):
         n = 1 + seed % 3
         s = random_structure(n, seed)
-        companion = StructureData(n=n, g=associated_metric(s), phi=s.phi, xi=s.xi, eta=s.eta)
+        companion = StructureData(n=n, g=_associated_metric(s), phi=s.phi, xi=s.xi, eta=s.eta)
         assert validate_structure(companion).valid
 
 
 class TestProjectors:
     def test_reeb_vector(self, s1):
-        np.testing.assert_allclose(h_project(s1, s1.xi), np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(v_project(s1, s1.xi), s1.xi, atol=1e-15)
+        np.testing.assert_allclose(_h_project(s1, s1.xi), np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(_v_project(s1, s1.xi), s1.xi, atol=1e-15)
 
     def test_contact_vector(self, s1):
         e1 = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(h_project(s1, e1), e1, atol=1e-15)
+        np.testing.assert_allclose(_h_project(s1, e1), e1, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_idempotent_complementary(self, seed):
@@ -116,11 +116,11 @@ class TestProjectors:
         s = random_structure(n, seed)
         rng = np.random.default_rng(seed + 100)
         x = rng.uniform(-1.0, 1.0, s.dim)
-        hx, vx = h_project(s, x), v_project(s, x)
+        hx, vx = _h_project(s, x), _v_project(s, x)
         np.testing.assert_allclose(hx + vx, x, atol=1e-12)
-        np.testing.assert_allclose(h_project(s, hx), hx, atol=1e-12)
-        np.testing.assert_allclose(v_project(s, vx), vx, atol=1e-12)
-        np.testing.assert_allclose(h_project(s, vx), np.zeros(s.dim), atol=1e-12)
+        np.testing.assert_allclose(_h_project(s, hx), hx, atol=1e-12)
+        np.testing.assert_allclose(_v_project(s, vx), vx, atol=1e-12)
+        np.testing.assert_allclose(_h_project(s, vx), np.zeros(s.dim), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_anti_isometry_identity(self, seed):
