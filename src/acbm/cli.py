@@ -42,7 +42,7 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import DEFAULT_RTOL, canonical_structure, validate_structure
+from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, canonical_structure, validate_structure
 from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -103,7 +103,7 @@ def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
     if (args.class_index is None) == (args.w is None):
         raise fileio.ParseError("specify exactly one of --class-index or --w")
-    _require_structure_tensor(s, f, DEFAULT_RTOL)  # the gate decompose runs for classify
+    _require_structure_tensor(s, f)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
     else:
@@ -118,8 +118,10 @@ def cmd_gen(args) -> int:
     if args.kind == "random":
         fileio.check_size(args.dim, "--dim")
     else:
+        _require_flag(args.n >= 1, "--n", "an integer >= 1", args.n)
         fileio.check_size(2 * args.n + 1, "--n")
     if args.kind == "sphere":
+        _require_flag(math.isfinite(args.t), "--t", "a finite number", args.t)
         s, f = sphere_structure_tensor(args.n, args.t)
         doc = fileio.tensor_to_doc(s, f)
     elif args.kind == "liegroup":
@@ -169,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a tensor or Lie-algebra file")
     p_classify.add_argument("input", help="input JSON file")
-    p_classify.add_argument("--tol", type=float, default=1e-9, help="relative class threshold")
-    p_classify.add_argument("--abs-floor", type=float, default=1e-12, help="absolute magnitude floor")
+    p_classify.add_argument("--tol", type=float, default=DEFAULT_RTOL, help="relative class threshold")
+    p_classify.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR,
+                            help="absolute magnitude floor of the class threshold")
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
     p_classify.add_argument("--out", help="write the report to a file instead of stdout")
     p_classify.set_defaults(func=cmd_classify)

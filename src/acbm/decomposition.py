@@ -138,7 +138,7 @@ def _block(s: StructureData, c: np.ndarray, P: np.ndarray, i: int) -> np.ndarray
     return -eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta))
 
 
-def w2_involution(s: StructureData, f: Tensor3, j: int, tol: float = DEFAULT_RTOL) -> Tensor3:
+def w2_involution(s: StructureData, f: Tensor3, j: int) -> Tensor3:
     """The involutive isometries L1, L2 of the block W2.
 
     L1 transposes the first two slots through phi^2; L2 replaces them
@@ -151,15 +151,15 @@ def w2_involution(s: StructureData, f: Tensor3, j: int, tol: float = DEFAULT_RTO
 
     Their joint eigenspaces carve W2 into the classes F4..F9: L1 fixes
     F4+F5+F6+F8 and negates F7+F9; L2 fixes F8+F9 and negates
-    F4+F5+F6+F7. Requires f in W2 (f = p2(f) within tol relative to
-    max-abs(f) floored at DEFAULT_ABS_FLOOR, so the check does not
+    F4+F5+F6+F7. Requires f in W2 (f = p2(f) within DEFAULT_RTOL relative
+    to max-abs(f) floored at DEFAULT_ABS_FLOOR, so the check does not
     depend on the scale of f); both operators are involutions only there.
     """
     _check_dims(s, f)
     if j not in (1, 2):
         raise ValueError(f"involution index must be 1 or 2, got {j}")
     w2_residual = (f - project_w(s, f, 2)).max_abs()
-    if w2_residual > tol * _scale(f):
+    if w2_residual > DEFAULT_RTOL * _scale(f):
         raise PreconditionError(
             f"operand is not in W2: p2 fixed-point residual {w2_residual:.3e}"
         )
@@ -250,16 +250,17 @@ def component(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     return Tensor3._wrap(_component_arrays(s, f, (i,))[i])
 
 
-def decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomposition:
+def decompose(s: StructureData, f: Tensor3) -> Decomposition:
     """All eleven components of f with magnitudes and reconstruction residual.
 
-    Requires f admissible within tol: the component formulas are only
-    meaningful on the admissible space. The recorded residual is
-    max-abs(sum of components - f) relative to max-abs(f); past the
-    fixed bound of _decomposition it raises PreconditionError.
+    Requires f admissible (the one gate, _require_structure_tensor): the
+    component formulas are only meaningful on the admissible space. The
+    recorded residual is max-abs(sum of components - f) relative to
+    max-abs(f); past the fixed bound of _decomposition it raises
+    PreconditionError.
     """
     _check_dims(s, f)
-    _require_structure_tensor(s, f, tol)
+    _require_structure_tensor(s, f)
     arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
     return _decomposition(f, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
@@ -268,8 +269,8 @@ def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
     """f split into the views of one sealed (11, d, d, d) stack.
 
     The components must sum back to f within DEFAULT_RTOL relative to
-    max-abs(f) floored at DEFAULT_ABS_FLOOR, not within the caller's tol: on
-    admissible input the difference is rounding noise at any scale.
+    max-abs(f) floored at DEFAULT_ABS_FLOOR: on admissible input the
+    difference is rounding noise at any scale.
     """
     stack = _sealed(stack)
     total = np.zeros_like(f.comps)
@@ -326,13 +327,13 @@ def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
-def satisfies_class(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTOL) -> bool:
+def satisfies_class(s: StructureData, f: Tensor3, i: int) -> bool:
     """True iff f satisfies the characteristic conditions of class F_i.
 
     Evaluates the defining identity of the class over all basis
     triples, including auxiliary conditions (vanishing Lee forms for
     F2 and F6, cyclic sums for F2/F3, the symmetry conditions for
-    F6..F9), each within tol relative to max(1, max-abs(f)). The zero
+    F6..F9), each within DEFAULT_RTOL relative to max(1, max-abs(f)). The zero
     tensor satisfies every class. The floor of 1 is deliberate: the
     verify suites apply this predicate to components at rounding-noise
     level (F2 and F3 are about 1e-17 at d = 3), which a purely relative
@@ -342,16 +343,16 @@ def satisfies_class(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_R
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
     scale = max(1.0, f.max_abs())
-    return _class_residual(s, f, i) <= tol * scale
+    return _class_residual(s, f, i) <= DEFAULT_RTOL * scale
 
 
-def in_w_subspace(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTOL) -> bool:
+def in_w_subspace(s: StructureData, f: Tensor3, i: int) -> bool:
     """True iff f lies in the block W_i, by the h/v slot characterization.
 
     W1 tensors vanish whenever any slot is vertical; W2 whenever the
     first slot is vertical or the last two are both horizontal; W3 and
-    W4 are the mirror conditions on the first slot. tol is relative to
-    max-abs(f) floored at DEFAULT_ABS_FLOOR.
+    W4 are the mirror conditions on the first slot, within DEFAULT_RTOL
+    relative to max-abs(f) floored at DEFAULT_ABS_FLOOR.
     """
     _check_dims(s, f)
     if i not in (1, 2, 3, 4):
@@ -372,7 +373,7 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int, tol: float = DEFAULT_RTO
         worst = max(h1, v2, v3)
     else:
         worst = max(h1, h23)
-    return worst <= tol * _scale(f)
+    return worst <= DEFAULT_RTOL * _scale(f)
 
 
 def classify(
@@ -385,9 +386,11 @@ def classify(
 
     Class i is reported present iff its component magnitude exceeds
     rel_tol * max(max-abs(f), abs_floor); F0 means nothing is present.
-    Tolerances are echoed in the report for reproducibility.
+    rel_tol and abs_floor set only this class threshold: the admissibility
+    gate of decompose is fixed. Both are echoed in the report for
+    reproducibility.
     """
-    dec = decompose(s, f, tol=rel_tol)
+    dec = decompose(s, f)
     input_magnitude = f.max_abs()
     threshold = rel_tol * max(input_magnitude, abs_floor)
     present = tuple(

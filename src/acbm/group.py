@@ -41,9 +41,6 @@ __all__ = [
 _EXPM_TOL = 1e-14
 _EXPM_MAX_TERMS = 64
 
-# Residual bound checked on every constructed element.
-_CONSTRUCTION_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
@@ -112,7 +109,7 @@ def random_group_element(n: int, seed: int) -> GroupElement:
     Draws two skew-symmetric n x n matrices with entries in [-1, 1]
     scaled by 1/n, exponentiates their complex combination through the
     real 2n x 2n representation [[K1, -K2], [K2, K1]], and assembles
-    the xi-first block matrix. Every invariant is verified to 1e-9
+    the xi-first block matrix. Every invariant is verified to DEFAULT_RTOL
     before returning; a failure there is a defect, not bad input.
     """
     if n < 1:
@@ -140,36 +137,37 @@ def random_group_element(n: int, seed: int) -> GroupElement:
         _block_residuals(a_block, b_block),
         float(np.max(np.abs(elem.a @ elem.a_inv - np.eye(2 * n + 1)))),
     )
-    if worst > _CONSTRUCTION_TOL:
+    if worst > DEFAULT_RTOL:
         raise RuntimeError(
             f"generated group element failed verification (residual {worst:.3e})"
         )
     return elem
 
 
-def group_element_from_blocks(n: int, a_block, b_block, tol: float = DEFAULT_RTOL) -> GroupElement:
+def group_element_from_blocks(n: int, a_block, b_block) -> GroupElement:
     """Build an element from explicit contact blocks A, B.
 
-    Rejects blocks violating A^T A - B^T B = I or B^T A + A^T B = 0.
-    Useful for the discrete representative (A, B) = (-I_n, 0), which
-    the identity-component sampler cannot reach.
+    Rejects blocks violating A^T A - B^T B = I or B^T A + A^T B = 0
+    beyond DEFAULT_RTOL. Useful for the discrete representative
+    (A, B) = (-I_n, 0), which the identity-component sampler cannot reach.
     """
     a_block = np.array(a_block, dtype=float)
     b_block = np.array(b_block, dtype=float)
     if a_block.shape != (n, n) or b_block.shape != (n, n):
         raise ValueError(f"blocks must be {n}x{n}")
-    if _block_residuals(a_block, b_block) > tol:
+    if _block_residuals(a_block, b_block) > DEFAULT_RTOL:
         raise ValueError("blocks do not satisfy the structure-group conditions")
     a = _assemble(n, a_block, b_block)
     return GroupElement(a=a, a_inv=np.linalg.inv(a), blocks=(a_block, b_block))
 
 
-def validate_group_element(s: StructureData, a, tol: float = DEFAULT_RTOL) -> bool:
+def validate_group_element(s: StructureData, a) -> bool:
     """Check whether the matrix a is a structure-group element for s.
 
     Verifies fixation of xi, preservation of eta and g, and commutation
-    with phi. When s is in canonical coordinates the block conditions
-    are additionally checked after permuting to the xi-last layout.
+    with phi, each within DEFAULT_RTOL. When s is in canonical
+    coordinates the block conditions are additionally checked after
+    permuting to the xi-last layout.
     """
     a = np.asarray(a, dtype=float)
     d = s.dim
@@ -197,7 +195,7 @@ def validate_group_element(s: StructureData, a, tol: float = DEFAULT_RTOL) -> bo
                 _block_residuals(a_block, b_block),
             ]
         )
-    return float(max(residuals)) <= tol
+    return float(max(residuals)) <= DEFAULT_RTOL
 
 
 def act(s: StructureData, elem: GroupElement, f: Tensor3) -> Tensor3:

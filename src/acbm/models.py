@@ -112,21 +112,22 @@ def lie_family(n: int, a) -> LieAlgebraSpec:
     return LieAlgebraSpec(structure=s, c=c)
 
 
-def check_jacobi(spec: LieAlgebraSpec, tol: float = DEFAULT_ATOL) -> bool:
+def check_jacobi(spec: LieAlgebraSpec) -> bool:
     """True iff the Jacobi cyclic sum vanishes on all basis triples.
 
     Rejects non-antisymmetric bracket tables outright: antisymmetry is
     a precondition, not a test result. Both checks run on the table
     divided by its max-abs entry m, so antisymmetry is judged relative
-    to m and the Jacobi sum, quadratic in the table, relative to m^2;
-    no intermediate overflows. The zero table is abelian.
+    to m and the Jacobi sum, quadratic in the table, relative to m^2,
+    both within DEFAULT_ATOL; no intermediate overflows. The zero table
+    is abelian.
     """
     m = float(np.max(np.abs(spec.c)))
     if m == 0.0:
         return True
     c = spec.c / m
     antisym = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
-    if antisym > tol:
+    if antisym > DEFAULT_ATOL:
         raise PreconditionError(
             f"bracket table is not antisymmetric (residual {antisym:.3e})"
         )
@@ -135,7 +136,7 @@ def check_jacobi(spec: LieAlgebraSpec, tol: float = DEFAULT_ATOL) -> bool:
         + np.einsum("kim,jml->ijkl", c, c)
         + np.einsum("ijm,kml->ijkl", c, c)
     )
-    return float(np.max(np.abs(jac))) <= tol
+    return float(np.max(np.abs(jac))) <= DEFAULT_ATOL
 
 
 def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
@@ -252,7 +253,7 @@ _DIM3_LEFT, _DIM3_RIGHT = (tuple(np.array(side).T) for side in zip(*_DIM3_EQUAL_
 _DIM3_ZERO = tuple(np.array(_DIM3_ZERO_TRIPLES).T)
 
 
-def dim3_coefficients(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Dim3Coefficients:
+def dim3_coefficients(s: StructureData, f: Tensor3) -> Dim3Coefficients:
     """Extract the seven class coefficients of a dimension-3 tensor.
 
     Reads the representative components, after separating the
@@ -263,21 +264,21 @@ def dim3_coefficients(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -
         nu = F011                   omega1 = F001,  omega2 = F002
 
     The consistency equalities between equivalent components (for
-    example F101 = F110) are verified first, within tol relative to
-    max-abs(f) floored at DEFAULT_ABS_FLOOR; a violation means the tensor is
+    example F101 = F110) are verified first, within DEFAULT_RTOL relative
+    to max-abs(f) floored at DEFAULT_ABS_FLOOR; a violation means the tensor is
     not admissible for the canonical structure s.
     """
     _require_canonical_dim3(s, f)
     c = f.comps
-    scale = _scale(f)
-    unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > tol * scale)
+    bound = DEFAULT_RTOL * _scale(f)
+    unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > bound)
     if unequal.size:
         left, right = _DIM3_EQUAL_PAIRS[unequal[0]]
         raise PreconditionError(
             f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
             " tensor is not admissible in dimension 3"
         )
-    nonzero = np.flatnonzero(np.abs(c[_DIM3_ZERO]) > tol * scale)
+    nonzero = np.flatnonzero(np.abs(c[_DIM3_ZERO]) > bound)
     if nonzero.size:
         triple = _DIM3_ZERO_TRIPLES[nonzero[0]]
         raise PreconditionError(
@@ -295,13 +296,13 @@ def dim3_coefficients(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -
     )
 
 
-def dim3_decompose(s: StructureData, f: Tensor3, tol: float = DEFAULT_RTOL) -> Decomposition:
+def dim3_decompose(s: StructureData, f: Tensor3) -> Decomposition:
     """decompose(s, f) by the closed forms, from one dim3_coefficients check.
 
     F2, F3, F6 and F7 are identically zero in dimension 3. Matches
     decompose entrywise on admissible tensors over the canonical s.
     """
-    q = dim3_coefficients(s, f, tol=tol)
+    q = dim3_coefficients(s, f)
     c = f.comps
     out = np.zeros((NUM_CLASSES, 3, 3, 3))
     f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out

@@ -16,7 +16,7 @@ then phi e_1..phi e_n, in which g = diag(1, I_n, -I_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,9 @@ __all__ = [
     "is_canonical_basis",
 ]
 
-# Default tolerances: absolute for algebraic identities on exactly
-# representable inputs, relative elsewhere.
+# The tolerances of every check in the package: absolute for algebraic
+# identities on exactly representable inputs, relative elsewhere. Only
+# the class threshold of classify (rel_tol, abs_floor) can be set.
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
 
@@ -66,7 +67,7 @@ class StructureData:
     """A point-wise structure (phi, xi, eta, g) with cached inverse metric.
 
     Immutable after construction; safe to share across threads. The
-    inverse metric is computed on construction unless supplied.
+    inverse metric is computed on construction.
     """
 
     n: int
@@ -74,7 +75,7 @@ class StructureData:
     phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    g_inv: np.ndarray = None
+    g_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,13 +85,10 @@ class StructureData:
         object.__setattr__(self, "phi", _as_float_array(self.phi, (d, d), "phi"))
         object.__setattr__(self, "xi", _as_float_array(self.xi, (d,), "xi"))
         object.__setattr__(self, "eta", _as_float_array(self.eta, (d,), "eta"))
-        if self.g_inv is None:
-            try:
-                g_inv = np.linalg.inv(self.g)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("metric g is singular") from exc
-        else:
-            g_inv = self.g_inv
+        try:
+            g_inv = np.linalg.inv(self.g)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("metric g is singular") from exc
         object.__setattr__(self, "g_inv", _as_float_array(g_inv, (d, d), "g_inv"))
 
     @property
@@ -103,17 +101,13 @@ class ValidationReport:
     """Outcome of the structure-axiom checks.
 
     ``residuals`` maps every checked axiom to its worst-case residual;
-    ``violations`` lists the (axiom, residual) pairs that exceed the
-    tolerance. ``valid`` is true iff no axiom is violated.
+    ``violations`` lists the (axiom, residual) pairs that exceed
+    DEFAULT_RTOL. ``valid`` is true iff no axiom is violated.
     """
 
     valid: bool
     violations: tuple
     residuals: dict
-    tol: float
-
-    def worst(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
 
 
 _CANONICAL = {}  # n -> canonical_structure(n), built on first use
@@ -155,7 +149,7 @@ def _signature_residual(g: np.ndarray, n: int) -> float:
     return float(abs(pos - (n + 1)) + abs(neg - n) + zero)
 
 
-def validate_structure(s: StructureData, tol: float = DEFAULT_RTOL) -> ValidationReport:
+def validate_structure(s: StructureData) -> ValidationReport:
     """Check all structure axioms plus symmetry, invertibility and signature of g.
 
     Returns a report with the largest residual per axiom; a failing
@@ -177,40 +171,16 @@ def validate_structure(s: StructureData, tol: float = DEFAULT_RTOL) -> Validatio
     residuals["b_metric"] = float(
         np.max(np.abs(s.phi.T @ s.g @ s.phi + s.g - np.outer(s.eta, s.eta)))
     )
-    violations = tuple((k, v) for k, v in residuals.items() if v > tol)
-    return ValidationReport(
-        valid=not violations, violations=violations, residuals=residuals, tol=tol
-    )
+    violations = tuple((k, v) for k, v in residuals.items() if v > DEFAULT_RTOL)
+    return ValidationReport(valid=not violations, violations=violations, residuals=residuals)
 
 
-def _associated_metric(s: StructureData) -> np.ndarray:
-    """The companion B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y).
-
-    For a valid structure the result is symmetric, has the same
-    signature (n+1, n), and (phi, xi, eta, g~) is again a valid
-    structure.
-    """
-    return s.g @ s.phi + np.outer(s.eta, s.eta)
-
-
-def _h_project(s: StructureData, x) -> np.ndarray:
-    """Projection h(x) = -phi^2 x onto the contact distribution ker(eta)."""
-    x = np.asarray(x, dtype=float)
-    return -(s.phi @ (s.phi @ x))
-
-
-def _v_project(s: StructureData, x) -> np.ndarray:
-    """Projection v(x) = eta(x) xi onto the Reeb line."""
-    x = np.asarray(x, dtype=float)
-    return (s.eta @ x) * s.xi
-
-
-def is_canonical_basis(s: StructureData, tol: float = DEFAULT_ATOL) -> bool:
-    """True when the coordinates of s match canonical_structure(s.n)."""
+def is_canonical_basis(s: StructureData) -> bool:
+    """True when the coordinates of s match canonical_structure(s.n) within DEFAULT_ATOL."""
     c = canonical_structure(s.n)
     return (
-        np.max(np.abs(s.g - c.g)) <= tol
-        and np.max(np.abs(s.phi - c.phi)) <= tol
-        and np.max(np.abs(s.xi - c.xi)) <= tol
-        and np.max(np.abs(s.eta - c.eta)) <= tol
+        np.max(np.abs(s.g - c.g)) <= DEFAULT_ATOL
+        and np.max(np.abs(s.phi - c.phi)) <= DEFAULT_ATOL
+        and np.max(np.abs(s.xi - c.xi)) <= DEFAULT_ATOL
+        and np.max(np.abs(s.eta - c.eta)) <= DEFAULT_ATOL
     )

@@ -156,28 +156,29 @@ def membership_residuals(s: StructureData, t: Tensor3) -> dict:
     return {"slot_symmetry": sym, "phi_relation": rel}
 
 
-def _require_structure_tensor(s: StructureData, t: Tensor3, tol: float = DEFAULT_RTOL) -> None:
-    """PreconditionError naming each membership residual above tol * _scale(t).
+def _require_structure_tensor(s: StructureData, t: Tensor3) -> None:
+    """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(t).
 
     This is the one admissibility verdict: is_structure_tensor, decompose
-    and the project command all ask it.
+    (so classify) and the project command all ask it.
     """
-    bound = tol * _scale(t)
-    # `not <=` so that a NaN bound refuses rather than passes
+    bound = DEFAULT_RTOL * _scale(t)
+    # `not <=` so that a NaN residual refuses rather than passes
     bad = {k: v for k, v in membership_residuals(s, t).items() if not v <= bound}
     if bad:
         detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
         raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
 
 
-def is_structure_tensor(s: StructureData, t: Tensor3, tol: float = DEFAULT_RTOL) -> bool:
+def is_structure_tensor(s: StructureData, t: Tensor3) -> bool:
     """True iff t satisfies both defining identities of the admissible space.
 
-    tol is relative to the tensor magnitude, with floor DEFAULT_ABS_FLOOR,
-    so the verdict does not depend on the tensor's overall scale.
+    Within DEFAULT_RTOL relative to the tensor magnitude, with floor
+    DEFAULT_ABS_FLOOR, so the verdict does not depend on the tensor's
+    overall scale.
     """
     try:
-        _require_structure_tensor(s, t, tol)
+        _require_structure_tensor(s, t)
     except PreconditionError:
         return False
     return True

@@ -5,11 +5,12 @@ inputs and reports the worst residual per property against its
 tolerance. Failures are results, not errors; the CLI maps an overall
 pass to exit code 0.
 
-Tolerances follow the package-wide convention: 1e-12 absolute for
-identities evaluated on exactly representable inputs, 1e-9 relative
-elsewhere. Group equivariance suites run at n = 2: for n = 1 the
-identity component of the structure group is trivial, so dimension-3
-equivariance is exercised with the explicit discrete element instead.
+Tolerances follow the package-wide convention: DEFAULT_ATOL (1e-12)
+absolute for identities evaluated on exactly representable inputs,
+DEFAULT_RTOL (1e-9) relative elsewhere. Group equivariance suites run
+at n = 2: for n = 1 the identity component of the structure group is
+trivial, so dimension-3 equivariance is exercised with the explicit
+discrete element instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import decomposition as dec
 from . import models
 from .group import act, group_element_from_blocks, random_group_element, validate_group_element
-from .structure import canonical_structure
+from .structure import DEFAULT_ATOL, DEFAULT_RTOL, canonical_structure
 from .tensors import (
     inner_product,
     lee_forms,
@@ -33,9 +34,6 @@ from .tensors import (
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
 SUITE_NAMES = ("decomposition", "group", "models", "dim3")
-
-_ATOL = 1e-12
-_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def decomposition_suite(seeds: int) -> list:
             for i in range(1, dec.NUM_CLASSES + 1):
                 ci = d.components[i - 1]
                 w.add("closure", _rel(max(membership_residuals(s, ci).values()), scale))
-                if not dec.satisfies_class(s, ci, i, _RTOL):
+                if not dec.satisfies_class(s, ci, i):
                     w.add("class predicates", 1.0)
             projs = [dec.project_w(s, f, i) for i in range(1, 5)]
             total = projs[0]
@@ -140,18 +138,18 @@ def decomposition_suite(seeds: int) -> list:
             w.add("w21 refinement", _rel(abs(lf6.theta @ xi), scale))
             w.add("w21 refinement", _rel(abs(lf6.theta_star @ xi), scale))
     tols = {
-        "reconstruction": _RTOL,
-        "orthogonality": _RTOL,
-        "closure": _RTOL,
+        "reconstruction": DEFAULT_RTOL,
+        "orthogonality": DEFAULT_RTOL,
+        "closure": DEFAULT_RTOL,
         "class predicates": 0.5,
-        "projector sum": _RTOL,
-        "projector idempotency": _RTOL,
-        "projector self-adjointness": _RTOL,
-        "lee form identities": _ATOL,
-        "lee form table": _ATOL,
-        "w2 eigenspaces": _RTOL,
-        "involution oracle": _RTOL,
-        "w21 refinement": _ATOL,
+        "projector sum": DEFAULT_RTOL,
+        "projector idempotency": DEFAULT_RTOL,
+        "projector self-adjointness": DEFAULT_RTOL,
+        "lee form identities": DEFAULT_ATOL,
+        "lee form table": DEFAULT_ATOL,
+        "w2 eigenspaces": DEFAULT_RTOL,
+        "involution oracle": DEFAULT_RTOL,
+        "w21 refinement": DEFAULT_ATOL,
     }
     return w.results(tols)
 
@@ -200,11 +198,11 @@ def group_suite(seeds: int) -> list:
         _component_equivariance(w, s1, refl, f1, act(s1, refl, f1))
     tols = {
         "element validity": 0.5,
-        "space invariance": _RTOL,
-        "inner product invariance": _RTOL,
-        "representation homomorphism": _RTOL,
-        "p_i equivariance": _RTOL,
-        "component equivariance": _RTOL,
+        "space invariance": DEFAULT_RTOL,
+        "inner product invariance": DEFAULT_RTOL,
+        "representation homomorphism": DEFAULT_RTOL,
+        "p_i equivariance": DEFAULT_RTOL,
+        "component equivariance": DEFAULT_RTOL,
     }
     return w.results(tols)
 
@@ -263,13 +261,13 @@ def models_suite(seeds: int) -> list:
         w.add("sphere classification", 0.0 if dec.classify(s, f).present == (4,) else 1.0)
     tols = {
         "jacobi": 0.5,
-        "koszul torsion": _ATOL,
-        "koszul metric compatibility": _ATOL,
-        "family membership": _RTOL,
-        "family connection values": _ATOL,
-        "family tensor components": _ATOL,
+        "koszul torsion": DEFAULT_ATOL,
+        "koszul metric compatibility": DEFAULT_ATOL,
+        "family membership": DEFAULT_RTOL,
+        "family connection values": DEFAULT_ATOL,
+        "family tensor components": DEFAULT_ATOL,
         "family classification": 0.5,
-        "sphere lee values": _ATOL,
+        "sphere lee values": DEFAULT_ATOL,
         "sphere classification": 0.5,
     }
     return w.results(tols)
@@ -291,9 +289,9 @@ def dim3_suite(seeds: int) -> list:
         w.add("lee forms fast path", np.max(np.abs(fast.theta_star - general.theta_star)))
         w.add("lee forms fast path", np.max(np.abs(fast.omega - general.omega)))
     tols = {
-        "components 2,3,6,7 vanish": _ATOL,
-        "fast path matches general": _ATOL,
-        "lee forms fast path": _ATOL,
+        "components 2,3,6,7 vanish": DEFAULT_ATOL,
+        "fast path matches general": DEFAULT_ATOL,
+        "lee forms fast path": DEFAULT_ATOL,
     }
     return w.results(tols)
 

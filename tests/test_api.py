@@ -1,14 +1,16 @@
 """The public API, and the one admissibility gate behind all its callers."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import acbm
-from acbm import fileio
+from acbm import fileio, tensors
 from acbm.cli import main
 from acbm.decomposition import decompose
 from acbm.errors import PreconditionError
-from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, canonical_structure
+from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canonical_structure
 from acbm.tensors import Tensor3, is_structure_tensor, membership_residuals, random_structure_tensor
 
 PUBLIC = [
@@ -60,10 +62,32 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
-def test_nan_tolerance_refuses():
-    """A NaN bound fails the gate closed: no comparison with NaN is true."""
+def test_nan_residual_refuses(monkeypatch):
+    """A NaN residual fails the gate closed: no comparison with NaN is true."""
     s = canonical_structure(1)
     f = random_structure_tensor(s, 0)
-    assert not is_structure_tensor(s, f, tol=float("nan"))
+    nan = float("nan")
+    monkeypatch.setattr(tensors, "membership_residuals", lambda *a: {"phi_relation": nan})
+    assert not is_structure_tensor(s, f)
     with pytest.raises(PreconditionError, match="not an admissible"):
-        decompose(s, f, tol=float("nan"))
+        decompose(s, f)
+
+
+def test_only_classify_takes_a_tolerance():
+    """Every precondition compares against the fixed DEFAULT_* constants; the
+    class threshold of classify is the one settable tolerance. ClassReport
+    only records the threshold classify was given."""
+    takers = set()
+    for name in acbm.__all__:
+        obj = getattr(acbm, name)
+        if not callable(obj) or obj is PreconditionError:  # an exception type has no signature
+            continue
+        if any("tol" in p for p in inspect.signature(obj).parameters):
+            takers.add(name)
+    assert takers == {"classify", "ClassReport"}
+
+
+def test_inverse_metric_is_always_computed():
+    s = canonical_structure(1)
+    with pytest.raises(TypeError):
+        StructureData(n=1, g=s.g, phi=s.phi, xi=s.xi, eta=s.eta, g_inv=s.g)

@@ -78,10 +78,24 @@ class TestClassify:
         assert main(["classify", path]) == 0
 
     def test_reconstruction_gate_ignores_tol(self, tmp_path, capsys):
-        """--tol sets the admissibility and class thresholds, not the reconstruction gate."""
+        """--tol sets only the class threshold, not the admissibility or reconstruction gate."""
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "1", "--out", src])
         assert main(["classify", src, "--tol", "1e-20"]) == 0
+
+    def test_tol_does_not_move_the_admissibility_gate(self, tmp_path, capsys):
+        """A tensor 1e-7 off the admissible space is refused in the same line by
+        classify at any --tol and by project: --tol sets only the class threshold."""
+        c = random_structure_tensor(canonical_structure(2), 3).comps.copy()
+        c[1, 2, 3] += 1e-7
+        path = write(tmp_path, "near.json", {"n": 2, "comps": c.ravel().tolist()})
+        outputs = set()
+        for argv in (["classify", path, "--tol", "1e-6"], ["classify", path], ["project", path, "--w", "1"]):
+            assert main(argv) == 3
+            outputs.add(capsys.readouterr())
+        ((out, err),) = outputs
+        assert out == ""
+        assert err.startswith("error: tensor is not an admissible structure tensor:")
 
     @pytest.mark.parametrize(
         "flag, value, rule",
@@ -184,6 +198,18 @@ class TestGen:
     def test_negative_seed_names_the_flag(self, capsys, kind):
         assert main(["gen", *kind, "--seed", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: --seed must be an integer >= 0, got -1\n")
+
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_sphere_parameter_names_the_flag(self, capsys, t):
+        assert main(["gen", "sphere", "--n", "1", f"--t={t}"]) == 2
+        assert capsys.readouterr() == ("", f"error: --t must be a finite number, got {float(t)}\n")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["sphere", "liegroup", "group"])
+    def test_bad_rank_names_the_flag(self, capsys, kind, n):
+        extra = {"sphere": ["--t", "0"], "liegroup": ["--a=1"], "group": []}[kind]
+        assert main(["gen", kind, "--n", n, *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: --n must be an integer >= 1, got {n}\n")
 
     def test_even_dim_rejected(self, capsys):
         assert main(["gen", "random", "--dim", "4", "--seed", "0"]) == 2

@@ -4,9 +4,6 @@ import pytest
 from acbm import structure
 from acbm.structure import (
     StructureData,
-    _associated_metric,
-    _h_project,
-    _v_project,
     canonical_structure,
     is_canonical_basis,
     validate_structure,
@@ -32,9 +29,10 @@ class TestCanonicalStructure:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_always_valid(self, n):
-        report = validate_structure(canonical_structure(n), 1e-12)
+        report = validate_structure(canonical_structure(n))
         assert report.valid
         assert report.violations == ()
+        assert max(report.residuals.values()) <= 1e-12
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_bad_rank(self, n):
@@ -81,6 +79,16 @@ class TestValidateStructure:
         assert validate_structure(random_structure(n, seed)).valid
 
 
+def _associated_metric(s: StructureData) -> np.ndarray:
+    """The companion B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y).
+
+    For a valid structure the result is symmetric, has the same
+    signature (n+1, n), and (phi, xi, eta, g~) is again a valid
+    structure.
+    """
+    return s.g @ s.phi + np.outer(s.eta, s.eta)
+
+
 class TestAssociatedMetric:
     def test_dim3_matrix(self, s1):
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
@@ -99,6 +107,18 @@ class TestAssociatedMetric:
         s = random_structure(n, seed)
         companion = StructureData(n=n, g=_associated_metric(s), phi=s.phi, xi=s.xi, eta=s.eta)
         assert validate_structure(companion).valid
+
+
+def _h_project(s: StructureData, x) -> np.ndarray:
+    """Projection h(x) = -phi^2 x onto the contact distribution ker(eta)."""
+    x = np.asarray(x, dtype=float)
+    return -(s.phi @ (s.phi @ x))
+
+
+def _v_project(s: StructureData, x) -> np.ndarray:
+    """Projection v(x) = eta(x) xi onto the Reeb line."""
+    x = np.asarray(x, dtype=float)
+    return (s.eta @ x) * s.xi
 
 
 class TestProjectors:
