@@ -23,7 +23,6 @@ from .decomposition import (
 )
 from .errors import PreconditionError
 from .group import (
-    GroupElement,
     act,
     group_element_from_blocks,
     random_group_element,
@@ -66,7 +65,6 @@ __all__ = [
     "ClassReport",
     "Decomposition",
     "Dim3Coefficients",
-    "GroupElement",
     "LieAlgebraSpec",
     "PreconditionError",
     "StructureData",

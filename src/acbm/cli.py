@@ -8,11 +8,12 @@ Subcommands:
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
-parameters (non-finite numbers included) or input whose arithmetic
-overflows the float range, 3 precondition failure (invalid structure,
-tensor outside the admissible space, broken bracket table), 1 failed
-verify checks, 141 output pipe closed by its reader (as for a process
-ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
+parameters (non-finite numbers included), an --out path that cannot be
+written or input whose arithmetic overflows the float range, 3
+precondition failure (invalid structure, tensor outside the admissible
+space, broken bracket table), 1 failed verify checks, 141 output pipe
+closed by its reader (as for a process ended by SIGPIPE:
+`acbm verify | head -n 1`), without a traceback.
 
 Examples:
 
@@ -54,11 +55,14 @@ EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, the status a shell gives a writer the s
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise fileio.ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _load_classifiable(path: str):
@@ -140,8 +144,7 @@ def cmd_gen(args) -> int:
         s = canonical_structure((args.dim - 1) // 2)
         doc = fileio.tensor_to_doc(s, random_structure_tensor(s, args.seed))
     else:
-        elem = random_group_element(args.n, args.seed)
-        doc = fileio.group_to_doc(args.n, elem.a)
+        doc = fileio.group_to_doc(args.n, random_group_element(args.n, args.seed))
     _emit(fileio.dumps(doc), args.out)
     return EXIT_OK
 
@@ -237,9 +240,6 @@ def main(argv=None) -> int:
         return EXIT_PIPE_CLOSED
     except FloatingPointError as exc:
         print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
-        return EXIT_PARSE
-    except fileio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,8 +33,6 @@ from .tensors import (
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
-SUITE_NAMES = ("decomposition", "group", "models", "dim3")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -48,19 +46,24 @@ class CheckResult:
 
 
 class _Worst:
-    """Accumulate the worst residual per named check."""
+    """Accumulate the worst residual per check named in the suite's
+    tolerance table {name: tol}, whose order is the report's order."""
 
-    def __init__(self):
+    def __init__(self, tols: dict):
+        self.tols = tols
         self.values = {}
 
     def add(self, name: str, value: float) -> None:
+        if name not in self.tols:
+            # a misspelt name would otherwise report its check as a PASS at 0
+            raise KeyError(f"check {name!r} is not in the suite's tolerance table")
         value = float(value)
         # max() would drop a NaN residual; it must stick and fail the check
         if value > self.values.get(name, 0.0) or math.isnan(value):
             self.values[name] = value
 
-    def results(self, tols: dict) -> list:
-        return [CheckResult(name, self.values.get(name, 0.0), tol) for name, tol in tols.items()]
+    def results(self) -> list:
+        return [CheckResult(name, self.values.get(name, 0.0), tol) for name, tol in self.tols.items()]
 
 
 def _rel(diff_max: float, scale: float) -> float:
@@ -68,7 +71,20 @@ def _rel(diff_max: float, scale: float) -> float:
 
 
 def decomposition_suite(seeds: int) -> list:
-    w = _Worst()
+    w = _Worst({
+        "reconstruction": DEFAULT_RTOL,
+        "orthogonality": DEFAULT_RTOL,
+        "closure": DEFAULT_RTOL,
+        "class predicates": 0.5,
+        "projector sum": DEFAULT_RTOL,
+        "projector idempotency": DEFAULT_RTOL,
+        "projector self-adjointness": DEFAULT_RTOL,
+        "lee form identities": DEFAULT_ATOL,
+        "lee form table": DEFAULT_ATOL,
+        "w2 eigenspaces": DEFAULT_RTOL,
+        "involution oracle": DEFAULT_RTOL,
+        "w21 refinement": DEFAULT_ATOL,
+    })
     for n in (1, 2, 3):
         s = canonical_structure(n)
         for seed in range(seeds):
@@ -137,21 +153,7 @@ def decomposition_suite(seeds: int) -> list:
             lf6 = lee_forms(s, d.components[5])
             w.add("w21 refinement", _rel(abs(lf6.theta @ xi), scale))
             w.add("w21 refinement", _rel(abs(lf6.theta_star @ xi), scale))
-    tols = {
-        "reconstruction": DEFAULT_RTOL,
-        "orthogonality": DEFAULT_RTOL,
-        "closure": DEFAULT_RTOL,
-        "class predicates": 0.5,
-        "projector sum": DEFAULT_RTOL,
-        "projector idempotency": DEFAULT_RTOL,
-        "projector self-adjointness": DEFAULT_RTOL,
-        "lee form identities": DEFAULT_ATOL,
-        "lee form table": DEFAULT_ATOL,
-        "w2 eigenspaces": DEFAULT_RTOL,
-        "involution oracle": DEFAULT_RTOL,
-        "w21 refinement": DEFAULT_ATOL,
-    }
-    return w.results(tols)
+    return w.results()
 
 
 def _component_equivariance(w: _Worst, s, elem, f, af) -> None:
@@ -162,12 +164,19 @@ def _component_equivariance(w: _Worst, s, elem, f, af) -> None:
 
 
 def group_suite(seeds: int) -> list:
-    w = _Worst()
+    w = _Worst({
+        "element validity": 0.5,
+        "space invariance": DEFAULT_RTOL,
+        "inner product invariance": DEFAULT_RTOL,
+        "representation homomorphism": DEFAULT_RTOL,
+        "p_i equivariance": DEFAULT_RTOL,
+        "component equivariance": DEFAULT_RTOL,
+    })
     n = 2
     s = canonical_structure(n)
     for seed in range(seeds):
         elem = random_group_element(n, seed)
-        w.add("element validity", 0.0 if validate_group_element(s, elem.a) else 1.0)
+        w.add("element validity", 0.0 if validate_group_element(s, elem) else 1.0)
         f = random_structure_tensor(s, seed)
         g2 = random_structure_tensor(s, seed + 20_000)
         af = act(s, elem, f)
@@ -181,7 +190,7 @@ def group_suite(seeds: int) -> list:
         other = random_group_element(n, seed + 30_000)
         w.add(
             "representation homomorphism",
-            _rel((act(s, elem, act(s, other, f)) - act(s, elem.compose(other), f)).max_abs(), scale),
+            _rel((act(s, elem, act(s, other, f)) - act(s, elem @ other, f)).max_abs(), scale),
         )
         for i in range(1, 5):
             w.add(
@@ -192,19 +201,11 @@ def group_suite(seeds: int) -> list:
     # discrete representative at n = 1
     s1 = canonical_structure(1)
     refl = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
-    w.add("element validity", 0.0 if validate_group_element(s1, refl.a) else 1.0)
+    w.add("element validity", 0.0 if validate_group_element(s1, refl) else 1.0)
     for seed in range(min(seeds, 10)):
         f1 = random_structure_tensor(s1, seed)
         _component_equivariance(w, s1, refl, f1, act(s1, refl, f1))
-    tols = {
-        "element validity": 0.5,
-        "space invariance": DEFAULT_RTOL,
-        "inner product invariance": DEFAULT_RTOL,
-        "representation homomorphism": DEFAULT_RTOL,
-        "p_i equivariance": DEFAULT_RTOL,
-        "component equivariance": DEFAULT_RTOL,
-    }
-    return w.results(tols)
+    return w.results()
 
 
 # Fixed (a1, a2) pairs of the dimension-3 Lie family, including the
@@ -213,7 +214,17 @@ _LIE_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0))
 
 
 def models_suite(seeds: int) -> list:
-    w = _Worst()
+    w = _Worst({
+        "jacobi": 0.5,
+        "koszul torsion": DEFAULT_ATOL,
+        "koszul metric compatibility": DEFAULT_ATOL,
+        "family membership": DEFAULT_RTOL,
+        "family connection values": DEFAULT_ATOL,
+        "family tensor components": DEFAULT_ATOL,
+        "family classification": 0.5,
+        "sphere lee values": DEFAULT_ATOL,
+        "sphere classification": 0.5,
+    })
     rng = np.random.default_rng(2024)
     for n in (1, 2):
         draws = [rng.uniform(-2.0, 2.0, size=2 * n) for _ in range(seeds)]
@@ -259,22 +270,15 @@ def models_suite(seeds: int) -> list:
             w.add("sphere classification", 0.0 if ok else 1.0)
         s, f = models.sphere_structure_tensor(n, 0.0)
         w.add("sphere classification", 0.0 if dec.classify(s, f).present == (4,) else 1.0)
-    tols = {
-        "jacobi": 0.5,
-        "koszul torsion": DEFAULT_ATOL,
-        "koszul metric compatibility": DEFAULT_ATOL,
-        "family membership": DEFAULT_RTOL,
-        "family connection values": DEFAULT_ATOL,
-        "family tensor components": DEFAULT_ATOL,
-        "family classification": 0.5,
-        "sphere lee values": DEFAULT_ATOL,
-        "sphere classification": 0.5,
-    }
-    return w.results(tols)
+    return w.results()
 
 
 def dim3_suite(seeds: int) -> list:
-    w = _Worst()
+    w = _Worst({
+        "components 2,3,6,7 vanish": DEFAULT_ATOL,
+        "fast path matches general": DEFAULT_ATOL,
+        "lee forms fast path": DEFAULT_ATOL,
+    })
     s = canonical_structure(1)
     for seed in range(seeds):
         f = random_structure_tensor(s, seed)
@@ -288,12 +292,7 @@ def dim3_suite(seeds: int) -> list:
         w.add("lee forms fast path", np.max(np.abs(fast.theta - general.theta)))
         w.add("lee forms fast path", np.max(np.abs(fast.theta_star - general.theta_star)))
         w.add("lee forms fast path", np.max(np.abs(fast.omega - general.omega)))
-    tols = {
-        "components 2,3,6,7 vanish": DEFAULT_ATOL,
-        "fast path matches general": DEFAULT_ATOL,
-        "lee forms fast path": DEFAULT_ATOL,
-    }
-    return w.results(tols)
+    return w.results()
 
 
 _SUITES = {
@@ -302,6 +301,9 @@ _SUITES = {
     "models": models_suite,
     "dim3": dim3_suite,
 }
+
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seeds: int) -> list:

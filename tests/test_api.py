@@ -14,8 +14,8 @@ from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canon
 from acbm.tensors import Tensor3, is_structure_tensor, membership_residuals, random_structure_tensor
 
 PUBLIC = [
-    "CLASS_NAMES", "ClassReport", "Decomposition", "Dim3Coefficients", "GroupElement",
-    "LieAlgebraSpec", "NUM_CLASSES", "PreconditionError", "StructureData", "Tensor3",
+    "CLASS_NAMES", "ClassReport", "Decomposition", "Dim3Coefficients", "LieAlgebraSpec",
+    "NUM_CLASSES", "PreconditionError", "StructureData", "Tensor3",
     "act", "canonical_structure", "check_jacobi", "classify", "component",
     "connection_residuals", "decompose", "dim3_coefficients", "dim3_decompose",
     "dim3_lee_forms", "embed_structure_tensor", "group_element_from_blocks",

@@ -10,7 +10,7 @@ import pytest
 
 import acbm
 from acbm import decomposition as dec
-from acbm import fileio, tensors
+from acbm import fileio, tensors, verify
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
 from acbm.structure import MAX_DIM, canonical_structure
@@ -325,6 +325,23 @@ class TestProject:
         assert main(["project", src, "--class-index", "4", "--w", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["gen", "sphere", "--n", "1", "--t", "0"], ["classify", "IN"], ["project", "IN", "--w", "1"]],
+)
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_is_one_line_exit_2(tmp_path, capsys, command, target):
+    src = str(tmp_path / "r.json")
+    assert main(["gen", "random", "--dim", "5", "--seed", "1", "--out", src]) == 0
+    out = str(tmp_path / target)
+    argv = [src if arg == "IN" else arg for arg in command]
+    assert main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         assert main(["verify", "--suite", "all", "--seeds", "3"]) == 0
@@ -347,6 +364,12 @@ class TestVerify:
         out = capsys.readouterr().out
         for name in ("reconstruction", "orthogonality", "idempotency"):
             assert name in out
+
+    def test_unknown_check_name_raises(self):
+        w = verify._Worst({"closure": 1e-9})
+        w.add("closure", 0.0)
+        with pytest.raises(KeyError, match="closre"):
+            w.add("closre", 0.0)
 
     def test_group_suite_names(self, capsys):
         assert main(["verify", "--suite", "group", "--seeds", "3"]) == 0

@@ -17,15 +17,12 @@ class TestRandomGroupElement:
         # the only 1x1 skew-symmetric matrix is zero, so the identity
         # component of the group is trivial
         for seed in range(5):
-            elem = random_group_element(1, seed)
-            np.testing.assert_allclose(elem.a, np.eye(3), atol=1e-15)
-            np.testing.assert_allclose(elem.blocks[0], [[1.0]], atol=1e-15)
-            np.testing.assert_allclose(elem.blocks[1], [[0.0]], atol=1e-15)
+            np.testing.assert_allclose(random_group_element(1, seed), np.eye(3), atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_block_conditions(self, seed):
-        elem = random_group_element(2, seed)
-        a_block, b_block = elem.blocks
+        a = random_group_element(2, seed)
+        a_block, b_block = a[1:3, 1:3], a[1:3, 3:5]
         np.testing.assert_allclose(
             a_block.T @ a_block - b_block.T @ b_block, np.eye(2), atol=1e-9
         )
@@ -35,20 +32,19 @@ class TestRandomGroupElement:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structure_preservation(self, seed, s2):
-        elem = random_group_element(2, seed)
-        a = elem.a
+        a = random_group_element(2, seed)
         np.testing.assert_allclose(a @ s2.phi, s2.phi @ a, atol=1e-9)
         np.testing.assert_allclose(a.T @ s2.g @ a, s2.g, atol=1e-9)
         np.testing.assert_allclose(a @ s2.xi, s2.xi, atol=1e-12)
 
     def test_deterministic(self):
-        a = random_group_element(3, 99)
-        b = random_group_element(3, 99)
-        np.testing.assert_array_equal(a.a, b.a)
+        np.testing.assert_array_equal(random_group_element(3, 99), random_group_element(3, 99))
 
-    def test_inverse_cached(self):
-        elem = random_group_element(2, 4)
-        np.testing.assert_allclose(elem.a @ elem.a_inv, np.eye(5), atol=1e-12)
+    def test_read_only(self):
+        reflection = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
+        for a in (random_group_element(2, 4), reflection):
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -66,7 +62,7 @@ class TestValidateGroupElement:
     def test_fifty_seeds(self, n):
         s = canonical_structure(n)
         for seed in range(50):
-            assert validate_group_element(s, random_group_element(n, seed).a)
+            assert validate_group_element(s, random_group_element(n, seed))
 
     def test_shape_mismatch(self, s2):
         with pytest.raises(ValueError):
@@ -74,12 +70,39 @@ class TestValidateGroupElement:
 
     def test_discrete_representative(self, s1):
         elem = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
-        assert validate_group_element(s1, elem.a)
-        np.testing.assert_array_equal(elem.a, np.diag([1.0, -1.0, -1.0]))
+        assert validate_group_element(s1, elem)
+        np.testing.assert_array_equal(elem, np.diag([1.0, -1.0, -1.0]))
 
     def test_from_blocks_rejects_invalid(self):
         with pytest.raises(ValueError):
             group_element_from_blocks(2, 2.0 * np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("place", ["a00", "row0", "col0", "minus_b", "second_a", "orthogonality"])
+    def test_block_form_violations_fail(self, n, place):
+        """Each block-form condition of the module docstring, broken by 1e-6,
+        fails one of the four general residuals."""
+        s = canonical_structure(n)
+        if n == 1:
+            a = np.array(group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1))))
+        else:
+            a = np.array(random_group_element(n, 5))
+        assert validate_group_element(s, a)
+        first, second = slice(1, n + 1), slice(n + 1, 2 * n + 1)  # contact halves
+        if place == "a00":
+            a[0, 0] += 1e-6
+        elif place == "row0":
+            a[0, 1:] += 1e-6
+        elif place == "col0":
+            a[1:, 0] += 1e-6
+        elif place == "minus_b":
+            a[second, first] += 1e-6
+        elif place == "second_a":
+            a[second, second] += 1e-6
+        else:  # A -> (1 + 1e-6) A in both places keeps the block form
+            a[first, first] *= 1 + 1e-6
+            a[second, second] *= 1 + 1e-6
+        assert not validate_group_element(s, a)
 
 
 class TestAction:
@@ -109,7 +132,7 @@ class TestAction:
         a = random_group_element(2, seed)
         b = random_group_element(2, seed + 200)
         lhs = act(s2, a, act(s2, b, f))
-        rhs = act(s2, a.compose(b), f)
+        rhs = act(s2, a @ b, f)
         assert (lhs - rhs).max_abs() <= 1e-9 * max(1.0, f.max_abs())
 
     def test_linear_in_tensor(self, s2):
@@ -124,6 +147,15 @@ class TestAction:
         elem = random_group_element(2, 0)
         with pytest.raises(ValueError):
             act(s1, elem, Tensor3.zeros(3))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(np.zeros((5, 5)), "Singular"), (np.eye(3), "shape"), (np.eye(5)[:, :4], "shape")],
+    )
+    def test_refuses_singular_or_misshaped_matrix(self, s2, matrix, message):
+        with pytest.raises(ValueError, match=message) as info:
+            act(s2, matrix, random_structure_tensor(s2, 0))
+        assert "\n" not in str(info.value)
 
 
 class TestEquivariance:
