@@ -48,7 +48,6 @@ from .structure import (
     validate_structure,
 )
 from .tensors import (
-    Tensor3,
     embed_structure_tensor,
     inner_product,
     is_structure_tensor,
@@ -68,7 +67,6 @@ __all__ = [
     "LieAlgebraSpec",
     "PreconditionError",
     "StructureData",
-    "Tensor3",
     "act",
     "canonical_structure",
     "check_jacobi",

@@ -30,13 +30,13 @@ import numpy as np
 from .errors import PreconditionError
 from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
 from .tensors import (
-    Tensor3,
-    _check_dims,
+    _max_abs,
     _pullback,
     _require_structure_tensor,
     _scale,
     _sealed,
     _sym_pair,
+    _tensor,
     lee_forms,
 )
 
@@ -62,12 +62,13 @@ CLASS_NAMES = tuple(f"F{i}" for i in range(1, NUM_CLASSES + 1))
 class Decomposition:
     """The eleven components of a tensor with their max-abs magnitudes.
 
-    The components sum back to the input (residual recorded relative
-    to the input magnitude, and checked) and are pairwise orthogonal
-    under the induced inner product.
+    components is one read-only (11, d, d, d) array; components[i - 1] is
+    the F_i component. The components sum back to the input (residual
+    recorded relative to the input magnitude, and checked) and are
+    pairwise orthogonal under the induced inner product.
     """
 
-    components: tuple
+    components: np.ndarray
     magnitudes: np.ndarray
     reconstruction_residual: float
 
@@ -108,16 +109,16 @@ def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return (xi @ c.reshape(d, -1)).reshape(d, d)
 
 
-def project_w(s: StructureData, f: Tensor3, i: int) -> Tensor3:
+def project_w(s: StructureData, f, i: int) -> np.ndarray:
     """Projection p_i(f) onto the block W_i, i in 1..4.
 
     p4 is computed from its explicit formula; on admissible tensors it
     agrees with f - p1(f) - p2(f) - p3(f).
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     if i not in (1, 2, 3, 4):
         raise ValueError(f"block index must be 1..4, got {i}")
-    return Tensor3._wrap(_block(s, f.comps, _phi2(s), i))
+    return _sealed(_block(s, c, _phi2(s), i))
 
 
 def _block(s: StructureData, c: np.ndarray, P: np.ndarray, i: int) -> np.ndarray:
@@ -138,7 +139,7 @@ def _block(s: StructureData, c: np.ndarray, P: np.ndarray, i: int) -> np.ndarray
     return -eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta))
 
 
-def w2_involution(s: StructureData, f: Tensor3, j: int) -> Tensor3:
+def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     """The involutive isometries L1, L2 of the block W2.
 
     L1 transposes the first two slots through phi^2; L2 replaces them
@@ -155,21 +156,21 @@ def w2_involution(s: StructureData, f: Tensor3, j: int) -> Tensor3:
     to max-abs(f) floored at DEFAULT_ABS_FLOOR, so the check does not
     depend on the scale of f); both operators are involutions only there.
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     if j not in (1, 2):
         raise ValueError(f"involution index must be 1 or 2, got {j}")
-    w2_residual = (f - project_w(s, f, 2)).max_abs()
-    if w2_residual > DEFAULT_RTOL * _scale(f):
+    P = _phi2(s)
+    w2_residual = _max_abs(c - _block(s, c, P, 2))
+    if w2_residual > DEFAULT_RTOL * _scale(c):
         raise PreconditionError(
             f"operand is not in W2: p2 fixed-point residual {w2_residual:.3e}"
         )
-    c = f.comps
     xi, eta = s.xi, s.eta
     if j == 1:
-        a = _xi_bracket(c, _phi2(s), _phi2(s), xi)
-        return Tensor3._wrap(_sym_pair(a.T, eta))
+        a = _xi_bracket(c, P, P, xi)
+        return _sealed(_sym_pair(a.T, eta))
     b = _xi_bracket(c, s.phi, s.phi, xi)
-    return Tensor3._wrap(_sym_pair(b, eta))
+    return _sealed(_sym_pair(b, eta))
 
 
 def _w1_six_terms(c: np.ndarray, phi: np.ndarray, P: np.ndarray):
@@ -183,22 +184,21 @@ def _w1_six_terms(c: np.ndarray, phi: np.ndarray, P: np.ndarray):
     return t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx
 
 
-def _component_arrays(s: StructureData, f: Tensor3, wanted) -> dict:
-    """The components of f in the classes F_i, i in wanted, as {i: array}.
+def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
+    """The components of the checked tensor c in the classes F_i, i in wanted, as {i: array}.
 
     phi^2, the metric pairings, the Lee forms, the xi-brackets a and b,
     F1 and the six W1 pullbacks are each built at most once, and only
     when a wanted class needs them. The result may also hold classes
     that others are built from: F1 for F2, F4 and F5 for F6.
     """
-    c = f.comps
     phi, xi, eta = s.phi, s.xi, s.eta
     P = _phi2(s)
     two_n = 2.0 * s.n
     wanted = set(wanted)
     out = {}
     if wanted & {1, 2, 4, 5, 6}:
-        lf = lee_forms(s, f)
+        lf = lee_forms(s, c)
         gp = s.g @ phi  # g(e_i, phi e_j)
         gpp = phi.T @ s.g @ phi  # g(phi e_i, phi e_j)
     if wanted & {1, 2}:
@@ -235,7 +235,7 @@ def _component_arrays(s: StructureData, f: Tensor3, wanted) -> dict:
     return out
 
 
-def component(s: StructureData, f: Tensor3, i: int) -> Tensor3:
+def component(s: StructureData, f, i: int) -> np.ndarray:
     """The component of f in the basic class F_i, i in 1..11.
 
     F1, F4, F5, F6 use Lee-form contractions of f; F2, F3 subtract the
@@ -244,13 +244,13 @@ def component(s: StructureData, f: Tensor3, i: int) -> Tensor3:
     F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi); F10 and F11 are
     the W3 and W4 projections.
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    return Tensor3._wrap(_component_arrays(s, f, (i,))[i])
+    return _sealed(_component_arrays(s, c, (i,))[i])
 
 
-def decompose(s: StructureData, f: Tensor3) -> Decomposition:
+def decompose(s: StructureData, f) -> Decomposition:
     """All eleven components of f with magnitudes and reconstruction residual.
 
     Requires f admissible (the one gate, _require_structure_tensor): the
@@ -259,39 +259,35 @@ def decompose(s: StructureData, f: Tensor3) -> Decomposition:
     max-abs(f); past the fixed bound of _decomposition it raises
     PreconditionError.
     """
-    _check_dims(s, f)
-    _require_structure_tensor(s, f)
-    arrays = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
-    return _decomposition(f, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
+    c = _tensor(s, f)
+    _require_structure_tensor(s, c)
+    arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
+    return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
 
-def _decomposition(f: Tensor3, stack: np.ndarray) -> Decomposition:
-    """f split into the views of one sealed (11, d, d, d) stack.
+def _decomposition(c: np.ndarray, stack: np.ndarray) -> Decomposition:
+    """The checked tensor c split into one sealed (11, d, d, d) stack.
 
-    The components must sum back to f within DEFAULT_RTOL relative to
-    max-abs(f) floored at DEFAULT_ABS_FLOOR: on admissible input the
+    The components must sum back to c within DEFAULT_RTOL relative to
+    max-abs(c) floored at DEFAULT_ABS_FLOOR: on admissible input the
     difference is rounding noise at any scale.
     """
     stack = _sealed(stack)
-    total = np.zeros_like(f.comps)
+    total = np.zeros_like(c)
     for a in stack:
         total = total + a
-    diff = float(np.max(np.abs(total - f.comps)))
-    scale = f.max_abs()
+    diff = _max_abs(total - c)
+    scale = _max_abs(c)
     residual = diff / scale if scale > 0.0 else diff
-    if diff > DEFAULT_RTOL * _scale(f):
+    if diff > DEFAULT_RTOL * _scale(c):
         raise PreconditionError(
             f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
         )
     return Decomposition(
-        components=tuple(Tensor3._wrap(a) for a in stack),
+        components=stack,
         magnitudes=np.max(np.abs(stack), axis=(1, 2, 3)),
         reconstruction_residual=residual,
     )
-
-
-def _max_abs(*arrays) -> float:
-    return max(float(np.max(np.abs(a))) for a in arrays)
 
 
 # Per class F6..F9, the signs s, t in the conditions D = s D^T and D = t B
@@ -299,11 +295,10 @@ def _max_abs(*arrays) -> float:
 _W2_SIGNS = {6: (1.0, -1.0), 7: (-1.0, -1.0), 8: (1.0, 1.0), 9: (-1.0, 1.0)}
 
 
-def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
-    """Worst residual of the defining identities of class F_i."""
+def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
+    """Worst residual of the defining identities of class F_i for the checked tensor c."""
     if i in (1, 4, 5):
-        return _max_abs(f.comps - _component_arrays(s, f, (i,))[i])
-    c = f.comps
+        return _max_abs(c - _component_arrays(s, c, (i,))[i])
     phi, xi, eta = s.phi, s.xi, s.eta
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)
@@ -311,7 +306,7 @@ def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
         sym, phi_sign = _W2_SIGNS[i]
         extra = ()
         if i == 6:
-            lf = lee_forms(s, f)
+            lf = lee_forms(s, c)
             extra = (lf.theta, lf.theta_star)
         recon = c - _sym_pair(d_mat, eta)
         return _max_abs(recon, d_mat - sym * d_mat.T, d_mat - phi_sign * b_mat, *extra)
@@ -319,7 +314,7 @@ def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
     if i in (2, 3):
         cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F
         cyc = cp + cp.transpose(1, 2, 0) + cp.transpose(2, 0, 1)
-        extra = (lee_forms(s, f).theta,) if i == 2 else ()
+        extra = (lee_forms(s, c).theta,) if i == 2 else ()
         return _max_abs(first, xi @ c, cyc, *extra)
     if i == 10:
         return _max_abs(c - eta[:, None, None] * (phi.T @ first @ phi))  # eta(x) F(xi, phi y, phi z)
@@ -327,7 +322,7 @@ def _class_residual(s: StructureData, f: Tensor3, i: int) -> float:
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
-def satisfies_class(s: StructureData, f: Tensor3, i: int) -> bool:
+def satisfies_class(s: StructureData, f, i: int) -> bool:
     """True iff f satisfies the characteristic conditions of class F_i.
 
     Evaluates the defining identity of the class over all basis
@@ -339,14 +334,13 @@ def satisfies_class(s: StructureData, f: Tensor3, i: int) -> bool:
     level (F2 and F3 are about 1e-17 at d = 3), which a purely relative
     scale would reject.
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    scale = max(1.0, f.max_abs())
-    return _class_residual(s, f, i) <= DEFAULT_RTOL * scale
+    return _class_residual(s, c, i) <= DEFAULT_RTOL * max(1.0, _max_abs(c))
 
 
-def in_w_subspace(s: StructureData, f: Tensor3, i: int) -> bool:
+def in_w_subspace(s: StructureData, f, i: int) -> bool:
     """True iff f lies in the block W_i, by the h/v slot characterization.
 
     W1 tensors vanish whenever any slot is vertical; W2 whenever the
@@ -354,10 +348,9 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int) -> bool:
     W4 are the mirror conditions on the first slot, within DEFAULT_RTOL
     relative to max-abs(f) floored at DEFAULT_ABS_FLOOR.
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     if i not in (1, 2, 3, 4):
         raise ValueError(f"block index must be 1..4, got {i}")
-    c = f.comps
     xi = s.xi
     h = -_phi2(s)
     v1 = float(np.max(np.abs(np.einsum("ajk,a->jk", c, xi))))
@@ -373,12 +366,12 @@ def in_w_subspace(s: StructureData, f: Tensor3, i: int) -> bool:
         worst = max(h1, v2, v3)
     else:
         worst = max(h1, h23)
-    return worst <= DEFAULT_RTOL * _scale(f)
+    return worst <= DEFAULT_RTOL * _scale(c)
 
 
 def classify(
     s: StructureData,
-    f: Tensor3,
+    f,
     rel_tol: float = DEFAULT_RTOL,
     abs_floor: float = DEFAULT_ABS_FLOOR,
 ) -> ClassReport:
@@ -390,8 +383,9 @@ def classify(
     gate of decompose is fixed. Both are echoed in the report for
     reproducibility.
     """
-    dec = decompose(s, f)
-    input_magnitude = f.max_abs()
+    c = _tensor(s, f)
+    dec = decompose(s, c)
+    input_magnitude = _max_abs(c)
     threshold = rel_tol * max(input_magnitude, abs_floor)
     present = tuple(
         i for i in range(1, NUM_CLASSES + 1) if dec.magnitudes[i - 1] > threshold

@@ -21,7 +21,7 @@ import numpy as np
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import LieAlgebraSpec
 from .structure import MAX_DIM, StructureData, canonical_structure, is_canonical_basis
-from .tensors import Tensor3
+from .tensors import _sealed, _tensor
 
 __all__ = [
     "ParseError",
@@ -156,7 +156,7 @@ def tensor_from_doc(doc: dict) -> tuple:
         raise ParseError("missing field: 'comps'")
     try:
         comps = _parse_array(doc["comps"], (d, d, d), "comps")
-        return s, Tensor3(comps)
+        return s, _sealed(comps)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
@@ -209,10 +209,11 @@ def structure_to_doc(s: StructureData) -> dict:
     return doc
 
 
-def tensor_to_doc(s: StructureData, f: Tensor3) -> dict:
+def tensor_to_doc(s: StructureData, f) -> dict:
+    comps = _float_list(_tensor(s, f))
     doc = structure_to_doc(s)
     doc["dim"] = int(s.dim)
-    doc["comps"] = _float_list(f.comps)
+    doc["comps"] = comps
     return doc
 
 

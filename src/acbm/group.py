@@ -2,12 +2,12 @@
 
 The linear maps preserving a structure (fixing xi, preserving eta and
 g, commuting with phi) form a group isomorphic to the complex
-orthogonal group O(n; C): in the canonical basis, with xi moved last,
-its elements are block matrices
+orthogonal group O(n; C): in the canonical basis, xi first, its
+elements are block matrices
 
-    [  A  B  0 ]
-    [ -B  A  0 ],       A^T A - B^T B = I_n,   B^T A + A^T B = 0_n.
-    [  0  0  1 ]
+    [ 1  0  0 ]
+    [ 0  A  B ],       A^T A - B^T B = I_n,   B^T A + A^T B = 0_n.
+    [ 0 -B  A ]
 
 A + iB is then a complex orthogonal matrix. An element is that
 (2n+1) x (2n+1) matrix itself, returned read-only, and the product of
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .structure import DEFAULT_RTOL, StructureData, canonical_structure
-from .tensors import Tensor3, _check_dims, _pullback
+from .tensors import _pullback, _sealed, _tensor
 
 __all__ = [
     "random_group_element",
@@ -142,16 +142,20 @@ def validate_group_element(s: StructureData, a) -> bool:
     return float(max(residuals)) <= DEFAULT_RTOL
 
 
-def act(s: StructureData, a, f: Tensor3) -> Tensor3:
+def act(s: StructureData, a, f) -> np.ndarray:
     """Pullback action of an invertible matrix on a rank-3 tensor.
 
     ((lambda a) F)(x, y, z) = F(a^-1 x, a^-1 y, a^-1 z). For a group
     element the action preserves the admissible space and the induced
     inner product, and commutes with every projector and component map.
     """
-    _check_dims(s, f)
+    c = _tensor(s, f)
     a = np.asarray(a, dtype=float)
     if a.shape != (s.dim, s.dim):
         raise ValueError(f"matrix must have shape {(s.dim, s.dim)}, got {a.shape}")
     ai = np.linalg.inv(a)  # a singular matrix raises LinAlgError, a ValueError
-    return Tensor3._wrap(_pullback(f.comps, ai, ai, ai))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _sealed(_pullback(c, ai, ai, ai))
+    except FloatingPointError as exc:
+        raise ValueError(f"matrix is too ill-conditioned to act on the tensor ({exc})") from exc

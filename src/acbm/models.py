@@ -33,7 +33,7 @@ from .structure import (
     canonical_structure,
     is_canonical_basis,
 )
-from .tensors import LeeForms, Tensor3, _scale, _sym_pair
+from .tensors import LeeForms, _scale, _sealed, _sym_pair, _tensor
 
 __all__ = [
     "LieAlgebraSpec",
@@ -165,7 +165,7 @@ def connection_residuals(spec: LieAlgebraSpec, gamma: np.ndarray) -> tuple:
     return float(np.max(np.abs(torsion))), float(np.max(np.abs(gg + gg.transpose(0, 2, 1))))
 
 
-def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) -> Tensor3:
+def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) -> np.ndarray:
     """F(x, y, z) = g((nabla_x phi) y, z) in the left-invariant frame.
 
     phi has constant components there, so (nabla_{E_i} phi) E_j =
@@ -173,7 +173,7 @@ def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) ->
     satisfies the two defining identities of the admissible space.
     """
     s = spec.structure
-    return Tensor3._wrap((s.phi.T @ gamma - gamma @ s.phi.T) @ s.g)
+    return _sealed((s.phi.T @ gamma - gamma @ s.phi.T) @ s.g)
 
 
 def sphere_structure_tensor(n: int, t: float) -> tuple:
@@ -192,17 +192,19 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
     gp = s.g @ s.phi
     gpp = s.phi.T @ s.g @ s.phi
     comps = -math.cos(t) * _sym_pair(gpp, s.eta) - math.sin(t) * _sym_pair(gp, s.eta)
-    return s, Tensor3._wrap(comps)
+    return s, _sealed(comps)
 
 
-def _require_canonical_dim3(s: StructureData, f: Tensor3) -> None:
-    if (s.dim, f.dim) != (3, 3):
-        raise ValueError(f"expected a dimension-3 structure and tensor, got dims {s.dim}, {f.dim}")
+def _canonical_dim3(s: StructureData, f) -> np.ndarray:
+    """f checked by _tensor, for a canonical dimension-3 structure s."""
+    if s.dim != 3:
+        raise ValueError(f"expected a dimension-3 structure, got dimension {s.dim}")
     if not is_canonical_basis(s):
         raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
+    return _tensor(s, f)
 
 
-def dim3_lee_forms(s: StructureData, f: Tensor3) -> LeeForms:
+def dim3_lee_forms(s: StructureData, f) -> LeeForms:
     """Lee forms in dimension 3 by the explicit index formulas.
 
     Requires the canonical structure s. Agrees entrywise with the general
@@ -212,8 +214,7 @@ def dim3_lee_forms(s: StructureData, f: Tensor3) -> LeeForms:
         theta* = (F120 + F210, F112 + F211, F111 + F221)
         omega  = (0, F001, F002)
     """
-    _require_canonical_dim3(s, f)
-    c = f.comps
+    c = _canonical_dim3(s, f)
     theta = np.array([c[1, 1, 0] - c[2, 2, 0], c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]])
     theta_star = np.array(
         [c[1, 2, 0] + c[2, 1, 0], c[1, 1, 2] + c[2, 1, 1], c[1, 1, 1] + c[2, 2, 1]]
@@ -253,7 +254,7 @@ _DIM3_LEFT, _DIM3_RIGHT = (tuple(np.array(side).T) for side in zip(*_DIM3_EQUAL_
 _DIM3_ZERO = tuple(np.array(_DIM3_ZERO_TRIPLES).T)
 
 
-def dim3_coefficients(s: StructureData, f: Tensor3) -> Dim3Coefficients:
+def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
     """Extract the seven class coefficients of a dimension-3 tensor.
 
     Reads the representative components, after separating the
@@ -268,9 +269,8 @@ def dim3_coefficients(s: StructureData, f: Tensor3) -> Dim3Coefficients:
     to max-abs(f) floored at DEFAULT_ABS_FLOOR; a violation means the tensor is
     not admissible for the canonical structure s.
     """
-    _require_canonical_dim3(s, f)
-    c = f.comps
-    bound = DEFAULT_RTOL * _scale(f)
+    c = _canonical_dim3(s, f)
+    bound = DEFAULT_RTOL * _scale(c)
     unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > bound)
     if unequal.size:
         left, right = _DIM3_EQUAL_PAIRS[unequal[0]]
@@ -296,14 +296,14 @@ def dim3_coefficients(s: StructureData, f: Tensor3) -> Dim3Coefficients:
     )
 
 
-def dim3_decompose(s: StructureData, f: Tensor3) -> Decomposition:
+def dim3_decompose(s: StructureData, f) -> Decomposition:
     """decompose(s, f) by the closed forms, from one dim3_coefficients check.
 
     F2, F3, F6 and F7 are identically zero in dimension 3. Matches
     decompose entrywise on admissible tensors over the canonical s.
     """
     q = dim3_coefficients(s, f)
-    c = f.comps
+    c = np.asarray(f, dtype=float)  # checked by dim3_coefficients
     out = np.zeros((NUM_CLASSES, 3, 3, 3))
     f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
     th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
@@ -319,4 +319,4 @@ def dim3_decompose(s: StructureData, f: Tensor3) -> Decomposition:
     f10[0, 1, 1] = f10[0, 2, 2] = q.nu
     f11[0, 1, 0] = f11[0, 0, 1] = q.omega1
     f11[0, 2, 0] = f11[0, 0, 2] = q.omega2
-    return _decomposition(f, out)
+    return _decomposition(c, out)

@@ -11,11 +11,11 @@ from acbm.cli import main
 from acbm.decomposition import decompose
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canonical_structure
-from acbm.tensors import Tensor3, is_structure_tensor, membership_residuals, random_structure_tensor
+from acbm.tensors import _max_abs, is_structure_tensor, membership_residuals, random_structure_tensor
 
 PUBLIC = [
     "CLASS_NAMES", "ClassReport", "Decomposition", "Dim3Coefficients", "LieAlgebraSpec",
-    "NUM_CLASSES", "PreconditionError", "StructureData", "Tensor3",
+    "NUM_CLASSES", "PreconditionError", "StructureData",
     "act", "canonical_structure", "check_jacobi", "classify", "component",
     "connection_residuals", "decompose", "dim3_coefficients", "dim3_decompose",
     "dim3_lee_forms", "embed_structure_tensor", "group_element_from_blocks",
@@ -43,8 +43,8 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     f = scale * random_structure_tensor(s, 0)
     vertical = np.zeros((3, 3, 3))
     vertical[0, 0, 0] = 1.0  # F(xi, xi, xi): phi_relation residual 1, slot symmetry 0
-    t = Tensor3(f.comps + ratio * DEFAULT_RTOL * max(f.max_abs(), DEFAULT_ABS_FLOOR) * vertical)
-    bound = DEFAULT_RTOL * max(t.max_abs(), DEFAULT_ABS_FLOOR)
+    t = f + ratio * DEFAULT_RTOL * max(_max_abs(f), DEFAULT_ABS_FLOOR) * vertical
+    bound = DEFAULT_RTOL * max(_max_abs(t), DEFAULT_ABS_FLOOR)
     assert max(membership_residuals(s, t).values()) == pytest.approx(ratio * bound, rel=1e-6)
 
     admissible = ratio < 1.0

@@ -14,7 +14,7 @@ from acbm import fileio, tensors, verify
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
 from acbm.structure import MAX_DIM, canonical_structure
-from acbm.tensors import is_structure_tensor, random_structure_tensor
+from acbm.tensors import _max_abs, is_structure_tensor, random_structure_tensor
 
 
 def _must_not_allocate(n):
@@ -74,7 +74,7 @@ class TestClassify:
         assert main(["classify", path]) == 3
         assert "admissible" in capsys.readouterr().err
         f = random_structure_tensor(canonical_structure(2), 0)
-        path = write(tmp_path, "tiny_ok.json", {"n": 2, "comps": (1e-10 * f.comps).ravel().tolist()})
+        path = write(tmp_path, "tiny_ok.json", {"n": 2, "comps": (1e-10 * f).ravel().tolist()})
         assert main(["classify", path]) == 0
 
     def test_reconstruction_gate_ignores_tol(self, tmp_path, capsys):
@@ -86,7 +86,7 @@ class TestClassify:
     def test_tol_does_not_move_the_admissibility_gate(self, tmp_path, capsys):
         """A tensor 1e-7 off the admissible space is refused in the same line by
         classify at any --tol and by project: --tol sets only the class threshold."""
-        c = random_structure_tensor(canonical_structure(2), 3).comps.copy()
+        c = random_structure_tensor(canonical_structure(2), 3).copy()
         c[1, 2, 3] += 1e-7
         path = write(tmp_path, "near.json", {"n": 2, "comps": c.ravel().tolist()})
         outputs = set()
@@ -184,7 +184,7 @@ class TestGen:
         s, f = fileio.tensor_from_doc(fileio.load_document(path))
         expected = random_structure_tensor(canonical_structure(2), 7)
         # shortest round-trip serialization reproduces the values exactly
-        np.testing.assert_array_equal(f.comps, expected.comps)
+        np.testing.assert_array_equal(f, expected)
         assert is_structure_tensor(s, f)
 
     def test_group_element_validates(self, tmp_path):
@@ -257,7 +257,7 @@ class TestGen:
         else:
             s = canonical_structure(2)
             f = random_structure_tensor(s, 1)
-            target.write_text(fileio.dumps(fileio.tensor_to_doc(s, f * (float(size) / f.max_abs()))))
+            target.write_text(fileio.dumps(fileio.tensor_to_doc(s, f * (float(size) / _max_abs(f)))))
         assert main(["classify", path]) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and len(err.strip().splitlines()) == 1
@@ -318,6 +318,18 @@ class TestProject:
         assert main([command[0], src, *command[1:]]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["classify"], ["project", "--w", "1"]])
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_comps_exit_2(self, tmp_path, capsys, command, entry):
+        comps = [0.0] * 27
+        comps[13] = entry  # written as NaN, Infinity or -Infinity
+        path = write(tmp_path, "nonfinite.json", {"n": 1, "comps": comps})
+        assert main([command[0], path, *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad tensor field: comps contains non-finite entries\n"
+
     def test_requires_exactly_one_selector(self, tmp_path, capsys):
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "3", "--seed", "2", "--out", src])
@@ -370,6 +382,20 @@ class TestVerify:
         w.add("closure", 0.0)
         with pytest.raises(KeyError, match="closre"):
             w.add("closre", 0.0)
+
+    def test_every_check_stores_a_value(self, monkeypatch):
+        made = []
+
+        class Recorded(verify._Worst):
+            def __init__(self, tols):
+                super().__init__(tols)
+                made.append(self)
+
+        monkeypatch.setattr(verify, "_Worst", Recorded)
+        verify.run_suites(verify.SUITE_NAMES, 1)
+        assert len(made) == len(verify.SUITE_NAMES)
+        for w in made:
+            assert set(w.values) == set(w.tols)
 
     def test_group_suite_names(self, capsys):
         assert main(["verify", "--suite", "group", "--seeds", "3"]) == 0

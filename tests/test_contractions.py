@@ -20,7 +20,6 @@ from acbm.models import (
     structure_tensor_from_connection,
 )
 from acbm.tensors import (
-    Tensor3,
     _pullback,
     embed_structure_tensor,
     inner_product,
@@ -34,9 +33,9 @@ REL = 1e-12
 CASES = [(n, seed) for n in (1, 2, 3) for seed in range(3)]
 
 
-def raw_tensor(n: int, seed: int) -> Tensor3:
+def raw_tensor(n: int, seed: int) -> np.ndarray:
     d = 2 * n + 1
-    return Tensor3(np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d)))
+    return np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d))
 
 
 def assert_close(got, want):
@@ -58,21 +57,21 @@ def test_pullback(n, seed):
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_membership_residuals(n, seed):
-    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    s, c = random_structure(n, seed), raw_tensor(n, seed)
     phi, xi, eta = s.phi, s.xi, s.eta
     rhs = (
         np.einsum("iab,aj,bk->ijk", c, phi, phi)
         + np.einsum("j,ik->ijk", eta, np.einsum("iak,a->ik", c, xi))
         + np.einsum("k,ij->ijk", eta, np.einsum("ija,a->ij", c, xi))
     )
-    got = membership_residuals(s, Tensor3(c))
+    got = membership_residuals(s, c)
     assert got["phi_relation"] == pytest.approx(np.max(np.abs(c - rhs)), rel=REL)
 
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_embed_structure_tensor(n, seed):
     s, t = random_structure(n, seed), raw_tensor(n, seed)
-    S = 0.5 * (t.comps + t.comps.transpose(0, 2, 1))
+    S = 0.5 * (t + t.transpose(0, 2, 1))
     phi, xi, eta = s.phi, s.xi, s.eta
     h = -(phi @ phi)
     s_h_xi = np.einsum("iab,aj,b->ij", S, h, xi)
@@ -80,7 +79,7 @@ def test_embed_structure_tensor(n, seed):
         np.einsum("iab,aj,bk->ijk", S, h, h) + np.einsum("iab,aj,bk->ijk", S, phi, phi)
     )
     want += np.einsum("j,ik->ijk", eta, s_h_xi) + np.einsum("k,ij->ijk", eta, s_h_xi)
-    assert_close(embed_structure_tensor(s, t).comps, want)
+    assert_close(embed_structure_tensor(s, t), want)
 
 
 @pytest.mark.parametrize("n, seed", CASES)
@@ -88,7 +87,7 @@ def test_inner_product(n, seed):
     s = random_structure(n, seed)
     f1, f2 = raw_tensor(n, seed), raw_tensor(n, seed + 7)
     gi = s.g_inv
-    terms = np.einsum("iq,jr,ks,ijk,qrs->ijkqrs", gi, gi, gi, f1.comps, f2.comps)
+    terms = np.einsum("iq,jr,ks,ijk,qrs->ijkqrs", gi, gi, gi, f1, f2)
     # relative to the sum of |terms|: the indefinite metric lets them cancel
     got = inner_product(s, f1, f2)
     assert abs(got - terms.sum()) <= REL * np.abs(terms).sum()
@@ -96,9 +95,9 @@ def test_inner_product(n, seed):
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_lee_forms(n, seed):
-    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    s, c = random_structure(n, seed), raw_tensor(n, seed)
     gi_h = s.g_inv - np.outer(s.xi, s.xi)
-    lf = lee_forms(s, Tensor3(c))
+    lf = lee_forms(s, c)
     assert_close(lf.theta, np.einsum("ij,ijk->k", gi_h, c))
     assert_close(lf.theta_star, np.einsum("ij,aj,iak->k", gi_h, s.phi, c))
     assert_close(lf.omega, np.einsum("a,b,abk->k", s.xi, s.xi, c))
@@ -111,12 +110,12 @@ def test_act(n, seed):
     a = np.eye(d) + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, d))
     ai = np.linalg.inv(a)
     # act takes any invertible matrix, so a general one tests it
-    assert_close(act(s, a, f).comps, np.einsum("abc,ai,bj,ck->ijk", f.comps, ai, ai, ai))
+    assert_close(act(s, a, f), np.einsum("abc,ai,bj,ck->ijk", f, ai, ai, ai))
 
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_xi_bracket(n, seed):
-    s, c = random_structure(n, seed), raw_tensor(n, seed).comps
+    s, c = random_structure(n, seed), raw_tensor(n, seed)
     P = s.phi @ s.phi
     for m1, m2 in ((P, P), (s.phi, s.phi), (s.phi, P)):
         want = np.einsum("abc,ai,bj,c->ij", c, m1, m2, s.xi)
@@ -126,7 +125,7 @@ def test_xi_bracket(n, seed):
 @pytest.mark.parametrize("n, seed", CASES)
 def test_project_w(n, seed):
     s, f = random_structure(n, seed), raw_tensor(n, seed)
-    c, xi, eta = f.comps, s.xi, s.eta
+    c, xi, eta = f, s.xi, s.eta
     P = s.phi @ s.phi
     want = {
         1: -np.einsum("abc,ai,bj,ck->ijk", c, P, P, P),
@@ -139,13 +138,13 @@ def test_project_w(n, seed):
         ),
     }
     for i in (1, 2, 3, 4):
-        assert_close(project_w(s, f, i).comps, want[i])
+        assert_close(project_w(s, f, i), want[i])
 
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_class_residual_f10_f11(n, seed):
     s, f = random_structure(n, seed), raw_tensor(n, seed)
-    c, phi, xi, eta = f.comps, s.phi, s.xi, s.eta
+    c, phi, xi, eta = f, s.phi, s.xi, s.eta
     e_mat = np.einsum("abc,a,bj,ck->jk", c, xi, phi, phi)
     f10 = np.max(np.abs(c - np.einsum("i,jk->ijk", eta, e_mat)))
     omega = np.einsum("a,b,abk->k", xi, xi, c)
@@ -159,7 +158,7 @@ def test_class_residual_f10_f11(n, seed):
 def test_class_residual(n, seed):
     """Classes F1..F9; F10 and F11 are in test_class_residual_f10_f11."""
     s, f = random_structure(n, seed), raw_tensor(n, seed)
-    c, phi, xi, eta = f.comps, s.phi, s.xi, s.eta
+    c, phi, xi, eta = f, s.phi, s.xi, s.eta
     lf = lee_forms(s, f)
 
     def worst(*arrays):
@@ -175,7 +174,7 @@ def test_class_residual(n, seed):
     d_mat = np.einsum("ija,a->ij", c, xi)
     b_mat = np.einsum("abc,ai,bj,c->ij", c, phi, phi, xi)
     recon = c - np.einsum("ij,k->ijk", d_mat, eta) - np.einsum("ik,j->ijk", d_mat, eta)
-    want = {i: worst(c - component(s, f, i).comps) for i in (1, 4, 5)}
+    want = {i: worst(c - component(s, f, i)) for i in (1, 4, 5)}
     want[2] = worst(first, second, cyc_phi, lf.theta)
     want[3] = worst(first, second, cyc)
     want[6] = worst(recon, d_mat - d_mat.T, d_mat + b_mat, lf.theta, lf.theta_star)
@@ -192,7 +191,7 @@ def test_class_residual_second_slot_xi():
     (no vertical first slot, zero cyclic sum), which random tensors never isolate."""
     c = np.zeros((3, 3, 3))
     c[1, 0, 2], c[2, 1, 0] = 1.0, -1.0
-    assert _class_residual(canonical_structure(1), Tensor3(c), 3) == 1.0
+    assert _class_residual(canonical_structure(1), c, 3) == 1.0
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_koszul_pipeline(n, seed):
@@ -201,7 +200,7 @@ def test_koszul_pipeline(n, seed):
     whose residuals would be rounding noise)."""
     s = random_structure(n, seed)
     d, g, phi = s.dim, s.g, s.phi
-    spec = LieAlgebraSpec(structure=s, c=raw_tensor(n, seed + 3).comps)
+    spec = LieAlgebraSpec(structure=s, c=raw_tensor(n, seed + 3))
     c = spec.c
     rhs = (
         np.einsum("ijm,mk->ijk", c, g)
@@ -214,11 +213,11 @@ def test_koszul_pipeline(n, seed):
             want[i, j] = np.linalg.solve(g, 0.5 * rhs[i, j])
     assert_close(koszul_connection(spec), want)
 
-    gamma = raw_tensor(n, seed + 5).comps
+    gamma = raw_tensor(n, seed + 5)
     torsion = gamma - gamma.transpose(1, 0, 2) - c
     compat = np.einsum("ijm,mk->ijk", gamma, g) + np.einsum("ikm,mj->ijk", gamma, g)
     got = connection_residuals(spec, gamma)
     assert got == pytest.approx((np.max(np.abs(torsion)), np.max(np.abs(compat))), rel=REL)
     nabla_phi = np.einsum("mj,iml->ijl", phi, gamma) - np.einsum("ijm,lm->ijl", gamma, phi)
     want_f = np.einsum("ijl,lk->ijk", nabla_phi, g)
-    assert_close(structure_tensor_from_connection(spec, gamma).comps, want_f)
+    assert_close(structure_tensor_from_connection(spec, gamma), want_f)

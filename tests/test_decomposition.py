@@ -17,7 +17,7 @@ from acbm.errors import PreconditionError
 from acbm.models import lie_family, koszul_connection, sphere_structure_tensor, structure_tensor_from_connection
 from acbm.structure import canonical_structure
 from acbm.tensors import (
-    Tensor3,
+    _max_abs,
     inner_product,
     is_structure_tensor,
     lee_forms,
@@ -28,43 +28,43 @@ from conftest import random_structure
 from test_tensors import f4_form, f8_form
 
 
-def f10_form(nu: float = 1.0) -> Tensor3:
+def f10_form(nu: float = 1.0) -> np.ndarray:
     c = np.zeros((3, 3, 3))
     c[0, 1, 1] = c[0, 2, 2] = nu
-    return Tensor3(c)
+    return c
 
 
-def f11_form(w1: float = 1.0, w2: float = 0.0) -> Tensor3:
+def f11_form(w1: float = 1.0, w2: float = 0.0) -> np.ndarray:
     c = np.zeros((3, 3, 3))
     c[0, 1, 0] = c[0, 0, 1] = w1
     c[0, 2, 0] = c[0, 0, 2] = w2
-    return Tensor3(c)
+    return c
 
 
-def f1_form(th1: float = 1.0, th2: float = 0.0) -> Tensor3:
+def f1_form(th1: float = 1.0, th2: float = 0.0) -> np.ndarray:
     c = np.zeros((3, 3, 3))
     c[1, 1, 1] = c[1, 2, 2] = th1
     c[2, 1, 1] = c[2, 2, 2] = -th2
-    return Tensor3(c)
+    return c
 
 
 class TestProjectW:
     def test_p1_kills_f11(self, s1):
-        assert project_w(s1, f11_form(), 1).max_abs() == 0.0
+        assert _max_abs(project_w(s1, f11_form(), 1)) == 0.0
 
     def test_p3_fixes_f10(self, s1):
         f = f10_form(2.5)
-        assert (project_w(s1, f, 3) - f).max_abs() <= 1e-15
+        assert _max_abs(project_w(s1, f, 3) - f) <= 1e-15
 
     @pytest.mark.parametrize("seed", range(20))
     def test_projector_sum_is_identity(self, seed):
         n = 1 + seed % 3
         s = canonical_structure(n)
         f = random_structure_tensor(s, seed)
-        total = Tensor3.zeros(s.dim)
+        total = np.zeros((s.dim,) * 3)
         for i in range(1, 5):
             total = total + project_w(s, f, i)
-        assert (total - f).max_abs() <= 1e-9 * max(1.0, f.max_abs())
+        assert _max_abs(total - f) <= 1e-9 * max(1.0, _max_abs(f))
 
     @pytest.mark.parametrize("i", range(1, 5))
     @pytest.mark.parametrize("seed", range(3))
@@ -73,7 +73,7 @@ class TestProjectW:
         f = random_structure_tensor(s, seed)
         g = random_structure_tensor(s, seed + 40)
         p = project_w(s, f, i)
-        assert (project_w(s, p, i) - p).max_abs() <= 1e-12
+        assert _max_abs(project_w(s, p, i) - p) <= 1e-12
         lhs = inner_product(s, p, g)
         rhs = inner_product(s, f, project_w(s, g, i))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -84,11 +84,11 @@ class TestProjectW:
             p = project_w(s2, f, i)
             for j in range(1, 5):
                 if j != i:
-                    assert project_w(s2, p, j).max_abs() <= 1e-12
+                    assert _max_abs(project_w(s2, p, j)) <= 1e-12
 
     def test_rejects_bad_index(self, s1):
         with pytest.raises(ValueError):
-            project_w(s1, Tensor3.zeros(3), 5)
+            project_w(s1, np.zeros((3, 3, 3)), 5)
 
 
 class TestW2Involutions:
@@ -98,7 +98,7 @@ class TestW2Involutions:
         s = canonical_structure(2)
         f = project_w(s, random_structure_tensor(s, seed), 2)
         twice = w2_involution(s, w2_involution(s, f, j), j)
-        assert (twice - f).max_abs() <= 1e-12
+        assert _max_abs(twice - f) <= 1e-12
 
     def test_isometry_on_w2(self, s2):
         f = project_w(s2, random_structure_tensor(s2, 1), 2)
@@ -111,17 +111,17 @@ class TestW2Involutions:
         f = random_structure_tensor(s2, 7)
         comps = {i: component(s2, f, i) for i in range(4, 10)}
         for i in comps:
-            assert comps[i].max_abs() > 1e-12, f"component {i} unexpectedly zero"
+            assert _max_abs(comps[i]) > 1e-12, f"component {i} unexpectedly zero"
         # L1 fixes F4, F5, F6, F8 and negates F7, F9
         for i in (4, 5, 6, 8):
-            assert (w2_involution(s2, comps[i], 1) - comps[i]).max_abs() <= 1e-12
+            assert _max_abs(w2_involution(s2, comps[i], 1) - comps[i]) <= 1e-12
         for i in (7, 9):
-            assert (w2_involution(s2, comps[i], 1) + comps[i]).max_abs() <= 1e-12
+            assert _max_abs(w2_involution(s2, comps[i], 1) + comps[i]) <= 1e-12
         # L2 fixes F8, F9 and negates F4, F5, F6, F7
         for i in (8, 9):
-            assert (w2_involution(s2, comps[i], 2) - comps[i]).max_abs() <= 1e-12
+            assert _max_abs(w2_involution(s2, comps[i], 2) - comps[i]) <= 1e-12
         for i in (4, 5, 6, 7):
-            assert (w2_involution(s2, comps[i], 2) + comps[i]).max_abs() <= 1e-12
+            assert _max_abs(w2_involution(s2, comps[i], 2) + comps[i]) <= 1e-12
 
     def test_rejects_operand_outside_w2(self, s1):
         with pytest.raises(PreconditionError):
@@ -139,7 +139,7 @@ class TestW2Involutions:
             w2_involution(s2, 1e-10 * f, j)
         p2f = project_w(s2, f, 2)
         got = w2_involution(s2, 1e-10 * p2f, j)
-        assert (got - 1e-10 * w2_involution(s2, p2f, j)).max_abs() <= 1e-24
+        assert _max_abs(got - 1e-10 * w2_involution(s2, p2f, j)) <= 1e-24
 
 
 class TestComponent:
@@ -147,30 +147,30 @@ class TestComponent:
         spec = lie_family(1, [0.0, 1.0])
         f = structure_tensor_from_connection(spec, koszul_connection(spec))
         s = spec.structure
-        assert (component(s, f, 10) - f).max_abs() <= 1e-12
+        assert _max_abs(component(s, f, 10) - f) <= 1e-12
         for i in range(1, NUM_CLASSES + 1):
             if i != 10:
-                assert component(s, f, i).max_abs() <= 1e-12
+                assert _max_abs(component(s, f, i)) <= 1e-12
 
     def test_f8_projection_is_identity_on_own_class(self, s1):
         f = f8_form()
-        assert (component(s1, f, 8) - f).max_abs() <= 1e-12
+        assert _max_abs(component(s1, f, 8) - f) <= 1e-12
         for i in range(1, NUM_CLASSES + 1):
             if i != 8:
-                assert component(s1, f, i).max_abs() <= 1e-12
+                assert _max_abs(component(s1, f, i)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_idempotency_across_classes(self, n, seed):
         s = canonical_structure(n)
         f = random_structure_tensor(s, seed)
-        scale = max(1.0, f.max_abs())
+        scale = max(1.0, _max_abs(f))
         for i in range(1, NUM_CLASSES + 1):
             ci = component(s, f, i)
-            assert (component(s, ci, i) - ci).max_abs() <= 1e-9 * scale
+            assert _max_abs(component(s, ci, i) - ci) <= 1e-9 * scale
             for j in range(1, NUM_CLASSES + 1):
                 if j != i:
-                    assert component(s, ci, j).max_abs() <= 1e-9 * scale
+                    assert _max_abs(component(s, ci, j)) <= 1e-9 * scale
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closure(self, seed):
@@ -181,13 +181,13 @@ class TestComponent:
 
     def test_rejects_bad_index(self, s1):
         with pytest.raises(ValueError):
-            component(s1, Tensor3.zeros(3), 12)
+            component(s1, np.zeros((3, 3, 3)), 12)
 
 
 class TestDecompose:
     def test_zero_tensor(self, s1):
-        d = decompose(s1, Tensor3.zeros(3))
-        assert all(t.max_abs() == 0.0 for t in d.components)
+        d = decompose(s1, np.zeros((3, 3, 3)))
+        assert all(_max_abs(t) == 0.0 for t in d.components)
         assert d.reconstruction_residual == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -210,7 +210,7 @@ class TestDecompose:
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
         with pytest.raises(PreconditionError, match="phi_relation"):
-            decompose(s1, Tensor3(c))
+            decompose(s1, c)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_residual_gate(self, n, monkeypatch):
@@ -221,7 +221,7 @@ class TestDecompose:
 
         def broken(*args):
             arrays = original(*args)
-            arrays[10] = arrays[10] + 0.5 * f.max_abs()
+            arrays[10] = arrays[10] + 0.5 * _max_abs(f)
             return arrays
 
         monkeypatch.setattr(dec, "_component_arrays", broken)
@@ -237,11 +237,11 @@ class TestDecompose:
         f = random_structure_tensor(s, n)
         d = decompose(s, f)
         for t, mag in zip(d.components, d.magnitudes):
-            assert not t.comps.flags.writeable
-            assert not np.shares_memory(t.comps, f.comps)
-            assert mag == t.max_abs()
+            assert not t.flags.writeable
+            assert not np.shares_memory(t, f)
+            assert mag == _max_abs(t)
         with pytest.raises(ValueError):
-            d.components[0].comps[0, 0, 0] = 1.0
+            d.components[0][0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_orthogonality(self, seed):
@@ -266,7 +266,7 @@ class TestClassPredicates:
 
     def test_zero_tensor_in_every_class(self, s1):
         for i in range(1, NUM_CLASSES + 1):
-            assert satisfies_class(s1, Tensor3.zeros(3), i)
+            assert satisfies_class(s1, np.zeros((3, 3, 3)), i)
 
     def test_f8_fails_f4_predicate(self, s1):
         assert not satisfies_class(s1, f8_form(), 4)
@@ -278,7 +278,7 @@ class TestClassPredicates:
 
     def test_rejects_bad_index(self, s1):
         with pytest.raises(ValueError):
-            satisfies_class(s1, Tensor3.zeros(3), 0)
+            satisfies_class(s1, np.zeros((3, 3, 3)), 0)
 
 
 class TestWSubspaces:
@@ -320,7 +320,7 @@ class TestLeeFormVanishingTable:
         s = canonical_structure(n)
         f = random_structure_tensor(s, seed)
         h = -(s.phi @ s.phi)
-        tol = 1e-12 * max(1.0, f.max_abs())
+        tol = 1e-12 * max(1.0, _max_abs(f))
         p1, p2, p3, p4 = (project_w(s, f, i) for i in range(1, 5))
         lf1 = lee_forms(s, p1)
         assert abs(lf1.theta @ s.xi) <= tol
@@ -342,7 +342,7 @@ class TestLeeFormVanishingTable:
     def test_w21_refinement(self, seed):
         s = canonical_structure(2)
         f = random_structure_tensor(s, seed)
-        tol = 1e-12 * max(1.0, f.max_abs())
+        tol = 1e-12 * max(1.0, _max_abs(f))
         assert abs(lee_forms(s, component(s, f, 4)).theta_star @ s.xi) <= tol
         assert abs(lee_forms(s, component(s, f, 5)).theta @ s.xi) <= tol
         lf6 = lee_forms(s, component(s, f, 6))
@@ -352,7 +352,7 @@ class TestLeeFormVanishingTable:
 
 class TestClassify:
     def test_zero_tensor_is_f0(self, s1):
-        report = classify(s1, Tensor3.zeros(3))
+        report = classify(s1, np.zeros((3, 3, 3)))
         assert report.is_F0
         assert report.present == ()
         assert report.class_names() == ()
@@ -384,7 +384,7 @@ class TestClassify:
         s = canonical_structure(2)
         raw = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(5, 5, 5))
         with pytest.raises(PreconditionError):
-            classify(s, Tensor3(1e-10 * raw))
+            classify(s, 1e-10 * raw)
         f = random_structure_tensor(s, seed)
         assert classify(s, 1e-10 * f).present == classify(s, f).present
 
@@ -405,5 +405,5 @@ class TestCrossRouteOracle:
         l2l1 = w2_involution(s, l1, 2)
         via_involutions = 0.25 * (p2f + l1 - l2 - l2l1)
         via_formulas = component(s, f, 4) + component(s, f, 5) + component(s, f, 6)
-        scale = max(1.0, f.max_abs())
-        assert (via_involutions - via_formulas).max_abs() <= 1e-9 * scale
+        scale = max(1.0, _max_abs(f))
+        assert _max_abs(via_involutions - via_formulas) <= 1e-9 * scale

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 import acbm.decomposition as dec
-from acbm import models
 from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
-from acbm.group import act, random_group_element
 from acbm.structure import canonical_structure
-from acbm.tensors import Tensor3, embed_structure_tensor, random_structure_tensor
+from acbm.tensors import _max_abs, embed_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
 
 from conftest import basis_change, push_structure, random_structure
@@ -29,7 +27,7 @@ def sym_pair(q, eta):
 
 
 def formula_components(s, c) -> dict:
-    """The eleven components of the tensor with comps c, one formula each."""
+    """The eleven components of the tensor c, one formula each."""
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     P = phi @ phi
     two_n = 2.0 * s.n
@@ -76,9 +74,9 @@ def formula_components(s, c) -> dict:
     }
 
 
-def raw_tensor(n: int, seed: int) -> Tensor3:
+def raw_tensor(n: int, seed: int) -> np.ndarray:
     d = 2 * n + 1
-    return Tensor3(np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d)))
+    return np.random.default_rng(1000 + seed).uniform(-1.0, 1.0, size=(d, d, d))
 
 
 @pytest.mark.parametrize("admissible", [True, False], ids=["admissible", "raw"])
@@ -88,10 +86,10 @@ def test_kernel_matches_formulas(n, seed, admissible):
     if admissible:
         f = embed_structure_tensor(s, f)
     got = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
-    want = formula_components(s, f.comps)
+    want = formula_components(s, f)
     # relative to the input: at n = 1 some components of an admissible
     # tensor vanish, and their formulas give rounding noise only
-    scale = f.max_abs()
+    scale = _max_abs(f)
     for i in range(1, NUM_CLASSES + 1):
         assert got[i].shape == want[i].shape
         assert np.max(np.abs(got[i] - want[i])) <= REL * scale, f"F{i}"
@@ -114,7 +112,7 @@ def test_decompose_equals_component_bitwise(make_structure, n, seed):
     f = random_structure_tensor(s, seed)
     d = decompose(s, f)
     for i in range(1, NUM_CLASSES + 1):
-        assert d.components[i - 1].comps.tobytes() == component(s, f, i).comps.tobytes()
+        assert d.components[i - 1].tobytes() == component(s, f, i).tobytes()
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -145,24 +143,6 @@ def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
     assert (len(single), len(whole)) == (0, 3)
 
 
-def test_fresh_results_are_not_copied(monkeypatch):
-    """Tensor3(...) copies its input; arrays the package has just built are sealed in place."""
-    copies = []
-    original = Tensor3.__post_init__
-    monkeypatch.setattr(Tensor3, "__post_init__", lambda t: copies.append(1) or original(t))
-    s = canonical_structure(2)
-    f = random_structure_tensor(s, 0)
-    p2 = dec.project_w(s, f, 2)
-    results = [p2, dec.component(s, f, 3), dec.w2_involution(s, p2, 1), dec.w2_involution(s, p2, 2)]
-    results += [act(s, random_group_element(2, 0), f), f + p2, f - p2, -f, 2.0 * f, Tensor3.zeros(5)]
-    results.append(models.sphere_structure_tensor(2, 0.3)[1])
-    spec = models.lie_family(2, [0.5, -1.0, 2.0, 0.25])
-    results.append(models.structure_tensor_from_connection(spec, models.koszul_connection(spec)))
-    assert all(check.passed for check in run_suite("dim3", 3))
-    assert copies == []
-    assert not any(t.comps.flags.writeable for t in results)
-
-
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))
 def test_component_builds_only_what_it_needs(monkeypatch, i):
     s = random_structure(1, 0)
@@ -183,12 +163,12 @@ def test_gl_naturality(n, seed):
     t_inv = np.linalg.inv(t)
     pushed = push_structure(s, t)
 
-    def push(x: Tensor3) -> Tensor3:
-        return Tensor3(np.einsum("abc,ai,bj,ck->ijk", x.comps, t_inv, t_inv, t_inv))
+    def push(x: np.ndarray) -> np.ndarray:
+        return np.einsum("abc,ai,bj,ck->ijk", x, t_inv, t_inv, t_inv)
 
     got = decompose(pushed, push(f))
     want = decompose(s, f)
-    scale = f.max_abs()
+    scale = _max_abs(f)
     for i in range(NUM_CLASSES):
         diff = got.components[i] - push(want.components[i])
-        assert diff.max_abs() <= 1e-12 * scale, f"F{i + 1}"
+        assert _max_abs(diff) <= 1e-12 * scale, f"F{i + 1}"

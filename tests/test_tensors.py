@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
 
+from acbm import fileio
+from acbm.decomposition import (
+    classify,
+    component,
+    decompose,
+    in_w_subspace,
+    project_w,
+    satisfies_class,
+    w2_involution,
+)
+from acbm.group import act, random_group_element
+from acbm.models import (
+    dim3_coefficients,
+    dim3_decompose,
+    dim3_lee_forms,
+    koszul_connection,
+    lie_family,
+    sphere_structure_tensor,
+    structure_tensor_from_connection,
+)
 from acbm.structure import canonical_structure
 from acbm.tensors import (
-    Tensor3,
+    _max_abs,
     embed_structure_tensor,
     inner_product,
     is_structure_tensor,
@@ -15,25 +35,25 @@ from acbm.tensors import (
 from conftest import random_structure
 
 
-def f8_form(lam: float = 1.0) -> Tensor3:
+def f8_form(lam: float = 1.0) -> np.ndarray:
     """Dimension-3 class-F8 tensor with coefficient lam."""
     c = np.zeros((3, 3, 3))
     c[1, 0, 1] = c[1, 1, 0] = c[2, 0, 2] = c[2, 2, 0] = lam
-    return Tensor3(c)
+    return c
 
 
-def f4_form(theta0: float = 2.0) -> Tensor3:
+def f4_form(theta0: float = 2.0) -> np.ndarray:
     """Dimension-3 class-F4 tensor with theta(xi) = theta0."""
     c = np.zeros((3, 3, 3))
     half = 0.5 * theta0
     c[1, 0, 1] = c[1, 1, 0] = half
     c[2, 0, 2] = c[2, 2, 0] = -half
-    return Tensor3(c)
+    return c
 
 
 class TestMembership:
     def test_zero_tensor(self, s1):
-        assert is_structure_tensor(s1, Tensor3.zeros(3))
+        assert is_structure_tensor(s1, np.zeros((3, 3, 3)))
 
     def test_f8_form(self, s1):
         assert is_structure_tensor(s1, f8_form())
@@ -42,12 +62,12 @@ class TestMembership:
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
         # the phi relation forces F(x, xi, xi) = 0
-        assert not is_structure_tensor(s1, Tensor3(c))
-        assert membership_residuals(s1, Tensor3(c))["phi_relation"] == pytest.approx(1.0)
+        assert not is_structure_tensor(s1, c)
+        assert membership_residuals(s1, c)["phi_relation"] == pytest.approx(1.0)
 
     def test_verdict_does_not_depend_on_scale(self):
         s = random_structure(2, 0)
-        raw = Tensor3(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 5, 5)))
+        raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 5, 5))
         f = random_structure_tensor(s, 0)
         for scale in (1e-10, 1.0, 1e10):
             assert not is_structure_tensor(s, scale * raw)
@@ -55,14 +75,14 @@ class TestMembership:
 
     def test_dimension_mismatch(self, s1):
         with pytest.raises(ValueError):
-            is_structure_tensor(s1, Tensor3.zeros(5))
+            is_structure_tensor(s1, np.zeros((5, 5, 5)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_forced_vanishing_of_x_xi_xi(self, seed):
         n = 1 + seed % 3
         s = canonical_structure(n)
         f = random_structure_tensor(s, seed)
-        slot = np.einsum("iab,a,b->i", f.comps, s.xi, s.xi)
+        slot = np.einsum("iab,a,b->i", f, s.xi, s.xi)
         np.testing.assert_allclose(slot, np.zeros(s.dim), atol=1e-12)
 
 
@@ -72,7 +92,7 @@ class TestEmbedding:
     def test_image_is_admissible(self, n, seed):
         s = canonical_structure(n)
         rng = np.random.default_rng(seed)
-        raw = Tensor3(rng.uniform(-1.0, 1.0, (s.dim,) * 3))
+        raw = rng.uniform(-1.0, 1.0, (s.dim,) * 3)
         assert is_structure_tensor(s, embed_structure_tensor(s, raw))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -81,22 +101,22 @@ class TestEmbedding:
         s = canonical_structure(n)
         f = random_structure_tensor(s, seed)
         again = embed_structure_tensor(s, f)
-        assert (again - f).max_abs() <= 1e-12
+        assert _max_abs(again - f) <= 1e-12
 
     def test_preserves_admissible_exemplar(self, s1):
         f = f8_form()
-        assert (embed_structure_tensor(s1, f) - f).max_abs() <= 1e-12
+        assert _max_abs(embed_structure_tensor(s1, f) - f) <= 1e-12
 
     def test_annihilates_pure_vertical(self, s1):
         c = np.zeros((3, 3, 3))
         c[0, 0, 0] = 1.0
-        assert embed_structure_tensor(s1, Tensor3(c)).max_abs() == 0.0
+        assert _max_abs(embed_structure_tensor(s1, c)) == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_canonical_structure(self, seed):
         s = random_structure(2, seed)
         rng = np.random.default_rng(seed)
-        raw = Tensor3(rng.uniform(-1.0, 1.0, (s.dim,) * 3))
+        raw = rng.uniform(-1.0, 1.0, (s.dim,) * 3)
         assert is_structure_tensor(s, embed_structure_tensor(s, raw))
 
 
@@ -104,25 +124,24 @@ class TestRandomStructureTensor:
     def test_deterministic(self, s2):
         a = random_structure_tensor(s2, 123)
         b = random_structure_tensor(s2, 123)
-        np.testing.assert_array_equal(a.comps, b.comps)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_sensitivity(self, s2):
         a = random_structure_tensor(s2, 0)
         b = random_structure_tensor(s2, 1)
-        assert (a - b).max_abs() > 1e-6
+        assert _max_abs(a - b) > 1e-6
 
     def test_hundred_seeds_admissible_and_nonzero(self, s1):
         for seed in range(100):
             f = random_structure_tensor(s1, seed)
             assert is_structure_tensor(s1, f)
-            assert f.max_abs() > 1e-6
+            assert _max_abs(f) > 1e-6
 
 
 class TestInnerProduct:
     def test_triple_negative_slot(self, s1):
-        c = np.zeros((3, 3, 3))
-        c[2, 2, 2] = 1.0
-        f = Tensor3(c)
+        f = np.zeros((3, 3, 3))
+        f[2, 2, 2] = 1.0
         # three factors of g^22 = -1
         assert inner_product(s1, f, f) == pytest.approx(-1.0)
 
@@ -185,32 +204,73 @@ class TestLeeForms:
         np.testing.assert_allclose(combined.omega, 2 * lf1.omega + 3 * lf2.omega, atol=1e-12)
 
 
-class TestTensor3:
-    def test_rejects_non_cube(self):
-        with pytest.raises(ValueError):
-            Tensor3(np.zeros((3, 3, 2)))
+# Every public function that takes a tensor, as f -> call on the structure s.
+TENSOR_TAKERS = {
+    "membership_residuals": lambda s, f: membership_residuals(s, f),
+    "is_structure_tensor": lambda s, f: is_structure_tensor(s, f),
+    "embed_structure_tensor": lambda s, f: embed_structure_tensor(s, f),
+    "inner_product first": lambda s, f: inner_product(s, f, np.zeros((3, 3, 3))),
+    "inner_product second": lambda s, f: inner_product(s, np.zeros((3, 3, 3)), f),
+    "lee_forms": lambda s, f: lee_forms(s, f),
+    "project_w": lambda s, f: project_w(s, f, 1),
+    "w2_involution": lambda s, f: w2_involution(s, f, 1),
+    "component": lambda s, f: component(s, f, 1),
+    "decompose": lambda s, f: decompose(s, f),
+    "satisfies_class": lambda s, f: satisfies_class(s, f, 1),
+    "in_w_subspace": lambda s, f: in_w_subspace(s, f, 1),
+    "classify": lambda s, f: classify(s, f),
+    "act": lambda s, f: act(s, np.eye(3), f),
+    "dim3_lee_forms": lambda s, f: dim3_lee_forms(s, f),
+    "dim3_coefficients": lambda s, f: dim3_coefficients(s, f),
+    "dim3_decompose": lambda s, f: dim3_decompose(s, f),
+    "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
+}
 
-    def test_rejects_non_finite(self):
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 1] = np.nan
-        with pytest.raises(ValueError):
-            Tensor3(c)
 
-    def test_immutable(self, s1):
+def _with_nan():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1] = np.nan
+    return c
+
+
+class TestTensorInput:
+    @pytest.mark.parametrize("name", TENSOR_TAKERS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros((3, 3, 2)), r"^tensor must have shape \(3, 3, 3\), got \(3, 3, 2\)$"),
+            (np.zeros((5, 5, 5)), r"^tensor must have shape \(3, 3, 3\), got \(5, 5, 5\)$"),
+            (_with_nan(), "^tensor contains non-finite entries$"),
+        ],
+        ids=["not-a-cube", "wrong-dimension", "nan"],
+    )
+    def test_public_functions_refuse_a_malformed_tensor(self, s1, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            TENSOR_TAKERS[name](s1, bad)
+
+    def test_array_likes_are_accepted(self, s1):
         f = random_structure_tensor(s1, 0)
-        with pytest.raises(ValueError):
-            f.comps[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(lee_forms(s1, f.tolist()).theta, lee_forms(s1, f).theta)
 
-    def test_arithmetic_results_are_sealed(self, s1):
-        f, g = random_structure_tensor(s1, 0), random_structure_tensor(s1, 1)
-        for result in (f + g, f - g, -f, 2.0 * f, f * 3):
-            assert not result.comps.flags.writeable
-            assert not np.shares_memory(result.comps, f.comps)
-            assert not np.shares_memory(result.comps, g.comps)
-
-    def test_overflowing_arithmetic_raises(self):
-        big = Tensor3(np.full((3, 3, 3), 1e308))
-        with np.errstate(over="ignore"):
-            for overflow in (lambda: big + big, lambda: -big - big, lambda: big * 10):
-                with pytest.raises(ValueError, match="non-finite"):
-                    overflow()
+    def test_returned_tensors_are_read_only(self, s1, s2):
+        f = random_structure_tensor(s2, 0)
+        p2 = project_w(s2, f, 2)
+        spec = lie_family(2, [0.5, -1.0, 2.0, 0.25])
+        results = [
+            f,
+            p2,
+            component(s2, f, 3),
+            w2_involution(s2, p2, 1),
+            w2_involution(s2, p2, 2),
+            embed_structure_tensor(s2, np.ones((5, 5, 5))),
+            act(s2, random_group_element(2, 0), f),
+            decompose(s2, f).components,
+            sphere_structure_tensor(2, 0.3)[1],
+            structure_tensor_from_connection(spec, koszul_connection(spec)),
+            dim3_decompose(s1, random_structure_tensor(s1, 0)).components,
+            fileio.tensor_from_doc(fileio.tensor_to_doc(s2, f))[1],
+        ]
+        for t in results:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[(0,) * t.ndim] = 1.0
