@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .decomposition import classify, component, project_w
+from .decomposition import _check_threshold, classify, component, project_w
 from .errors import PreconditionError
 from .group import random_group_element
 from .models import (
@@ -91,8 +91,7 @@ def _require_flag(ok: bool, flag: str, rule: str, value) -> None:
 
 
 def cmd_classify(args) -> int:
-    _require_flag(0.0 < args.tol < math.inf, "--tol", "a finite number > 0", args.tol)
-    _require_flag(0.0 <= args.abs_floor < math.inf, "--abs-floor", "a finite number >= 0", args.abs_floor)
+    _check_threshold(args.tol, args.abs_floor, ("--tol", "--abs-floor"))
     s, f = _load_classifiable(args.input)
     report = classify(s, f, rel_tol=args.tol, abs_floor=args.abs_floor)
     if args.format == "json":

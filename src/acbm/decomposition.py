@@ -30,6 +30,7 @@ import numpy as np
 from .errors import PreconditionError
 from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
 from .tensors import (
+    _lee_forms,
     _max_abs,
     _pullback,
     _require_structure_tensor,
@@ -37,7 +38,6 @@ from .tensors import (
     _sealed,
     _sym_pair,
     _tensor,
-    lee_forms,
 )
 
 __all__ = [
@@ -198,7 +198,7 @@ def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
     wanted = set(wanted)
     out = {}
     if wanted & {1, 2, 4, 5, 6}:
-        lf = lee_forms(s, c)
+        lf = _lee_forms(s, c)
         gp = s.g @ phi  # g(e_i, phi e_j)
         gpp = phi.T @ s.g @ phi  # g(phi e_i, phi e_j)
     if wanted & {1, 2}:
@@ -259,7 +259,10 @@ def decompose(s: StructureData, f) -> Decomposition:
     max-abs(f); past the fixed bound of _decomposition it raises
     PreconditionError.
     """
-    c = _tensor(s, f)
+    return _decompose(s, _tensor(s, f))
+
+
+def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
     _require_structure_tensor(s, c)
     arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
     return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
@@ -306,7 +309,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
         sym, phi_sign = _W2_SIGNS[i]
         extra = ()
         if i == 6:
-            lf = lee_forms(s, c)
+            lf = _lee_forms(s, c)
             extra = (lf.theta, lf.theta_star)
         recon = c - _sym_pair(d_mat, eta)
         return _max_abs(recon, d_mat - sym * d_mat.T, d_mat - phi_sign * b_mat, *extra)
@@ -314,7 +317,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
     if i in (2, 3):
         cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F
         cyc = cp + cp.transpose(1, 2, 0) + cp.transpose(2, 0, 1)
-        extra = (lee_forms(s, c).theta,) if i == 2 else ()
+        extra = (_lee_forms(s, c).theta,) if i == 2 else ()
         return _max_abs(first, xi @ c, cyc, *extra)
     if i == 10:
         return _max_abs(c - eta[:, None, None] * (phi.T @ first @ phi))  # eta(x) F(xi, phi y, phi z)
@@ -369,6 +372,14 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
     return worst <= DEFAULT_RTOL * _scale(c)
 
 
+def _check_threshold(rel_tol, abs_floor, names=("rel_tol", "abs_floor")) -> None:
+    """The class-threshold rule of classify and `acbm classify`; names are what its messages say."""
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"{names[0]} must be a finite number > 0, got {rel_tol}")
+    if not 0.0 <= abs_floor < np.inf:
+        raise ValueError(f"{names[1]} must be a finite number >= 0, got {abs_floor}")
+
+
 def classify(
     s: StructureData,
     f,
@@ -379,12 +390,13 @@ def classify(
 
     Class i is reported present iff its component magnitude exceeds
     rel_tol * max(max-abs(f), abs_floor); F0 means nothing is present.
-    rel_tol and abs_floor set only this class threshold: the admissibility
-    gate of decompose is fixed. Both are echoed in the report for
-    reproducibility.
+    rel_tol (finite, > 0) and abs_floor (finite, >= 0) set only this class
+    threshold: the admissibility gate of decompose is fixed. Both are
+    echoed in the report for reproducibility.
     """
+    _check_threshold(rel_tol, abs_floor)
     c = _tensor(s, f)
-    dec = decompose(s, c)
+    dec = _decompose(s, c)
     input_magnitude = _max_abs(c)
     threshold = rel_tol * max(input_magnitude, abs_floor)
     present = tuple(

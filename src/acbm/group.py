@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .structure import DEFAULT_RTOL, StructureData, canonical_structure
-from .tensors import _pullback, _sealed, _tensor
+from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _rank, canonical_structure
+from .tensors import _max_abs, _pullback, _sealed, _tensor
 
 __all__ = [
     "random_group_element",
@@ -82,8 +82,7 @@ def random_group_element(n: int, seed: int) -> np.ndarray:
     validate_group_element before it is returned; a failure there is a
     defect, not bad input.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _rank(n)
     rng = np.random.default_rng(seed)
     u1 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
     u2 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
@@ -94,9 +93,7 @@ def random_group_element(n: int, seed: int) -> np.ndarray:
     a_block = e[:n, :n]
     b_block = e[n:, :n]
     # internal consistency of the real representation
-    rep_residual = max(
-        np.max(np.abs(e[n:, n:] - a_block)), np.max(np.abs(e[:n, n:] + b_block))
-    )
+    rep_residual = _max_abs(e[n:, n:] - a_block, e[:n, n:] + b_block)
     a = _assemble(n, a_block, b_block)
     if rep_residual > DEFAULT_RTOL or not validate_group_element(canonical_structure(n), a):
         raise RuntimeError(
@@ -112,12 +109,10 @@ def group_element_from_blocks(n: int, a_block, b_block) -> np.ndarray:
     beyond DEFAULT_RTOL. Useful for the discrete representative
     (A, B) = (-I_n, 0), which the identity-component sampler cannot reach.
     """
-    a_block = np.array(a_block, dtype=float)
-    b_block = np.array(b_block, dtype=float)
-    if a_block.shape != (n, n) or b_block.shape != (n, n):
-        raise ValueError(f"blocks must be {n}x{n}")
-    a = _assemble(n, a_block, b_block)
-    if not validate_group_element(canonical_structure(n), a):
+    s = canonical_structure(n)  # the rank rule, before n sizes the blocks
+    a = _assemble(n, _as_float_array(a_block, (n, n), "block A"),
+                  _as_float_array(b_block, (n, n), "block B"))
+    if not validate_group_element(s, a):
         raise ValueError("blocks do not satisfy the structure-group conditions")
     return a
 
@@ -129,17 +124,9 @@ def validate_group_element(s: StructureData, a) -> bool:
     with phi, each within DEFAULT_RTOL. In the canonical basis these four
     hold exactly when a has the block form of the module docstring.
     """
-    a = np.asarray(a, dtype=float)
-    d = s.dim
-    if a.shape != (d, d):
-        raise ValueError(f"matrix must have shape {(d, d)}, got {a.shape}")
-    residuals = [
-        np.max(np.abs(a @ s.xi - s.xi)),
-        np.max(np.abs(s.eta @ a - s.eta)),
-        np.max(np.abs(a @ s.phi - s.phi @ a)),
-        np.max(np.abs(a.T @ s.g @ a - s.g)),
-    ]
-    return float(max(residuals)) <= DEFAULT_RTOL
+    a = _as_float_array(a, (s.dim, s.dim), "matrix")
+    residual = _max_abs(a @ s.xi - s.xi, s.eta @ a - s.eta, a @ s.phi - s.phi @ a, a.T @ s.g @ a - s.g)
+    return residual <= DEFAULT_RTOL
 
 
 def act(s: StructureData, a, f) -> np.ndarray:
@@ -150,10 +137,7 @@ def act(s: StructureData, a, f) -> np.ndarray:
     inner product, and commutes with every projector and component map.
     """
     c = _tensor(s, f)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (s.dim, s.dim):
-        raise ValueError(f"matrix must have shape {(s.dim, s.dim)}, got {a.shape}")
-    ai = np.linalg.inv(a)  # a singular matrix raises LinAlgError, a ValueError
+    ai = np.linalg.inv(_as_float_array(a, (s.dim, s.dim), "matrix"))  # singular: LinAlgError
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _sealed(_pullback(c, ai, ai, ai))

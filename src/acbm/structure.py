@@ -53,6 +53,7 @@ _SIGNATURE_EIG_TOL = 1e-10
 
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
+    """The one array entry check: a read-only float copy of that shape, or a ValueError naming it."""
     arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -60,6 +61,15 @@ def _as_float_array(value, shape, name: str) -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _rank(n) -> int:
+    """The one rank rule: n as an int, or one ValueError unless it is an integer >= 1 (not a bool)."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +88,7 @@ class StructureData:
     g_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"contact rank n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _rank(self.n))
         d = 2 * self.n + 1
         object.__setattr__(self, "g", _as_float_array(self.g, (d, d), "g"))
         object.__setattr__(self, "phi", _as_float_array(self.phi, (d, d), "phi"))
@@ -120,11 +129,7 @@ def canonical_structure(n: int) -> StructureData:
     and kills xi; eta is the first coordinate form. Built once per n
     and shared: the structure is immutable.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    n = int(n)
+    n = _rank(n)  # before the cache: True == 1 as a key
     if n in _CANONICAL:
         return _CANONICAL[n]
     d = 2 * n + 1
@@ -178,9 +183,5 @@ def validate_structure(s: StructureData) -> ValidationReport:
 def is_canonical_basis(s: StructureData) -> bool:
     """True when the coordinates of s match canonical_structure(s.n) within DEFAULT_ATOL."""
     c = canonical_structure(s.n)
-    return (
-        np.max(np.abs(s.g - c.g)) <= DEFAULT_ATOL
-        and np.max(np.abs(s.phi - c.phi)) <= DEFAULT_ATOL
-        and np.max(np.abs(s.xi - c.xi)) <= DEFAULT_ATOL
-        and np.max(np.abs(s.eta - c.eta)) <= DEFAULT_ATOL
-    )
+    pairs = ((s.g, c.g), (s.phi, c.phi), (s.xi, c.xi), (s.eta, c.eta))
+    return all(np.max(np.abs(a - b)) <= DEFAULT_ATOL for a, b in pairs)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
+from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _as_float_array
 
 __all__ = [
     "membership_residuals",
@@ -57,15 +57,8 @@ class LeeForms:
 
 
 def _tensor(s: StructureData, f) -> np.ndarray:
-    """f as a float (d, d, d) array, d = s.dim, or one ValueError for any other
-    shape or an inf or NaN entry. Every public function that takes a tensor
-    calls this first, so none computes on a malformed one."""
-    c = np.asarray(f, dtype=float)
-    if c.shape != (s.dim,) * 3:
-        raise ValueError(f"tensor must have shape {(s.dim,) * 3}, got {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("tensor contains non-finite entries")
-    return c
+    """f checked as a (d, d, d) tensor where it enters; private bodies take the result as is."""
+    return _as_float_array(f, (s.dim,) * 3, "tensor")
 
 
 def _max_abs(*arrays) -> float:
@@ -101,7 +94,10 @@ def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def membership_residuals(s: StructureData, f) -> dict:
     """Worst-case residuals of the two defining identities, by name."""
-    c = _tensor(s, f)
+    return _membership_residuals(s, _tensor(s, f))
+
+
+def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     sym = float(np.max(np.abs(c - c.transpose(0, 2, 1))))
     phi, xi, eta = s.phi, s.xi, s.eta
     f_xi_z = xi @ c  # F(x, xi, z)
@@ -121,7 +117,7 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """
     bound = DEFAULT_RTOL * _scale(c)
     # `not <=` so that a NaN residual refuses rather than passes
-    bad = {k: v for k, v in membership_residuals(s, c).items() if not v <= bound}
+    bad = {k: v for k, v in _membership_residuals(s, c).items() if not v <= bound}
     if bad:
         detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
         raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
@@ -183,7 +179,11 @@ def inner_product(s: StructureData, f1, f2) -> float:
     """
     c1, c2 = _tensor(s, f1), _tensor(s, f2)
     gi_t = s.g_inv.T
-    return float(np.vdot(c1, _pullback(c2, gi_t, gi_t, gi_t)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        value = float(np.vdot(c1, _pullback(c2, gi_t, gi_t, gi_t)))
+    if not np.isfinite(value):
+        raise ValueError("inner product is out of floating-point range")
+    return value
 
 
 def lee_forms(s: StructureData, f) -> LeeForms:
@@ -197,8 +197,12 @@ def lee_forms(s: StructureData, f) -> LeeForms:
     the purely vertical classes, as the decomposition requires; theta*
     is unaffected by the restriction since phi xi = 0.
     """
+    return _lee_forms(s, _tensor(s, f))
+
+
+def _lee_forms(s: StructureData, c: np.ndarray) -> LeeForms:
     d = s.dim
-    c = _tensor(s, f).reshape(d * d, d)
+    c = c.reshape(d * d, d)
     gi_h = s.g_inv - np.outer(s.xi, s.xi)
     theta = gi_h.ravel() @ c
     theta_star = (gi_h @ s.phi.T).ravel() @ c

@@ -8,7 +8,7 @@ import pytest
 import acbm
 from acbm import fileio, tensors
 from acbm.cli import main
-from acbm.decomposition import decompose
+from acbm.decomposition import classify, decompose, satisfies_class
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canonical_structure
 from acbm.tensors import _max_abs, is_structure_tensor, membership_residuals, random_structure_tensor
@@ -67,10 +67,45 @@ def test_nan_residual_refuses(monkeypatch):
     s = canonical_structure(1)
     f = random_structure_tensor(s, 0)
     nan = float("nan")
-    monkeypatch.setattr(tensors, "membership_residuals", lambda *a: {"phi_relation": nan})
+    monkeypatch.setattr(tensors, "_membership_residuals", lambda *a: {"phi_relation": nan})
     assert not is_structure_tensor(s, f)
     with pytest.raises(PreconditionError, match="not an admissible"):
         decompose(s, f)
+
+
+def _count_entry_checks(monkeypatch) -> list:
+    """Record each tensor entry check: tensors._tensor through the one array check."""
+    calls = []
+    original = tensors._as_float_array
+    monkeypatch.setattr(tensors, "_as_float_array", lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, checks",
+    [(["classify"], 1), (["project", "--class-index", "4"], 2), (["project", "--w", "2"], 2)],
+)
+def test_cli_checks_each_tensor_once(tmp_path, capsys, monkeypatch, command, checks):
+    """The document's tensor is checked once where it enters the library;
+    `project` checks one more, the result it writes out."""
+    src = str(tmp_path / "rand.json")
+    main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])
+    calls = _count_entry_checks(monkeypatch)
+    assert main([command[0], src, *command[1:]]) == 0
+    assert len(calls) == checks
+
+
+@pytest.mark.parametrize(
+    "call",
+    [decompose, classify, is_structure_tensor, lambda s, f: satisfies_class(s, f, 2)],
+    ids=["decompose", "classify", "is_structure_tensor", "satisfies_class"],
+)
+def test_library_checks_each_tensor_once(monkeypatch, call):
+    s = canonical_structure(2)
+    f = random_structure_tensor(s, 0)
+    calls = _count_entry_checks(monkeypatch)
+    call(s, f)
+    assert len(calls) == 1
 
 
 def test_only_classify_takes_a_tolerance():

@@ -313,8 +313,8 @@ class TestProject:
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])
         calls = []
-        original = tensors.membership_residuals
-        monkeypatch.setattr(tensors, "membership_residuals", lambda *a: calls.append(1) or original(*a))
+        original = tensors._membership_residuals
+        monkeypatch.setattr(tensors, "_membership_residuals", lambda *a: calls.append(1) or original(*a))
         assert main([command[0], src, *command[1:]]) == 0
         assert len(calls) == 1
 

@@ -375,6 +375,17 @@ class TestClassify:
         assert report.input_magnitude == pytest.approx(1.0)
         assert len(report.magnitudes) == NUM_CLASSES
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rel_tol", v) for v in (np.nan, np.inf, 0.0, -1.0)]
+        + [("abs_floor", v) for v in (np.nan, np.inf, -1.0)],
+    )
+    def test_refuses_a_bad_threshold(self, s1, name, value):
+        """The rule of `classify --tol/--abs-floor`, named by the parameter: a NaN
+        threshold would report F0 and a negative one every class, even F2 and F3."""
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            classify(s1, random_structure_tensor(s1, 0), **{name: value})
+
     def test_class_names_tuple(self):
         assert CLASS_NAMES[0] == "F1"
         assert CLASS_NAMES[-1] == "F11"

@@ -68,6 +68,11 @@ class TestValidateGroupElement:
         with pytest.raises(ValueError):
             validate_group_element(s2, np.eye(3))
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_matrix_is_refused(self, s2, entry):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            validate_group_element(s2, np.diag([1.0, 1.0, 1.0, 1.0, entry]))
+
     def test_discrete_representative(self, s1):
         elem = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
         assert validate_group_element(s1, elem)
@@ -76,6 +81,17 @@ class TestValidateGroupElement:
     def test_from_blocks_rejects_invalid(self):
         with pytest.raises(ValueError):
             group_element_from_blocks(2, 2.0 * np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "a_block, message",
+        [
+            (np.eye(2), r"^block A must have shape \(1, 1\), got \(2, 2\)$"),
+            ([[np.nan]], "^block A contains non-finite entries$"),
+        ],
+    )
+    def test_from_blocks_refuses_malformed_blocks(self, a_block, message):
+        with pytest.raises(ValueError, match=message):
+            group_element_from_blocks(1, a_block, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("place", ["a00", "row0", "col0", "minus_b", "second_a", "orthogonality"])
@@ -157,7 +173,13 @@ class TestAction:
 
     @pytest.mark.parametrize(
         "matrix, message",
-        [(np.zeros((5, 5)), "Singular"), (np.eye(3), "shape"), (np.eye(5)[:, :4], "shape")],
+        [
+            (np.zeros((5, 5)), "Singular"),
+            (np.eye(3), "shape"),
+            (np.eye(5)[:, :4], "shape"),
+            (np.diag([1.0, 1.0, 1.0, 1.0, np.inf]), "^matrix contains non-finite entries$"),
+            (np.diag([1.0, 1.0, 1.0, 1.0, np.nan]), "^matrix contains non-finite entries$"),
+        ],
     )
     def test_refuses_singular_or_misshaped_matrix(self, s2, matrix, message):
         with pytest.raises(ValueError, match=message) as info:

@@ -130,7 +130,7 @@ def _count_calls(monkeypatch, name: str) -> list:
 def test_decompose_builds_shared_terms_once(monkeypatch):
     s = random_structure(2, 0)
     f = random_structure_tensor(s, 0)
-    lee = _count_calls(monkeypatch, "lee_forms")
+    lee = _count_calls(monkeypatch, "_lee_forms")
     w1 = _count_calls(monkeypatch, "_w1_six_terms")
     decompose(s, f)
     assert (len(lee), len(w1)) == (1, 1)
@@ -147,7 +147,7 @@ def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
 def test_component_builds_only_what_it_needs(monkeypatch, i):
     s = random_structure(1, 0)
     f = random_structure_tensor(s, 0)
-    lee = _count_calls(monkeypatch, "lee_forms")
+    lee = _count_calls(monkeypatch, "_lee_forms")
     w1 = _count_calls(monkeypatch, "_w1_six_terms")
     component(s, f, i)
     assert len(lee) == (i in (1, 2, 4, 5, 6))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acbm import structure
+from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import (
     StructureData,
     canonical_structure,
@@ -10,6 +11,16 @@ from acbm.structure import (
 )
 
 from conftest import random_structure
+
+# Every way to give a contact rank n: each applies the one rank rule.
+RANK_TAKERS = {
+    "canonical_structure": canonical_structure,
+    "StructureData": lambda n: StructureData(
+        n=n, **{k: getattr(canonical_structure(1), k) for k in ("g", "phi", "xi", "eta")}
+    ),
+    "random_group_element": lambda n: random_group_element(n, 0),
+    "group_element_from_blocks": lambda n: group_element_from_blocks(n, np.eye(1), np.zeros((1, 1))),
+}
 
 
 class TestCanonicalStructure:
@@ -34,15 +45,18 @@ class TestCanonicalStructure:
         assert report.violations == ()
         assert max(report.residuals.values()) <= 1e-12
 
+    @pytest.mark.parametrize("taker", RANK_TAKERS)
     @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_bad_rank(self, n):
-        with pytest.raises(ValueError):
-            canonical_structure(n)
+    def test_rejects_bad_rank(self, taker, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            RANK_TAKERS[taker](n)
 
+    @pytest.mark.parametrize("taker", RANK_TAKERS)
     @pytest.mark.parametrize("n", [True, 1.5, "1"])
-    def test_rejects_non_integer_rank(self, n):
-        with pytest.raises(ValueError, match="must be an integer"):
-            canonical_structure(n)
+    def test_rejects_non_integer_rank(self, taker, n):
+        canonical_structure(1)  # cached under 1, and True == 1 as a key
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            RANK_TAKERS[taker](n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_built_once_per_rank_and_read_only(self, monkeypatch, n):
