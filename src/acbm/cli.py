@@ -43,7 +43,13 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, canonical_structure, validate_structure
+from .structure import (
+    DEFAULT_ABS_FLOOR,
+    DEFAULT_RTOL,
+    _as_float_array,
+    canonical_structure,
+    validate_structure,
+)
 from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -132,11 +138,7 @@ def cmd_gen(args) -> int:
             params = [float(x) for x in args.a.split(",")]
         except ValueError as exc:
             raise fileio.ParseError(f"--a must be comma-separated floats: {exc}") from exc
-        if len(params) != 2 * args.n:
-            raise fileio.ParseError(
-                f"--a must list {2 * args.n} values for n={args.n}, got {len(params)}"
-            )
-        doc = fileio.lie_to_doc(lie_family(args.n, params))
+        doc = fileio.lie_to_doc(lie_family(args.n, _as_float_array(params, (2 * args.n,), "--a")))
     elif args.kind == "random":
         if args.dim < 3 or args.dim % 2 == 0:
             raise fileio.ParseError(f"--dim must be an odd integer >= 3, got {args.dim}")

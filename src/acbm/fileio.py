@@ -1,7 +1,9 @@
 """JSON file formats for structures, tensors, Lie algebras and reports.
 
 All array fields are flat row-major lists of decimal floats; nested
-lists of the right shape are accepted on input. Numbers are emitted
+lists of the right shape are accepted on input; past the format, each
+array field passes the library's one check, structure._as_float_array,
+whose ValueError names the field. Numbers are emitted
 through the shortest round-trip decimal representation of binary64, so
 a generated file parses back to exactly the in-memory values and
 identical inputs produce byte-identical machine-readable output.
@@ -9,19 +11,21 @@ identical inputs produce byte-identical machine-readable output.
 Input kinds for classification are auto-detected: a document with a
 "brackets" field is a Lie-algebra specification, one with "comps" is a
 tensor; documents with both are rejected. Structure fields omitted
-from any document default to the canonical structure for the given n.
+from any document default to the canonical structure for the given n;
+a document with none of them gets canonical_structure(n) itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import LieAlgebraSpec
-from .structure import MAX_DIM, StructureData, canonical_structure, is_canonical_basis
-from .tensors import _sealed, _tensor
+from .structure import MAX_DIM, StructureData, _as_float_array, canonical_structure, is_canonical_basis
+from .tensors import _tensor
 
 __all__ = [
     "ParseError",
@@ -42,7 +46,7 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed input document: bad JSON, missing field, wrong shape."""
+    """Malformed input document: bad JSON, a missing field, a field of the wrong JSON type."""
 
 
 def _float_list(arr: np.ndarray) -> list:
@@ -80,16 +84,12 @@ def detect_kind(doc: dict) -> str:
 
 
 def _parse_array(value, shape, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    size = int(np.prod(shape))
-    if arr.ndim == 1 and arr.size == size:
-        return arr.reshape(shape)
-    if arr.shape == tuple(shape):
-        return arr
-    raise ParseError(
-        f"field '{name}' must be a flat array of length {size}"
-        f" or have shape {tuple(shape)}, got shape {arr.shape}"
-    )
+    """A field as its array: a flat row-major list of prod(shape) entries is
+    nested into that shape, and anything else goes to the one array check as is."""
+    if isinstance(value, list) and len(value) == math.prod(shape):
+        for k in reversed(shape[1:]):
+            value = [value[i:i + k] for i in range(0, len(value), k)]
+    return _as_float_array(value, shape, name)
 
 
 def _int_field(value, name: str) -> int:
@@ -108,8 +108,6 @@ def _resolve_n(doc: dict) -> int:
         dim = _int_field(dim, "dim")
     if n is not None:
         n = _int_field(n, "n")
-        if n < 1:
-            raise ParseError(f"'n' must be >= 1, got {n}")
         if dim is not None and dim != 2 * n + 1:
             raise ParseError(f"'dim'={dim} inconsistent with n={n} (expected {2 * n + 1})")
     elif dim < 3 or dim % 2 == 0:
@@ -133,34 +131,20 @@ def structure_from_doc(doc: dict) -> StructureData:
     n = _resolve_n(doc)
     d = 2 * n + 1
     base = canonical_structure(n)
-    try:
-        g = _parse_array(doc["g"], (d, d), "g") if "g" in doc else base.g
-        phi = _parse_array(doc["phi"], (d, d), "phi") if "phi" in doc else base.phi
-        xi = _parse_array(doc["xi"], (d,), "xi") if "xi" in doc else base.xi
-        eta = _parse_array(doc["eta"], (d,), "eta") if "eta" in doc else base.eta
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad structure field: {exc}") from exc
-    try:
-        return StructureData(n=n, g=g, phi=phi, xi=xi, eta=eta)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    shapes = {"g": (d, d), "phi": (d, d), "xi": (d,), "eta": (d,)}
+    if shapes.keys().isdisjoint(doc):
+        return base
+    fields = {k: _parse_array(doc[k], shape, k) if k in doc else getattr(base, k)
+              for k, shape in shapes.items()}
+    return StructureData(n=n, **fields)
 
 
 def tensor_from_doc(doc: dict) -> tuple:
     """(structure, tensor) from a tensor document."""
     s = structure_from_doc(doc)
-    d = s.dim
     if "comps" not in doc:
         raise ParseError("missing field: 'comps'")
-    try:
-        comps = _parse_array(doc["comps"], (d, d, d), "comps")
-        return s, _sealed(comps)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad tensor field: {exc}") from exc
+    return s, _parse_array(doc["comps"], (s.dim,) * 3, "comps")
 
 
 def lie_from_doc(doc: dict) -> LieAlgebraSpec:
@@ -168,7 +152,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
 
     Brackets are records {i, j, coeffs} meaning [E_i, E_j] = sum_k
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
-    implied, the diagonal is zero), and so are non-finite coefficients.
+    implied, the diagonal is zero).
     """
     sub = doc.get("structure")
     s = structure_from_doc(sub if isinstance(sub, dict) else doc)
@@ -190,8 +174,6 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
                 " antisymmetry is implied"
             )
         coeffs = _parse_array(rec["coeffs"], (d,), f"brackets[{idx}].coeffs")
-        if not np.all(np.isfinite(coeffs)):
-            raise ParseError(f"field 'brackets[{idx}].coeffs' contains non-finite entries")
         c[i, j] = coeffs
         c[j, i] = -coeffs
     return LieAlgebraSpec(structure=s, c=c)

@@ -97,10 +97,8 @@ def lie_family(n: int, a) -> LieAlgebraSpec:
     lies in the class F9 + F10, with the F9 coefficient a_1 and the
     F10 coefficient -2 a_2.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2 * n,):
-        raise ValueError(f"parameter vector must have length {2 * n}, got {a.shape}")
     s = canonical_structure(n)
+    a = _as_float_array(a, (2 * s.n,), "parameter vector")
     d = s.dim
     c = np.zeros((d, d, d))
     for i in range(1, n + 1):

@@ -16,6 +16,7 @@ then phi e_1..phi e_n, in which g = diag(1, I_n, -I_n).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,19 @@ _SIGNATURE_EIG_TOL = 1e-10
 
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
-    """The one array entry check: a read-only float copy of that shape, or a ValueError naming it."""
-    arr = np.array(value, dtype=float)
+    """The one array entry check: a read-only float copy of that shape, or a ValueError naming it.
+
+    Entries must be real numbers: a string or a bool is refused, not converted.
+    """
+    if not isinstance(value, np.ndarray):  # entry by entry: numpy reads [True, 0] as [1, 0]
+        value = np.array(value, dtype=object)
+    types = set(map(type, value.flat)) if value.dtype == object else {value.dtype.type}
+    if not all(t is not bool and issubclass(t, numbers.Real) for t in types):
+        raise ValueError(f"{name} must be an array of numbers")
+    try:
+        arr = value.astype(float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{name} contains an entry outside the float range") from exc
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -267,7 +267,7 @@ class TestGen:
         assert main(["gen", "liegroup", "--n", "1", "--a", params]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "non-finite" in captured.err
+        assert captured.err == "error: --a contains non-finite entries\n"
 
     def test_negative_first_parameter_needs_equals_form(self, tmp_path, capsys):
         path = str(tmp_path / "lie.json")
@@ -328,7 +328,7 @@ class TestProject:
         assert main([command[0], path, *command[1:]]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: bad tensor field: comps contains non-finite entries\n"
+        assert err == "error: comps contains non-finite entries\n"
 
     def test_requires_exactly_one_selector(self, tmp_path, capsys):
         src = str(tmp_path / "rand.json")
@@ -448,6 +448,30 @@ class TestFileFormats:
         }
         path = write(tmp_path, "nested.json", doc)
         assert main(["classify", path]) == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("comps", ["0.5"] + [0] * 26), ("comps", [True] + [0] * 26), ("xi", [True, False, False]),
+         ("brackets", [{"i": 0, "j": 1, "coeffs": {"a": 1}}])],
+        ids=["string", "bool-among-integers", "bools", "object"],
+    )
+    def test_entries_must_be_json_numbers(self, tmp_path, capsys, field, value):
+        doc = {"n": 1, "comps": [0] * 27, field: value}
+        if field == "brackets":
+            del doc["comps"]
+        path = write(tmp_path, "not_numbers.json", doc)
+        assert main(["classify", path]) == 2
+        name = "brackets[0].coeffs" if field == "brackets" else field
+        assert capsys.readouterr() == ("", f"error: {name} must be an array of numbers\n")
+
+    def test_integer_entries_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "ints.json", {"n": 1, "xi": [1, 0, 0], "comps": [0] * 27})
+        assert main(["classify", path]) == 0
+        assert "classes: F0" in capsys.readouterr().out
+
+    def test_canonical_document_reuses_the_canonical_structure(self):
+        assert fileio.structure_from_doc({"n": 2}) is canonical_structure(2)
+        assert fileio.structure_from_doc({"n": 2, "xi": [1, 0, 0, 0, 0]}) is not canonical_structure(2)
 
     def test_dim_only_document(self, tmp_path):
         path = write(tmp_path, "dim.json", {"dim": 3, "comps": [0.0] * 27})

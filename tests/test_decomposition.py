@@ -18,6 +18,7 @@ from acbm.models import lie_family, koszul_connection, sphere_structure_tensor, 
 from acbm.structure import canonical_structure
 from acbm.tensors import (
     _max_abs,
+    embed_structure_tensor,
     inner_product,
     is_structure_tensor,
     lee_forms,
@@ -253,6 +254,26 @@ class TestDecompose:
         for i in range(NUM_CLASSES):
             for j in range(i + 1, NUM_CLASSES):
                 assert abs(inner_product(s, d.components[i], d.components[j])) <= bound
+
+
+class TestClassDimensions:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_traces_are_the_class_dimensions(self, n):
+        """embed_structure_tensor projects onto the admissible space A and
+        component_i after it onto F_i, so their traces over the unit tensors
+        are dim A = n(n+2)(2n+1) and dim F_i; in dimension 3, F2, F3, F6 and
+        F7 vanish."""
+        s = canonical_structure(n)
+        size = s.dim**3
+        embedded = [embed_structure_tensor(s, e) for e in np.eye(size).reshape((size,) + (s.dim,) * 3)]
+        trace_a = sum(f.ravel()[k] for k, f in enumerate(embedded))
+        traces = sum(decompose(s, f).components.reshape(NUM_CLASSES, size)[:, k]
+                     for k, f in enumerate(embedded))
+        m = n * n
+        expected = [2 * n, n * (n - 1) * (n + 2), m * (n - 1), 1, 1, (n - 1) * (n + 2),
+                    n * (n - 1), m, m, m, 2 * n]
+        assert abs(trace_a - n * (n + 2) * (2 * n + 1)) <= 1e-9
+        np.testing.assert_allclose(traces, expected, rtol=0, atol=1e-9)
 
 
 class TestClassPredicates:

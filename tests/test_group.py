@@ -208,6 +208,21 @@ class TestEquivariance:
             diff = component(s2, af, i) - act(s2, elem, component(s2, f, i))
             assert _max_abs(diff) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_det_minus_one_component_equivariance(self, n):
+        """A = diag(-1, 1, ..., 1), B = 0 lies in the component of O(n; C)
+        with det(A + iB) = -1, which random_group_element never reaches."""
+        s = canonical_structure(n)
+        elem = group_element_from_blocks(n, np.diag([-1.0] + [1.0] * (n - 1)), np.zeros((n, n)))
+        assert validate_group_element(s, elem)
+        for seed in range(3):
+            f = random_structure_tensor(s, seed)
+            af = act(s, elem, f)
+            scale = max(1.0, _max_abs(f))
+            for i in range(1, NUM_CLASSES + 1):
+                diff = component(s, af, i) - act(s, elem, component(s, f, i))
+                assert _max_abs(diff) <= 1e-12 * scale
+
     def test_dim3_discrete_equivariance(self, s1):
         elem = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
         for seed in range(10):

@@ -56,8 +56,13 @@ class TestLieFamily:
         assert check_jacobi(spec)
 
     def test_rejects_wrong_parameter_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parameter vector must have shape \(4,\), got \(2,\)$"):
             lie_family(2, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="^parameter vector contains non-finite entries$"):
+            lie_family(1, [bad, 1.0])
 
 
 class TestCheckJacobi:

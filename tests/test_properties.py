@@ -1,14 +1,20 @@
-"""Property tests over hypothesis-drawn seeds, scales and class subsets.
+"""Property tests over hypothesis-drawn seeds, scales and class subsets,
+and over malformed document fields.
 
 Inputs are admissible tensors on canonical and non-canonical structures
 (the change of basis of conftest.random_structure). Examples are
 derandomized and not stored, so every run checks the same cases.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acbm.cli import main
 from acbm.decomposition import NUM_CLASSES, classify, component, decompose
 from acbm.structure import canonical_structure
 from acbm.tensors import _max_abs, random_structure_tensor
@@ -49,3 +55,59 @@ def test_component_is_idempotent(sf, i):
     ci = component(s, f, i)
     scale = max(_max_abs(f), 1.0)
     assert _max_abs(component(s, ci, i) - ci) <= 1e-12 * scale
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False, width=32) | st.integers(-9, 9)
+_NOT_A_NUMBER = (
+    st.dictionaries(st.text(max_size=2), _NUMBER, max_size=2)
+    | st.text(max_size=4)
+    | st.none()
+    | st.booleans()
+    | st.lists(_NUMBER, min_size=1, max_size=2)
+)
+
+
+@st.composite
+def malformed_fields(draw):
+    """(n, field, value): a value that no array field of dimension d = 2n + 1 accepts."""
+    n = draw(st.integers(1, 2))
+    d = 2 * n + 1
+    field, size = draw(st.sampled_from([("comps", d**3), ("g", d * d), ("phi", d * d),
+                                        ("xi", d), ("eta", d), ("coeffs", d)]))
+    flat = [0.0] * size
+    at = draw(st.integers(0, size - 1))
+    kind = draw(st.sampled_from(["scalar", "entry", "non-finite", "length", "ragged"]))
+    if kind == "scalar":  # an object, a string, null, a bool or a bare number
+        value = draw(_NOT_A_NUMBER | _NUMBER)
+    elif kind == "entry":  # one entry among numbers is not a number
+        value = flat[:at] + [draw(_NOT_A_NUMBER)] + flat[at + 1:]
+    elif kind == "non-finite":
+        value = flat[:at] + [draw(st.sampled_from([np.nan, np.inf, -np.inf]))] + flat[at + 1:]
+    elif kind == "length":
+        value = draw(st.lists(_NUMBER, max_size=size + 2).filter(lambda v: len(v) != size))
+    else:  # rows of unequal length
+        value = [flat[:d], flat[:draw(st.integers(0, d - 1))]] + [flat[:d]] * (d - 2)
+    return n, field, value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(malformed_fields())
+def test_malformed_document_fields_end_in_one_line(tmp_path_factory, nfv):
+    """Every malformed array field of a document exits 2 or 3 with one
+    stderr line naming the field and nothing on stdout; an escaping
+    exception (a traceback at the command line) fails the test."""
+    n, field, value = nfv
+    d = 2 * n + 1
+    if field == "coeffs":
+        name, doc = "brackets[0].coeffs", {"n": n, "brackets": [{"i": 0, "j": 1, "coeffs": value}]}
+    else:
+        name, doc = field, {"n": n, "comps": [0.0] * d**3, field: value}
+    path = tmp_path_factory.mktemp("doc") / "malformed.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["classify", str(path)])
+    assert status in (2, 3)
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: {name} ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

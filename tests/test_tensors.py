@@ -246,6 +246,13 @@ def _with_nan():
     return c
 
 
+def _nested_with(entry):
+    """Nested lists of integer zeros with one entry replaced."""
+    c = np.zeros((3, 3, 3), dtype=object)
+    c[0, 1, 1] = entry
+    return c.tolist()
+
+
 class TestTensorInput:
     @pytest.mark.parametrize("name", TENSOR_TAKERS)
     @pytest.mark.parametrize(
@@ -254,8 +261,13 @@ class TestTensorInput:
             (np.zeros((3, 3, 2)), r"^tensor must have shape \(3, 3, 3\), got \(3, 3, 2\)$"),
             (np.zeros((5, 5, 5)), r"^tensor must have shape \(3, 3, 3\), got \(5, 5, 5\)$"),
             (_with_nan(), "^tensor contains non-finite entries$"),
+            (_nested_with("0.5"), "^tensor must be an array of numbers$"),
+            (_nested_with(True), "^tensor must be an array of numbers$"),
+            (np.zeros((3, 3, 3), dtype=bool), "^tensor must be an array of numbers$"),
+            (_nested_with(10**400), "^tensor contains an entry outside the float range$"),
         ],
-        ids=["not-a-cube", "wrong-dimension", "nan"],
+        ids=["not-a-cube", "wrong-dimension", "nan", "string", "bool-among-integers", "bools",
+             "huge-integer"],
     )
     def test_public_functions_refuse_a_malformed_tensor(self, s1, name, bad, message):
         with pytest.raises(ValueError, match=message):
