@@ -8,12 +8,12 @@ Subcommands:
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
-parameters (non-finite numbers included), an --out path that cannot be
-written or input whose arithmetic overflows the float range, 3
-precondition failure (invalid structure, tensor outside the admissible
-space, broken bracket table), 1 failed verify checks, 141 output pipe
-closed by its reader (as for a process ended by SIGPIPE:
-`acbm verify | head -n 1`), without a traceback.
+parameters (non-finite numbers included), an --out path or standard
+output that cannot be written (a full device), or input whose arithmetic
+overflows the float range, 3 precondition failure (invalid structure,
+tensor outside the admissible space, broken bracket table), 1 failed
+verify checks, 141 output pipe closed by its reader (as for a process
+ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
 
 Examples:
 
@@ -26,6 +26,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -175,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a tensor or Lie-algebra file")
     p_classify.add_argument("input", help="input JSON file")
-    p_classify.add_argument("--tol", type=float, default=DEFAULT_RTOL, help="relative class threshold")
+    p_classify.add_argument("--tol", type=float, default=DEFAULT_RTOL,
+                            help="relative class threshold (no upper bound: one above every"
+                            " component reports F0 for a nonzero tensor)")
     p_classify.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR,
                             help="absolute magnitude floor of the class threshold")
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
@@ -228,17 +231,18 @@ def main(argv=None) -> int:
             status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
-    except BrokenPipeError:
-        # the reader left (`acbm verify | head -n 1`); send what is still
-        # buffered to devnull so the flush at exit does not raise again
-        try:
+    except OSError as exc:  # from stdout: the commands turn file errors into ParseError
+        # the reader left (`acbm verify | head -n 1`) or the device is full; send
+        # what is still buffered to devnull so the flush at exit does not raise again
+        with contextlib.suppress(OSError, ValueError):  # stdout replaced in-process: no descriptor
             fd = sys.stdout.fileno()
-        except (OSError, ValueError):
-            return EXIT_PIPE_CLOSED  # stdout was replaced in-process: no descriptor
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
-        return EXIT_PIPE_CLOSED
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE_CLOSED
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except FloatingPointError as exc:
         print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_PARSE

@@ -94,10 +94,6 @@ class ClassReport:
         return tuple(CLASS_NAMES[i - 1] for i in self.present)
 
 
-def _phi2(s: StructureData) -> np.ndarray:
-    return s.phi @ s.phi
-
-
 def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Matrix Q[i,j] = F(m1 e_i, m2 e_j, xi)."""
     return m1.T @ (c @ xi) @ m2
@@ -118,12 +114,12 @@ def project_w(s: StructureData, f, i: int) -> np.ndarray:
     c = _tensor(s, f)
     if i not in (1, 2, 3, 4):
         raise ValueError(f"block index must be 1..4, got {i}")
-    return _sealed(_block(s, c, _phi2(s), i))
+    return _sealed(_block(s, c, i))
 
 
-def _block(s: StructureData, c: np.ndarray, P: np.ndarray, i: int) -> np.ndarray:
-    """Components of p_i(F), from the components c of F and P = phi^2."""
-    xi, eta = s.xi, s.eta
+def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
+    """Components of p_i(F), from the components c of F."""
+    xi, eta, P = s.xi, s.eta, s.phi2
     if i == 1:
         return -_pullback(c, P, P, P)
     if i == 2:
@@ -159,22 +155,22 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     c = _tensor(s, f)
     if j not in (1, 2):
         raise ValueError(f"involution index must be 1 or 2, got {j}")
-    P = _phi2(s)
-    w2_residual = _max_abs(c - _block(s, c, P, 2))
+    w2_residual = _max_abs(c - _block(s, c, 2))
     if w2_residual > DEFAULT_RTOL * _scale(c):
         raise PreconditionError(
             f"operand is not in W2: p2 fixed-point residual {w2_residual:.3e}"
         )
     xi, eta = s.xi, s.eta
     if j == 1:
-        a = _xi_bracket(c, P, P, xi)
+        a = _xi_bracket(c, s.phi2, s.phi2, xi)
         return _sealed(_sym_pair(a.T, eta))
     b = _xi_bracket(c, s.phi, s.phi, xi)
     return _sealed(_sym_pair(b, eta))
 
 
-def _w1_six_terms(c: np.ndarray, phi: np.ndarray, P: np.ndarray):
+def _w1_six_terms(s: StructureData, c: np.ndarray):
     """The six slot-permuted pullbacks entering the F2 and F3 formulas."""
+    phi, P = s.phi, s.phi2
     t_xyz = np.einsum("abc,ai,bj,ck->ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
     t_yzx = np.einsum("abc,aj,bk,ci->ijk", c, P, P, P)  # F(p y, p z, p x)
     t_yx = np.einsum("abc,aj,bk,ci->ijk", c, phi, P, phi)  # F(phi y, p z, phi x)
@@ -187,35 +183,32 @@ def _w1_six_terms(c: np.ndarray, phi: np.ndarray, P: np.ndarray):
 def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
     """The components of the checked tensor c in the classes F_i, i in wanted, as {i: array}.
 
-    phi^2, the metric pairings, the Lee forms, the xi-brackets a and b,
-    F1 and the six W1 pullbacks are each built at most once, and only
-    when a wanted class needs them. The result may also hold classes
-    that others are built from: F1 for F2, F4 and F5 for F6.
+    The Lee forms, the xi-brackets a and b, F1 and the six W1 pullbacks
+    are each built at most once, and only when a wanted class needs them;
+    phi^2 and the metric pairings come with s. The result may also hold
+    classes that others are built from: F1 for F2, F4 and F5 for F6.
     """
-    phi, xi, eta = s.phi, s.xi, s.eta
-    P = _phi2(s)
+    phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
     two_n = 2.0 * s.n
     wanted = set(wanted)
     out = {}
     if wanted & {1, 2, 4, 5, 6}:
         lf = _lee_forms(s, c)
-        gp = s.g @ phi  # g(e_i, phi e_j)
-        gpp = phi.T @ s.g @ phi  # g(phi e_i, phi e_j)
     if wanted & {1, 2}:
         t_phi = phi.T @ lf.theta
         t_phi2 = P.T @ lf.theta
-        f1 = gpp[:, :, None] * t_phi2 + gp[:, :, None] * t_phi
-        f1 += gpp[:, None, :] * t_phi2[:, None] + gp[:, None, :] * t_phi[:, None]
+        f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
+        f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
         out[1] = (f1 + 0.0) / two_n  # + 0.0 as in tensors._sym_pair
     if wanted & {2, 3}:
-        t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx = _w1_six_terms(c, phi, P)
+        t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx = _w1_six_terms(s, c)
         if 2 in wanted:
             out[2] = -0.25 * (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) - out[1]
         if 3 in wanted:
             out[3] = -0.25 * (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx)
     if wanted & {4, 5, 6}:
-        out[4] = -(float(lf.theta @ xi) / two_n) * _sym_pair(gpp, eta)
-        out[5] = -(float(lf.theta_star @ xi) / two_n) * _sym_pair(gp, eta)
+        out[4] = -(float(lf.theta @ xi) / two_n) * _sym_pair(s.phi_g_phi, eta)
+        out[5] = -(float(lf.theta_star @ xi) / two_n) * _sym_pair(s.g_phi, eta)
     if wanted & {6, 7, 8, 9}:
         a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
         b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
@@ -231,7 +224,7 @@ def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
             out[6] = (-out[4]) - out[5] + _sym_pair(0.25 * qs[6], eta)
     for i, block in ((10, 3), (11, 4)):
         if i in wanted:
-            out[i] = _block(s, c, P, block)
+            out[i] = _block(s, c, block)
     return out
 
 
@@ -247,7 +240,8 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    return _sealed(_component_arrays(s, c, (i,))[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # _sealed refuses an overflow
+        return _sealed(_component_arrays(s, c, (i,))[i])
 
 
 def decompose(s: StructureData, f) -> Decomposition:
@@ -264,7 +258,8 @@ def decompose(s: StructureData, f) -> Decomposition:
 
 def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
     _require_structure_tensor(s, c)
-    arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # _decomposition refuses an overflow
+        arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
     return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
 
@@ -355,7 +350,7 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
     if i not in (1, 2, 3, 4):
         raise ValueError(f"block index must be 1..4, got {i}")
     xi = s.xi
-    h = -_phi2(s)
+    h = -s.phi2
     v1 = float(np.max(np.abs(np.einsum("ajk,a->jk", c, xi))))
     v2 = float(np.max(np.abs(np.einsum("iak,a->ik", c, xi))))
     v3 = float(np.max(np.abs(np.einsum("ija,a->ij", c, xi))))

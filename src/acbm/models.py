@@ -187,9 +187,7 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
     Any real t is accepted; the formula is periodic.
     """
     s = canonical_structure(n)
-    gp = s.g @ s.phi
-    gpp = s.phi.T @ s.g @ s.phi
-    comps = -math.cos(t) * _sym_pair(gpp, s.eta) - math.sin(t) * _sym_pair(gp, s.eta)
+    comps = -math.cos(t) * _sym_pair(s.phi_g_phi, s.eta) - math.sin(t) * _sym_pair(s.g_phi, s.eta)
     return s, _sealed(comps)
 
 

@@ -86,10 +86,12 @@ def _rank(n) -> int:
 
 @dataclass(frozen=True, eq=False)
 class StructureData:
-    """A point-wise structure (phi, xi, eta, g) with cached inverse metric.
+    """A point-wise structure (phi, xi, eta, g) and the read-only matrices derived from it.
 
-    Immutable after construction; safe to share across threads. The
-    inverse metric is computed on construction.
+    Immutable; safe to share across threads. Built once, on construction: dim, g_inv,
+    phi2 = phi^2, g_phi[i, j] = g(e_i, phi e_j), phi_g_phi[i, j] = g(phi e_i, phi e_j)
+    and lee_weights, the raveled weights h, h phi^T, xi (x) xi (h = g_inv - xi (x) xi)
+    of the Lee forms theta, theta*, omega.
     """
 
     n: int
@@ -97,24 +99,33 @@ class StructureData:
     phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
+    dim: int = field(init=False)
     g_inv: np.ndarray = field(init=False)
+    phi2: np.ndarray = field(init=False)
+    g_phi: np.ndarray = field(init=False)
+    phi_g_phi: np.ndarray = field(init=False)
+    lee_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _rank(self.n))
         d = 2 * self.n + 1
-        object.__setattr__(self, "g", _as_float_array(self.g, (d, d), "g"))
-        object.__setattr__(self, "phi", _as_float_array(self.phi, (d, d), "phi"))
-        object.__setattr__(self, "xi", _as_float_array(self.xi, (d,), "xi"))
-        object.__setattr__(self, "eta", _as_float_array(self.eta, (d,), "eta"))
+        object.__setattr__(self, "dim", d)
+        for name, shape in (("g", (d, d)), ("phi", (d, d)), ("xi", (d,)), ("eta", (d,))):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), shape, name))
         try:
             g_inv = np.linalg.inv(self.g)
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric g is singular") from exc
         object.__setattr__(self, "g_inv", _as_float_array(g_inv, (d, d), "g_inv"))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
+        xi_xi = np.outer(self.xi, self.xi)
+        h = self.g_inv - xi_xi
+        for name, value in (
+            ("phi2", self.phi @ self.phi),
+            ("g_phi", self.g @ self.phi),
+            ("phi_g_phi", self.phi.T @ self.g @ self.phi),
+            ("lee_weights", np.stack([h.ravel(), (h @ self.phi.T).ravel(), xi_xi.ravel()])),
+        ):
+            object.__setattr__(self, name, _as_float_array(value, value.shape, name))
 
 
 @dataclass(frozen=True)
@@ -173,21 +184,16 @@ def validate_structure(s: StructureData) -> ValidationReport:
     axiom is data, not an error. Malformed inputs (inconsistent shapes)
     are rejected at StructureData construction time instead.
     """
-    d = s.dim
-    ident = np.eye(d)
+    ident = np.eye(s.dim)
     residuals = {}
     residuals["g_symmetric"] = float(np.max(np.abs(s.g - s.g.T)))
     residuals["g_inverse"] = float(np.max(np.abs(s.g @ s.g_inv - ident)))
     residuals["signature"] = _signature_residual(s.g, s.n)
     residuals["phi_xi"] = float(np.max(np.abs(s.phi @ s.xi)))
-    residuals["phi_squared"] = float(
-        np.max(np.abs(s.phi @ s.phi + ident - np.outer(s.xi, s.eta)))
-    )
+    residuals["phi_squared"] = float(np.max(np.abs(s.phi2 + ident - np.outer(s.xi, s.eta))))
     residuals["eta_phi"] = float(np.max(np.abs(s.eta @ s.phi)))
     residuals["eta_xi"] = float(abs(s.eta @ s.xi - 1.0))
-    residuals["b_metric"] = float(
-        np.max(np.abs(s.phi.T @ s.g @ s.phi + s.g - np.outer(s.eta, s.eta)))
-    )
+    residuals["b_metric"] = float(np.max(np.abs(s.phi_g_phi + s.g - np.outer(s.eta, s.eta))))
     violations = tuple((k, v) for k, v in residuals.items() if v > DEFAULT_RTOL)
     return ValidationReport(valid=not violations, violations=violations, residuals=residuals)
 

@@ -42,7 +42,7 @@ __all__ = [
 def _sealed(arr: np.ndarray) -> np.ndarray:
     """arr made read-only; ValueError when it holds inf or NaN."""
     if not np.isfinite(arr).all():
-        raise ValueError("comps contains non-finite entries")
+        raise ValueError("result overflows the floating-point range")
     arr.flags.writeable = False
     return arr
 
@@ -150,13 +150,13 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     eta (x) xi and the forced vanishing of F(x, xi, xi)).
     """
     c = _tensor(s, f)
-    S = 0.5 * (c + c.transpose(0, 2, 1))
-    phi, xi, eta = s.phi, s.xi, s.eta
-    h = -(phi @ phi)
-    s_h_xi = (S @ xi) @ h  # S(x, h y, xi)
-    out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
-    out += eta[:, None] * s_h_xi[:, None, :]
-    out += s_h_xi[:, :, None] * eta
+    phi, eta, h = s.phi, s.eta, -s.phi2
+    with np.errstate(over="ignore", invalid="ignore"):  # _sealed refuses an overflow
+        S = 0.5 * (c + c.transpose(0, 2, 1))
+        s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
+        out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
+        out += eta[:, None] * s_h_xi[:, None, :]
+        out += s_h_xi[:, :, None] * eta
     return _sealed(out)
 
 
@@ -201,10 +201,7 @@ def lee_forms(s: StructureData, f) -> LeeForms:
 
 
 def _lee_forms(s: StructureData, c: np.ndarray) -> LeeForms:
-    d = s.dim
-    c = c.reshape(d * d, d)
-    gi_h = s.g_inv - np.outer(s.xi, s.xi)
-    theta = gi_h.ravel() @ c
-    theta_star = (gi_h @ s.phi.T).ravel() @ c
-    omega = np.outer(s.xi, s.xi).ravel() @ c
+    c = c.reshape(s.dim**2, s.dim)
+    # one row product per form: a stacked product may round differently
+    theta, theta_star, omega = (w @ c for w in s.lee_weights)
     return LeeForms(theta=theta, theta_star=theta_star, omega=omega)

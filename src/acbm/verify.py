@@ -119,7 +119,7 @@ def decomposition_suite(seeds: int) -> list:
                 w.add("projector self-adjointness", _rel(abs(lhs - rhs), abs(rhs)))
             # Lee-form identities of f, then their vanishing per block
             xi = s.xi
-            h = -(s.phi @ s.phi)
+            h = -s.phi2
             lf = lee_forms(s, f)
             w.add("lee form identities", abs(float(lf.omega @ xi)))
             w.add("lee form identities", np.max(np.abs(s.phi.T @ lf.theta_star - h.T @ lf.theta)))

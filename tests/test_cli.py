@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -109,6 +110,14 @@ class TestClassify:
             assert main(["classify", src, f"{flag}={value}", "--format", fmt]) == 2
             error = f"error: {flag} must be a finite number {rule}, got {float(value)}\n"
             assert capsys.readouterr() == ("", error)
+
+    def test_tol_has_no_upper_bound(self, tmp_path, capsys):
+        """A component can be larger than its tensor, so no --tol is a safe cap:
+        a threshold above every component reports F0 for a nonzero tensor."""
+        src = str(tmp_path / "rand.json")
+        main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
+        assert main(["classify", src, "--tol", "1e300"]) == 0
+        assert "classes: F0" in capsys.readouterr().out
 
     def test_zero_abs_floor_accepted(self, tmp_path, capsys):
         src = str(tmp_path / "rand.json")
@@ -419,22 +428,55 @@ class TestVerify:
         # exit raises again and prints a traceback
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ, PYTHONPATH=str(Path(acbm.__file__).parents[1]))
-        env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe is by default
-        code = "import sys; from acbm.cli import main; sys.exit(main())"
-        args = ["verify", "--suite", "dim3", "--seeds", "1"]
         try:
-            done = subprocess.run(
-                [sys.executable, "-c", code, *args],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=120,
-            )
+            done = _run_child(["verify", "--suite", "dim3", "--seeds", "1"], write_end)
         finally:
             os.close(write_end)
         assert done.returncode == EXIT_PIPE_CLOSED
         assert done.stderr == b""
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_unwritable_stdout_is_one_line_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        class FullDevice(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        argv = _stdout_command(tmp_path, command)
+        monkeypatch.setattr(sys, "stdout", FullDevice())
+        assert main(argv) == 2
+        monkeypatch.undo()
+        error = "error: cannot write standard output: [Errno 28] No space left on device\n"
+        assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_full_device_in_a_process(self, tmp_path, command):
+        # as for a closed pipe, the descriptor must be redirected, or the
+        # flush at interpreter exit prints "Exception ignored ... OSError"
+        with open("/dev/full", "wb") as full:
+            done = _run_child(_stdout_command(tmp_path, command), full)
+        assert done.returncode == 2
+        error = b"error: cannot write standard output: [Errno 28] No space left on device\n"
+        assert done.stderr == error
+
+
+def _stdout_command(tmp_path, command) -> list:
+    """An argv of the command that writes its result to standard output."""
+    if command == "verify":
+        return ["verify", "--suite", "dim3", "--seeds", "1"]
+    path = str(tmp_path / "r.json")
+    assert main(["gen", "random", "--dim", "5", "--seed", "1", "--out", path]) == 0
+    return ["classify", path]
+
+
+def _run_child(args, stdout) -> subprocess.CompletedProcess:
+    """acbm with args in a child process whose standard output is stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(acbm.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe or a file is by default
+    code = "import sys; from acbm.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+    )
 
 
 class TestFileFormats:

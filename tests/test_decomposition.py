@@ -29,6 +29,20 @@ from conftest import random_structure
 from test_tensors import f4_form, f8_form
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda s, f: component(s, f, 1), decompose, classify, embed_structure_tensor],
+    ids=["component", "decompose", "classify", "embed_structure_tensor"],
+)
+def test_overflowing_result_is_one_error(call):
+    """An admissible tensor of max-abs 1.5e308 whose result overflows: one
+    ValueError that says so, and no RuntimeWarning (pyproject makes it an error)."""
+    s = canonical_structure(2)
+    f = random_structure_tensor(s, 0)
+    with pytest.raises(ValueError, match="^result overflows the floating-point range$"):
+        call(s, f * (1.5e308 / _max_abs(f)))
+
+
 def f10_form(nu: float = 1.0) -> np.ndarray:
     c = np.zeros((3, 3, 3))
     c[0, 1, 1] = c[0, 2, 2] = nu

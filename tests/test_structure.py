@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,24 @@ RANK_TAKERS = {
     ),
     "random_group_element": lambda n: random_group_element(n, 0),
     "group_element_from_blocks": lambda n: group_element_from_blocks(n, np.eye(1), np.zeros((1, 1))),
+}
+
+
+def _contact_inverse(s: StructureData) -> np.ndarray:
+    return s.g_inv - np.outer(s.xi, s.xi)
+
+
+# Each matrix a structure builds on construction, and its defining product.
+DERIVED = {
+    "g_inv": lambda s: np.linalg.inv(s.g),
+    "phi2": lambda s: s.phi @ s.phi,
+    "g_phi": lambda s: s.g @ s.phi,
+    "phi_g_phi": lambda s: s.phi.T @ s.g @ s.phi,
+    "lee_weights": lambda s: np.stack([
+        _contact_inverse(s).ravel(),
+        (_contact_inverse(s) @ s.phi.T).ravel(),
+        np.outer(s.xi, s.xi).ravel(),
+    ]),
 }
 
 
@@ -64,8 +84,33 @@ class TestCanonicalStructure:
         s = canonical_structure(np.int64(n))
         assert type(s.n) is int
         assert canonical_structure(n) is s
-        for arr in (s.g, s.phi, s.xi, s.eta, s.g_inv):
+        for arr in (s.g, s.phi, s.xi, s.eta, s.g_inv, s.phi2, s.g_phi, s.phi_g_phi, s.lee_weights):
             assert not arr.flags.writeable
+        again = canonical_structure(n)
+        assert all(getattr(again, k) is getattr(s, k) for k in DERIVED)
+
+
+class TestDerivedMatrices:
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_to_their_products_bit_for_bit(self, n, seed):
+        s = canonical_structure(n) if seed is None else random_structure(n, seed)
+        for name, product in DERIVED.items():
+            np.testing.assert_array_equal(getattr(s, name), product(s), err_msg=name)
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_read_only(self, name):
+        arr = getattr(random_structure(2, 0), name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+
+    def test_replace_recomputes_them(self):
+        s = random_structure(2, 3)
+        flipped = dataclasses.replace(s, phi=-s.phi)
+        assert validate_structure(flipped).valid
+        for name, product in DERIVED.items():
+            np.testing.assert_array_equal(getattr(flipped, name), product(flipped), err_msg=name)
+        np.testing.assert_array_equal(flipped.g_phi, -s.g_phi)
 
 
 class TestValidateStructure:

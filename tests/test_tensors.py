@@ -178,6 +178,18 @@ class TestInnerProduct:
 
 
 class TestLeeForms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_row_product_per_form(self, n):
+        """Each form is its own row product with its weights, bit for bit."""
+        s = random_structure(n, n)
+        f = random_structure_tensor(s, 0)
+        c = f.reshape(s.dim**2, s.dim)
+        h = s.g_inv - np.outer(s.xi, s.xi)
+        lf = lee_forms(s, f)
+        np.testing.assert_array_equal(lf.theta, h.ravel() @ c)
+        np.testing.assert_array_equal(lf.theta_star, (h @ s.phi.T).ravel() @ c)
+        np.testing.assert_array_equal(lf.omega, np.outer(s.xi, s.xi).ravel() @ c)
+
     def test_f4_form_theta(self, s1):
         lf = lee_forms(s1, f4_form(theta0=2.0))
         assert lf.theta[0] == pytest.approx(2.0)
