@@ -8,12 +8,12 @@ Subcommands:
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
-parameters (non-finite numbers included), an --out path or standard
-output that cannot be written (a full device), or input whose arithmetic
-overflows the float range, 3 precondition failure (invalid structure,
-tensor outside the admissible space, broken bracket table), 1 failed
-verify checks, 141 output pipe closed by its reader (as for a process
-ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
+parameters (non-finite numbers included), an --out path or standard output
+that cannot be written (a full device), or input whose arithmetic overflows
+the float range (the library's one float-range error), 3 precondition failure
+(invalid structure, tensor outside the admissible space, broken bracket
+table), 1 failed verify checks, 141 output pipe closed by its reader (as for a
+process ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
 
 Examples:
 
@@ -30,8 +30,6 @@ import contextlib
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import fileio
 from .decomposition import _check_threshold, classify, component, project_w
@@ -225,10 +223,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflow anywhere, e.g. in the Koszul formula on brackets near
-        # the float maximum, ends in one error line, not a leaked warning
-        with np.errstate(over="raise", invalid="raise"):
-            status = args.func(args)
+        status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except OSError as exc:  # from stdout: the commands turn file errors into ParseError
@@ -242,9 +237,6 @@ def main(argv=None) -> int:
         if isinstance(exc, BrokenPipeError):
             return EXIT_PIPE_CLOSED
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FloatingPointError as exc:
-        print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

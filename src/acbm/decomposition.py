@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData
+from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _in_float_range, _sealed
 from .tensors import (
     _lee_forms,
     _max_abs,
     _pullback,
     _require_structure_tensor,
     _scale,
-    _sealed,
     _sym_pair,
     _tensor,
 )
@@ -105,6 +104,7 @@ def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return (xi @ c.reshape(d, -1)).reshape(d, d)
 
 
+@_in_float_range
 def project_w(s: StructureData, f, i: int) -> np.ndarray:
     """Projection p_i(f) onto the block W_i, i in 1..4.
 
@@ -135,6 +135,7 @@ def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     return -eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta))
 
 
+@_in_float_range
 def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     """The involutive isometries L1, L2 of the block W2.
 
@@ -228,6 +229,7 @@ def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
     return out
 
 
+@_in_float_range
 def component(s: StructureData, f, i: int) -> np.ndarray:
     """The component of f in the basic class F_i, i in 1..11.
 
@@ -240,10 +242,10 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _sealed refuses an overflow
-        return _sealed(_component_arrays(s, c, (i,))[i])
+    return _sealed(_component_arrays(s, c, (i,))[i])
 
 
+@_in_float_range
 def decompose(s: StructureData, f) -> Decomposition:
     """All eleven components of f with magnitudes and reconstruction residual.
 
@@ -258,8 +260,7 @@ def decompose(s: StructureData, f) -> Decomposition:
 
 def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
     _require_structure_tensor(s, c)
-    with np.errstate(over="ignore", invalid="ignore"):  # _decomposition refuses an overflow
-        arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
+    arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
     return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
 
@@ -320,6 +321,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
+@_in_float_range
 def satisfies_class(s: StructureData, f, i: int) -> bool:
     """True iff f satisfies the characteristic conditions of class F_i.
 
@@ -338,6 +340,7 @@ def satisfies_class(s: StructureData, f, i: int) -> bool:
     return _class_residual(s, c, i) <= DEFAULT_RTOL * max(1.0, _max_abs(c))
 
 
+@_in_float_range
 def in_w_subspace(s: StructureData, f, i: int) -> bool:
     """True iff f lies in the block W_i, by the h/v slot characterization.
 
@@ -356,6 +359,7 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
     v3 = float(np.max(np.abs(np.einsum("ija,a->ij", c, xi))))
     h1 = float(np.max(np.abs(np.einsum("ajk,ai->ijk", c, h))))
     h23 = float(np.max(np.abs(np.einsum("iab,aj,bk->ijk", c, h, h))))
+    _sealed(np.array([v1, v2, v3, h1, h23]))  # np.einsum returns inf or NaN where @ would raise
     if i == 1:
         worst = max(v1, v2, v3)
     elif i == 2:
@@ -375,6 +379,7 @@ def _check_threshold(rel_tol, abs_floor, names=("rel_tol", "abs_floor")) -> None
         raise ValueError(f"{names[1]} must be a finite number >= 0, got {abs_floor}")
 
 
+@_in_float_range
 def classify(
     s: StructureData,
     f,

@@ -154,8 +154,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
     implied, the diagonal is zero).
     """
-    sub = doc.get("structure")
-    s = structure_from_doc(sub if isinstance(sub, dict) else doc)
+    s = structure_from_doc(doc)
     d = s.dim
     brackets = doc.get("brackets")
     if not isinstance(brackets, list):

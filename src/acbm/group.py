@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _rank, canonical_structure
-from .tensors import _max_abs, _pullback, _sealed, _tensor
+from .structure import (
+    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _rank, _sealed, canonical_structure,
+)
+from .tensors import _max_abs, _pullback, _tensor
 
 __all__ = [
     "random_group_element",
@@ -117,6 +119,7 @@ def group_element_from_blocks(n: int, a_block, b_block) -> np.ndarray:
     return a
 
 
+@_in_float_range
 def validate_group_element(s: StructureData, a) -> bool:
     """Check whether the matrix a is a structure-group element for s.
 
@@ -129,17 +132,16 @@ def validate_group_element(s: StructureData, a) -> bool:
     return residual <= DEFAULT_RTOL
 
 
+@_in_float_range
 def act(s: StructureData, a, f) -> np.ndarray:
     """Pullback action of an invertible matrix on a rank-3 tensor.
 
     ((lambda a) F)(x, y, z) = F(a^-1 x, a^-1 y, a^-1 z). For a group
     element the action preserves the admissible space and the induced
     inner product, and commutes with every projector and component map.
+    A singular matrix raises LinAlgError; an ill-conditioned one whose
+    pullback overflows, the ValueError "result overflows the floating-point range (...)".
     """
     c = _tensor(s, f)
     ai = np.linalg.inv(_as_float_array(a, (s.dim, s.dim), "matrix"))  # singular: LinAlgError
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _sealed(_pullback(c, ai, ai, ai))
-    except FloatingPointError as exc:
-        raise ValueError(f"matrix is too ill-conditioned to act on the tensor ({exc})") from exc
+    return _sealed(_pullback(c, ai, ai, ai))

@@ -27,13 +27,14 @@ from .decomposition import NUM_CLASSES, Decomposition, _decomposition
 from .errors import PreconditionError
 from .structure import (
     DEFAULT_ATOL,
-    DEFAULT_RTOL,
     StructureData,
     _as_float_array,
+    _in_float_range,
+    _sealed,
     canonical_structure,
     is_canonical_basis,
 )
-from .tensors import LeeForms, _scale, _sealed, _sym_pair, _tensor
+from .tensors import LeeForms, _require_structure_tensor, _sym_pair, _tensor
 
 __all__ = [
     "LieAlgebraSpec",
@@ -73,7 +74,8 @@ class Dim3Coefficients:
     Each coefficient is the component combination that isolates one
     basic class: theta0 and lam split the symmetric xi-bracket data,
     theta_star0 and mu the skew part, nu is the W3 coefficient and
-    omega1, omega2 the W4 pair.
+    omega1, omega2 the W4 pair. With theta(e_1), theta(e_2) for F1 they are
+    nine numbers, as the admissible space at n = 1 has dimension 9.
     """
 
     theta0: float
@@ -110,6 +112,7 @@ def lie_family(n: int, a) -> LieAlgebraSpec:
     return LieAlgebraSpec(structure=s, c=c)
 
 
+@_in_float_range
 def check_jacobi(spec: LieAlgebraSpec) -> bool:
     """True iff the Jacobi cyclic sum vanishes on all basis triples.
 
@@ -137,6 +140,7 @@ def check_jacobi(spec: LieAlgebraSpec) -> bool:
     return float(np.max(np.abs(jac))) <= DEFAULT_ATOL
 
 
+@_in_float_range
 def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
     """Christoffel array gamma of the left-invariant Levi-Civita connection.
 
@@ -156,6 +160,7 @@ def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
     return np.linalg.solve(g, 0.5 * rhs.reshape(d * d, d).T).T.reshape(d, d, d)
 
 
+@_in_float_range
 def connection_residuals(spec: LieAlgebraSpec, gamma: np.ndarray) -> tuple:
     """(torsion, metric-compatibility) worst-case residuals of a Christoffel array."""
     torsion = gamma - gamma.transpose(1, 0, 2) - spec.c
@@ -163,6 +168,7 @@ def connection_residuals(spec: LieAlgebraSpec, gamma: np.ndarray) -> tuple:
     return float(np.max(np.abs(torsion))), float(np.max(np.abs(gg + gg.transpose(0, 2, 1))))
 
 
+@_in_float_range
 def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) -> np.ndarray:
     """F(x, y, z) = g((nabla_x phi) y, z) in the left-invariant frame.
 
@@ -200,6 +206,7 @@ def _canonical_dim3(s: StructureData, f) -> np.ndarray:
     return _tensor(s, f)
 
 
+@_in_float_range
 def dim3_lee_forms(s: StructureData, f) -> LeeForms:
     """Lee forms in dimension 3 by the explicit index formulas.
 
@@ -219,37 +226,7 @@ def dim3_lee_forms(s: StructureData, f) -> LeeForms:
     return LeeForms(theta=theta, theta_star=theta_star, omega=omega)
 
 
-# Pairs of index triples that must agree entrywise for any admissible
-# tensor in dimension 3 (slot symmetry plus the phi relation); the
-# coefficient extraction below relies on them, so they are asserted
-# rather than assumed.
-_DIM3_EQUAL_PAIRS = (
-    ((1, 0, 1), (1, 1, 0)),
-    ((2, 0, 2), (2, 2, 0)),
-    ((1, 0, 2), (1, 2, 0)),
-    ((2, 0, 1), (2, 1, 0)),
-    ((0, 1, 1), (0, 2, 2)),
-    ((0, 0, 1), (0, 1, 0)),
-    ((0, 0, 2), (0, 2, 0)),
-    ((1, 1, 1), (1, 2, 2)),
-    ((2, 1, 1), (2, 2, 2)),
-)
-_DIM3_ZERO_TRIPLES = (
-    (0, 0, 0),
-    (1, 0, 0),
-    (2, 0, 0),
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 1, 2),
-    (1, 2, 1),
-    (2, 2, 1),
-    (2, 1, 2),
-)
-# The same triples as index arrays, for one vectorized test of each kind.
-_DIM3_LEFT, _DIM3_RIGHT = (tuple(np.array(side).T) for side in zip(*_DIM3_EQUAL_PAIRS))
-_DIM3_ZERO = tuple(np.array(_DIM3_ZERO_TRIPLES).T)
-
-
+@_in_float_range
 def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
     """Extract the seven class coefficients of a dimension-3 tensor.
 
@@ -260,27 +237,12 @@ def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
         theta*0 = F120 + F210       mu  = (F120 - F210) / 2
         nu = F011                   omega1 = F001,  omega2 = F002
 
-    The consistency equalities between equivalent components (for
-    example F101 = F110) are verified first, within DEFAULT_RTOL relative
-    to max-abs(f) floored at DEFAULT_ABS_FLOOR; a violation means the tensor is
-    not admissible for the canonical structure s.
+    Requires f admissible, by the one gate (_require_structure_tensor) that
+    decompose also asks: for n = 1 its two identities are the eighteen
+    entry relations these reads rely on (F101 = F110, F000 = 0, ...).
     """
     c = _canonical_dim3(s, f)
-    bound = DEFAULT_RTOL * _scale(c)
-    unequal = np.flatnonzero(np.abs(c[_DIM3_LEFT] - c[_DIM3_RIGHT]) > bound)
-    if unequal.size:
-        left, right = _DIM3_EQUAL_PAIRS[unequal[0]]
-        raise PreconditionError(
-            f"components {left} and {right} differ by {abs(c[left] - c[right]):.3e};"
-            " tensor is not admissible in dimension 3"
-        )
-    nonzero = np.flatnonzero(np.abs(c[_DIM3_ZERO]) > bound)
-    if nonzero.size:
-        triple = _DIM3_ZERO_TRIPLES[nonzero[0]]
-        raise PreconditionError(
-            f"component {triple} = {c[triple]:.3e} must vanish for admissible"
-            " dimension-3 tensors"
-        )
+    _require_structure_tensor(s, c)
     return Dim3Coefficients(
         theta0=float(c[1, 1, 0] - c[2, 2, 0]),
         theta_star0=float(c[1, 2, 0] + c[2, 1, 0]),
@@ -292,6 +254,7 @@ def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
     )
 
 
+@_in_float_range
 def dim3_decompose(s: StructureData, f) -> Decomposition:
     """decompose(s, f) by the closed forms, from one dim3_coefficients check.
 

@@ -16,6 +16,7 @@ then phi e_1..phi e_n, in which g = diag(1, I_n, -I_n).
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -51,6 +52,31 @@ MAX_DIM = 21
 
 # Eigenvalues below this magnitude do not count toward the signature.
 _SIGNATURE_EIG_TOL = 1e-10
+
+_OUT_OF_RANGE = "result overflows the floating-point range"
+
+
+def _in_float_range(fn):
+    """fn under the one float-range rule, carried by every public function that does arithmetic
+    on values from its caller: an overflow or invalid operation is one ValueError, no warning."""
+    @functools.wraps(fn)
+    def in_range(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(f"{_OUT_OF_RANGE} ({exc})") from exc
+
+    return in_range
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only; the same ValueError when it holds inf or NaN, which
+    np.einsum and np.vdot return without raising under _in_float_range."""
+    if not np.isfinite(arr).all():
+        raise ValueError(_OUT_OF_RANGE)
+    arr.flags.writeable = False
+    return arr
 
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
@@ -106,6 +132,7 @@ class StructureData:
     phi_g_phi: np.ndarray = field(init=False)
     lee_weights: np.ndarray = field(init=False)
 
+    @_in_float_range
     def __post_init__(self):
         object.__setattr__(self, "n", _rank(self.n))
         d = 2 * self.n + 1
@@ -177,6 +204,7 @@ def _signature_residual(g: np.ndarray, n: int) -> float:
     return float(abs(pos - (n + 1)) + abs(neg - n) + zero)
 
 
+@_in_float_range
 def validate_structure(s: StructureData) -> ValidationReport:
     """Check all structure axioms plus symmetry, invertibility and signature of g.
 

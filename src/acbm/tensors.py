@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _as_float_array
+from .structure import (
+    DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _sealed,
+)
 
 __all__ = [
     "membership_residuals",
@@ -37,14 +39,6 @@ __all__ = [
     "inner_product",
     "lee_forms",
 ]
-
-
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only; ValueError when it holds inf or NaN."""
-    if not np.isfinite(arr).all():
-        raise ValueError("result overflows the floating-point range")
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,7 @@ def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return q[:, :, None] * eta + q[:, None, :] * eta[:, None] + 0.0
 
 
+@_in_float_range
 def membership_residuals(s: StructureData, f) -> dict:
     """Worst-case residuals of the two defining identities, by name."""
     return _membership_residuals(s, _tensor(s, f))
@@ -109,11 +104,13 @@ def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     return {"slot_symmetry": sym, "phi_relation": rel}
 
 
+@_in_float_range
 def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(c).
 
     This is the one admissibility verdict: is_structure_tensor, decompose
-    (so classify) and the project command all ask it.
+    (so classify), dim3_coefficients and the project command, which calls it
+    directly and so needs its float-range rule, all ask it.
     """
     bound = DEFAULT_RTOL * _scale(c)
     # `not <=` so that a NaN residual refuses rather than passes
@@ -123,6 +120,7 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
         raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
 
 
+@_in_float_range
 def is_structure_tensor(s: StructureData, f) -> bool:
     """True iff f satisfies both defining identities of the admissible space.
 
@@ -137,6 +135,7 @@ def is_structure_tensor(s: StructureData, f) -> bool:
     return True
 
 
+@_in_float_range
 def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     """Canonical surjection of an arbitrary rank-3 tensor onto the admissible space.
 
@@ -151,12 +150,11 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     """
     c = _tensor(s, f)
     phi, eta, h = s.phi, s.eta, -s.phi2
-    with np.errstate(over="ignore", invalid="ignore"):  # _sealed refuses an overflow
-        S = 0.5 * (c + c.transpose(0, 2, 1))
-        s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
-        out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
-        out += eta[:, None] * s_h_xi[:, None, :]
-        out += s_h_xi[:, :, None] * eta
+    S = 0.5 * (c + c.transpose(0, 2, 1))
+    s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
+    out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
+    out += eta[:, None] * s_h_xi[:, None, :]
+    out += s_h_xi[:, :, None] * eta
     return _sealed(out)
 
 
@@ -170,6 +168,7 @@ def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
     return embed_structure_tensor(s, rng.uniform(-1.0, 1.0, size=(s.dim,) * 3))
 
 
+@_in_float_range
 def inner_product(s: StructureData, f1, f2) -> float:
     """Full triple contraction <f1, f2> with the inverse metric on all slots.
 
@@ -179,13 +178,10 @@ def inner_product(s: StructureData, f1, f2) -> float:
     """
     c1, c2 = _tensor(s, f1), _tensor(s, f2)
     gi_t = s.g_inv.T
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        value = float(np.vdot(c1, _pullback(c2, gi_t, gi_t, gi_t)))
-    if not np.isfinite(value):
-        raise ValueError("inner product is out of floating-point range")
-    return value
+    return float(_sealed(np.asarray(np.vdot(c1, _pullback(c2, gi_t, gi_t, gi_t)))))
 
 
+@_in_float_range
 def lee_forms(s: StructureData, f) -> LeeForms:
     """The Lee forms of f.
 

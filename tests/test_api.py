@@ -13,6 +13,8 @@ from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canonical_structure
 from acbm.tensors import _max_abs, is_structure_tensor, membership_residuals, random_structure_tensor
 
+from conftest import random_structure
+
 PUBLIC = [
     "CLASS_NAMES", "ClassReport", "Decomposition", "Dim3Coefficients", "LieAlgebraSpec",
     "NUM_CLASSES", "PreconditionError", "StructureData",
@@ -126,3 +128,82 @@ def test_inverse_metric_is_always_computed():
     s = canonical_structure(1)
     with pytest.raises(TypeError):
         StructureData(n=1, g=s.g, phi=s.phi, xi=s.xi, eta=s.eta, g_inv=s.g)
+
+
+# The public functions that do arithmetic on values from their caller, each
+# with an input whose arithmetic leaves the float range. Tensors are taken
+# over a non-canonical structure s, so that every contraction sums products.
+_S1 = canonical_structure(1)
+
+
+def _near_max(s, seed=0) -> np.ndarray:
+    """A random inadmissible tensor of max-abs about 1.5e308."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(s.dim,) * 3) * 1.5e308
+
+
+def _near_max_admissible(s) -> np.ndarray:
+    f = random_structure_tensor(s, 0)
+    return f / _max_abs(f) * 1.5e308
+
+
+OVERFLOWING_CALLS = {
+    "StructureData": lambda s: StructureData(n=1, g=_S1.g, phi=1e200 * _S1.phi, xi=_S1.xi, eta=_S1.eta),
+    "validate_structure": lambda s: acbm.validate_structure(
+        StructureData(n=1, g=1.5e308 * np.eye(3), phi=_S1.phi, xi=_S1.xi, eta=_S1.eta)
+    ),
+    "membership_residuals": lambda s: acbm.membership_residuals(s, _near_max(s)),
+    "is_structure_tensor": lambda s: acbm.is_structure_tensor(s, _near_max(s)),
+    "_require_structure_tensor": lambda s: tensors._require_structure_tensor(s, _near_max(s)),
+    "embed_structure_tensor": lambda s: acbm.embed_structure_tensor(s, _near_max(s)),
+    "inner_product": lambda s: acbm.inner_product(s, _near_max(s), _near_max(s, 1)),
+    "lee_forms": lambda s: acbm.lee_forms(s, _near_max(s)),
+    "project_w": lambda s: acbm.project_w(s, _near_max(s), 2),
+    "w2_involution": lambda s: acbm.w2_involution(s, _near_max(s), 1),
+    "component": lambda s: acbm.component(s, _near_max_admissible(s), 2),
+    "decompose": lambda s: acbm.decompose(s, _near_max_admissible(s)),
+    "satisfies_class": lambda s: acbm.satisfies_class(s, _near_max(s), 2),
+    "in_w_subspace": lambda s: acbm.in_w_subspace(s, _near_max(s), 1),
+    "classify": lambda s: acbm.classify(s, _near_max_admissible(s)),
+    "validate_group_element": lambda s: acbm.validate_group_element(_S1, 1.5e308 * np.eye(3)),
+    "act": lambda s: acbm.act(_S1, np.diag([1.0, 1.0, 1e-300]), random_structure_tensor(_S1, 0)),
+    "koszul_connection": lambda s: acbm.koszul_connection(acbm.lie_family(1, [1e308, 1e308])),
+    "connection_residuals": lambda s: acbm.connection_residuals(
+        acbm.lie_family(1, [1.0, 1.0]), _near_max(_S1)
+    ),
+    "structure_tensor_from_connection": lambda s: acbm.structure_tensor_from_connection(
+        acbm.lie_family(1, [1.0, 1.0]), _near_max(_S1)
+    ),
+    "dim3_lee_forms": lambda s: acbm.dim3_lee_forms(_S1, _near_max_admissible(_S1)),
+    "dim3_coefficients": lambda s: acbm.dim3_coefficients(_S1, _near_max_admissible(_S1)),
+    "dim3_decompose": lambda s: acbm.dim3_decompose(_S1, _near_max_admissible(_S1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_CALLS))
+def test_overflow_is_one_value_error(name):
+    """The one float-range rule: one plain ValueError naming the overflow, and
+    no RuntimeWarning (pyproject makes one an error)."""
+    with pytest.raises(ValueError) as info:
+        OVERFLOWING_CALLS[name](random_structure(1, 0))
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith("result overflows the floating-point range")
+    assert "\n" not in str(info.value)
+
+
+def test_check_jacobi_stays_in_range():
+    """check_jacobi divides the table by its max-abs entry before any product,
+    so even a table at the float maximum leaves no operation out of range."""
+    assert acbm.check_jacobi(acbm.lie_family(1, [1.7e308, -1.7e308])) is True
+
+
+def test_float_range_rule_is_on_every_arithmetic_entry():
+    """Exactly the functions above and check_jacobi carry _in_float_range."""
+    carriers = {
+        name for name in acbm.__all__
+        if hasattr(getattr(acbm, name), "__wrapped__")
+    }
+    if hasattr(StructureData.__post_init__, "__wrapped__"):
+        carriers.add("StructureData")
+    if hasattr(tensors._require_structure_tensor, "__wrapped__"):
+        carriers.add("_require_structure_tensor")
+    assert carriers == set(OVERFLOWING_CALLS) | {"check_jacobi"}

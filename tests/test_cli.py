@@ -57,6 +57,24 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "comps" in err and "brackets" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("source", ["comps", "phi"])
+    def test_overflowing_document_is_one_line_exit_2(self, tmp_path, capsys, source):
+        """A tensor scaled to 1.5e308, or a phi of entries 1e200 whose square
+        overflows: the library's one float-range error, exit 2."""
+        s = canonical_structure(1)
+        f = random_structure_tensor(s, 0)
+        if source == "comps":
+            f = f / _max_abs(f) * 1.5e308
+        doc = fileio.tensor_to_doc(s, f)
+        if source == "phi":
+            doc["phi"] = (1e200 * s.phi).ravel().tolist()
+        path = write(tmp_path, "big.json", doc)
+        assert main(["classify", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: result overflows the floating-point range (overflow encountered in matmul)\n"
+        )
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -522,6 +540,14 @@ class TestFileFormats:
     def test_inconsistent_dim_rejected(self, tmp_path):
         path = write(tmp_path, "bad.json", {"n": 1, "dim": 5, "comps": [0.0] * 27})
         assert main(["classify", path]) == 2
+
+    def test_lie_structure_is_read_from_the_top_level(self, tmp_path, capsys):
+        """A Lie document's structure fields sit at the top level, as in a
+        tensor document; a nested "structure" object is not read."""
+        brackets = [{"i": 0, "j": 1, "coeffs": [0.0, -1.0, -1.0]}]
+        path = write(tmp_path, "nested.json", {"structure": {"n": 1}, "brackets": brackets})
+        assert main(["classify", path]) == 2
+        assert capsys.readouterr() == ("", "error: missing field: 'n' (or 'dim')\n")
 
     def test_bracket_lower_triangle_rejected(self, tmp_path, capsys):
         doc = {"n": 1, "brackets": [{"i": 1, "j": 0, "coeffs": [0.0, 0.0, 0.0]}]}

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from acbm import models
 from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
-    _DIM3_EQUAL_PAIRS,
-    _DIM3_ZERO_TRIPLES,
     Dim3Coefficients,
     LieAlgebraSpec,
     check_jacobi,
@@ -21,8 +22,14 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from acbm.structure import canonical_structure
-from acbm.tensors import _max_abs, is_structure_tensor, lee_forms, random_structure_tensor
+from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, canonical_structure
+from acbm.tensors import (
+    _max_abs,
+    _require_structure_tensor,
+    is_structure_tensor,
+    lee_forms,
+    random_structure_tensor,
+)
 from acbm.verify import run_suite
 
 from conftest import random_structure
@@ -238,6 +245,50 @@ class TestDim3LeeForms:
             dim3_lee_forms(s1, np.zeros((5, 5, 5)))
 
 
+# The eighteen entry relations of an admissible tensor in dimension 3 over the
+# canonical structure, slot symmetry and the phi relation written out: nine
+# pairs of index triples that agree and nine triples that vanish. They involve
+# 27 distinct entries and are independent, so they cut out a space of
+# dimension 9, the admissible space at n = 1. An oracle independent of the
+# membership gate that dim3_coefficients asks.
+_DIM3_EQUAL_PAIRS = (
+    ((1, 0, 1), (1, 1, 0)),
+    ((2, 0, 2), (2, 2, 0)),
+    ((1, 0, 2), (1, 2, 0)),
+    ((2, 0, 1), (2, 1, 0)),
+    ((0, 1, 1), (0, 2, 2)),
+    ((0, 0, 1), (0, 1, 0)),
+    ((0, 0, 2), (0, 2, 0)),
+    ((1, 1, 1), (1, 2, 2)),
+    ((2, 1, 1), (2, 2, 2)),
+)
+_DIM3_ZERO_TRIPLES = (
+    (0, 0, 0),
+    (1, 0, 0),
+    (2, 0, 0),
+    (0, 1, 2),
+    (0, 2, 1),
+    (1, 1, 2),
+    (1, 2, 1),
+    (2, 2, 1),
+    (2, 1, 2),
+)
+
+
+def _dim3_oracle_admits(c: np.ndarray) -> bool:
+    """The eighteen relations, each within DEFAULT_RTOL relative to max-abs(c)
+    floored at DEFAULT_ABS_FLOOR: the bound of the membership gate."""
+    bound = DEFAULT_RTOL * max(_max_abs(c), DEFAULT_ABS_FLOOR)
+    pairs_agree = all(abs(c[left] - c[right]) <= bound for left, right in _DIM3_EQUAL_PAIRS)
+    return pairs_agree and all(abs(c[triple]) <= bound for triple in _DIM3_ZERO_TRIPLES)
+
+
+def _gate_message(s, c) -> str:
+    with pytest.raises(PreconditionError) as info:
+        _require_structure_tensor(s, c)
+    return str(info.value)
+
+
 def _inadmissible_dim3() -> np.ndarray:
     return np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3, 3))
 
@@ -277,27 +328,29 @@ class TestDim3Components:
         left, right = _DIM3_EQUAL_PAIRS[k]
         c = np.zeros((3, 3, 3))
         c[left] = 0.5
-        c[_DIM3_ZERO_TRIPLES[-1]] = 0.25  # also broken, but pairs are named first
-        want = f"components {left} and {right} differ by 5.000e-01; tensor is not admissible in dimension 3"
-        with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(s1, c)
-        assert str(info.value) == want
+        c[_DIM3_ZERO_TRIPLES[-1]] = 0.25  # also broken
+        for fn in (dim3_coefficients, dim3_decompose):
+            with pytest.raises(PreconditionError) as info:
+                fn(s1, c)
+            assert str(info.value) == _gate_message(s1, c)
 
     @pytest.mark.parametrize("triple", _DIM3_ZERO_TRIPLES)
     def test_names_the_nonzero_triple(self, triple, s1):
         c = np.zeros((3, 3, 3))
         c[triple] = -0.5
-        want = f"component {triple} = -5.000e-01 must vanish for admissible dimension-3 tensors"
-        with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(s1, c)
-        assert str(info.value) == want
+        for fn in (dim3_coefficients, dim3_decompose):
+            with pytest.raises(PreconditionError) as info:
+                fn(s1, c)
+            assert str(info.value) == _gate_message(s1, c)
 
     def test_names_the_first_of_two_unequal_pairs(self, s1):
         c = np.zeros((3, 3, 3))
         c[_DIM3_EQUAL_PAIRS[5][0]] = 1.0
         c[_DIM3_EQUAL_PAIRS[2][1]] = 1.0
-        with pytest.raises(PreconditionError, match=r"components \(1, 0, 2\) and \(1, 2, 0\)"):
+        want = "tensor is not an admissible structure tensor: slot_symmetry residual 1.000e+00"
+        with pytest.raises(PreconditionError) as info:
             dim3_coefficients(s1, c)
+        assert str(info.value) == want == _gate_message(s1, c)
 
     def test_rejects_wrong_dim(self, s1, s2):
         with pytest.raises(ValueError, match="expected a dimension-3 structure"):
@@ -315,8 +368,10 @@ class TestDim3Components:
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     def test_rejects_inadmissible_at_any_scale(self, s1, scale):
-        with pytest.raises(PreconditionError, match="not admissible in dimension 3"):
-            dim3_coefficients(s1, scale * _inadmissible_dim3())
+        c = scale * _inadmissible_dim3()
+        with pytest.raises(PreconditionError) as info:
+            dim3_coefficients(s1, c)
+        assert str(info.value) == _gate_message(s1, c)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-300, 1e-315, 1e10])
     def test_accepts_admissible_at_any_scale(self, s1, scale):
@@ -344,3 +399,27 @@ class TestDim3Components:
         monkeypatch.setattr(models, "dim3_coefficients", lambda *a, **k: calls.append(1) or original(*a, **k))
         assert all(check.passed for check in run_suite("dim3", 3))
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("entry", list(np.ndindex(3, 3, 3)))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    exponent=st.integers(-12, 12),
+    size=st.floats(-11.0, -6.0),
+    negative=st.booleans(),
+)
+def test_dim3_gate_agrees_with_the_eighteen_relations(entry, seed, exponent, size, negative):
+    """One entry of an admissible tensor of max-abs about 10^exponent, moved by
+    10^size of that magnitude: dim3_coefficients refuses it, with the gate's
+    message, exactly when one of the eighteen relations exceeds the bound."""
+    s = canonical_structure(1)
+    f = random_structure_tensor(s, seed) * 10.0**exponent
+    c = np.array(f)
+    c[entry] += (-1.0 if negative else 1.0) * 10.0**size * _max_abs(f)
+    if _dim3_oracle_admits(c):
+        dim3_coefficients(s, c)
+    else:
+        with pytest.raises(PreconditionError) as info:
+            dim3_coefficients(s, c)
+        assert str(info.value) == _gate_message(s, c)
