@@ -10,9 +10,9 @@ identical inputs produce byte-identical machine-readable output.
 
 Input kinds for classification are auto-detected: a document with a
 "brackets" field is a Lie-algebra specification, one with "comps" is a
-tensor; documents with both are rejected. Structure fields omitted
-from any document default to the canonical structure for the given n;
-a document with none of them gets canonical_structure(n) itself.
+tensor; documents with both, or with a field outside their kind's set,
+are rejected. Omitted structure fields default to the canonical ones for
+n, and a document with none of them gets canonical_structure(n) itself.
 """
 
 from __future__ import annotations
@@ -83,6 +83,16 @@ def detect_kind(doc: dict) -> str:
     raise ParseError("missing field: document has neither 'comps' nor 'brackets'")
 
 
+_STRUCTURE_FIELDS = ("n", "dim", "g", "phi", "xi", "eta")
+
+
+def _refuse_unknown_fields(record: dict, fields: tuple, where: str) -> None:
+    """ParseError naming the first key outside fields: a misspelt field is not a default."""
+    unknown = [key for key in record if key not in fields]
+    if unknown:
+        raise ParseError(f"{where}unknown field {unknown[0]!r}; expected {', '.join(fields)}")
+
+
 def _parse_array(value, shape, name: str) -> np.ndarray:
     """A field as its array: a flat row-major list of prod(shape) entries is
     nested into that shape, and anything else goes to the one array check as is."""
@@ -141,6 +151,7 @@ def structure_from_doc(doc: dict) -> StructureData:
 
 def tensor_from_doc(doc: dict) -> tuple:
     """(structure, tensor) from a tensor document."""
+    _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("comps",), "")
     s = structure_from_doc(doc)
     if "comps" not in doc:
         raise ParseError("missing field: 'comps'")
@@ -154,6 +165,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
     implied, the diagonal is zero).
     """
+    _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("brackets",), "")
     s = structure_from_doc(doc)
     d = s.dim
     brackets = doc.get("brackets")
@@ -163,6 +175,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
     for idx, rec in enumerate(brackets):
         if not isinstance(rec, dict) or not {"i", "j", "coeffs"} <= set(rec):
             raise ParseError(f"brackets[{idx}]: expected fields 'i', 'j', 'coeffs'")
+        _refuse_unknown_fields(rec, ("i", "j", "coeffs"), f"brackets[{idx}]: ")
         i = _int_field(rec["i"], f"brackets[{idx}].i")
         j = _int_field(rec["j"], f"brackets[{idx}].j")
         if not (0 <= i < d and 0 <= j < d):
@@ -192,10 +205,7 @@ def structure_to_doc(s: StructureData) -> dict:
 
 def tensor_to_doc(s: StructureData, f) -> dict:
     comps = _float_list(_tensor(s, f))
-    doc = structure_to_doc(s)
-    doc["dim"] = int(s.dim)
-    doc["comps"] = comps
-    return doc
+    return {**structure_to_doc(s), "dim": int(s.dim), "comps": comps}
 
 
 def lie_to_doc(spec: LieAlgebraSpec) -> dict:

@@ -46,8 +46,8 @@ DEFAULT_ABS_FLOOR = 1e-12
 
 # Largest dimension d = 2n + 1 that documents and generators accept;
 # larger sizes are refused before anything is allocated. classify costs
-# O(d^6) in its W1 terms: at d = 21 one call takes about 4 s with a
-# 37 MB peak resident set (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
+# O(d^6) in its W1 terms: at d = 21 one call takes 2.9-3.5 s with a
+# 38 MB peak resident set (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
 MAX_DIM = 21
 
 # Eigenvalues below this magnitude do not count toward the signature.

@@ -13,7 +13,6 @@ from acbm.models import (
     Dim3Coefficients,
     LieAlgebraSpec,
     check_jacobi,
-    connection_residuals,
     dim3_coefficients,
     dim3_decompose,
     dim3_lee_forms,
@@ -55,13 +54,6 @@ class TestLieFamily:
         np.testing.assert_array_equal(c[1, 2], np.zeros(3))
         np.testing.assert_array_equal(c[1, 0], -c[0, 1])
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_jacobi_holds(self, n, seed):
-        rng = np.random.default_rng(seed)
-        spec = lie_family(n, rng.uniform(-2.0, 2.0, 2 * n))
-        assert check_jacobi(spec)
-
     def test_rejects_wrong_parameter_count(self):
         with pytest.raises(ValueError, match=r"^parameter vector must have shape \(4,\), got \(2,\)$"):
             lie_family(2, [1.0, 2.0])
@@ -73,9 +65,6 @@ class TestLieFamily:
 
 
 class TestCheckJacobi:
-    def test_solvable_family(self):
-        assert check_jacobi(lie_family(1, [2.0, 3.0]))
-
     def test_abelian(self, s1):
         assert check_jacobi(LieAlgebraSpec(structure=s1, c=np.zeros((3, 3, 3))))
 
@@ -122,54 +111,14 @@ class TestKoszulConnection:
         spec = LieAlgebraSpec(structure=s1, c=np.zeros((3, 3, 3)))
         assert np.max(np.abs(koszul_connection(spec))) == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_torsion_free_metric_compatible(self, n, seed):
-        rng = np.random.default_rng(seed + 1000)
-        spec = lie_family(n, rng.uniform(-2.0, 2.0, 2 * n))
-        conn = koszul_connection(spec)
-        torsion, compat = connection_residuals(spec, conn)
-        assert torsion <= 1e-12
-        assert compat <= 1e-12
-
 
 class TestFamilyStructureTensor:
-    def test_components_n1(self):
-        a1, a2 = 2.0, 3.0
-        _, c = family_tensor(1, [a1, a2])
-        assert c[0, 1, 1] == pytest.approx(-2 * a2)
-        assert c[0, 2, 2] == pytest.approx(-2 * a2)
-        assert c[1, 0, 2] == pytest.approx(a1)
-        assert c[1, 2, 0] == pytest.approx(a1)
-        assert c[2, 0, 1] == pytest.approx(-a1)
-        assert c[2, 1, 0] == pytest.approx(-a1)
-
-    def test_flat_case_is_zero(self):
-        _, f = family_tensor(1, [0.0, 0.0])
+    def test_flat_case_is_f0(self):
+        spec, f = family_tensor(1, [0.0, 0.0])
         assert _max_abs(f) == 0.0
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_always_admissible(self, n, seed):
-        rng = np.random.default_rng(seed + 2000)
-        spec, f = family_tensor(n, rng.uniform(-2.0, 2.0, 2 * n))
-        assert is_structure_tensor(spec.structure, f)
-
-    @pytest.mark.parametrize(
-        "params,expected",
-        [
-            ((1.0, 1.0), (9, 10)),
-            ((2.0, 3.0), (9, 10)),
-            ((0.0, 1.0), (10,)),
-            ((1.0, 0.0), (9,)),
-            ((0.0, 0.0), ()),
-        ],
-    )
-    def test_classification_table(self, params, expected):
-        spec, f = family_tensor(1, params)
         report = classify(spec.structure, f)
-        assert report.present == expected
-        assert report.is_F0 == (not expected)
+        assert report.present == ()
+        assert report.is_F0
 
     def test_class_coefficients(self):
         # F9 coefficient mu = a1, F10 coefficient nu = -2 a2
@@ -189,12 +138,6 @@ class TestSphere:
         assert lf.theta @ s.xi == pytest.approx(2.0)
         assert lf.theta_star @ s.xi == pytest.approx(0.0, abs=1e-15)
 
-    def test_t_half_pi_pure_f5(self):
-        s, f = sphere_structure_tensor(1, math.pi / 2)
-        report = classify(s, f)
-        assert report.present == (5,)
-        assert lee_forms(s, f).theta_star @ s.xi == pytest.approx(2.0)
-
     def test_n2_lee_values(self):
         s, f = sphere_structure_tensor(2, 0.7)
         report = classify(s, f)
@@ -202,14 +145,6 @@ class TestSphere:
         lf = lee_forms(s, f)
         assert abs(lf.theta @ s.xi - 4 * math.cos(0.7)) <= 1e-12
         assert abs(lf.theta_star @ s.xi - 4 * math.sin(0.7)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_grid_lee_values(self, n):
-        for t in np.linspace(-math.pi / 2, math.pi / 2, 20):
-            s, f = sphere_structure_tensor(n, float(t))
-            lf = lee_forms(s, f)
-            assert abs(lf.theta @ s.xi - 2 * n * math.cos(t)) <= 1e-12
-            assert abs(lf.theta_star @ s.xi - 2 * n * math.sin(t)) <= 1e-12
 
     def test_membership(self):
         for n in (1, 2):
@@ -228,15 +163,6 @@ class TestDim3LeeForms:
         lf = dim3_lee_forms(s1, f11_form(w1=1.0, w2=0.0))
         np.testing.assert_array_equal(lf.omega, [0.0, 1.0, 0.0])
         assert np.max(np.abs(lf.theta)) == 0.0
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_general_contraction(self, seed, s1):
-        f = random_structure_tensor(s1, seed)
-        fast = dim3_lee_forms(s1, f)
-        general = lee_forms(s1, f)
-        np.testing.assert_allclose(fast.theta, general.theta, atol=1e-12)
-        np.testing.assert_allclose(fast.theta_star, general.theta_star, atol=1e-12)
-        np.testing.assert_allclose(fast.omega, general.omega, atol=1e-12)
 
     def test_rejects_wrong_dim(self, s1, s2):
         with pytest.raises(ValueError, match="expected a dimension-3 structure"):
@@ -295,21 +221,14 @@ def _inadmissible_dim3() -> np.ndarray:
 
 class TestDim3Components:
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_general_path(self, seed, s1):
+    def test_closed_forms_beyond_the_suite(self, seed, s1):
+        """What the dim3 suite does not assert: F2, F3, F6 and F7 of the closed
+        forms are exactly 0.0, and they sum back to the tensor within 1e-15."""
         f = random_structure_tensor(s1, seed)
         fast, general = dim3_decompose(s1, f), decompose(s1, f)
-        for c_fast, c_general in zip(fast.components, general.components):
-            assert _max_abs(c_fast - c_general) <= 1e-12
+        assert _max_abs(fast.components[[1, 2, 5, 6]]) == 0.0
         np.testing.assert_allclose(fast.magnitudes, general.magnitudes, rtol=0, atol=1e-12)
         assert fast.reconstruction_residual <= 1e-15
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_vanishing_classes(self, seed, s1):
-        f = random_structure_tensor(s1, seed)
-        fast, general = dim3_decompose(s1, f), decompose(s1, f)
-        for i in (2, 3, 6, 7):
-            assert _max_abs(fast.components[i - 1]) == 0.0
-            assert _max_abs(general.components[i - 1]) <= 1e-12
 
     def test_sphere_splits_into_f4_f5(self):
         s, f = sphere_structure_tensor(1, math.pi / 4)

@@ -209,19 +209,6 @@ class TestLeeForms:
         np.testing.assert_allclose(lf.theta_star, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(lf.omega, np.zeros(3), atol=1e-15)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_omega_xi_and_theta_star_phi(self, seed):
-        n = 1 + seed % 3
-        s = canonical_structure(n)
-        f = random_structure_tensor(s, seed)
-        lf = lee_forms(s, f)
-        assert abs(lf.omega @ s.xi) <= 1e-12
-        # theta*(phi z) = -theta(phi^2 z) on every basis vector
-        phi2 = s.phi @ s.phi
-        np.testing.assert_allclose(
-            s.phi.T @ lf.theta_star, -(phi2.T @ lf.theta), atol=1e-12
-        )
-
     @pytest.mark.parametrize("seed", range(5))
     def test_linear(self, seed):
         s = canonical_structure(2)
