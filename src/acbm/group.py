@@ -15,10 +15,11 @@ two elements is a @ b. The group acts on rank-3 tensors by pullback,
 ((lambda a) F)(x, y, z) = F(a^-1 x, a^-1 y, a^-1 z), and the whole
 class decomposition is equivariant under this action.
 
-Sampling covers the identity component only (matrix exponentials of
-complex skew matrices); for n = 1 that component is trivial, so
-dimension-3 equivariance checks use the explicit discrete element
-with blocks (A, B) = (-I_n, 0).
+O(n; C) has two components, det(A + iB) = +1 and -1. Sampling reaches
+both in closed form: the Cayley transform of a complex skew matrix
+lies in the first, and negating its first column moves it to the
+second. For n = 1 the first component is trivial and the second is
+the discrete element with blocks (A, B) = (-I_1, 0).
 """
 
 from __future__ import annotations
@@ -37,29 +38,6 @@ __all__ = [
     "act",
 ]
 
-# Taylor-series truncation threshold for the matrix exponential.
-_EXPM_TOL = 1e-14
-_EXPM_MAX_TERMS = 64
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring of a Taylor series."""
-    norm = float(np.linalg.norm(m, 1))
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    a = m / (2.0 ** squarings)
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = term @ a / k
-        out = out + term
-        if np.max(np.abs(term)) <= _EXPM_TOL:
-            break
-    else:
-        raise RuntimeError("matrix exponential series did not converge")
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
 
 def _assemble(n: int, a_block: np.ndarray, b_block: np.ndarray) -> np.ndarray:
     """Read-only group matrix in the xi-first basis from contact blocks A, B."""
@@ -75,41 +53,34 @@ def _assemble(n: int, a_block: np.ndarray, b_block: np.ndarray) -> np.ndarray:
 
 
 def random_group_element(n: int, seed: int) -> np.ndarray:
-    """Seeded element of the identity component of the structure group.
+    """Seeded structure-group element, with det(A + iB) = (-1)^seed.
 
-    Draws two skew-symmetric n x n matrices with entries in [-1, 1]
-    scaled by 1/n, exponentiates their complex combination through the
-    real 2n x 2n representation [[K1, -K2], [K2, K1]], and assembles
-    the xi-first block matrix. The result is checked by
-    validate_group_element before it is returned; a failure there is a
-    defect, not bad input.
+    Draws two skew-symmetric n x n matrices with entries in [-1, 1],
+    forms the complex skew matrix k = (K1 + i K2) / (2n) and returns
+    the Cayley transform q = (I - k)^-1 (I + k), which is complex
+    orthogonal with det q = 1 and agrees with exp(2k) to second order.
+    Each row of k sums to less than 1/sqrt(2) in modulus, so I - k is
+    always invertible. An odd seed negates the first column of q, which
+    moves it to the det = -1 component; at n = 1 that is (-I_1, 0).
     """
     n = _rank(n)
     rng = np.random.default_rng(seed)
     u1 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
     u2 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
-    k1 = (u1 - u1.T) / n
-    k2 = (u2 - u2.T) / n
-    rep = np.block([[k1, -k2], [k2, k1]])
-    e = _expm(rep)
-    a_block = e[:n, :n]
-    b_block = e[n:, :n]
-    # internal consistency of the real representation
-    rep_residual = _max_abs(e[n:, n:] - a_block, e[:n, n:] + b_block)
-    a = _assemble(n, a_block, b_block)
-    if rep_residual > DEFAULT_RTOL or not validate_group_element(canonical_structure(n), a):
-        raise RuntimeError(
-            f"generated group element failed verification (expm residual {rep_residual:.3e})"
-        )
-    return a
+    k = (u1 - u1.T + 1j * (u2 - u2.T)) / (2 * n)
+    eye = np.eye(n)
+    q = np.linalg.solve(eye - k, eye + k)
+    if seed % 2:
+        q[:, 0] *= -1
+    return group_element_from_blocks(n, q.real, q.imag)
 
 
 def group_element_from_blocks(n: int, a_block, b_block) -> np.ndarray:
     """Build an element from explicit contact blocks A, B.
 
     Rejects blocks violating A^T A - B^T B = I or B^T A + A^T B = 0
-    beyond DEFAULT_RTOL. Useful for the discrete representative
-    (A, B) = (-I_n, 0), which the identity-component sampler cannot reach.
+    beyond DEFAULT_RTOL, for example the element
+    (A, B) = (diag(-1, 1, ..., 1), 0) of the det = -1 component.
     """
     s = canonical_structure(n)  # the rank rule, before n sizes the blocks
     a = _assemble(n, _as_float_array(a_block, (n, n), "block A"),

@@ -7,10 +7,11 @@ pass to exit code 0.
 
 Tolerances follow the package-wide convention: DEFAULT_ATOL (1e-12)
 absolute for identities evaluated on exactly representable inputs,
-DEFAULT_RTOL (1e-9) relative elsewhere. Group equivariance suites run
-at n = 2: for n = 1 the identity component of the structure group is
-trivial, so dimension-3 equivariance is exercised with the explicit
-discrete element instead.
+DEFAULT_RTOL (1e-9) relative elsewhere. The group suite samples
+elements at n = 2 with det(A + iB) = (-1)^seed, so any run of two or
+more seeds acts with both components of the structure group; at n = 1,
+where the identity component is trivial, it acts with the discrete
+element (A, B) = (-I_1, 0).
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ def decomposition_suite(seeds: int) -> list:
                         abs(inner_product(s, d.components[i], d.components[j])) / ip_scale,
                     )
             for i in range(1, dec.NUM_CLASSES + 1):
-                ci = d.components[i - 1]
-                w.add("closure", _rel(max(membership_residuals(s, ci).values()), scale))
+                ci, size = d.components[i - 1], d.magnitudes[i - 1]
+                # a present component is measured by its own size, as the admissibility gate does
+                residual = max(membership_residuals(s, ci).values())
+                w.add("closure", residual / size if size > DEFAULT_RTOL * scale else _rel(residual, scale))
                 w.add("class predicates", 0.0 if dec.satisfies_class(s, ci, i) else 1.0)
             projs = [dec.project_w(s, f, i) for i in range(1, 5)]
             total = projs[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import acbm
-from acbm import fileio, tensors, verify
+from acbm import decomposition, fileio, tensors, verify
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
-from acbm.structure import MAX_DIM, canonical_structure
+from acbm.structure import DEFAULT_RTOL, MAX_DIM, canonical_structure
 from acbm.tensors import _max_abs, is_structure_tensor, random_structure_tensor
 
 
@@ -407,6 +408,28 @@ class TestVerify:
         assert len(made) == len(verify.SUITE_NAMES)
         for w in made:
             assert set(w.values) == set(w.tols)
+
+    def test_closure_measures_a_present_component_by_its_own_size(self, monkeypatch):
+        """An inadmissible part of 1e-6 of a small component's own size fails
+        closure, though it is below 1e-9 of the tensor's size."""
+        decompose, spoiled = decomposition.decompose, []
+
+        def spoil(s, f):
+            d = decompose(s, f)
+            stack, scale = np.array(d.components), _max_abs(f)
+            for c in stack:
+                size = _max_abs(c)
+                if DEFAULT_RTOL * scale < size < 1e-3 * scale:
+                    # horizontal, horizontal, vertical (xi): inside the block
+                    # W2 of F4..F9, but not symmetric in the last two slots
+                    c[1, 2, 0] += 1e-6 * size
+                    spoiled.append(size)
+            return dataclasses.replace(d, components=stack)
+
+        monkeypatch.setattr(decomposition, "decompose", spoil)
+        # seed 17 at n = 1 has an F9 component of 9.0e-5 of |F|
+        closure = {check.name: check for check in verify.decomposition_suite(18)}["closure"]
+        assert spoiled and not closure.passed
 
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):

@@ -13,11 +13,16 @@ from acbm.tensors import _max_abs, random_structure_tensor
 
 
 class TestRandomGroupElement:
-    def test_n1_is_identity(self):
-        # the only 1x1 skew-symmetric matrix is zero, so the identity
-        # component of the group is trivial
-        for seed in range(5):
-            np.testing.assert_allclose(random_group_element(1, seed), np.eye(3), atol=1e-15)
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seed_parity_picks_the_component(self, n, seed):
+        """det(A + iB) = (-1)^seed; at n = 1 the element is diag(1, +-1, +-1)."""
+        a, sign = random_group_element(n, seed), (-1) ** seed
+        assert validate_group_element(canonical_structure(n), a)
+        q = a[1 : n + 1, 1 : n + 1] + 1j * a[1 : n + 1, n + 1 :]
+        assert abs(np.linalg.det(q) - sign) <= 1e-12
+        if n == 1:
+            np.testing.assert_array_equal(a, group_element_from_blocks(1, sign * np.eye(1), np.zeros((1, 1))))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_block_conditions(self, seed):
@@ -57,12 +62,6 @@ class TestValidateGroupElement:
 
     def test_scaled_identity_fails(self, s2):
         assert not validate_group_element(s2, 2.0 * np.eye(5))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_fifty_seeds(self, n):
-        s = canonical_structure(n)
-        for seed in range(50):
-            assert validate_group_element(s, random_group_element(n, seed))
 
     def test_shape_mismatch(self, s2):
         with pytest.raises(ValueError):
@@ -168,8 +167,9 @@ class TestAction:
 class TestEquivariance:
     @pytest.mark.parametrize("n", [2, 3])
     def test_det_minus_one_component_equivariance(self, n):
-        """A = diag(-1, 1, ..., 1), B = 0 lies in the component of O(n; C)
-        with det(A + iB) = -1, which random_group_element never reaches."""
+        """A = diag(-1, 1, ..., 1), B = 0, the explicit representative of the
+        component of O(n; C) with det(A + iB) = -1, where random_group_element
+        samples at odd seeds."""
         s = canonical_structure(n)
         elem = group_element_from_blocks(n, np.diag([-1.0] + [1.0] * (n - 1)), np.zeros((n, n)))
         assert validate_group_element(s, elem)
