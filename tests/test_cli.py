@@ -431,6 +431,25 @@ class TestVerify:
         closure = {check.name: check for check in verify.decomposition_suite(18)}["closure"]
         assert spoiled and not closure.passed
 
+    @pytest.mark.parametrize("share", [2e-9, 1e-7, 2e-5])
+    def test_closure_passes_a_small_present_component(self, monkeypatch, share):
+        """A component scaled to a small share of |F| passes closure: the
+        rounding that leaks from the rest of F is not measured by its size."""
+        seeded = verify.random_structure_tensor
+
+        def shrink_f2(s, seed):
+            f = seeded(s, seed)
+            if s.n == 1:  # F2 vanishes at n = 1
+                return f
+            f2 = decomposition.decompose(s, f).components[1]
+            rest = f - f2
+            return rest + (share * _max_abs(rest) / _max_abs(f2)) * f2
+
+        monkeypatch.setattr(verify, "random_structure_tensor", shrink_f2)
+        # at 2e-9, seed 1 at n = 3 reports 6.7e-8 when 1e-9 of |F| counts as present
+        closure = {check.name: check for check in verify.decomposition_suite(3)}["closure"]
+        assert closure.passed, closure.worst
+
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
             def write(self, text):

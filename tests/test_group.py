@@ -63,6 +63,12 @@ class TestValidateGroupElement:
     def test_scaled_identity_fails(self, s2):
         assert not validate_group_element(s2, 2.0 * np.eye(5))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fifty_seeds(self, n):
+        s = canonical_structure(n)
+        for seed in range(50):
+            assert validate_group_element(s, random_group_element(n, seed))
+
     def test_shape_mismatch(self, s2):
         with pytest.raises(ValueError):
             validate_group_element(s2, np.eye(3))
