@@ -69,14 +69,6 @@ class _Worst:
         return [CheckResult(name, self.values.get(name, 0.0), tol) for name, tol in self.tols.items()]
 
 
-# A component whose max-abs exceeds this share of max-abs F counts as present,
-# and its closure residual is measured by its own size. Rounding leaks up to
-# about 3e-16 of max-abs F into every component in the canonical basis (5e-15
-# in a well-conditioned non-canonical one), so a smaller component would fail
-# on rounding alone.
-_PRESENT = 1e-5
-
-
 def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(1.0, scale)
 
@@ -112,9 +104,10 @@ def decomposition_suite(seeds: int) -> list:
                     )
             for i in range(1, dec.NUM_CLASSES + 1):
                 ci, size = d.components[i - 1], d.magnitudes[i - 1]
-                # a present component is measured by its own size, as the admissibility gate does
+                # a component above 1e-5 of F is measured by its own size, as the admissibility
+                # gate does; rounding leaks up to 5e-15 of F into each, which a smaller one fails on
                 residual = max(membership_residuals(s, ci).values())
-                w.add("closure", residual / size if size > _PRESENT * scale else _rel(residual, scale))
+                w.add("closure", residual / size if size > 1e-5 * scale else _rel(residual, scale))
                 w.add("class predicates", 0.0 if dec.satisfies_class(s, ci, i) else 1.0)
             projs = [dec.project_w(s, f, i) for i in range(1, 5)]
             total = projs[0]
