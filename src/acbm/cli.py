@@ -42,13 +42,7 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import (
-    DEFAULT_ABS_FLOOR,
-    DEFAULT_RTOL,
-    _as_float_array,
-    canonical_structure,
-    validate_structure,
-)
+from .structure import DEFAULT_RTOL, _as_float_array, canonical_structure, validate_structure
 from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -96,9 +90,9 @@ def _require_flag(ok: bool, flag: str, rule: str, value) -> None:
 
 
 def cmd_classify(args) -> int:
-    _check_threshold(args.tol, args.abs_floor, ("--tol", "--abs-floor"))
+    _check_threshold(args.tol, "--tol")
     s, f = _load_classifiable(args.input)
-    report = classify(s, f, rel_tol=args.tol, abs_floor=args.abs_floor)
+    report = classify(s, f, rel_tol=args.tol)
     if args.format == "json":
         text = fileio.dumps(fileio.report_to_doc(report))
     else:
@@ -177,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--tol", type=float, default=DEFAULT_RTOL,
                             help="relative class threshold (no upper bound: one above every"
                             " component reports F0 for a nonzero tensor)")
-    p_classify.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR,
-                            help="absolute magnitude floor of the class threshold")
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
     p_classify.add_argument("--out", help="write the report to a file instead of stdout")
     p_classify.set_defaults(func=cmd_classify)

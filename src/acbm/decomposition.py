@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _in_float_range, _sealed
+from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _sealed
 from .tensors import (
     _lee_forms,
     _max_abs,
@@ -77,15 +77,14 @@ class ClassReport:
     """Classification outcome: which basic classes are present.
 
     A class index is present when its component magnitude exceeds
-    rel_tol * max(input magnitude, abs_floor). is_F0 holds exactly when
-    no class is present. All magnitudes are retained for auditability.
+    rel_tol times the input magnitude (tensors._scale). is_F0 holds exactly
+    when no class is present. All magnitudes are retained for auditability.
     """
 
     present: tuple
     is_F0: bool
     magnitudes: np.ndarray
     rel_tol: float
-    abs_floor: float
     input_magnitude: float
     reconstruction_residual: float
 
@@ -150,8 +149,8 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     Their joint eigenspaces carve W2 into the classes F4..F9: L1 fixes
     F4+F5+F6+F8 and negates F7+F9; L2 fixes F8+F9 and negates
     F4+F5+F6+F7. Requires f in W2 (f = p2(f) within DEFAULT_RTOL relative
-    to max-abs(f) floored at DEFAULT_ABS_FLOOR, so the check does not
-    depend on the scale of f); both operators are involutions only there.
+    to _scale(f), so the check does not depend on the scale of f); both
+    operators are involutions only there.
     """
     c = _tensor(s, f)
     if j not in (1, 2):
@@ -268,8 +267,8 @@ def _decomposition(c: np.ndarray, stack: np.ndarray) -> Decomposition:
     """The checked tensor c split into one sealed (11, d, d, d) stack.
 
     The components must sum back to c within DEFAULT_RTOL relative to
-    max-abs(c) floored at DEFAULT_ABS_FLOOR: on admissible input the
-    difference is rounding noise at any scale.
+    _scale(c): on admissible input the difference is rounding noise at any
+    scale.
     """
     stack = _sealed(stack)
     total = np.zeros_like(c)
@@ -328,16 +327,14 @@ def satisfies_class(s: StructureData, f, i: int) -> bool:
     Evaluates the defining identity of the class over all basis
     triples, including auxiliary conditions (vanishing Lee forms for
     F2 and F6, cyclic sums for F2/F3, the symmetry conditions for
-    F6..F9), each within DEFAULT_RTOL relative to max(1, max-abs(f)). The zero
-    tensor satisfies every class. The floor of 1 is deliberate: the
-    verify suites apply this predicate to components at rounding-noise
-    level (F2 and F3 are about 1e-17 at d = 3), which a purely relative
-    scale would reject.
+    F6..F9), each within DEFAULT_RTOL relative to _scale(f), so lam f
+    satisfies the class exactly when f does. The zero tensor satisfies
+    every class.
     """
     c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):
         raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    return _class_residual(s, c, i) <= DEFAULT_RTOL * max(1.0, _max_abs(c))
+    return _class_residual(s, c, i) <= DEFAULT_RTOL * _scale(c)
 
 
 @_in_float_range
@@ -347,7 +344,7 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
     W1 tensors vanish whenever any slot is vertical; W2 whenever the
     first slot is vertical or the last two are both horizontal; W3 and
     W4 are the mirror conditions on the first slot, within DEFAULT_RTOL
-    relative to max-abs(f) floored at DEFAULT_ABS_FLOOR.
+    relative to _scale(f).
     """
     c = _tensor(s, f)
     if i not in (1, 2, 3, 4):
@@ -371,34 +368,26 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
     return worst <= DEFAULT_RTOL * _scale(c)
 
 
-def _check_threshold(rel_tol, abs_floor, names=("rel_tol", "abs_floor")) -> None:
-    """The class-threshold rule of classify and `acbm classify`; names are what its messages say."""
+def _check_threshold(rel_tol, name="rel_tol") -> None:
+    """The class-threshold rule of classify and `acbm classify`; name is what its message says."""
     if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"{names[0]} must be a finite number > 0, got {rel_tol}")
-    if not 0.0 <= abs_floor < np.inf:
-        raise ValueError(f"{names[1]} must be a finite number >= 0, got {abs_floor}")
+        raise ValueError(f"{name} must be a finite number > 0, got {rel_tol}")
 
 
 @_in_float_range
-def classify(
-    s: StructureData,
-    f,
-    rel_tol: float = DEFAULT_RTOL,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
-) -> ClassReport:
+def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     """Classify f into a direct sum of basic classes.
 
     Class i is reported present iff its component magnitude exceeds
-    rel_tol * max(max-abs(f), abs_floor); F0 means nothing is present.
-    rel_tol (finite, > 0) and abs_floor (finite, >= 0) set only this class
-    threshold: the admissibility gate of decompose is fixed. Both are
-    echoed in the report for reproducibility.
+    rel_tol * _scale(f), rel_tol times the max-abs of f, so lam f has the
+    classes of f; F0 means nothing is present. rel_tol (finite, > 0) sets
+    only this class threshold: the admissibility gate of decompose is
+    fixed. It is echoed in the report for reproducibility.
     """
-    _check_threshold(rel_tol, abs_floor)
+    _check_threshold(rel_tol)
     c = _tensor(s, f)
     dec = _decompose(s, c)
-    input_magnitude = _max_abs(c)
-    threshold = rel_tol * max(input_magnitude, abs_floor)
+    threshold = rel_tol * _scale(c)
     present = tuple(
         i for i in range(1, NUM_CLASSES + 1) if dec.magnitudes[i - 1] > threshold
     )
@@ -407,7 +396,6 @@ def classify(
         is_F0=not present,
         magnitudes=dec.magnitudes,
         rel_tol=rel_tol,
-        abs_floor=abs_floor,
-        input_magnitude=input_magnitude,
+        input_magnitude=_max_abs(c),
         reconstruction_residual=dec.reconstruction_residual,
     )

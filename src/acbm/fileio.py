@@ -163,7 +163,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
 
     Brackets are records {i, j, coeffs} meaning [E_i, E_j] = sum_k
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
-    implied, the diagonal is zero).
+    implied, the diagonal is zero), and so is a pair given twice.
     """
     _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("brackets",), "")
     s = structure_from_doc(doc)
@@ -172,6 +172,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
     if not isinstance(brackets, list):
         raise ParseError("missing field: 'brackets' must be a list")
     c = np.zeros((d, d, d))
+    first = {}  # (i, j) -> index of the record that gives [E_i, E_j]
     for idx, rec in enumerate(brackets):
         if not isinstance(rec, dict) or not {"i", "j", "coeffs"} <= set(rec):
             raise ParseError(f"brackets[{idx}]: expected fields 'i', 'j', 'coeffs'")
@@ -185,6 +186,9 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
                 f"brackets[{idx}]: requires i < j (got i={i}, j={j});"
                 " antisymmetry is implied"
             )
+        if (i, j) in first:
+            raise ParseError(f"brackets[{idx}]: repeats the pair ({i}, {j}) of brackets[{first[i, j]}]")
+        first[i, j] = idx
         coeffs = _parse_array(rec["coeffs"], (d,), f"brackets[{idx}].coeffs")
         c[i, j] = coeffs
         c[j, i] = -coeffs
@@ -231,10 +235,7 @@ def report_to_doc(report: ClassReport) -> dict:
         "magnitudes": _float_list(report.magnitudes),
         "input_magnitude": float(report.input_magnitude),
         "reconstruction_residual": float(report.reconstruction_residual),
-        "tolerances": {
-            "rel_tol": float(report.rel_tol),
-            "abs_floor": float(report.abs_floor),
-        },
+        "tolerances": {"rel_tol": float(report.rel_tol)},
     }
 
 
@@ -249,7 +250,5 @@ def format_report_text(report: ClassReport) -> str:
         lines.append(f"  {name:<4} {float(mag)!r}")
     lines.append(f"input_magnitude: {float(report.input_magnitude)!r}")
     lines.append(f"reconstruction_residual: {float(report.reconstruction_residual)!r}")
-    lines.append(
-        f"tolerances: rel_tol={report.rel_tol!r} abs_floor={report.abs_floor!r}"
-    )
+    lines.append(f"tolerances: rel_tol={report.rel_tol!r}")
     return "\n".join(lines) + "\n"

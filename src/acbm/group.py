@@ -76,11 +76,12 @@ def random_group_element(n: int, seed: int) -> np.ndarray:
 
 
 def group_element_from_blocks(n: int, a_block, b_block) -> np.ndarray:
-    """Build an element from explicit contact blocks A, B.
-
-    Rejects blocks violating A^T A - B^T B = I or B^T A + A^T B = 0
-    beyond DEFAULT_RTOL, for example the element
+    """Build an element from explicit contact blocks A, B, for example
     (A, B) = (diag(-1, 1, ..., 1), 0) of the det = -1 component.
+
+    Rejects blocks that validate_group_element refuses: A^T A - B^T B = I
+    and B^T A + A^T B = 0 must hold within its tolerance, relative to the
+    square of the largest entry.
     """
     s = canonical_structure(n)  # the rank rule, before n sizes the blocks
     a = _assemble(n, _as_float_array(a_block, (n, n), "block A"),
@@ -95,12 +96,15 @@ def validate_group_element(s: StructureData, a) -> bool:
     """Check whether the matrix a is a structure-group element for s.
 
     Verifies fixation of xi, preservation of eta and g, and commutation
-    with phi, each within DEFAULT_RTOL. In the canonical basis these four
-    hold exactly when a has the block form of the module docstring.
+    with phi, each within DEFAULT_RTOL * max(1, max-abs(a))^2: a^T g a is
+    quadratic in a, so its rounding grows with the square of the entries,
+    and an exact element far from the identity (entries cosh t) is
+    accepted at any t. In the canonical basis these four hold exactly
+    when a has the block form of the module docstring.
     """
     a = _as_float_array(a, (s.dim, s.dim), "matrix")
     residual = _max_abs(a @ s.xi - s.xi, s.eta @ a - s.eta, a @ s.phi - s.phi @ a, a.T @ s.g @ a - s.g)
-    return residual <= DEFAULT_RTOL
+    return residual <= DEFAULT_RTOL * max(1.0, _max_abs(a)) ** 2
 
 
 @_in_float_range

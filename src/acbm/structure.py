@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ABS_FLOOR",
     "DEFAULT_ATOL",
     "DEFAULT_RTOL",
     "MAX_DIM",
@@ -34,15 +33,11 @@ __all__ = [
 ]
 
 # The tolerances of every check in the package: absolute for algebraic
-# identities on exactly representable inputs, relative elsewhere. Only
-# the class threshold of classify (rel_tol, abs_floor) can be set.
+# identities on exactly representable inputs, relative elsewhere (a tensor
+# is measured by its own max-abs, tensors._scale). Only the class threshold
+# of classify (rel_tol) can be set.
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
-
-# Magnitude floor under relative tolerances: a tensor smaller than this
-# is measured against the floor, so the zero tensor keeps a positive
-# tolerance.
-DEFAULT_ABS_FLOOR = 1e-12
 
 # Largest dimension d = 2n + 1 that documents and generators accept;
 # larger sizes are refused before anything is allocated. classify costs

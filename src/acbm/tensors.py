@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import (
-    DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _sealed,
-)
+from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _sealed
 
 __all__ = [
     "membership_residuals",
@@ -60,10 +58,10 @@ def _max_abs(*arrays) -> float:
 
 
 def _scale(c: np.ndarray) -> float:
-    """max(max-abs(c), DEFAULT_ABS_FLOOR): the magnitude every relative
-    precondition is measured against, so no verdict depends on the overall
-    scale of c and the zero tensor keeps a positive tolerance."""
-    return max(_max_abs(c), DEFAULT_ABS_FLOOR)
+    """The one scale of every tensor verdict: max-abs(c), so no verdict depends
+    on the overall scale of c, floored at the smallest normal float, below which
+    floats keep no relative precision; the zero tensor keeps a positive tolerance."""
+    return max(_max_abs(c), np.finfo(float).tiny)
 
 
 def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -124,9 +122,8 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
 def is_structure_tensor(s: StructureData, f) -> bool:
     """True iff f satisfies both defining identities of the admissible space.
 
-    Within DEFAULT_RTOL relative to the tensor magnitude, with floor
-    DEFAULT_ABS_FLOOR, so the verdict does not depend on the tensor's
-    overall scale.
+    Within DEFAULT_RTOL relative to _scale(f), the tensor's own max-abs,
+    so the verdict does not depend on the tensor's overall scale.
     """
     try:
         _require_structure_tensor(s, _tensor(s, f))

@@ -73,12 +73,23 @@ def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(1.0, scale)
 
 
+def _by_size(residual: float, size: float, scale: float) -> float:
+    """The residual of a component of size `size` of a tensor of max-abs `scale`.
+
+    Above 1e-5 of the tensor a component is measured by its own size, as the
+    admissibility gate measures a tensor; rounding leaks up to 5e-15 of the
+    tensor into each component, which a smaller one would fail on, so that
+    one is measured by max(1, scale).
+    """
+    return residual / size if size > 1e-5 * scale else _rel(residual, scale)
+
+
 def decomposition_suite(seeds: int) -> list:
     w = _Worst({
         "reconstruction": DEFAULT_RTOL,
         "orthogonality": DEFAULT_RTOL,
         "closure": DEFAULT_RTOL,
-        "class predicates": 0.5,
+        "class predicates": DEFAULT_RTOL,
         "projector sum": DEFAULT_RTOL,
         "projector idempotency": DEFAULT_RTOL,
         "projector self-adjointness": DEFAULT_RTOL,
@@ -104,11 +115,8 @@ def decomposition_suite(seeds: int) -> list:
                     )
             for i in range(1, dec.NUM_CLASSES + 1):
                 ci, size = d.components[i - 1], d.magnitudes[i - 1]
-                # a component above 1e-5 of F is measured by its own size, as the admissibility
-                # gate does; rounding leaks up to 5e-15 of F into each, which a smaller one fails on
-                residual = max(membership_residuals(s, ci).values())
-                w.add("closure", residual / size if size > 1e-5 * scale else _rel(residual, scale))
-                w.add("class predicates", 0.0 if dec.satisfies_class(s, ci, i) else 1.0)
+                w.add("closure", _by_size(max(membership_residuals(s, ci).values()), size, scale))
+                w.add("class predicates", _by_size(dec._class_residual(s, ci, i), size, scale))
             projs = [dec.project_w(s, f, i) for i in range(1, 5)]
             total = projs[0]
             for p in projs[1:]:

@@ -10,7 +10,7 @@ from acbm import fileio, tensors
 from acbm.cli import main
 from acbm.decomposition import classify, decompose, satisfies_class
 from acbm.errors import PreconditionError
-from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, StructureData, canonical_structure
+from acbm.structure import DEFAULT_RTOL, StructureData, canonical_structure
 from acbm.tensors import _max_abs, is_structure_tensor, membership_residuals, random_structure_tensor
 
 from conftest import random_structure
@@ -45,8 +45,8 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     f = scale * random_structure_tensor(s, 0)
     vertical = np.zeros((3, 3, 3))
     vertical[0, 0, 0] = 1.0  # F(xi, xi, xi): phi_relation residual 1, slot symmetry 0
-    t = f + ratio * DEFAULT_RTOL * max(_max_abs(f), DEFAULT_ABS_FLOOR) * vertical
-    bound = DEFAULT_RTOL * max(_max_abs(t), DEFAULT_ABS_FLOOR)
+    t = f + ratio * DEFAULT_RTOL * tensors._scale(f) * vertical
+    bound = DEFAULT_RTOL * tensors._scale(t)
     assert max(membership_residuals(s, t).values()) == pytest.approx(ratio * bound, rel=1e-6)
 
     admissible = ratio < 1.0

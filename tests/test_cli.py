@@ -118,8 +118,7 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "flag, value, rule",
-        [("--tol", v, "> 0") for v in ("nan", "inf", "-inf", "0", "-1")]
-        + [("--abs-floor", v, ">= 0") for v in ("nan", "inf", "-1")],
+        [("--tol", v, "> 0") for v in ("nan", "inf", "-inf", "0", "-1")],
     )
     def test_refuses_bad_tolerance(self, tmp_path, capsys, flag, value, rule):
         src = str(tmp_path / "rand.json")
@@ -136,11 +135,6 @@ class TestClassify:
         main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
         assert main(["classify", src, "--tol", "1e300"]) == 0
         assert "classes: F0" in capsys.readouterr().out
-
-    def test_zero_abs_floor_accepted(self, tmp_path, capsys):
-        src = str(tmp_path / "rand.json")
-        main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
-        assert main(["classify", src, "--abs-floor", "0"]) == 0
 
     def test_invalid_structure_exit_3(self, tmp_path, capsys):
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}
@@ -572,10 +566,14 @@ class TestFileFormats:
          "brackets[0]: unknown field 'k'; expected i, j, coeffs"),
         ({"n": 1, "comps": [0.0] * 27, "brackets": [], "x": 1},
          "ambiguous document: has both 'brackets' and 'comps'"),
-    ], ids=["misspelt", "nested-structure", "bracket-key", "ambiguous"])
+        ({"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": [0.0, -1.0, 0.0]},
+                               {"i": 0, "j": 1, "coeffs": [0.0, 5.0, 0.0]}]},
+         "brackets[1]: repeats the pair (0, 1) of brackets[0]"),
+    ], ids=["misspelt", "nested-structure", "bracket-key", "ambiguous", "repeated-pair"])
     def test_fields_outside_the_kind_are_refused(self, tmp_path, capsys, doc, error):
         """A misspelt or nested structure field would fall back to the canonical
-        structure; it exits 2 in one line naming it, after the ambiguity check."""
+        structure, and a repeated bracket pair would keep its last record; each
+        exits 2 in one line naming it, after the ambiguity check."""
         assert main(["classify", write(tmp_path, "doc.json", doc)]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 

@@ -253,6 +253,16 @@ class TestClassPredicates:
         with pytest.raises(ValueError):
             satisfies_class(s1, np.zeros((3, 3, 3)), 0)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-25, 1e-12, 1.0, 1e10])
+    def test_verdict_does_not_depend_on_scale(self, lam):
+        """lam F, F with all eleven classes, satisfies none of them, and each of
+        its components its own class, at every scale lam."""
+        s = random_structure(2, 0)
+        f = random_structure_tensor(s, 0)
+        parts = decompose(s, f).components
+        assert not any(satisfies_class(s, lam * f, i) for i in range(1, NUM_CLASSES + 1))
+        assert all(satisfies_class(s, lam * parts[i - 1], i) for i in range(1, NUM_CLASSES + 1))
+
 
 class TestWSubspaces:
     def test_f10_in_w3(self, s1):
@@ -301,20 +311,17 @@ class TestClassify:
         assert report.class_names() == ("F9", "F10")
 
     def test_report_carries_tolerances(self, s1):
-        report = classify(s1, f8_form(), rel_tol=1e-6, abs_floor=1e-10)
+        report = classify(s1, f8_form(), rel_tol=1e-6)
         assert report.rel_tol == 1e-6
-        assert report.abs_floor == 1e-10
         assert report.input_magnitude == pytest.approx(1.0)
         assert len(report.magnitudes) == NUM_CLASSES
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("rel_tol", v) for v in (np.nan, np.inf, 0.0, -1.0)]
-        + [("abs_floor", v) for v in (np.nan, np.inf, -1.0)],
+        "name, value", [("rel_tol", v) for v in (np.nan, np.inf, 0.0, -1.0)],
     )
     def test_refuses_a_bad_threshold(self, s1, name, value):
-        """The rule of `classify --tol/--abs-floor`, named by the parameter: a NaN
-        threshold would report F0 and a negative one every class, even F2 and F3."""
+        """The rule of `classify --tol`, named by the parameter: a NaN threshold
+        would report F0 and a negative one every class, even F2 and F3."""
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             classify(s1, random_structure_tensor(s1, 0), **{name: value})
 

@@ -83,6 +83,19 @@ class TestValidateGroupElement:
         assert validate_group_element(s1, elem)
         np.testing.assert_array_equal(elem, np.diag([1.0, -1.0, -1.0]))
 
+    @pytest.mark.parametrize("t", [0.0, 4.0, 10.0, 16.0, 20.0])
+    def test_validity_is_relative_to_the_element_size(self, t):
+        """(A, B) = (cosh t I, sinh t J), J = [[0, 1], [-1, 0]], is exact: it is
+        accepted however large its entries, and 1e-7 of its size added to one
+        entry of A is refused."""
+        a_block = np.cosh(t) * np.eye(2)
+        b_block = np.sinh(t) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        a = group_element_from_blocks(2, a_block, b_block)
+        assert validate_group_element(canonical_structure(2), a)
+        a_block[0, 0] += 1e-7 * max(1.0, _max_abs(a))
+        with pytest.raises(ValueError, match="structure-group conditions"):
+            group_element_from_blocks(2, a_block, b_block)
+
     def test_from_blocks_rejects_invalid(self):
         with pytest.raises(ValueError):
             group_element_from_blocks(2, 2.0 * np.eye(2), np.zeros((2, 2)))

@@ -21,10 +21,11 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from acbm.structure import DEFAULT_ABS_FLOOR, DEFAULT_RTOL, canonical_structure
+from acbm.structure import DEFAULT_RTOL, canonical_structure
 from acbm.tensors import (
     _max_abs,
     _require_structure_tensor,
+    _scale,
     is_structure_tensor,
     lee_forms,
     random_structure_tensor,
@@ -202,9 +203,9 @@ _DIM3_ZERO_TRIPLES = (
 
 
 def _dim3_oracle_admits(c: np.ndarray) -> bool:
-    """The eighteen relations, each within DEFAULT_RTOL relative to max-abs(c)
-    floored at DEFAULT_ABS_FLOOR: the bound of the membership gate."""
-    bound = DEFAULT_RTOL * max(_max_abs(c), DEFAULT_ABS_FLOOR)
+    """The eighteen relations, each within DEFAULT_RTOL relative to _scale(c):
+    the bound of the membership gate."""
+    bound = DEFAULT_RTOL * _scale(c)
     pairs_agree = all(abs(c[left] - c[right]) <= bound for left, right in _DIM3_EQUAL_PAIRS)
     return pairs_agree and all(abs(c[triple]) <= bound for triple in _DIM3_ZERO_TRIPLES)
 

@@ -37,15 +37,14 @@ def tensors(draw):
 @given(tensors(), st.sets(st.integers(1, NUM_CLASSES)), st.integers(-150, 150))
 def test_classify_is_scale_free(sf, classes, exponent):
     """The class set of lam F is that of F for lam = 10^-150..10^150, on
-    sums of any subset of the eleven components. The absolute floor
-    scales with lam: at the fixed default floor a tensor below it is F0
-    by design."""
+    sums of any subset of the eleven components: the class threshold is
+    relative to the tensor's own max-abs."""
     s, f = sf
     parts = decompose(s, f).components
     g = sum((parts[i - 1] for i in classes), np.zeros_like(f))
     lam = 10.0**exponent
     expected = classify(s, g).present
-    assert classify(s, g * lam, abs_floor=lam * 1e-12).present == expected
+    assert classify(s, g * lam).present == expected
 
 
 @_SETTINGS

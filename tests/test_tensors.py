@@ -69,7 +69,7 @@ class TestMembership:
         s = random_structure(2, 0)
         raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 5, 5))
         f = random_structure_tensor(s, 0)
-        for scale in (1e-10, 1.0, 1e10):
+        for scale in (1e-300, 1e-25, 1e-10, 1.0, 1e10):
             assert not is_structure_tensor(s, scale * raw)
             assert is_structure_tensor(s, scale * f)
 
