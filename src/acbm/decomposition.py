@@ -329,7 +329,10 @@ def satisfies_class(s: StructureData, f, i: int) -> bool:
     F2 and F6, cyclic sums for F2/F3, the symmetry conditions for
     F6..F9), each within DEFAULT_RTOL relative to _scale(f), so lam f
     satisfies the class exactly when f does. The zero tensor satisfies
-    every class.
+    every class. f is judged alone: a component that is only rounding
+    noise of its tensor F, such as F2, F3, F6 and F7 at n = 1 (about
+    1e-16 of F), is measured by its own size and generally fails. Judge
+    such a component against F, as classify does by rel_tol * max-abs(F).
     """
     c = _tensor(s, f)
     if i not in range(1, NUM_CLASSES + 1):

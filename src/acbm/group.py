@@ -96,15 +96,20 @@ def validate_group_element(s: StructureData, a) -> bool:
     """Check whether the matrix a is a structure-group element for s.
 
     Verifies fixation of xi, preservation of eta and g, and commutation
-    with phi, each within DEFAULT_RTOL * max(1, max-abs(a))^2: a^T g a is
-    quadratic in a, so its rounding grows with the square of the entries,
-    and an exact element far from the identity (entries cosh t) is
-    accepted at any t. In the canonical basis these four hold exactly
-    when a has the block form of the module docstring.
+    with phi, each within DEFAULT_RTOL times the size its rounding grows
+    with. With m = max(1, max-abs(a)), that is 1 for a xi = xi and
+    eta a = eta, m for the commutator, which is linear in a, and m^2 for
+    a^T g a = g, which is quadratic: an exact element far from the
+    identity (entries cosh t) is accepted at any t, and a moved xi or
+    eta is refused at any t. In the canonical basis these four hold
+    exactly when a has the block form of the module docstring.
     """
     a = _as_float_array(a, (s.dim, s.dim), "matrix")
-    residual = _max_abs(a @ s.xi - s.xi, s.eta @ a - s.eta, a @ s.phi - s.phi @ a, a.T @ s.g @ a - s.g)
-    return residual <= DEFAULT_RTOL * max(1.0, _max_abs(a)) ** 2
+    m = max(1.0, _max_abs(a))
+    fixed = _max_abs(a @ s.xi - s.xi, s.eta @ a - s.eta)
+    commutator = _max_abs(a @ s.phi - s.phi @ a)
+    metric = _max_abs(a.T @ s.g @ a - s.g)
+    return fixed <= DEFAULT_RTOL and commutator <= DEFAULT_RTOL * m and metric <= DEFAULT_RTOL * m * m
 
 
 @_in_float_range

@@ -15,7 +15,7 @@ from acbm.decomposition import (
 )
 from acbm.errors import PreconditionError
 from acbm.models import lie_family, koszul_connection, sphere_structure_tensor, structure_tensor_from_connection
-from acbm.structure import canonical_structure
+from acbm.structure import DEFAULT_RTOL, canonical_structure
 from acbm.tensors import _max_abs, embed_structure_tensor, inner_product, random_structure_tensor
 
 from conftest import random_structure
@@ -262,6 +262,19 @@ class TestClassPredicates:
         parts = decompose(s, f).components
         assert not any(satisfies_class(s, lam * f, i) for i in range(1, NUM_CLASSES + 1))
         assert all(satisfies_class(s, lam * parts[i - 1], i) for i in range(1, NUM_CLASSES + 1))
+
+    @pytest.mark.parametrize("i", [2, 3, 6, 7])
+    def test_a_vanishing_component_is_judged_against_its_tensor(self, i):
+        """At n = 1 the F2, F3, F6 and F7 components are rounding noise of F.
+        Judged alone, by its own size, the noise fails its class; judged
+        against F, as classify does, it passes and the class is absent."""
+        s = random_structure(1, 0)
+        f = random_structure_tensor(s, 0)
+        c = decompose(s, f).components[i - 1]
+        assert 0.0 < _max_abs(c) <= 1e-15 * _max_abs(f)
+        assert not satisfies_class(s, c, i)
+        assert dec._class_residual(s, c, i) <= DEFAULT_RTOL * _max_abs(f)
+        assert i not in classify(s, f).present
 
 
 class TestWSubspaces:

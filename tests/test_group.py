@@ -87,12 +87,19 @@ class TestValidateGroupElement:
     def test_validity_is_relative_to_the_element_size(self, t):
         """(A, B) = (cosh t I, sinh t J), J = [[0, 1], [-1, 0]], is exact: it is
         accepted however large its entries, and 1e-7 of its size added to one
-        entry of A is refused."""
+        entry of A is refused. xi and eta are not scaled by the element: 1e-6
+        on the xi column or the eta row is refused at every t."""
+        s = canonical_structure(2)
         a_block = np.cosh(t) * np.eye(2)
         b_block = np.sinh(t) * np.array([[0.0, 1.0], [-1.0, 0.0]])
         a = group_element_from_blocks(2, a_block, b_block)
-        assert validate_group_element(canonical_structure(2), a)
-        a_block[0, 0] += 1e-7 * max(1.0, _max_abs(a))
+        m = max(1.0, _max_abs(a))
+        assert validate_group_element(s, a)
+        for place, delta in [((0, 0), 1e-6), ((1, 0), 1e-6), ((0, 3), 1e-6), ((4, 4), 1e-7 * m)]:
+            moved = np.array(a)
+            moved[place] += delta  # xi column, xi column, eta row, second copy of A
+            assert not validate_group_element(s, moved), place
+        a_block[0, 0] += 1e-7 * m
         with pytest.raises(ValueError, match="structure-group conditions"):
             group_element_from_blocks(2, a_block, b_block)
 
