@@ -45,7 +45,6 @@ from .structure import (
     StructureData,
     canonical_structure,
     is_canonical_basis,
-    validate_structure,
 )
 from .tensors import (
     embed_structure_tensor,
@@ -94,6 +93,5 @@ __all__ = [
     "sphere_structure_tensor",
     "structure_tensor_from_connection",
     "validate_group_element",
-    "validate_structure",
     "w2_involution",
 ]

@@ -42,7 +42,7 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import DEFAULT_RTOL, _as_float_array, canonical_structure, validate_structure
+from .structure import DEFAULT_RTOL, _as_float_array, canonical_structure
 from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -73,15 +73,8 @@ def _load_classifiable(path: str):
         spec = fileio.lie_from_doc(doc)
         if not check_jacobi(spec):
             raise PreconditionError("bracket table violates the Jacobi identity")
-        s = spec.structure
-        f = structure_tensor_from_connection(spec, koszul_connection(spec))
-    else:
-        s, f = fileio.tensor_from_doc(doc)
-    report = validate_structure(s)
-    if not report.valid:
-        worst = ", ".join(f"{k}={v:.3e}" for k, v in report.violations)
-        raise PreconditionError(f"structure violates axioms: {worst}")
-    return s, f
+        return spec.structure, structure_tensor_from_connection(spec, koszul_connection(spec))
+    return fileio.tensor_from_doc(doc)
 
 
 def _require_flag(ok: bool, flag: str, rule: str, value) -> None:

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _sealed
+from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _max_abs, _sealed
 from .tensors import (
     _lee_forms,
-    _max_abs,
     _pullback,
     _require_structure_tensor,
     _scale,
@@ -124,11 +123,10 @@ def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     if i == 2:
         m_x_xi_z = P.T @ (xi @ c) @ P
         m_x_y_xi = _xi_bracket(c, P, P, xi)
-        # + 0.0 writes zero entries as 0.0, as in tensors._sym_pair
-        return m_x_xi_z[:, None, :] * eta[:, None] + m_x_y_xi[:, :, None] * eta + 0.0
+        return m_x_xi_z[:, None, :] * eta[:, None] + m_x_y_xi[:, :, None] * eta
     m_xi = _xi_first(c, xi)
     if i == 3:
-        return eta[:, None, None] * (P.T @ m_xi @ P) + 0.0
+        return eta[:, None, None] * (P.T @ m_xi @ P)
     u = (xi @ m_xi) @ P
     w = (m_xi @ xi) @ P
     return -eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta))
@@ -199,7 +197,7 @@ def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
         t_phi2 = P.T @ lf.theta
         f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
         f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
-        out[1] = (f1 + 0.0) / two_n  # + 0.0 as in tensors._sym_pair
+        out[1] = f1 / two_n
     if wanted & {2, 3}:
         t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx = _w1_six_terms(s, c)
         if 2 in wanted:

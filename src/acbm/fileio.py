@@ -24,7 +24,7 @@ import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import LieAlgebraSpec
-from .structure import MAX_DIM, StructureData, _as_float_array, canonical_structure, is_canonical_basis
+from .structure import MAX_DIM, StructureData, _as_float_array, canonical_structure
 from .tensors import _tensor
 
 __all__ = [
@@ -64,7 +64,7 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
@@ -196,14 +196,13 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
 
 
 def structure_to_doc(s: StructureData) -> dict:
+    """The structure fields of s; g, phi, xi and eta are omitted only when they
+    are the canonical ones bit for bit, so that the document reads back as s."""
     doc = {"n": int(s.n)}
-    if not is_canonical_basis(s):
-        doc.update(
-            g=_float_list(s.g),
-            phi=_float_list(s.phi),
-            xi=_float_list(s.xi),
-            eta=_float_list(s.eta),
-        )
+    c = canonical_structure(s.n)
+    fields = ("g", "phi", "xi", "eta")
+    if any(getattr(s, k).tobytes() != getattr(c, k).tobytes() for k in fields):
+        doc.update({k: _float_list(getattr(s, k)) for k in fields})
     return doc
 
 

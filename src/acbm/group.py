@@ -27,9 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from .structure import (
-    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _rank, _sealed, canonical_structure,
+    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _max_abs, _rank, _sealed,
+    canonical_structure,
 )
-from .tensors import _max_abs, _pullback, _tensor
+from .tensors import _pullback, _tensor
 
 __all__ = [
     "random_group_element",

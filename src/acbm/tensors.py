@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _sealed
+from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _max_abs, _sealed
 
 __all__ = [
     "membership_residuals",
@@ -53,10 +53,6 @@ def _tensor(s: StructureData, f) -> np.ndarray:
     return _as_float_array(f, (s.dim,) * 3, "tensor")
 
 
-def _max_abs(*arrays) -> float:
-    return max(float(np.max(np.abs(a))) for a in arrays)
-
-
 def _scale(c: np.ndarray) -> float:
     """The one scale of every tensor verdict: max-abs(c), so no verdict depends
     on the overall scale of c, floored at the smallest normal float, below which
@@ -76,12 +72,8 @@ def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.
 
 
 def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j].
-
-    Adding 0.0 turns a -0.0 sum (two negative products with zero eta
-    entries) into 0.0, so zero entries are emitted as 0.0.
-    """
-    return q[:, :, None] * eta + q[:, None, :] * eta[:, None] + 0.0
+    """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j]."""
+    return q[:, :, None] * eta + q[:, None, :] * eta[:, None]
 
 
 @_in_float_range

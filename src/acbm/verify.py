@@ -24,9 +24,8 @@ import numpy as np
 from . import decomposition as dec
 from . import models
 from .group import act, group_element_from_blocks, random_group_element, validate_group_element
-from .structure import DEFAULT_ATOL, DEFAULT_RTOL, canonical_structure
+from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _max_abs, canonical_structure
 from .tensors import (
-    _max_abs,
     inner_product,
     lee_forms,
     membership_residuals,
@@ -66,7 +65,7 @@ class _Worst:
             self.values[name] = value
 
     def results(self) -> list:
-        return [CheckResult(name, self.values.get(name, 0.0), tol) for name, tol in self.tols.items()]
+        return [CheckResult(name, self.values.get(name, math.nan), tol) for name, tol in self.tols.items()]
 
 
 def _rel(diff_max: float, scale: float) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,10 @@ import acbm
 from acbm import decomposition, fileio, tensors, verify
 from acbm.cli import EXIT_PIPE_CLOSED, main
 from acbm.group import validate_group_element
-from acbm.structure import DEFAULT_RTOL, MAX_DIM, canonical_structure
-from acbm.tensors import _max_abs, is_structure_tensor, random_structure_tensor
+from acbm.structure import DEFAULT_RTOL, MAX_DIM, _max_abs, canonical_structure
+from acbm.tensors import is_structure_tensor, random_structure_tensor
+
+from conftest import basis_change, push_structure
 
 
 def _must_not_allocate(n):
@@ -75,10 +78,15 @@ class TestClassify:
             "", "error: result overflows the floating-point range (overflow encountered in matmul)\n"
         )
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"{not json", b'{"n": 1, "comps": [\xff]}'])
+    def test_invalid_json(self, tmp_path, capsys, content):
+        """Malformed JSON and bytes that are not UTF-8: one line naming the file."""
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_inadmissible_tensor_exit_3(self, tmp_path, capsys):
         comps = [0.0] * 27
@@ -140,7 +148,25 @@ class TestClassify:
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}
         path = write(tmp_path, "badg.json", doc)
         assert main(["classify", path]) == 3
-        assert "axiom" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: structure violates axioms: signature=2.000e+00, b_metric=2.000e+00\n"
+        )
+
+    @pytest.mark.parametrize("k", [1e-6, 1e6])
+    def test_scaled_basis_keeps_the_classes(self, tmp_path, capsys, k):
+        """The canonical n = 2 structure and a random tensor, pushed through k times
+        a change of basis, report the classes they report at k = 1."""
+        s = canonical_structure(2)
+        f = random_structure_tensor(s, 0)
+        lines = []
+        for scale in (1.0, k):
+            t = scale * basis_change(2, 3)
+            t_inv = np.linalg.inv(t)
+            pushed = np.einsum("abc,ai,bj,ck->ijk", f, t_inv, t_inv, t_inv)
+            path = write(tmp_path, f"k{scale}.json", fileio.tensor_to_doc(push_structure(s, t), pushed))
+            assert main(["classify", path]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines == ["classes: " + " ".join(f"F{i}" for i in range(1, 12))] * 2
 
     def test_jacobi_violation_exit_3(self, tmp_path, capsys):
         doc = {
@@ -201,6 +227,13 @@ class TestGen:
         # shortest round-trip serialization reproduces the values exactly
         np.testing.assert_array_equal(f, expected)
         assert is_structure_tensor(s, f)
+        # a structure 4e-13 off the canonical one is written in full and read back as it is
+        g = s.g.copy()
+        g[1, 1] += 4e-13
+        near = dataclasses.replace(s, g=g)
+        back, _ = fileio.tensor_from_doc(json.loads(fileio.dumps(fileio.tensor_to_doc(near, f))))
+        for name in ("g", "phi", "xi", "eta"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(near, name), err_msg=name)
 
     def test_group_element_validates(self, tmp_path):
         path = str(tmp_path / "group.json")
@@ -388,6 +421,13 @@ class TestVerify:
         w.add("closure", 0.0)
         with pytest.raises(KeyError, match="closre"):
             w.add("closre", 0.0)
+
+    def test_a_check_that_never_ran_fails(self):
+        w = verify._Worst({"closure": 1e-9, "never added": 1e-9})
+        w.add("closure", 0.0)
+        closure, never = w.results()
+        assert closure.passed and closure.worst == 0.0
+        assert math.isnan(never.worst) and not never.passed
 
     def test_every_check_stores_a_value(self, monkeypatch):
         made = []

@@ -15,8 +15,8 @@ from acbm.decomposition import (
 )
 from acbm.errors import PreconditionError
 from acbm.models import lie_family, koszul_connection, sphere_structure_tensor, structure_tensor_from_connection
-from acbm.structure import DEFAULT_RTOL, canonical_structure
-from acbm.tensors import _max_abs, embed_structure_tensor, inner_product, random_structure_tensor
+from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
+from acbm.tensors import embed_structure_tensor, inner_product, random_structure_tensor
 
 from conftest import random_structure
 from test_tensors import f4_form, f8_form

@@ -8,8 +8,8 @@ from acbm.group import (
     random_group_element,
     validate_group_element,
 )
-from acbm.structure import canonical_structure
-from acbm.tensors import _max_abs, random_structure_tensor
+from acbm.structure import _max_abs, canonical_structure
+from acbm.tensors import random_structure_tensor
 
 
 class TestRandomGroupElement:

@@ -12,8 +12,8 @@ import pytest
 
 import acbm.decomposition as dec
 from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
-from acbm.structure import canonical_structure
-from acbm.tensors import _max_abs, embed_structure_tensor, random_structure_tensor
+from acbm.structure import _max_abs, canonical_structure
+from acbm.tensors import embed_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
 
 from conftest import basis_change, push_structure, random_structure

@@ -21,9 +21,8 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from acbm.structure import DEFAULT_RTOL, canonical_structure
+from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
 from acbm.tensors import (
-    _max_abs,
     _require_structure_tensor,
     _scale,
     is_structure_tensor,

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from acbm.cli import main
 from acbm.decomposition import NUM_CLASSES, classify, component, decompose
-from acbm.structure import canonical_structure
-from acbm.tensors import _max_abs, random_structure_tensor
+from acbm.structure import _max_abs, canonical_structure
+from acbm.tensors import random_structure_tensor
 
 from conftest import random_structure
 

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from acbm import structure
+from acbm.errors import PreconditionError
 from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import (
     StructureData,
+    _axiom_residuals,
+    _max_abs,
     canonical_structure,
     is_canonical_basis,
-    validate_structure,
 )
 
-from conftest import random_structure
+from conftest import basis_change, push_structure, random_structure
 
 # Every way to give a contact rank n: each applies the one rank rule.
 RANK_TAKERS = {
@@ -23,6 +25,10 @@ RANK_TAKERS = {
     "random_group_element": lambda n: random_group_element(n, 0),
     "group_element_from_blocks": lambda n: group_element_from_blocks(n, np.eye(1), np.zeros((1, 1))),
 }
+
+
+def _worst_axiom(s: StructureData) -> float:
+    return max(_axiom_residuals(s).values())
 
 
 def _contact_inverse(s: StructureData) -> np.ndarray:
@@ -60,10 +66,7 @@ class TestCanonicalStructure:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_always_valid(self, n):
-        report = validate_structure(canonical_structure(n))
-        assert report.valid
-        assert report.violations == ()
-        assert max(report.residuals.values()) <= 1e-12
+        assert _worst_axiom(canonical_structure(n)) <= 1e-12
 
     @pytest.mark.parametrize("taker", RANK_TAKERS)
     @pytest.mark.parametrize("n", [0, -1])
@@ -107,35 +110,61 @@ class TestDerivedMatrices:
     def test_replace_recomputes_them(self):
         s = random_structure(2, 3)
         flipped = dataclasses.replace(s, phi=-s.phi)
-        assert validate_structure(flipped).valid
+        assert _worst_axiom(flipped) <= 1e-12
         for name, product in DERIVED.items():
             np.testing.assert_array_equal(getattr(flipped, name), product(flipped), err_msg=name)
         np.testing.assert_array_equal(flipped.g_phi, -s.g_phi)
 
 
 class TestValidateStructure:
+    """A structure is checked once, when it is built, each axiom on its own scale."""
+
     def test_riemannian_metric_fails_b_metric(self, s1):
-        bad = StructureData(n=1, g=np.eye(3), phi=s1.phi, xi=s1.xi, eta=s1.eta)
-        report = validate_structure(bad)
-        assert not report.valid
+        # signature (3, 0) counts one eigenvalue too many and one too few against (2, 1);
         # g(phi e2, phi e2) + g(e2, e2) = 2 at the (2, 2) slot
-        assert report.residuals["b_metric"] == pytest.approx(2.0)
-        assert report.residuals["signature"] > 0
+        with pytest.raises(PreconditionError, match=r"^structure violates axioms: signature=2\.000e\+00,"
+                           r" b_metric=2\.000e\+00$"):
+            StructureData(n=1, g=np.eye(3), phi=s1.phi, xi=s1.xi, eta=s1.eta)
 
     def test_zero_phi_fails_phi_squared(self, s1):
-        bad = StructureData(n=1, g=s1.g, phi=np.zeros((3, 3)), xi=s1.xi, eta=s1.eta)
-        report = validate_structure(bad)
-        assert not report.valid
-        assert report.residuals["phi_squared"] == pytest.approx(1.0)
+        with pytest.raises(PreconditionError, match=r"^structure violates axioms: phi_squared=1\.000e\+00,"):
+            StructureData(n=1, g=s1.g, phi=np.zeros((3, 3)), xi=s1.xi, eta=s1.eta)
 
-    def test_shape_mismatch_is_an_error_not_a_report(self, s1):
-        with pytest.raises(ValueError):
+    def test_shape_mismatch_is_a_plain_value_error(self, s1):
+        with pytest.raises(ValueError) as info:
             StructureData(n=1, g=np.eye(5), phi=s1.phi, xi=s1.xi, eta=s1.eta)
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", [1, 2])
     def test_random_conjugated_structures_validate(self, n, seed):
-        assert validate_structure(random_structure(n, seed)).valid
+        assert _worst_axiom(random_structure(n, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_verdict_depends_on_the_scale_of_the_basis(self, n, k):
+        """An exact structure in a basis scaled by k is built, and the same
+        structure with one phi entry moved by 1e-6 of max-abs(phi) is refused."""
+        s = push_structure(canonical_structure(n), k * basis_change(n, 3))
+        assert _worst_axiom(s) <= 1e-12
+        for entry in [(0, 0), (1, 2), (2 * n, n)]:
+            phi = s.phi.copy()
+            phi[entry] += 1e-6 * _max_abs(s.phi)
+            with pytest.raises(PreconditionError, match="^structure violates axioms: "):
+                StructureData(n=n, g=s.g, phi=phi, xi=s.xi, eta=s.eta)
+
+    @pytest.mark.parametrize("k", [1e2, 1e3, 1e4, 1e5])
+    def test_stretched_basis_up_to_the_signature_limit(self, s1, k):
+        """A basis stretched by k along one axis is built while cond(g) stays
+        below about 1/DEFAULT_RTOL; past it the smallest eigenvalue of g falls
+        under DEFAULT_RTOL times the largest and counts as zero."""
+        t = np.diag([1.0, k, 1.0])
+        t[1, 2], t[2, 1] = 0.37 * k, 0.11
+        if k <= 1e4:  # cond(g) = 8.6e7 at k = 1e4
+            assert _worst_axiom(push_structure(s1, t)) <= 1e-12
+        else:  # cond(g) = 8.6e9
+            with pytest.raises(PreconditionError, match="^structure violates axioms: signature=1\\.000e\\+00$"):
+                push_structure(s1, t)
 
 
 def _associated_metric(s: StructureData) -> np.ndarray:
@@ -165,7 +194,7 @@ class TestAssociatedMetric:
         n = 1 + seed % 3
         s = random_structure(n, seed)
         companion = StructureData(n=n, g=_associated_metric(s), phi=s.phi, xi=s.xi, eta=s.eta)
-        assert validate_structure(companion).valid
+        assert _worst_axiom(companion) <= 1e-12
 
 
 def _h_project(s: StructureData, x) -> np.ndarray:

@@ -21,9 +21,8 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from acbm.structure import canonical_structure
+from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import (
-    _max_abs,
     embed_structure_tensor,
     inner_product,
     is_structure_tensor,
