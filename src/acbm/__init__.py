@@ -30,7 +30,6 @@ from .group import (
 )
 from .models import (
     Dim3Coefficients,
-    LieAlgebraSpec,
     check_jacobi,
     connection_residuals,
     dim3_coefficients,
@@ -63,7 +62,6 @@ __all__ = [
     "ClassReport",
     "Decomposition",
     "Dim3Coefficients",
-    "LieAlgebraSpec",
     "PreconditionError",
     "StructureData",
     "act",

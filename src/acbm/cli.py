@@ -70,10 +70,10 @@ def _load_classifiable(path: str):
     doc = fileio.load_document(path)
     kind = fileio.detect_kind(doc)
     if kind == "lie":
-        spec = fileio.lie_from_doc(doc)
-        if not check_jacobi(spec):
+        s, c = fileio.lie_from_doc(doc)
+        if not check_jacobi(s, c):
             raise PreconditionError("bracket table violates the Jacobi identity")
-        return spec.structure, structure_tensor_from_connection(spec, koszul_connection(spec))
+        return s, structure_tensor_from_connection(s, koszul_connection(s, c))
     return fileio.tensor_from_doc(doc)
 
 
@@ -124,7 +124,7 @@ def cmd_gen(args) -> int:
             params = [float(x) for x in args.a.split(",")]
         except ValueError as exc:
             raise fileio.ParseError(f"--a must be comma-separated floats: {exc}") from exc
-        doc = fileio.lie_to_doc(lie_family(args.n, _as_float_array(params, (2 * args.n,), "--a")))
+        doc = fileio.lie_to_doc(*lie_family(args.n, _as_float_array(params, (2 * args.n,), "--a")))
     elif args.kind == "random":
         if args.dim < 3 or args.dim % 2 == 0:
             raise fileio.ParseError(f"--dim must be an odd integer >= 3, got {args.dim}")

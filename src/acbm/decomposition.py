@@ -23,6 +23,8 @@ can be null.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,9 +372,11 @@ def in_w_subspace(s: StructureData, f, i: int) -> bool:
 
 
 def _check_threshold(rel_tol, name="rel_tol") -> None:
-    """The class-threshold rule of classify and `acbm classify`; name is what its message says."""
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"{name} must be a finite number > 0, got {rel_tol}")
+    """The class-threshold rule of classify and `acbm classify`: a real number, not a bool,
+    finite and > 0; name is what its message says."""
+    real = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
+    if not (real and 0.0 < rel_tol <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number > 0, got {rel_tol!r}")
 
 
 @_in_float_range

@@ -23,8 +23,7 @@ import math
 import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
-from .models import LieAlgebraSpec
-from .structure import MAX_DIM, StructureData, _as_float_array, canonical_structure
+from .structure import MAX_DIM, StructureData, _as_float_array, _sealed, canonical_structure
 from .tensors import _tensor
 
 __all__ = [
@@ -158,8 +157,8 @@ def tensor_from_doc(doc: dict) -> tuple:
     return s, _parse_array(doc["comps"], (s.dim,) * 3, "comps")
 
 
-def lie_from_doc(doc: dict) -> LieAlgebraSpec:
-    """Lie-algebra specification from a document.
+def lie_from_doc(doc: dict) -> tuple:
+    """(structure, bracket table) from a Lie-algebra document.
 
     Brackets are records {i, j, coeffs} meaning [E_i, E_j] = sum_k
     coeffs[k] E_k; entries with j <= i are rejected (antisymmetry is
@@ -192,7 +191,7 @@ def lie_from_doc(doc: dict) -> LieAlgebraSpec:
         coeffs = _parse_array(rec["coeffs"], (d,), f"brackets[{idx}].coeffs")
         c[i, j] = coeffs
         c[j, i] = -coeffs
-    return LieAlgebraSpec(structure=s, c=c)
+    return s, _sealed(c)
 
 
 def structure_to_doc(s: StructureData) -> dict:
@@ -211,16 +210,14 @@ def tensor_to_doc(s: StructureData, f) -> dict:
     return {**structure_to_doc(s), "dim": int(s.dim), "comps": comps}
 
 
-def lie_to_doc(spec: LieAlgebraSpec) -> dict:
-    doc = structure_to_doc(spec.structure)
-    d = spec.structure.dim
+def lie_to_doc(s: StructureData, c) -> dict:
+    c = _tensor(s, c, "structure constants")
     brackets = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if np.any(spec.c[i, j] != 0.0):
-                brackets.append({"i": i, "j": j, "coeffs": _float_list(spec.c[i, j])})
-    doc["brackets"] = brackets
-    return doc
+    for i in range(s.dim):
+        for j in range(i + 1, s.dim):
+            if np.any(c[i, j] != 0.0):
+                brackets.append({"i": i, "j": j, "coeffs": _float_list(c[i, j])})
+    return {**structure_to_doc(s), "brackets": brackets}
 
 
 def group_to_doc(n: int, matrix: np.ndarray) -> dict:

@@ -5,7 +5,8 @@ Two sources of concrete structure tensors:
 * a family of solvable Lie algebras carrying a left-invariant almost
   contact B-metric structure, where the tensor is computed from the
   structure constants through the Koszul formula for the Levi-Civita
-  connection;
+  connection. A Lie algebra is passed as (s, c), like a tensor: its structure
+  s and its (d, d, d) bracket table, c[i, j, k] the E_k part of [E_i, E_j];
 * the unit time-like sphere, realized directly from the closed form of
   its structure tensor at a point (the ambient hypersurface derivation
   is out of scope; the closed form fully exercises the classifier).
@@ -19,6 +20,8 @@ cross-checked in the test suite against the general machinery.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,6 @@ from .structure import (
 from .tensors import LeeForms, _require_structure_tensor, _sym_pair, _tensor
 
 __all__ = [
-    "LieAlgebraSpec",
     "Dim3Coefficients",
     "lie_family",
     "check_jacobi",
@@ -49,22 +51,6 @@ __all__ = [
     "dim3_coefficients",
     "dim3_decompose",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class LieAlgebraSpec:
-    """Structure constants over a structured basis.
-
-    c[i, j, k] is the coefficient of E_k in [E_i, E_j]; c must be
-    antisymmetric in (i, j) and satisfy the Jacobi identity.
-    """
-
-    structure: StructureData
-    c: np.ndarray
-
-    def __post_init__(self):
-        d = self.structure.dim
-        object.__setattr__(self, "c", _as_float_array(self.c, (d, d, d), "structure constants"))
 
 
 @dataclass(frozen=True)
@@ -87,8 +73,8 @@ class Dim3Coefficients:
     omega2: float
 
 
-def lie_family(n: int, a) -> LieAlgebraSpec:
-    """The 2n-parameter solvable family on the canonical structure.
+def lie_family(n: int, a) -> tuple:
+    """(s, c): the 2n-parameter solvable family on the canonical structure s.
 
     Brackets, for i in 1..n and parameters a_1..a_2n:
 
@@ -109,12 +95,12 @@ def lie_family(n: int, a) -> LieAlgebraSpec:
         c[0, n + i, i] = -a[n + i - 1]
         c[0, n + i, n + i] = a[i - 1]
     c[1:, 0, :] = -c[0, 1:, :]
-    return LieAlgebraSpec(structure=s, c=c)
+    return s, _sealed(c)
 
 
 @_in_float_range
-def check_jacobi(spec: LieAlgebraSpec) -> bool:
-    """True iff the Jacobi cyclic sum vanishes on all basis triples.
+def check_jacobi(s: StructureData, c) -> bool:
+    """True iff the Jacobi cyclic sum of the bracket table c vanishes on all basis triples.
 
     Rejects non-antisymmetric bracket tables outright: antisymmetry is
     a precondition, not a test result. Both checks run on the table
@@ -123,10 +109,11 @@ def check_jacobi(spec: LieAlgebraSpec) -> bool:
     both within DEFAULT_ATOL; no intermediate overflows. The zero table
     is abelian.
     """
-    m = float(np.max(np.abs(spec.c)))
+    c = _tensor(s, c, "structure constants")
+    m = float(np.max(np.abs(c)))
     if m == 0.0:
         return True
-    c = spec.c / m
+    c = c / m
     antisym = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
     if antisym > DEFAULT_ATOL:
         raise PreconditionError(
@@ -141,7 +128,7 @@ def check_jacobi(spec: LieAlgebraSpec) -> bool:
 
 
 @_in_float_range
-def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
+def koszul_connection(s: StructureData, c) -> np.ndarray:
     """Christoffel array gamma of the left-invariant Levi-Civita connection.
 
     gamma[i, j, k] is the E_k part of nabla_{E_i} E_j, solved from
@@ -153,30 +140,30 @@ def koszul_connection(spec: LieAlgebraSpec) -> np.ndarray:
     by one dense linear solve against g for all d^2 pairs (i, j). The
     result is torsion-free and metric-compatible on all basis triples.
     """
-    g = spec.structure.g
-    d = spec.structure.dim
-    cg = spec.c @ g  # g([E_i, E_j], E_k)
+    cg = _tensor(s, c, "structure constants") @ s.g  # g([E_i, E_j], E_k)
     rhs = cg + cg.transpose(1, 2, 0) + cg.transpose(2, 1, 0)
-    return np.linalg.solve(g, 0.5 * rhs.reshape(d * d, d).T).T.reshape(d, d, d)
+    return np.linalg.solve(s.g, 0.5 * rhs.reshape(-1, s.dim).T).T.reshape(cg.shape)
 
 
 @_in_float_range
-def connection_residuals(spec: LieAlgebraSpec, gamma: np.ndarray) -> tuple:
-    """(torsion, metric-compatibility) worst-case residuals of a Christoffel array."""
-    torsion = gamma - gamma.transpose(1, 0, 2) - spec.c
-    gg = gamma @ spec.structure.g  # g(nabla_{E_i} E_j, E_k)
+def connection_residuals(s: StructureData, c, gamma) -> tuple:
+    """(torsion, metric-compatibility) worst-case residuals of a Christoffel array
+    gamma, against the bracket table c."""
+    c, gamma = _tensor(s, c, "structure constants"), _tensor(s, gamma, "connection")
+    torsion = gamma - gamma.transpose(1, 0, 2) - c
+    gg = gamma @ s.g  # g(nabla_{E_i} E_j, E_k)
     return float(np.max(np.abs(torsion))), float(np.max(np.abs(gg + gg.transpose(0, 2, 1))))
 
 
 @_in_float_range
-def structure_tensor_from_connection(spec: LieAlgebraSpec, gamma: np.ndarray) -> np.ndarray:
+def structure_tensor_from_connection(s: StructureData, gamma) -> np.ndarray:
     """F(x, y, z) = g((nabla_x phi) y, z) in the left-invariant frame.
 
     phi has constant components there, so (nabla_{E_i} phi) E_j =
     nabla_{E_i}(phi E_j) - phi(nabla_{E_i} E_j). The result always
     satisfies the two defining identities of the admissible space.
     """
-    s = spec.structure
+    gamma = _tensor(s, gamma, "connection")
     return _sealed((s.phi.T @ gamma - gamma @ s.phi.T) @ s.g)
 
 
@@ -190,28 +177,35 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
 
     so the Lee values satisfy theta(xi) = 2n cos t and theta*(xi) =
     2n sin t, and classification always lands in a subset of {F4, F5}.
-    Any real t is accepted; the formula is periodic.
+    Any finite real t is accepted, as the formula is periodic; a bool, a
+    non-real or a non-finite t is one ValueError naming t.
     """
     s = canonical_structure(n)
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not abs(t) <= sys.float_info.max:
+        raise ValueError(f"t must be a finite number, got {t!r}")
     comps = -math.cos(t) * _sym_pair(s.phi_g_phi, s.eta) - math.sin(t) * _sym_pair(s.g_phi, s.eta)
     return s, _sealed(comps)
 
 
 def _canonical_dim3(s: StructureData, f) -> np.ndarray:
-    """f checked by _tensor, for a canonical dimension-3 structure s."""
+    """f checked by _tensor for a canonical dimension-3 structure s, and admitted by the gate
+    decompose asks (_require_structure_tensor): for n = 1 its two identities are the eighteen
+    entry relations the closed forms rely on (F101 = F110, F222 = F211, F000 = 0, ...)."""
     if s.dim != 3:
         raise ValueError(f"expected a dimension-3 structure, got dimension {s.dim}")
     if not is_canonical_basis(s):
         raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
-    return _tensor(s, f)
+    c = _tensor(s, f)
+    _require_structure_tensor(s, c)
+    return c
 
 
 @_in_float_range
 def dim3_lee_forms(s: StructureData, f) -> LeeForms:
     """Lee forms in dimension 3 by the explicit index formulas.
 
-    Requires the canonical structure s. Agrees entrywise with the general
-    contractions for any admissible tensor:
+    Requires the canonical structure s and f admissible (_canonical_dim3).
+    Agrees entrywise with the general contractions:
 
         theta  = (F110 - F220, F111 - F221, F112 - F211)
         theta* = (F120 + F210, F112 + F211, F111 + F221)
@@ -237,12 +231,9 @@ def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
         theta*0 = F120 + F210       mu  = (F120 - F210) / 2
         nu = F011                   omega1 = F001,  omega2 = F002
 
-    Requires f admissible, by the one gate (_require_structure_tensor) that
-    decompose also asks: for n = 1 its two identities are the eighteen
-    entry relations these reads rely on (F101 = F110, F000 = 0, ...).
+    Requires the canonical structure s and f admissible (_canonical_dim3).
     """
     c = _canonical_dim3(s, f)
-    _require_structure_tensor(s, c)
     return Dim3Coefficients(
         theta0=float(c[1, 1, 0] - c[2, 2, 0]),
         theta_star0=float(c[1, 2, 0] + c[2, 1, 0]),

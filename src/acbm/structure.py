@@ -161,14 +161,15 @@ def _axiom_residuals(s: StructureData) -> dict:
     """The residual of each structure axiom, by name, divided by the size its
     rounding grows with (|.| the max-abs entry), so that no verdict depends on
     the scale of the basis. The signature residual counts the eigenvalues of g
-    off (n+1, n); one below DEFAULT_RTOL times the largest counts as zero.
+    off (n+1, n); one below d * eps times the largest, what eigvalsh resolves,
+    counts as zero.
     """
     ident = np.eye(s.dim)
     # numpy scalars, so that a product of sizes past the float range raises, not turns inf
     g, phi, xi, eta = (np.max(np.abs(a)) for a in (s.g, s.phi, s.xi, s.eta))
     tiny = np.finfo(float).tiny  # a zero phi would give 0 / 0
     eigvals = np.linalg.eigvalsh(0.5 * (s.g + s.g.T))
-    floor = DEFAULT_RTOL * np.max(np.abs(eigvals))
+    floor = s.dim * np.finfo(float).eps * np.max(np.abs(eigvals))
     pos, neg = int(np.sum(eigvals > floor)), int(np.sum(eigvals < -floor))
     return {
         "g_symmetric": _max_abs(s.g - s.g.T) / g,

@@ -48,9 +48,10 @@ class LeeForms:
     omega: np.ndarray
 
 
-def _tensor(s: StructureData, f) -> np.ndarray:
-    """f checked as a (d, d, d) tensor where it enters; private bodies take the result as is."""
-    return _as_float_array(f, (s.dim,) * 3, "tensor")
+def _tensor(s: StructureData, f, name: str = "tensor") -> np.ndarray:
+    """f checked as a (d, d, d) array where it enters, by the name its ValueError gives it
+    (a tensor, structure constants, a connection); private bodies take the result as is."""
+    return _as_float_array(f, (s.dim,) * 3, name)
 
 
 def _scale(c: np.ndarray) -> float:
@@ -99,8 +100,8 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(c).
 
     This is the one admissibility verdict: is_structure_tensor, decompose
-    (so classify), dim3_coefficients and the project command, which calls it
-    directly and so needs its float-range rule, all ask it.
+    (so classify), the dimension-3 closed forms and the project command, which
+    calls it directly and so needs its float-range rule, all ask it.
     """
     bound = DEFAULT_RTOL * _scale(c)
     # `not <=` so that a NaN residual refuses rather than passes

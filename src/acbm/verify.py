@@ -241,14 +241,14 @@ def models_suite(seeds: int) -> list:
     for n in (1, 2):
         draws = [rng.uniform(-2.0, 2.0, size=2 * n) for _ in range(seeds)]
         for params in ([*_LIE_PAIRS, *draws] if n == 1 else draws):
-            spec = models.lie_family(n, params)
-            w.add("jacobi", 0.0 if models.check_jacobi(spec) else 1.0)
-            g = models.koszul_connection(spec)
-            torsion, compat = models.connection_residuals(spec, g)
+            s, c = models.lie_family(n, params)
+            w.add("jacobi", 0.0 if models.check_jacobi(s, c) else 1.0)
+            g = models.koszul_connection(s, c)
+            torsion, compat = models.connection_residuals(s, c, g)
             w.add("koszul torsion", torsion)
             w.add("koszul metric compatibility", compat)
-            f = models.structure_tensor_from_connection(spec, g)
-            res = max(membership_residuals(spec.structure, f).values())
+            f = models.structure_tensor_from_connection(s, g)
+            res = max(membership_residuals(s, f).values())
             w.add("family membership", _rel(res, _max_abs(f)))
             if n == 1:
                 a1, a2 = params
@@ -264,7 +264,7 @@ def models_suite(seeds: int) -> list:
                 w.add("family tensor components", abs(f[1, 2, 0] - a1))
                 w.add("family tensor components", abs(f[2, 0, 1] + a1))
                 w.add("family tensor components", abs(f[2, 1, 0] + a1))
-                report = dec.classify(spec.structure, f)
+                report = dec.classify(s, f)
                 expected = tuple(
                     i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero
                 )

@@ -130,9 +130,8 @@ class TestW2Involutions:
 
 class TestComponent:
     def test_lie_family_pure_f10(self):
-        spec = lie_family(1, [0.0, 1.0])
-        f = structure_tensor_from_connection(spec, koszul_connection(spec))
-        s = spec.structure
+        s, c = lie_family(1, [0.0, 1.0])
+        f = structure_tensor_from_connection(s, koszul_connection(s, c))
         assert _max_abs(component(s, f, 10) - f) <= 1e-12
         for i in range(1, NUM_CLASSES + 1):
             if i != 10:
@@ -317,9 +316,9 @@ class TestClassify:
         assert report.class_names() == ()
 
     def test_lie_family_both_classes(self):
-        spec = lie_family(1, [1.0, 1.0])
-        f = structure_tensor_from_connection(spec, koszul_connection(spec))
-        report = classify(spec.structure, f)
+        s, c = lie_family(1, [1.0, 1.0])
+        f = structure_tensor_from_connection(s, koszul_connection(s, c))
+        report = classify(s, f)
         assert report.present == (9, 10)
         assert report.class_names() == ("F9", "F10")
 
@@ -330,13 +329,18 @@ class TestClassify:
         assert len(report.magnitudes) == NUM_CLASSES
 
     @pytest.mark.parametrize(
-        "name, value", [("rel_tol", v) for v in (np.nan, np.inf, 0.0, -1.0)],
+        "name, value",
+        [("rel_tol", v) for v in (np.nan, np.inf, 0.0, -1.0, "a", True, 1j)]
+        + [pytest.param("rel_tol", np.True_, id="rel_tol-numpy-bool"),
+           pytest.param("rel_tol", 10**400, id="rel_tol-huge-integer")],
     )
     def test_refuses_a_bad_threshold(self, s1, name, value):
         """The rule of `classify --tol`, named by the parameter: a NaN threshold
-        would report F0 and a negative one every class, even F2 and F3."""
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        would report F0 and a negative one every class, even F2 and F3; a bool
+        is not read as 1.0, nor a string or a complex number compared."""
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number") as info:
             classify(s1, random_structure_tensor(s1, 0), **{name: value})
+        assert type(info.value) is ValueError
 
     def test_class_names_tuple(self):
         assert CLASS_NAMES[0] == "F1"

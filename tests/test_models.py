@@ -11,7 +11,6 @@ from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
     Dim3Coefficients,
-    LieAlgebraSpec,
     check_jacobi,
     dim3_coefficients,
     dim3_decompose,
@@ -38,14 +37,13 @@ from test_decomposition import f11_form
 
 
 def family_tensor(n, params):
-    spec = lie_family(n, params)
-    return spec, structure_tensor_from_connection(spec, koszul_connection(spec))
+    s, c = lie_family(n, params)
+    return s, structure_tensor_from_connection(s, koszul_connection(s, c))
 
 
 class TestLieFamily:
     def test_bracket_values_n1(self):
-        spec = lie_family(1, [2.0, 3.0])
-        c = spec.c
+        _, c = lie_family(1, [2.0, 3.0])
         # [E0, E1] = -a1 E1 - a2 E2
         np.testing.assert_array_equal(c[0, 1], [0.0, -2.0, -3.0])
         # [E0, E2] = -a2 E1 + a1 E2
@@ -66,7 +64,7 @@ class TestLieFamily:
 
 class TestCheckJacobi:
     def test_abelian(self, s1):
-        assert check_jacobi(LieAlgebraSpec(structure=s1, c=np.zeros((3, 3, 3))))
+        assert check_jacobi(s1, np.zeros((3, 3, 3)))
 
     def test_violating_table(self, s1):
         c = np.zeros((3, 3, 3))
@@ -74,7 +72,7 @@ class TestCheckJacobi:
         c[2, 1, 1] = -1.0
         c[0, 1, 2] = 1.0
         c[1, 0, 2] = -1.0
-        assert not check_jacobi(LieAlgebraSpec(structure=s1, c=c))
+        assert not check_jacobi(s1, c)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e200])
@@ -82,21 +80,20 @@ class TestCheckJacobi:
         s = canonical_structure(2)
         c = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5, 5))
         c = c - c.transpose(1, 0, 2)  # antisymmetric, but violates Jacobi
-        assert not check_jacobi(LieAlgebraSpec(structure=s, c=scale * c))
-        assert check_jacobi(lie_family(2, [scale, -scale, 0.5 * scale, scale]))
+        assert not check_jacobi(s, scale * c)
+        assert check_jacobi(*lie_family(2, [scale, -scale, 0.5 * scale, scale]))
 
     def test_rejects_non_antisymmetric(self, s1):
         c = np.zeros((3, 3, 3))
         c[1, 2, 0] = 1.0  # no compensating c[2, 1, 0]
         with pytest.raises(PreconditionError):
-            check_jacobi(LieAlgebraSpec(structure=s1, c=c))
+            check_jacobi(s1, c)
 
 
 class TestKoszulConnection:
     def test_connection_values_n1(self):
         a1, a2 = 1.5, -0.5
-        spec = lie_family(1, [a1, a2])
-        gamma = koszul_connection(spec)
+        gamma = koszul_connection(*lie_family(1, [a1, a2]))
         np.testing.assert_allclose(gamma[1, 1], [-a1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(gamma[2, 2], [-a1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(gamma[0, 1], [0, 0, -a2], atol=1e-12)
@@ -108,23 +105,22 @@ class TestKoszulConnection:
         np.testing.assert_allclose(gamma[2, 1], np.zeros(3), atol=1e-12)
 
     def test_abelian_gives_zero(self, s1):
-        spec = LieAlgebraSpec(structure=s1, c=np.zeros((3, 3, 3)))
-        assert np.max(np.abs(koszul_connection(spec))) == 0.0
+        assert np.max(np.abs(koszul_connection(s1, np.zeros((3, 3, 3))))) == 0.0
 
 
 class TestFamilyStructureTensor:
     def test_flat_case_is_f0(self):
-        spec, f = family_tensor(1, [0.0, 0.0])
+        s, f = family_tensor(1, [0.0, 0.0])
         assert _max_abs(f) == 0.0
-        report = classify(spec.structure, f)
+        report = classify(s, f)
         assert report.present == ()
         assert report.is_F0
 
     def test_class_coefficients(self):
         # F9 coefficient mu = a1, F10 coefficient nu = -2 a2
         a1, a2 = 0.7, -1.2
-        spec, f = family_tensor(1, [a1, a2])
-        q = dim3_coefficients(spec.structure, f)
+        s, f = family_tensor(1, [a1, a2])
+        q = dim3_coefficients(s, f)
         assert q.mu == pytest.approx(a1)
         assert q.nu == pytest.approx(-2 * a2)
 
@@ -150,6 +146,15 @@ class TestSphere:
         for n in (1, 2):
             s, f = sphere_structure_tensor(n, 0.3)
             assert is_structure_tensor(s, f)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 10**400, "a", True, 1j],
+                             ids=["nan", "inf", "-inf", "huge-integer", "string", "bool", "complex"])
+    def test_refuses_a_bad_parameter(self, t):
+        """Not "result overflows", "math domain error" or a TypeError: one
+        ValueError naming t, and a bool is not read as 1.0."""
+        with pytest.raises(ValueError, match="^t must be a finite number, got ") as info:
+            sphere_structure_tensor(1, t)
+        assert type(info.value) is ValueError
 
 
 class TestDim3LeeForms:
@@ -287,10 +292,14 @@ class TestDim3Components:
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     def test_rejects_inadmissible_at_any_scale(self, s1, scale):
-        c = scale * _inadmissible_dim3()
-        with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(s1, c)
-        assert str(info.value) == _gate_message(s1, c)
+        """The closed forms read F222 as F211 and F000 as 0, so on an inadmissible
+        tensor they would disagree with the general contractions without a word."""
+        for raw in (_inadmissible_dim3(), np.arange(27.0).reshape(3, 3, 3)):
+            c = scale * raw
+            for fn in (dim3_lee_forms, dim3_coefficients):
+                with pytest.raises(PreconditionError) as info:
+                    fn(s1, c)
+                assert str(info.value) == _gate_message(s1, c)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-300, 1e-315, 1e10])
     def test_accepts_admissible_at_any_scale(self, s1, scale):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acbm import structure
+from acbm.decomposition import classify
 from acbm.errors import PreconditionError
 from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import (
@@ -13,6 +14,7 @@ from acbm.structure import (
     canonical_structure,
     is_canonical_basis,
 )
+from acbm.tensors import random_structure_tensor
 
 from conftest import basis_change, push_structure, random_structure
 
@@ -119,12 +121,15 @@ class TestDerivedMatrices:
 class TestValidateStructure:
     """A structure is checked once, when it is built, each axiom on its own scale."""
 
-    def test_riemannian_metric_fails_b_metric(self, s1):
-        # signature (3, 0) counts one eigenvalue too many and one too few against (2, 1);
-        # g(phi e2, phi e2) + g(e2, e2) = 2 at the (2, 2) slot
-        with pytest.raises(PreconditionError, match=r"^structure violates axioms: signature=2\.000e\+00,"
-                           r" b_metric=2\.000e\+00$"):
-            StructureData(n=1, g=np.eye(3), phi=s1.phi, xi=s1.xi, eta=s1.eta)
+    @pytest.mark.parametrize("delta, b_metric", [(1.0, r", b_metric=2\.000e\+00"), (1e-10, ""),
+                                                 (1e-13, ""), (1e-15, "")])
+    def test_riemannian_metric_is_refused(self, s1, delta, b_metric):
+        # g = diag(1, delta, delta): signature (3, 0) counts one eigenvalue too many and one
+        # too few against (2, 1), even when delta is far below DEFAULT_RTOL but above d * eps;
+        # g(phi e2, phi e2) + g(e2, e2) = 2 delta at the (2, 2) slot
+        with pytest.raises(PreconditionError, match=r"^structure violates axioms: signature=2\.000e\+00"
+                           + b_metric + "$"):
+            StructureData(n=1, g=np.diag([1.0, delta, delta]), phi=s1.phi, xi=s1.xi, eta=s1.eta)
 
     def test_zero_phi_fails_phi_squared(self, s1):
         with pytest.raises(PreconditionError, match=r"^structure violates axioms: phi_squared=1\.000e\+00,"):
@@ -153,16 +158,25 @@ class TestValidateStructure:
             with pytest.raises(PreconditionError, match="^structure violates axioms: "):
                 StructureData(n=n, g=s.g, phi=phi, xi=s.xi, eta=s.eta)
 
-    @pytest.mark.parametrize("k", [1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("k", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     def test_stretched_basis_up_to_the_signature_limit(self, s1, k):
-        """A basis stretched by k along one axis is built while cond(g) stays
-        below about 1/DEFAULT_RTOL; past it the smallest eigenvalue of g falls
-        under DEFAULT_RTOL times the largest and counts as zero."""
+        """A basis stretched by k along one axis is built while eigvalsh resolves
+        the smallest eigenvalue of g, cond(g) = 8.6e13 at k = 1e7, and a tensor
+        pushed through it keeps its classes; only the g_inverse residual grows
+        with cond(g). Past it that eigenvalue falls under d * eps times the
+        largest and counts as zero."""
         t = np.diag([1.0, k, 1.0])
         t[1, 2], t[2, 1] = 0.37 * k, 0.11
-        if k <= 1e4:  # cond(g) = 8.6e7 at k = 1e4
-            assert _worst_axiom(push_structure(s1, t)) <= 1e-12
-        else:  # cond(g) = 8.6e9
+        if k <= 1e7:
+            s = push_structure(s1, t)
+            residuals = _axiom_residuals(s)
+            assert residuals.pop("g_inverse") <= (1e-12 if k <= 1e5 else 1e-10)
+            assert max(residuals.values()) <= 1e-12
+            f = random_structure_tensor(s1, 0)
+            t_inv = np.linalg.inv(t)
+            pushed = np.einsum("abc,ai,bj,ck->ijk", f, t_inv, t_inv, t_inv)
+            assert classify(s, pushed).present == classify(s1, f).present
+        else:  # cond(g) = 8.6e15
             with pytest.raises(PreconditionError, match="^structure violates axioms: signature=1\\.000e\\+00$"):
                 push_structure(s1, t)
 

@@ -13,6 +13,8 @@ from acbm.decomposition import (
 )
 from acbm.group import act, random_group_element
 from acbm.models import (
+    check_jacobi,
+    connection_residuals,
     dim3_coefficients,
     dim3_decompose,
     dim3_lee_forms,
@@ -222,7 +224,8 @@ class TestLeeForms:
         np.testing.assert_allclose(combined.omega, 2 * lf1.omega + 3 * lf2.omega, atol=1e-12)
 
 
-# Every public function that takes a tensor, as f -> call on the structure s.
+# Every public function that takes a (d, d, d) array, as f -> call on the
+# structure s; its ValueError names the array a tensor unless ARRAY_NAMES says otherwise.
 TENSOR_TAKERS = {
     "membership_residuals": lambda s, f: membership_residuals(s, f),
     "is_structure_tensor": lambda s, f: is_structure_tensor(s, f),
@@ -242,6 +245,20 @@ TENSOR_TAKERS = {
     "dim3_coefficients": lambda s, f: dim3_coefficients(s, f),
     "dim3_decompose": lambda s, f: dim3_decompose(s, f),
     "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
+    "structure_tensor_from_connection": lambda s, f: structure_tensor_from_connection(s, f),
+    "connection_residuals connection": lambda s, f: connection_residuals(s, np.zeros((3, 3, 3)), f),
+    "connection_residuals constants": lambda s, f: connection_residuals(s, f, np.zeros((3, 3, 3))),
+    "koszul_connection": lambda s, f: koszul_connection(s, f),
+    "check_jacobi": lambda s, f: check_jacobi(s, f),
+    "lie_to_doc": lambda s, f: fileio.lie_to_doc(s, f),
+}
+ARRAY_NAMES = {
+    "structure_tensor_from_connection": "connection",
+    "connection_residuals connection": "connection",
+    "connection_residuals constants": "structure constants",
+    "koszul_connection": "structure constants",
+    "check_jacobi": "structure constants",
+    "lie_to_doc": "structure constants",
 }
 
 
@@ -263,20 +280,22 @@ class TestTensorInput:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (np.zeros((3, 3, 2)), r"^tensor must have shape \(3, 3, 3\), got \(3, 3, 2\)$"),
-            (np.zeros((5, 5, 5)), r"^tensor must have shape \(3, 3, 3\), got \(5, 5, 5\)$"),
-            (_with_nan(), "^tensor contains non-finite entries$"),
-            (_nested_with("0.5"), "^tensor must be an array of numbers$"),
-            (_nested_with(True), "^tensor must be an array of numbers$"),
-            (np.zeros((3, 3, 3), dtype=bool), "^tensor must be an array of numbers$"),
-            (_nested_with(10**400), "^tensor contains an entry outside the float range$"),
+            (np.zeros((3, 3, 2)), r"^{} must have shape \(3, 3, 3\), got \(3, 3, 2\)$"),
+            (np.zeros((5, 5, 5)), r"^{} must have shape \(3, 3, 3\), got \(5, 5, 5\)$"),
+            (_with_nan(), "^{} contains non-finite entries$"),
+            (_nested_with("0.5"), "^{} must be an array of numbers$"),
+            (_nested_with(True), "^{} must be an array of numbers$"),
+            (np.zeros((3, 3, 3), dtype=bool), "^{} must be an array of numbers$"),
+            (_nested_with(10**400), "^{} contains an entry outside the float range$"),
+            (np.zeros((3, 3)), r"^{} must have shape \(3, 3, 3\), got \(3, 3\)$"),
         ],
         ids=["not-a-cube", "wrong-dimension", "nan", "string", "bool-among-integers", "bools",
-             "huge-integer"],
+             "huge-integer", "matrix"],
     )
     def test_public_functions_refuse_a_malformed_tensor(self, s1, name, bad, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message.format(ARRAY_NAMES.get(name, "tensor"))) as info:
             TENSOR_TAKERS[name](s1, bad)
+        assert type(info.value) is ValueError
 
     def test_array_likes_are_accepted(self, s1):
         f = random_structure_tensor(s1, 0)
@@ -285,7 +304,7 @@ class TestTensorInput:
     def test_returned_tensors_are_read_only(self, s1, s2):
         f = random_structure_tensor(s2, 0)
         p2 = project_w(s2, f, 2)
-        spec = lie_family(2, [0.5, -1.0, 2.0, 0.25])
+        _, c = lie_family(2, [0.5, -1.0, 2.0, 0.25])  # on s2, the canonical structure
         results = [
             f,
             p2,
@@ -296,7 +315,9 @@ class TestTensorInput:
             act(s2, random_group_element(2, 0), f),
             decompose(s2, f).components,
             sphere_structure_tensor(2, 0.3)[1],
-            structure_tensor_from_connection(spec, koszul_connection(spec)),
+            c,
+            fileio.lie_from_doc(fileio.lie_to_doc(s2, c))[1],
+            structure_tensor_from_connection(s2, koszul_connection(s2, c)),
             dim3_decompose(s1, random_structure_tensor(s1, 0)).components,
             fileio.tensor_from_doc(fileio.tensor_to_doc(s2, f))[1],
         ]
