@@ -9,16 +9,13 @@ out of the Koszul formula.
 """
 
 from .decomposition import (
-    CLASS_NAMES,
     NUM_CLASSES,
     ClassReport,
     Decomposition,
     classify,
     component,
     decompose,
-    in_w_subspace,
     project_w,
-    satisfies_class,
     w2_involution,
 )
 from .errors import PreconditionError
@@ -34,7 +31,6 @@ from .models import (
     connection_residuals,
     dim3_coefficients,
     dim3_decompose,
-    dim3_lee_forms,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -43,10 +39,8 @@ from .models import (
 from .structure import (
     StructureData,
     canonical_structure,
-    is_canonical_basis,
 )
 from .tensors import (
-    embed_structure_tensor,
     inner_product,
     is_structure_tensor,
     lee_forms,
@@ -57,7 +51,6 @@ from .tensors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASS_NAMES",
     "NUM_CLASSES",
     "ClassReport",
     "Decomposition",
@@ -73,12 +66,8 @@ __all__ = [
     "decompose",
     "dim3_coefficients",
     "dim3_decompose",
-    "dim3_lee_forms",
-    "embed_structure_tensor",
     "group_element_from_blocks",
-    "in_w_subspace",
     "inner_product",
-    "is_canonical_basis",
     "is_structure_tensor",
     "koszul_connection",
     "lee_forms",
@@ -87,7 +76,6 @@ __all__ = [
     "project_w",
     "random_group_element",
     "random_structure_tensor",
-    "satisfies_class",
     "sphere_structure_tensor",
     "structure_tensor_from_connection",
     "validate_group_element",

@@ -49,8 +49,6 @@ __all__ = [
     "w2_involution",
     "component",
     "decompose",
-    "satisfies_class",
-    "in_w_subspace",
     "classify",
 ]
 
@@ -294,7 +292,8 @@ _W2_SIGNS = {6: (1.0, -1.0), 7: (-1.0, -1.0), 8: (1.0, 1.0), 9: (-1.0, 1.0)}
 
 
 def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
-    """Worst residual of the defining identities of class F_i for the checked tensor c."""
+    """Worst residual of the defining identities of class F_i for the checked tensor c, with
+    the auxiliary ones: vanishing Lee forms of F2 and F6, cyclic sums of F2 and F3."""
     if i in (1, 4, 5):
         return _max_abs(c - _component_arrays(s, c, (i,))[i])
     phi, xi, eta = s.phi, s.xi, s.eta
@@ -318,57 +317,6 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
         return _max_abs(c - eta[:, None, None] * (phi.T @ first @ phi))  # eta(x) F(xi, phi y, phi z)
     omega = xi @ first  # F(xi, xi, z)
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
-
-
-@_in_float_range
-def satisfies_class(s: StructureData, f, i: int) -> bool:
-    """True iff f satisfies the characteristic conditions of class F_i.
-
-    Evaluates the defining identity of the class over all basis
-    triples, including auxiliary conditions (vanishing Lee forms for
-    F2 and F6, cyclic sums for F2/F3, the symmetry conditions for
-    F6..F9), each within DEFAULT_RTOL relative to _scale(f), so lam f
-    satisfies the class exactly when f does. The zero tensor satisfies
-    every class. f is judged alone: a component that is only rounding
-    noise of its tensor F, such as F2, F3, F6 and F7 at n = 1 (about
-    1e-16 of F), is measured by its own size and generally fails. Judge
-    such a component against F, as classify does by rel_tol * max-abs(F).
-    """
-    c = _tensor(s, f)
-    if i not in range(1, NUM_CLASSES + 1):
-        raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
-    return _class_residual(s, c, i) <= DEFAULT_RTOL * _scale(c)
-
-
-@_in_float_range
-def in_w_subspace(s: StructureData, f, i: int) -> bool:
-    """True iff f lies in the block W_i, by the h/v slot characterization.
-
-    W1 tensors vanish whenever any slot is vertical; W2 whenever the
-    first slot is vertical or the last two are both horizontal; W3 and
-    W4 are the mirror conditions on the first slot, within DEFAULT_RTOL
-    relative to _scale(f).
-    """
-    c = _tensor(s, f)
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"block index must be 1..4, got {i}")
-    xi = s.xi
-    h = -s.phi2
-    v1 = float(np.max(np.abs(np.einsum("ajk,a->jk", c, xi))))
-    v2 = float(np.max(np.abs(np.einsum("iak,a->ik", c, xi))))
-    v3 = float(np.max(np.abs(np.einsum("ija,a->ij", c, xi))))
-    h1 = float(np.max(np.abs(np.einsum("ajk,ai->ijk", c, h))))
-    h23 = float(np.max(np.abs(np.einsum("iab,aj,bk->ijk", c, h, h))))
-    _sealed(np.array([v1, v2, v3, h1, h23]))  # np.einsum returns inf or NaN where @ would raise
-    if i == 1:
-        worst = max(v1, v2, v3)
-    elif i == 2:
-        worst = max(v1, h23)
-    elif i == 3:
-        worst = max(h1, v2, v3)
-    else:
-        worst = max(h1, h23)
-    return worst <= DEFAULT_RTOL * _scale(c)
 
 
 def _check_threshold(rel_tol, name="rel_tol") -> None:

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
+from .models import _unit_bracket_table
 from .structure import MAX_DIM, StructureData, _as_float_array, _sealed, canonical_structure
 from .tensors import _tensor
 
@@ -211,7 +212,10 @@ def tensor_to_doc(s: StructureData, f) -> dict:
 
 
 def lie_to_doc(s: StructureData, c) -> dict:
+    """The document of the bracket table c, which holds its i < j brackets, so a table
+    that is not antisymmetric is refused (PreconditionError) rather than written as another."""
     c = _tensor(s, c, "structure constants")
+    _unit_bracket_table(c)
     brackets = []
     for i in range(s.dim):
         for j in range(i + 1, s.dim):

@@ -13,8 +13,8 @@ Two sources of concrete structure tensors:
 
 For dimension 3 over the canonical structure the eleven component
 formulas collapse to a handful of scalar coefficients; this module
-provides that fast path and the explicit dimension-3 Lee forms, both
-cross-checked in the test suite against the general machinery.
+provides that fast path, which the dim3 verify suite checks against
+decompose.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .structure import (
     canonical_structure,
     is_canonical_basis,
 )
-from .tensors import LeeForms, _require_structure_tensor, _sym_pair, _tensor
+from .tensors import _require_structure_tensor, _sym_pair, _tensor
 
 __all__ = [
     "Dim3Coefficients",
@@ -47,7 +47,6 @@ __all__ = [
     "connection_residuals",
     "structure_tensor_from_connection",
     "sphere_structure_tensor",
-    "dim3_lee_forms",
     "dim3_coefficients",
     "dim3_decompose",
 ]
@@ -98,27 +97,29 @@ def lie_family(n: int, a) -> tuple:
     return s, _sealed(c)
 
 
+def _unit_bracket_table(c: np.ndarray) -> np.ndarray:
+    """The checked bracket table c over its max-abs entry m (the zero table as is), refused
+    unless antisymmetric within DEFAULT_ATOL relative to m: the precondition of a bracket
+    table for check_jacobi and fileio.lie_to_doc alike. No later product overflows."""
+    m = float(np.max(np.abs(c)))
+    if m == 0.0:
+        return c
+    c = c / m
+    antisym = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
+    if antisym > DEFAULT_ATOL:
+        raise PreconditionError(f"bracket table is not antisymmetric (residual {antisym:.3e})")
+    return c
+
+
 @_in_float_range
 def check_jacobi(s: StructureData, c) -> bool:
     """True iff the Jacobi cyclic sum of the bracket table c vanishes on all basis triples.
 
-    Rejects non-antisymmetric bracket tables outright: antisymmetry is
-    a precondition, not a test result. Both checks run on the table
-    divided by its max-abs entry m, so antisymmetry is judged relative
-    to m and the Jacobi sum, quadratic in the table, relative to m^2,
-    both within DEFAULT_ATOL; no intermediate overflows. The zero table
-    is abelian.
+    Rejects a non-antisymmetric table outright (_unit_bracket_table). The
+    Jacobi sum, quadratic in the table, is judged relative to m^2, m the
+    max-abs entry, within DEFAULT_ATOL. The zero table is abelian.
     """
-    c = _tensor(s, c, "structure constants")
-    m = float(np.max(np.abs(c)))
-    if m == 0.0:
-        return True
-    c = c / m
-    antisym = float(np.max(np.abs(c + c.transpose(1, 0, 2))))
-    if antisym > DEFAULT_ATOL:
-        raise PreconditionError(
-            f"bracket table is not antisymmetric (residual {antisym:.3e})"
-        )
+    c = _unit_bracket_table(_tensor(s, c, "structure constants"))
     jac = (
         np.einsum("jkm,iml->ijkl", c, c)
         + np.einsum("kim,jml->ijkl", c, c)
@@ -198,26 +199,6 @@ def _canonical_dim3(s: StructureData, f) -> np.ndarray:
     c = _tensor(s, f)
     _require_structure_tensor(s, c)
     return c
-
-
-@_in_float_range
-def dim3_lee_forms(s: StructureData, f) -> LeeForms:
-    """Lee forms in dimension 3 by the explicit index formulas.
-
-    Requires the canonical structure s and f admissible (_canonical_dim3).
-    Agrees entrywise with the general contractions:
-
-        theta  = (F110 - F220, F111 - F221, F112 - F211)
-        theta* = (F120 + F210, F112 + F211, F111 + F221)
-        omega  = (0, F001, F002)
-    """
-    c = _canonical_dim3(s, f)
-    theta = np.array([c[1, 1, 0] - c[2, 2, 0], c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]])
-    theta_star = np.array(
-        [c[1, 2, 0] + c[2, 1, 0], c[1, 1, 2] + c[2, 1, 1], c[1, 1, 1] + c[2, 2, 1]]
-    )
-    omega = np.array([0.0, c[0, 0, 1], c[0, 0, 2]])
-    return LeeForms(theta=theta, theta_star=theta_star, omega=omega)
 
 
 @_in_float_range

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acbm import models
+from acbm import fileio, models
 from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
@@ -14,7 +14,6 @@ from acbm.models import (
     check_jacobi,
     dim3_coefficients,
     dim3_decompose,
-    dim3_lee_forms,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -83,11 +82,20 @@ class TestCheckJacobi:
         assert not check_jacobi(s, scale * c)
         assert check_jacobi(*lie_family(2, [scale, -scale, 0.5 * scale, scale]))
 
-    def test_rejects_non_antisymmetric(self, s1):
+    @pytest.mark.parametrize(
+        "entry, residual",
+        [((1, 2, 0), "1.000e+00"), ((1, 1, 0), "2.000e+00")],
+        ids=["no-compensating-entry", "diagonal"],
+    )
+    def test_rejects_non_antisymmetric(self, s1, entry, residual):
+        """check_jacobi and the writer lie_to_doc refuse the same table alike: the
+        writer keeps only the i < j brackets, so it would write another table."""
         c = np.zeros((3, 3, 3))
-        c[1, 2, 0] = 1.0  # no compensating c[2, 1, 0]
-        with pytest.raises(PreconditionError):
-            check_jacobi(s1, c)
+        c[entry] = 1.0
+        for call in (check_jacobi, fileio.lie_to_doc):
+            with pytest.raises(PreconditionError) as info:
+                call(s1, c)
+            assert str(info.value) == f"bracket table is not antisymmetric (residual {residual})"
 
 
 class TestKoszulConnection:
@@ -157,23 +165,25 @@ class TestSphere:
         assert type(info.value) is ValueError
 
 
+def _dim3_lee_forms(c) -> tuple:
+    """(theta, theta*, omega) of an admissible tensor at n = 1 over the canonical
+    structure, by the index formulas of the README, Fijk = F(e_i, e_j, e_k)."""
+    theta = [c[1, 1, 0] - c[2, 2, 0], c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]]
+    theta_star = [c[1, 2, 0] + c[2, 1, 0], c[1, 1, 2] + c[2, 1, 1], c[1, 1, 1] + c[2, 2, 1]]
+    return theta, theta_star, [0.0, c[0, 0, 1], c[0, 0, 2]]
+
+
 class TestDim3LeeForms:
-    def test_f8_form_all_zero(self, s1):
-        lf = dim3_lee_forms(s1, f8_form())
-        assert np.max(np.abs(lf.theta)) == 0.0
-        assert np.max(np.abs(lf.theta_star)) == 0.0
-        assert np.max(np.abs(lf.omega)) == 0.0
-
-    def test_f11_form_omega(self, s1):
-        lf = dim3_lee_forms(s1, f11_form(w1=1.0, w2=0.0))
-        np.testing.assert_array_equal(lf.omega, [0.0, 1.0, 0.0])
-        assert np.max(np.abs(lf.theta)) == 0.0
-
-    def test_rejects_wrong_dim(self, s1, s2):
-        with pytest.raises(ValueError, match="expected a dimension-3 structure"):
-            dim3_lee_forms(s2, np.zeros((5, 5, 5)))
-        with pytest.raises(ValueError):
-            dim3_lee_forms(s1, np.zeros((5, 5, 5)))
+    @pytest.mark.parametrize(
+        "f",
+        [f8_form(), f11_form(w1=1.0, w2=0.0)]
+        + [random_structure_tensor(canonical_structure(1), seed) for seed in range(5)],
+        ids=["f8_form", "f11_form"] + [f"seed{seed}" for seed in range(5)],
+    )
+    def test_lee_forms_are_the_index_formulas(self, s1, f):
+        lf = lee_forms(s1, f)
+        for got, want in zip((lf.theta, lf.theta_star, lf.omega), _dim3_lee_forms(f)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # The eighteen entry relations of an admissible tensor in dimension 3 over the
@@ -283,7 +293,7 @@ class TestDim3Components:
             dim3_decompose(s1, np.zeros((5, 5, 5)))
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("fn", [dim3_lee_forms, dim3_coefficients, dim3_decompose])
+    @pytest.mark.parametrize("fn", [dim3_coefficients, dim3_decompose])
     def test_rejects_non_canonical_structure(self, fn, seed):
         s = random_structure(1, seed)
         f = random_structure_tensor(s, seed)  # admissible for s
@@ -296,7 +306,7 @@ class TestDim3Components:
         tensor they would disagree with the general contractions without a word."""
         for raw in (_inadmissible_dim3(), np.arange(27.0).reshape(3, 3, 3)):
             c = scale * raw
-            for fn in (dim3_lee_forms, dim3_coefficients):
+            for fn in (dim3_coefficients, dim3_decompose):
                 with pytest.raises(PreconditionError) as info:
                     fn(s1, c)
                 assert str(info.value) == _gate_message(s1, c)

@@ -6,9 +6,7 @@ from acbm.decomposition import (
     classify,
     component,
     decompose,
-    in_w_subspace,
     project_w,
-    satisfies_class,
     w2_involution,
 )
 from acbm.group import act, random_group_element
@@ -17,7 +15,6 @@ from acbm.models import (
     connection_residuals,
     dim3_coefficients,
     dim3_decompose,
-    dim3_lee_forms,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -237,11 +234,8 @@ TENSOR_TAKERS = {
     "w2_involution": lambda s, f: w2_involution(s, f, 1),
     "component": lambda s, f: component(s, f, 1),
     "decompose": lambda s, f: decompose(s, f),
-    "satisfies_class": lambda s, f: satisfies_class(s, f, 1),
-    "in_w_subspace": lambda s, f: in_w_subspace(s, f, 1),
     "classify": lambda s, f: classify(s, f),
     "act": lambda s, f: act(s, np.eye(3), f),
-    "dim3_lee_forms": lambda s, f: dim3_lee_forms(s, f),
     "dim3_coefficients": lambda s, f: dim3_coefficients(s, f),
     "dim3_decompose": lambda s, f: dim3_decompose(s, f),
     "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
