@@ -256,9 +256,9 @@ ARRAY_NAMES = {
 }
 
 
-def _with_nan():
+def _with(entry):
     c = np.zeros((3, 3, 3))
-    c[0, 1, 1] = np.nan
+    c[0, 1, 1] = entry
     return c
 
 
@@ -276,15 +276,17 @@ class TestTensorInput:
         [
             (np.zeros((3, 3, 2)), r"^{} must have shape \(3, 3, 3\), got \(3, 3, 2\)$"),
             (np.zeros((5, 5, 5)), r"^{} must have shape \(3, 3, 3\), got \(5, 5, 5\)$"),
-            (_with_nan(), "^{} contains non-finite entries$"),
+            (_with(np.nan), "^{} contains non-finite entries$"),
+            (_with(-np.inf), "^{} contains non-finite entries$"),
             (_nested_with("0.5"), "^{} must be an array of numbers$"),
             (_nested_with(True), "^{} must be an array of numbers$"),
             (np.zeros((3, 3, 3), dtype=bool), "^{} must be an array of numbers$"),
+            (np.zeros((3, 3, 3), dtype=complex), "^{} must be an array of numbers$"),
             (_nested_with(10**400), "^{} contains an entry outside the float range$"),
             (np.zeros((3, 3)), r"^{} must have shape \(3, 3, 3\), got \(3, 3\)$"),
         ],
-        ids=["not-a-cube", "wrong-dimension", "nan", "string", "bool-among-integers", "bools",
-             "huge-integer", "matrix"],
+        ids=["not-a-cube", "wrong-dimension", "nan", "minus-inf", "string", "bool-among-integers",
+             "bools", "complex", "huge-integer", "matrix"],
     )
     def test_public_functions_refuse_a_malformed_tensor(self, s1, name, bad, message):
         with pytest.raises(ValueError, match=message.format(ARRAY_NAMES.get(name, "tensor"))) as info:
