@@ -249,8 +249,8 @@ def decompose(s: StructureData, f) -> Decomposition:
     Requires f admissible (the one gate, _require_structure_tensor): the
     component formulas are only meaningful on the admissible space. The
     recorded residual is max-abs(sum of components - f) relative to
-    max-abs(f); past the fixed bound of _decomposition it raises
-    PreconditionError.
+    _scale(f), the max-abs of f; past the fixed bound of _decomposition
+    it raises PreconditionError.
     """
     return _decompose(s, _tensor(s, f))
 
@@ -272,10 +272,8 @@ def _decomposition(c: np.ndarray, stack: np.ndarray) -> Decomposition:
     total = np.zeros_like(c)
     for a in stack:
         total = total + a
-    diff = _max_abs(total - c)
-    scale = _max_abs(c)
-    residual = diff / scale if scale > 0.0 else diff
-    if diff > DEFAULT_RTOL * _scale(c):
+    residual = _max_abs(total - c) / _scale(c)
+    if residual > DEFAULT_RTOL:
         raise PreconditionError(
             f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
         )

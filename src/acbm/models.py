@@ -33,6 +33,7 @@ from .structure import (
     StructureData,
     _as_float_array,
     _in_float_range,
+    _max_abs,
     _sealed,
     canonical_structure,
     is_canonical_basis,
@@ -120,12 +121,11 @@ def check_jacobi(s: StructureData, c) -> bool:
     max-abs entry, within DEFAULT_ATOL. The zero table is abelian.
     """
     c = _unit_bracket_table(_tensor(s, c, "structure constants"))
-    jac = (
-        np.einsum("jkm,iml->ijkl", c, c)
-        + np.einsum("kim,jml->ijkl", c, c)
-        + np.einsum("ijm,kml->ijkl", c, c)
-    )
-    return float(np.max(np.abs(jac))) <= DEFAULT_ATOL
+    d = s.dim
+    # m[i, j, k, l] = sum_m c[i, j, m] c[k, m, l], the E_l part of [[E_i, E_j], E_k]
+    m = (c.reshape(d * d, d) @ c.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    jac = m + m.transpose(2, 0, 1, 3) + m.transpose(1, 2, 0, 3)
+    return _max_abs(jac) <= DEFAULT_ATOL
 
 
 @_in_float_range

@@ -25,6 +25,7 @@ import pytest
 from acbm import verify
 from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import canonical_structure, is_canonical_basis
+from acbm.tensors import random_structure_tensor
 from acbm.verify import SUITE_NAMES, run_suite
 
 from conftest import basis_change, push_structure
@@ -74,11 +75,9 @@ _TABLE = _readme_table()
 
 # Bounds on the reported worst value, tighter than the suite tolerance, that
 # the unit tests these checks replaced held. The suites measure membership
-# against max(1, max-abs) of F, and closure and class predicates a component
-# above 1e-5 of F against its own size; the admissibility gate measures the
-# tested tensor by its own max-abs. At these seeds that is at least 2.5e-3 of
-# max(1, max-abs) of F (components at n = 2, acted and family tensors), so
-# the bounds below keep the gate's 1e-9.
+# as the admissibility gate does, by the max-abs of the tensor tested, except
+# that closure and class predicates measure a component below 1e-5 of F by the
+# max-abs of F.
 _TIGHTER = {
     ("decomposition", "projector idempotency"): 1e-12,
     ("decomposition", "projector self-adjointness"): 1e-12,
@@ -134,6 +133,40 @@ def _pushed(suite: str, basis: int) -> dict:
 ])
 def test_check_passes_in_a_non_canonical_basis(basis, suite, check):
     _assert_passes(suite, _pushed(suite, basis)[check])
+
+
+def _verdicts(suite: str, factor: float) -> list:
+    """(name, worst, passed) of `suite` at three seeds, with every random tensor times factor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "random_structure_tensor",
+                      lambda s, seed: factor * random_structure_tensor(s, seed))
+        return [(check.name, check.worst, check.passed) for check in run_suite(suite, 3)]
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+@pytest.mark.parametrize("suite", ["decomposition", "group", "dim3"])
+def test_suites_judge_a_power_of_two_multiple_alike(suite, k):
+    """The suites' identities are linear in F and a power of two scales floats
+    without rounding, so 2^k F gives the verdicts and worst values of F, bit for bit."""
+    assert _verdicts(suite, 2.0**k) == _verdicts(suite, 1.0)
+
+
+def test_family_closed_forms_are_compared_whole(monkeypatch):
+    """An admissible F11 entry the family never has, 1e-3 at F[0, 0, 1] and
+    F[0, 1, 0], fails `family tensor components`: every entry is compared."""
+    exact = verify.models.structure_tensor_from_connection
+
+    def with_f11(s, gamma):
+        f = exact(s, gamma).copy()
+        f[0, 0, 1] += 1e-3
+        f[0, 1, 0] += 1e-3
+        return f
+
+    monkeypatch.setattr(verify.models, "structure_tensor_from_connection", with_f11)
+    checks = {check.name: check for check in run_suite("models", 1)}
+    assert checks["family membership"].passed
+    assert checks["family connection values"].passed
+    assert not checks["family tensor components"].passed
 
 
 def test_readme_table_is_the_suites_checks(monkeypatch, request):

@@ -29,7 +29,7 @@ from acbm.tensors import (
 )
 from acbm.verify import run_suite
 
-from conftest import random_structure
+from conftest import basis_change, random_structure
 
 from test_tensors import f8_form
 from test_decomposition import f11_form
@@ -61,7 +61,35 @@ class TestLieFamily:
             lie_family(1, [bad, 1.0])
 
 
+def _jacobi_oracle(c: np.ndarray) -> float:
+    """Max-abs of the Jacobi cyclic sum of the bracket table c, as three einsums."""
+    jac = (
+        np.einsum("jkm,iml->ijkl", c, c)
+        + np.einsum("kim,jml->ijkl", c, c)
+        + np.einsum("ijm,kml->ijkl", c, c)
+    )
+    return _max_abs(jac)
+
+
 class TestCheckJacobi:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_the_einsum_oracle_in_a_changed_basis(self, n, seed):
+        """The family's table in a changed basis is a Lie algebra, and the same
+        table with one antisymmetric pair moved by 1e-6 of its largest entry is not.
+        The moved pair is the E_1 part of [E_0, E_1], which changes the trace of
+        ad E_0: at n = 1 the family is unimodular, and a move that keeps that trace
+        zero, such as the E_2 part, leaves a Lie algebra."""
+        s, c = lie_family(n, np.random.default_rng(seed).uniform(-2.0, 2.0, 2 * n))
+        t = basis_change(n, seed)
+        pushed = np.einsum("abm,ai,bj,km->ijk", c, t, t, np.linalg.inv(t))
+        m = _max_abs(pushed)
+        moved = pushed.copy()
+        moved[0, 1, 1] += 1e-6 * m
+        moved[1, 0, 1] -= 1e-6 * m
+        assert check_jacobi(s, pushed) and _jacobi_oracle(pushed / m) <= 1e-12
+        assert not check_jacobi(s, moved) and _jacobi_oracle(moved / m) > 1e-12
+
     def test_abelian(self, s1):
         assert check_jacobi(s1, np.zeros((3, 3, 3)))
 
