@@ -7,13 +7,14 @@ Subcommands:
     gen       emit input files: sphere, liegroup, random, group
     verify    run the seeded invariant suites
 
-Exit codes: 0 success (verify: all checks passed), 2 parse error, bad
-parameters (non-finite numbers included), an --out path or standard output
-that cannot be written (a full device), or input whose arithmetic overflows
-the float range (the library's one float-range error), 3 precondition failure
-(invalid structure, tensor outside the admissible space, broken bracket
-table), 1 failed verify checks, 141 output pipe closed by its reader (as for a
-process ended by SIGPIPE: `acbm verify | head -n 1`), without a traceback.
+Exit codes: 0 success (verify: all checks passed), 2 any ValueError: a
+malformed document, a bad parameter (the library's scalar rules, named by
+the flag), an --out path or standard output that cannot be written (a full
+device), or input whose arithmetic overflows the float range, 3 any
+PreconditionError (invalid structure, tensor outside the admissible space,
+broken bracket table), 1 failed verify checks, 141 output pipe closed by its
+reader (as for a process ended by SIGPIPE: `acbm verify | head -n 1`),
+without a traceback.
 
 Examples:
 
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 
 from . import fileio
-from .decomposition import _check_threshold, classify, component, project_w
+from .decomposition import classify, component, project_w
 from .errors import PreconditionError
 from .group import random_group_element
 from .models import (
@@ -42,7 +42,9 @@ from .models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from .structure import DEFAULT_RTOL, _as_float_array, canonical_structure
+from .structure import (
+    DEFAULT_RTOL, _as_float_array, _dimension, _integer, _rank, _real, canonical_structure,
+)
 from .tensors import _require_structure_tensor, random_structure_tensor
 from .verify import SUITE_NAMES, run_suites
 
@@ -61,7 +63,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise fileio.ParseError(f"cannot write {out_path}: {exc}") from exc
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _load_classifiable(path: str):
@@ -77,13 +79,8 @@ def _load_classifiable(path: str):
     return fileio.tensor_from_doc(doc)
 
 
-def _require_flag(ok: bool, flag: str, rule: str, value) -> None:
-    if not ok:
-        raise fileio.ParseError(f"{flag} must be {rule}, got {value}")
-
-
 def cmd_classify(args) -> int:
-    _check_threshold(args.tol, "--tol")
+    _real(args.tol, "--tol", positive=True)
     s, f = _load_classifiable(args.input)
     report = classify(s, f, rel_tol=args.tol)
     if args.format == "json":
@@ -97,7 +94,7 @@ def cmd_classify(args) -> int:
 def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
     if (args.class_index is None) == (args.w is None):
-        raise fileio.ParseError("specify exactly one of --class-index or --w")
+        raise ValueError("specify exactly one of --class-index or --w")
     _require_structure_tensor(s, f)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
@@ -109,35 +106,27 @@ def cmd_project(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind in ("random", "group"):
-        _require_flag(args.seed >= 0, "--seed", "an integer >= 0", args.seed)
-    if args.kind == "random":
-        fileio.check_size(args.dim, "--dim")
-    else:
-        _require_flag(args.n >= 1, "--n", "an integer >= 1", args.n)
-        fileio.check_size(2 * args.n + 1, "--n")
+        _integer(args.seed, "--seed", 0)
+    n = _dimension(args.dim, "--dim") if args.kind == "random" else _rank(args.n, "--n")
     if args.kind == "sphere":
-        _require_flag(math.isfinite(args.t), "--t", "a finite number", args.t)
-        s, f = sphere_structure_tensor(args.n, args.t)
-        doc = fileio.tensor_to_doc(s, f)
+        doc = fileio.tensor_to_doc(*sphere_structure_tensor(n, _real(args.t, "--t")))
     elif args.kind == "liegroup":
         try:
             params = [float(x) for x in args.a.split(",")]
         except ValueError as exc:
-            raise fileio.ParseError(f"--a must be comma-separated floats: {exc}") from exc
-        doc = fileio.lie_to_doc(*lie_family(args.n, _as_float_array(params, (2 * args.n,), "--a")))
+            raise ValueError(f"--a must be comma-separated floats: {exc}") from exc
+        doc = fileio.lie_to_doc(*lie_family(n, _as_float_array(params, (2 * n,), "--a")))
     elif args.kind == "random":
-        if args.dim < 3 or args.dim % 2 == 0:
-            raise fileio.ParseError(f"--dim must be an odd integer >= 3, got {args.dim}")
-        s = canonical_structure((args.dim - 1) // 2)
+        s = canonical_structure(n)
         doc = fileio.tensor_to_doc(s, random_structure_tensor(s, args.seed))
     else:
-        doc = fileio.group_to_doc(args.n, random_group_element(args.n, args.seed))
+        doc = fileio.group_to_doc(n, random_group_element(n, args.seed))
     _emit(fileio.dumps(doc), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _require_flag(args.seeds >= 1, "--seeds", "an integer >= 1", args.seeds)
+    _integer(args.seeds, "--seeds", 1)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, args.seeds)
     all_passed = True
@@ -211,7 +200,7 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
-    except OSError as exc:  # from stdout: the commands turn file errors into ParseError
+    except OSError as exc:  # from stdout: the commands turn file errors into ValueError
         # the reader left (`acbm verify | head -n 1`) or the device is full; send
         # what is still buffered to devnull so the flush at exit does not raise again
         with contextlib.suppress(OSError, ValueError):  # stdout replaced in-process: no descriptor

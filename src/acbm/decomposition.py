@@ -23,14 +23,12 @@ can be null.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _max_abs, _sealed
+from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed
 from .tensors import (
     _lee_forms,
     _pullback,
@@ -110,9 +108,7 @@ def project_w(s: StructureData, f, i: int) -> np.ndarray:
     agrees with f - p1(f) - p2(f) - p3(f).
     """
     c = _tensor(s, f)
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"block index must be 1..4, got {i}")
-    return _sealed(_block(s, c, i))
+    return _sealed(_block(s, c, _integer(i, "block index", 1, 4)))
 
 
 def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
@@ -151,8 +147,7 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     operators are involutions only there.
     """
     c = _tensor(s, f)
-    if j not in (1, 2):
-        raise ValueError(f"involution index must be 1 or 2, got {j}")
+    j = _integer(j, "involution index", 1, 2)
     w2_residual = _max_abs(c - _block(s, c, 2))
     if w2_residual > DEFAULT_RTOL * _scale(c):
         raise PreconditionError(
@@ -237,8 +232,7 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     the W3 and W4 projections.
     """
     c = _tensor(s, f)
-    if i not in range(1, NUM_CLASSES + 1):
-        raise ValueError(f"class index must be 1..{NUM_CLASSES}, got {i}")
+    i = _integer(i, "class index", 1, NUM_CLASSES)
     return _sealed(_component_arrays(s, c, (i,))[i])
 
 
@@ -317,14 +311,6 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
-def _check_threshold(rel_tol, name="rel_tol") -> None:
-    """The class-threshold rule of classify and `acbm classify`: a real number, not a bool,
-    finite and > 0; name is what its message says."""
-    real = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
-    if not (real and 0.0 < rel_tol <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number > 0, got {rel_tol!r}")
-
-
 @_in_float_range
 def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     """Classify f into a direct sum of basic classes.
@@ -335,7 +321,7 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     only this class threshold: the admissibility gate of decompose is
     fixed. It is echoed in the report for reproducibility.
     """
-    _check_threshold(rel_tol)
+    rel_tol = _real(rel_tol, "rel_tol", positive=True)
     c = _tensor(s, f)
     dec = _decompose(s, c)
     threshold = rel_tol * _scale(c)

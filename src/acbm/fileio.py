@@ -3,7 +3,9 @@
 All array fields are flat row-major lists of decimal floats; nested
 lists of the right shape are accepted on input; past the format, each
 array field passes the library's one check, structure._as_float_array,
-whose ValueError names the field. Numbers are emitted
+and each integer field its integer rules, whose ValueError names the field.
+Every malformed document is one ValueError: bad or too deeply nested JSON,
+a key given twice in one object, a missing or ill-typed field. Numbers are emitted
 through the shortest round-trip decimal representation of binary64, so
 a generated file parses back to exactly the in-memory values and
 identical inputs produce byte-identical machine-readable output.
@@ -24,12 +26,12 @@ import numpy as np
 
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import _unit_bracket_table
-from .structure import MAX_DIM, StructureData, _as_float_array, _sealed, canonical_structure
+from .structure import (
+    StructureData, _as_float_array, _dimension, _integer, _rank, _sealed, canonical_structure,
+)
 from .tensors import _tensor
 
 __all__ = [
-    "ParseError",
-    "check_size",
     "load_document",
     "detect_kind",
     "structure_from_doc",
@@ -45,10 +47,6 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
-    """Malformed input document: bad JSON, a missing field, a field of the wrong JSON type."""
-
-
 def _float_list(arr: np.ndarray) -> list:
     return [float(x) for x in np.asarray(arr).ravel()]
 
@@ -58,16 +56,25 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when it gives a key twice: json would keep the last copy."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {repeated!r} is given twice in one object")
+    return obj
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+        raise ValueError(f"{path}: top-level value must be an object")
     return doc
 
 
@@ -75,22 +82,22 @@ def detect_kind(doc: dict) -> str:
     has_brackets = "brackets" in doc
     has_comps = "comps" in doc
     if has_brackets and has_comps:
-        raise ParseError("ambiguous document: has both 'brackets' and 'comps'")
+        raise ValueError("ambiguous document: has both 'brackets' and 'comps'")
     if has_brackets:
         return "lie"
     if has_comps:
         return "tensor"
-    raise ParseError("missing field: document has neither 'comps' nor 'brackets'")
+    raise ValueError("missing field: document has neither 'comps' nor 'brackets'")
 
 
 _STRUCTURE_FIELDS = ("n", "dim", "g", "phi", "xi", "eta")
 
 
 def _refuse_unknown_fields(record: dict, fields: tuple, where: str) -> None:
-    """ParseError naming the first key outside fields: a misspelt field is not a default."""
+    """ValueError naming the first key outside fields: a misspelt field is not a default."""
     unknown = [key for key in record if key not in fields]
     if unknown:
-        raise ParseError(f"{where}unknown field {unknown[0]!r}; expected {', '.join(fields)}")
+        raise ValueError(f"{where}unknown field {unknown[0]!r}; expected {', '.join(fields)}")
 
 
 def _parse_array(value, shape, name: str) -> np.ndarray:
@@ -102,38 +109,17 @@ def _parse_array(value, shape, name: str) -> np.ndarray:
     return _as_float_array(value, shape, name)
 
 
-def _int_field(value, name: str) -> int:
-    """A JSON integer, or ParseError; bools, floats and lists are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"field '{name}' must be an integer, got {type(value).__name__}")
-    return value
-
-
 def _resolve_n(doc: dict) -> int:
     n = doc.get("n")
     dim = doc.get("dim")
     if n is None and dim is None:
-        raise ParseError("missing field: 'n' (or 'dim')")
-    if dim is not None:
-        dim = _int_field(dim, "dim")
-    if n is not None:
-        n = _int_field(n, "n")
-        if dim is not None and dim != 2 * n + 1:
-            raise ParseError(f"'dim'={dim} inconsistent with n={n} (expected {2 * n + 1})")
-    elif dim < 3 or dim % 2 == 0:
-        raise ParseError(f"'dim' must be an odd integer >= 3, got {dim}")
-    else:
-        n = (dim - 1) // 2
-    check_size(2 * n + 1, "'n'" if dim is None else "'dim'")
+        raise ValueError("missing field: 'n' (or 'dim')")
+    if n is None:
+        return _dimension(dim, "'dim'")
+    n = _rank(n, "'n'")
+    if dim is not None and _integer(dim, "'dim'", 3) != 2 * n + 1:
+        raise ValueError(f"'dim'={dim} inconsistent with n={n} (expected {2 * n + 1})")
     return n
-
-
-def check_size(dim: int, name: str) -> None:
-    """ParseError when dimension dim exceeds MAX_DIM; name is the field or flag that set it."""
-    if dim > MAX_DIM:
-        raise ParseError(
-            f"{name}: dimension {dim} exceeds the maximum {MAX_DIM} (n <= {(MAX_DIM - 1) // 2})"
-        )
 
 
 def structure_from_doc(doc: dict) -> StructureData:
@@ -154,7 +140,7 @@ def tensor_from_doc(doc: dict) -> tuple:
     _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("comps",), "")
     s = structure_from_doc(doc)
     if "comps" not in doc:
-        raise ParseError("missing field: 'comps'")
+        raise ValueError("missing field: 'comps'")
     return s, _parse_array(doc["comps"], (s.dim,) * 3, "comps")
 
 
@@ -170,24 +156,22 @@ def lie_from_doc(doc: dict) -> tuple:
     d = s.dim
     brackets = doc.get("brackets")
     if not isinstance(brackets, list):
-        raise ParseError("missing field: 'brackets' must be a list")
+        raise ValueError("missing field: 'brackets' must be a list")
     c = np.zeros((d, d, d))
     first = {}  # (i, j) -> index of the record that gives [E_i, E_j]
     for idx, rec in enumerate(brackets):
         if not isinstance(rec, dict) or not {"i", "j", "coeffs"} <= set(rec):
-            raise ParseError(f"brackets[{idx}]: expected fields 'i', 'j', 'coeffs'")
+            raise ValueError(f"brackets[{idx}]: expected fields 'i', 'j', 'coeffs'")
         _refuse_unknown_fields(rec, ("i", "j", "coeffs"), f"brackets[{idx}]: ")
-        i = _int_field(rec["i"], f"brackets[{idx}].i")
-        j = _int_field(rec["j"], f"brackets[{idx}].j")
-        if not (0 <= i < d and 0 <= j < d):
-            raise ParseError(f"brackets[{idx}]: indices must be in 0..{d - 1}")
+        i = _integer(rec["i"], f"brackets[{idx}].i", 0, d - 1)
+        j = _integer(rec["j"], f"brackets[{idx}].j", 0, d - 1)
         if j <= i:
-            raise ParseError(
+            raise ValueError(
                 f"brackets[{idx}]: requires i < j (got i={i}, j={j});"
                 " antisymmetry is implied"
             )
         if (i, j) in first:
-            raise ParseError(f"brackets[{idx}]: repeats the pair ({i}, {j}) of brackets[{first[i, j]}]")
+            raise ValueError(f"brackets[{idx}]: repeats the pair ({i}, {j}) of brackets[{first[i, j]}]")
         first[i, j] = idx
         coeffs = _parse_array(rec["coeffs"], (d,), f"brackets[{idx}].coeffs")
         c[i, j] = coeffs
@@ -225,7 +209,7 @@ def lie_to_doc(s: StructureData, c) -> dict:
 
 
 def group_to_doc(n: int, matrix: np.ndarray) -> dict:
-    return {"n": int(n), "matrix": _float_list(matrix)}
+    return {"n": _rank(n), "matrix": _float_list(matrix)}
 
 
 def report_to_doc(report: ClassReport) -> dict:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .structure import (
-    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _max_abs, _rank, _sealed,
-    canonical_structure,
+    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _integer, _max_abs, _rank,
+    _sealed, canonical_structure,
 )
 from .tensors import _pullback, _tensor
 
@@ -64,7 +64,7 @@ def random_group_element(n: int, seed: int) -> np.ndarray:
     always invertible. An odd seed negates the first column of q, which
     moves it to the det = -1 component; at n = 1 that is (-I_1, 0).
     """
-    n = _rank(n)
+    n, seed = _rank(n), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     u1 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
     u2 = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
@@ -84,10 +84,10 @@ def group_element_from_blocks(n: int, a_block, b_block) -> np.ndarray:
     and B^T A + A^T B = 0 must hold within its tolerance, relative to the
     square of the largest entry.
     """
-    s = canonical_structure(n)  # the rank rule, before n sizes the blocks
+    n = _rank(n)  # before n sizes the blocks
     a = _assemble(n, _as_float_array(a_block, (n, n), "block A"),
                   _as_float_array(b_block, (n, n), "block B"))
-    if not validate_group_element(s, a):
+    if not validate_group_element(canonical_structure(n), a):
         raise ValueError("blocks do not satisfy the structure-group conditions")
     return a
 

@@ -20,8 +20,6 @@ decompose.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +32,7 @@ from .structure import (
     _as_float_array,
     _in_float_range,
     _max_abs,
+    _real,
     _sealed,
     canonical_structure,
     is_canonical_basis,
@@ -86,8 +85,8 @@ def lie_family(n: int, a) -> tuple:
     F10 coefficient -2 a_2.
     """
     s = canonical_structure(n)
-    a = _as_float_array(a, (2 * s.n,), "parameter vector")
-    d = s.dim
+    n, d = s.n, s.dim
+    a = _as_float_array(a, (2 * n,), "parameter vector")
     c = np.zeros((d, d, d))
     for i in range(1, n + 1):
         c[0, i, i] = -a[i - 1]
@@ -181,9 +180,7 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
     Any finite real t is accepted, as the formula is periodic; a bool, a
     non-real or a non-finite t is one ValueError naming t.
     """
-    s = canonical_structure(n)
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not abs(t) <= sys.float_info.max:
-        raise ValueError(f"t must be a finite number, got {t!r}")
+    s, t = canonical_structure(n), _real(t, "t")
     comps = -math.cos(t) * _sym_pair(s.phi_g_phi, s.eta) - math.sin(t) * _sym_pair(s.g_phi, s.eta)
     return s, _sealed(comps)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
 
-# Largest dimension d = 2n + 1 that documents and generators accept;
+# Largest dimension d = 2n + 1 of a structure (the rank rule, _rank);
 # larger sizes are refused before anything is allocated. classify costs
 # O(d^6) in its W1 terms: at d = 21 one call takes 2.9-3.5 s with a
 # 38 MB peak resident set (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
@@ -79,7 +80,8 @@ def _as_float_array(value, shape, name: str) -> np.ndarray:
     """
     if not isinstance(value, np.ndarray):  # entry by entry: numpy reads [True, 0] as [1, 0]
         value = np.array(value, dtype=object)
-    types = set(map(type, value.flat)) if value.dtype == object else {value.dtype.type}
+    # reshape, not .flat, whose iterator refuses an array nested more than 32 deep
+    types = set(map(type, value.reshape(-1))) if value.dtype == object else {value.dtype.type}
     if not all(t is not bool and issubclass(t, numbers.Real) for t in types):
         raise ValueError(f"{name} must be an array of numbers")
     try:
@@ -98,13 +100,41 @@ def _max_abs(*arrays) -> float:
     return max(float(np.max(np.abs(a))) for a in arrays)
 
 
-def _rank(n) -> int:
-    """The one rank rule: n as an int, or one ValueError unless it is an integer >= 1 (not a bool)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(n)
+def _integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """The one integer rule: value as an int, or one ValueError naming it unless it is an
+    integer (not a bool or a float) from minimum up to maximum, when there is one."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if minimum <= value and (maximum is None or value <= maximum):
+            return int(value)
+    rule = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+    raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """The one real rule: value as a float, or one ValueError naming it unless it is a
+    finite real number (not a bool), and > 0 when positive."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max and (value > 0 or not positive):
+            return float(value)
+    raise ValueError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+
+
+def _rank(n, name: str = "n") -> int:
+    """The one rank rule: n as an int, or one ValueError unless it is an integer >= 1
+    with 2n + 1 <= MAX_DIM; name is the parameter, flag or field that gave it."""
+    n = _integer(n, name, 1)
+    if 2 * n + 1 > MAX_DIM:
+        raise ValueError(
+            f"{name}: dimension {2 * n + 1} exceeds the maximum {MAX_DIM} (n <= {(MAX_DIM - 1) // 2})"
+        )
+    return n
+
+
+def _dimension(dim, name: str) -> int:
+    """The rank n of a dimension dim = 2n + 1: an odd integer >= 3, then the rank rule."""
+    if _integer(dim, name, 3) % 2 == 0:
+        raise ValueError(f"{name} must be an odd integer >= 3, got {dim}")
+    return _rank((dim - 1) // 2, name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _max_abs, _sealed
+from .structure import (
+    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _integer, _max_abs, _sealed,
+)
 
 __all__ = [
     "membership_residuals",
@@ -152,9 +154,9 @@ def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
     """Seeded random element of the admissible space.
 
     Deterministic in (s, seed): entries drawn uniformly from [-1, 1]
-    and pushed through embed_structure_tensor.
+    and pushed through embed_structure_tensor. seed is an integer >= 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     return embed_structure_tensor(s, rng.uniform(-1.0, 1.0, size=(s.dim,) * 3))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import decomposition as dec
 from . import models
 from .group import act, group_element_from_blocks, random_group_element, validate_group_element
-from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _max_abs, canonical_structure
+from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _integer, _max_abs, canonical_structure
 from .tensors import (
     _scale,
     inner_product,
@@ -307,9 +307,10 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seeds: int) -> list:
+    """Run one suite over seeds 0..seeds-1, seeds an integer >= 1."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](seeds)
+    return _SUITES[name](_integer(seeds, "seeds", 1))
 
 
 def run_suites(names, seeds: int) -> dict:

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from acbm import fileio, tensors
 from acbm.cli import main
 from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
-from acbm.structure import DEFAULT_RTOL, StructureData, _max_abs, canonical_structure
+from acbm.structure import DEFAULT_RTOL, MAX_DIM, StructureData, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, membership_residuals, random_structure_tensor
+from acbm.verify import run_suite
 
 from conftest import random_structure
 
@@ -216,3 +218,63 @@ def test_float_range_rule_is_on_every_arithmetic_entry():
     if hasattr(tensors._require_structure_tensor, "__wrapped__"):
         carriers.add("_require_structure_tensor")
     assert carriers == set(OVERFLOWING_CALLS) | {"check_jacobi"}
+
+
+# Every public function that takes a scalar, by parameter: the call on a value v,
+# the name its ValueError gives, and the rule. An integer rule is (minimum,
+# maximum or None); n's maximum is where 2n + 1 passes MAX_DIM. A real rule is
+# positive (> 0) or not.
+_F1 = random_structure_tensor(_S1, 0)
+_P2 = acbm.project_w(_S1, _F1, 2)
+_N_MAX = (MAX_DIM - 1) // 2
+_STRUCTURE_1 = {k: getattr(_S1, k) for k in ("g", "phi", "xi", "eta")}
+INTEGER_TAKERS = {
+    "canonical_structure n": (canonical_structure, "n", 1, _N_MAX),
+    "StructureData n": (lambda v: StructureData(n=v, **_STRUCTURE_1), "n", 1, _N_MAX),
+    "random_group_element n": (lambda v: acbm.random_group_element(v, 0), "n", 1, _N_MAX),
+    "group_element_from_blocks n": (
+        lambda v: acbm.group_element_from_blocks(v, np.eye(1), np.zeros((1, 1))), "n", 1, _N_MAX
+    ),
+    "lie_family n": (lambda v: acbm.lie_family(v, [1.0, 1.0]), "n", 1, _N_MAX),
+    "sphere_structure_tensor n": (lambda v: acbm.sphere_structure_tensor(v, 0.3), "n", 1, _N_MAX),
+    "random_structure_tensor seed": (lambda v: random_structure_tensor(_S1, v), "seed", 0, None),
+    "random_group_element seed": (lambda v: acbm.random_group_element(1, v), "seed", 0, None),
+    "run_suite seeds": (lambda v: run_suite("dim3", v), "seeds", 1, None),
+    "component i": (lambda v: acbm.component(_S1, _F1, v), "class index", 1, 11),
+    "project_w i": (lambda v: acbm.project_w(_S1, _F1, v), "block index", 1, 4),
+    "w2_involution j": (lambda v: acbm.w2_involution(_S1, _P2, v), "involution index", 1, 2),
+}
+REAL_TAKERS = {
+    "classify rel_tol": (lambda v: classify(_S1, _F1, rel_tol=v), "rel_tol", True),
+    "sphere_structure_tensor t": (lambda v: acbm.sphere_structure_tensor(1, v), "t", False),
+}
+SCALAR_CASES = [
+    pytest.param(call, name, bad, id=f"{taker}-{bad!r}")
+    for taker, (call, name, minimum, maximum) in INTEGER_TAKERS.items()
+    for bad in (True, float(minimum), minimum - 1, *(() if maximum is None else (maximum + 1,)))
+] + [
+    pytest.param(call, name, bad, id=f"{taker}-{bad!r}")
+    for taker, (call, name, positive) in REAL_TAKERS.items()
+    for bad in (True, float("nan"), float("inf"), *((0.0,) if positive else ()))
+]
+
+
+@pytest.mark.parametrize("call, name, bad", SCALAR_CASES)
+def test_scalar_parameters_follow_one_rule(call, name, bad):
+    """One integer rule and one real rule: a bool, a float where an integer is
+    due, a value out of range and a non-finite real are each one ValueError
+    naming the parameter, not a numpy error, a NaN report or a silent 1."""
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}[ :]") as info:
+        call(bad)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("n", [_N_MAX + 1, 10**9])
+def test_oversize_rank_is_refused_before_allocating(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"allocated for canonical_structure({n})")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "ones", refuse)
+    with pytest.raises(ValueError, match=f"^n: dimension {2 * n + 1} exceeds the maximum {MAX_DIM} "):
+        canonical_structure(n)

@@ -617,6 +617,25 @@ class TestFileFormats:
         assert main(["classify", write(tmp_path, "doc.json", doc)]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
+    @pytest.mark.parametrize("text, error", [
+        ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+        # not valid JSON where the decoder's recursion limit is below 5000
+        ('{"n": 1, "comps": ' + "[" * 5000 + "0" + "]" * 5000 + "}", ""),
+        ('{"n": 1, "comps": [0], "comps": ' + json.dumps([0.0] * 27) + "}",
+         "key 'comps' is given twice in one object"),
+        ('{"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": ' + "[" * 50 + "0" + "]" * 50 + "}]}",
+         "brackets[0].coeffs must have shape (3,), got (1, 1, "),
+    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs"])
+    def test_malformed_json_is_one_line(self, tmp_path, capsys, text, error):
+        """Nesting too deep for the JSON decoder or for numpy, and a key that json
+        would read from its last copy, each exit 2 in one line."""
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert error in err
+
     def test_bracket_lower_triangle_rejected(self, tmp_path, capsys):
         doc = {"n": 1, "brackets": [{"i": 1, "j": 0, "coeffs": [0.0, 0.0, 0.0]}]}
         path = write(tmp_path, "lower.json", doc)
@@ -669,7 +688,7 @@ class TestFileFormats:
         assert MAX_DIM >= 17
         assert fileio._resolve_n({"n": n_max}) == n_max
         assert fileio._resolve_n({"dim": MAX_DIM}) == n_max
-        with pytest.raises(fileio.ParseError):
+        with pytest.raises(ValueError):
             fileio._resolve_n({"n": n_max + 1})
-        with pytest.raises(fileio.ParseError):
+        with pytest.raises(ValueError):
             fileio._resolve_n({"dim": MAX_DIM + 2})

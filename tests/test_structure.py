@@ -78,14 +78,14 @@ class TestCanonicalStructure:
     @pytest.mark.parametrize("taker", RANK_TAKERS)
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_bad_rank(self, taker, n):
-        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n}$"):
             RANK_TAKERS[taker](n)
 
     @pytest.mark.parametrize("taker", RANK_TAKERS)
     @pytest.mark.parametrize("n", [True, 1.5, "1"])
     def test_rejects_non_integer_rank(self, taker, n):
         canonical_structure(1)  # cached under 1, and True == 1 as a key
-        with pytest.raises(ValueError, match="^n must be an integer, got "):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
             RANK_TAKERS[taker](n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])

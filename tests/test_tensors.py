@@ -269,6 +269,14 @@ def _nested_with(entry):
     return c.tolist()
 
 
+def _nested(depth):
+    """0.0 nested in depth lists; a numpy iterator takes at most 32 dimensions."""
+    value = 0.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestTensorInput:
     @pytest.mark.parametrize("name", TENSOR_TAKERS)
     @pytest.mark.parametrize(
@@ -284,9 +292,10 @@ class TestTensorInput:
             (np.zeros((3, 3, 3), dtype=complex), "^{} must be an array of numbers$"),
             (_nested_with(10**400), "^{} contains an entry outside the float range$"),
             (np.zeros((3, 3)), r"^{} must have shape \(3, 3, 3\), got \(3, 3\)$"),
+            (_nested(33), r"^{} must have shape \(3, 3, 3\), got \(1" + ", 1" * 32 + r"\)$"),
         ],
         ids=["not-a-cube", "wrong-dimension", "nan", "minus-inf", "string", "bool-among-integers",
-             "bools", "complex", "huge-integer", "matrix"],
+             "bools", "complex", "huge-integer", "matrix", "nested-33-deep"],
     )
     def test_public_functions_refuse_a_malformed_tensor(self, s1, name, bad, message):
         with pytest.raises(ValueError, match=message.format(ARRAY_NAMES.get(name, "tensor"))) as info:
