@@ -8,13 +8,13 @@ Subcommands:
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 any ValueError: a
-malformed document, a bad parameter (the library's scalar rules, named by
-the flag), an --out path or standard output that cannot be written (a full
-device), or input whose arithmetic overflows the float range, 3 any
-PreconditionError (invalid structure, tensor outside the admissible space,
-broken bracket table), 1 failed verify checks, 141 output pipe closed by its
-reader (as for a process ended by SIGPIPE: `acbm verify | head -n 1`),
-without a traceback.
+malformed document, a command line the parser refuses, a bad parameter
+(the library's scalar and index rules, named by the flag), an --out path or
+standard output that cannot be written (a full device), or input whose
+arithmetic overflows the float range, 3 any PreconditionError (invalid
+structure, tensor outside the admissible space, broken bracket table), 1
+failed verify checks, 141 output pipe closed by its reader (as for a process
+ended by SIGPIPE: `acbm verify | head -n 1`); each is one line, no traceback.
 
 Examples:
 
@@ -93,8 +93,6 @@ def cmd_classify(args) -> int:
 
 def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
-    if (args.class_index is None) == (args.w is None):
-        raise ValueError("specify exactly one of --class-index or --w")
     _require_structure_tensor(s, f)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
@@ -140,8 +138,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are the one-line ValueError of every other bad parameter."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acbm",
         description="Structure tensors of almost contact B-metric geometry:"
         " classification, projections, generators, invariant verification.",
@@ -159,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_project = sub.add_parser("project", help="emit a class component or block projection")
     p_project.add_argument("input", help="input JSON file")
-    p_project.add_argument("--class-index", type=int, choices=range(1, 12), metavar="1..11",
-                           help="basic class component to extract")
-    p_project.add_argument("--w", type=int, choices=(1, 2, 3, 4), help="block projection to extract")
+    selector = p_project.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--class-index", type=int, help="basic class component to extract, 1..11")
+    selector.add_argument("--w", type=int, help="block projection to extract, 1..4")
     p_project.add_argument("--out", help="output path (default stdout)")
     p_project.set_defaults(func=cmd_project)
 
@@ -194,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status

@@ -209,7 +209,8 @@ def lie_to_doc(s: StructureData, c) -> dict:
 
 
 def group_to_doc(n: int, matrix: np.ndarray) -> dict:
-    return {"n": _rank(n), "matrix": _float_list(matrix)}
+    n = _rank(n)
+    return {"n": n, "matrix": _float_list(_as_float_array(matrix, (2 * n + 1,) * 2, "matrix"))}
 
 
 def report_to_doc(report: ClassReport) -> dict:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,14 @@ class TestGen:
         matrix = np.asarray(doc["matrix"]).reshape(5, 5)
         assert validate_group_element(canonical_structure(2), matrix)
 
+    @pytest.mark.parametrize("matrix, error", [
+        (np.zeros((5, 5)), "matrix must have shape (3, 3), got (5, 5)"),
+        (np.full((3, 3), np.nan), "matrix contains non-finite entries"),
+    ])
+    def test_group_document_refuses_what_it_cannot_write(self, matrix, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            fileio.group_to_doc(1, matrix)
+
     @pytest.mark.parametrize("kind", [["random", "--dim", "3"], ["group", "--n", "1"]])
     def test_negative_seed_names_the_flag(self, capsys, kind):
         assert main(["gen", *kind, "--seed", "-1"]) == 2
@@ -322,9 +331,8 @@ class TestGen:
         assert main(["gen", "liegroup", "--n", "1", "--a=-0.5,1.5", "--out", path]) == 0
         assert main(["classify", path]) == 0
         assert "classes: F9 F10" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "liegroup", "--n", "1", "--a", "-0.5,1.5"])
-        assert exc.value.code == 2
+        assert main(["gen", "liegroup", "--n", "1", "--a", "-0.5,1.5"]) == 2
+        assert capsys.readouterr() == ("", "error: argument --a: expected one argument\n")
 
 
 class TestProject:
@@ -345,7 +353,8 @@ class TestProject:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["comps"]) == 125
 
-    @pytest.mark.parametrize("selector", [("--class-index", "4"), ("--w", "2")])
+    # an index out of range is judged by the library, after the document's own checks
+    @pytest.mark.parametrize("selector", [("--class-index", "4"), ("--w", "2"), ("--class-index", "12")])
     def test_inadmissible_tensor_exit_3(self, tmp_path, capsys, selector):
         path = write(tmp_path, "bad.json", {"n": 1, "comps": [float(k) for k in range(1, 28)]})
         assert main(["classify", path]) == 3
@@ -383,6 +392,37 @@ class TestProject:
         main(["gen", "random", "--dim", "3", "--seed", "2", "--out", src])
         assert main(["project", src]) == 2
         assert main(["project", src, "--class-index", "4", "--w", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["project", "IN", "--class-index", "12"], "class index must be an integer in 1..11, got 12"),
+    (["project", "IN", "--w", "5"], "block index must be an integer in 1..4, got 5"),
+    (["project", "IN"], "--class-index"),
+    (["project", "IN", "--class-index", "2", "--w", "1"], "--class-index"),
+    (["gen", "sphere", "--n", "1.5", "--t", "0"], "--n"),
+    (["classify"], "input"),
+    (["classify", "IN", "--format", "xml"], "--format"),
+    (["classify", "IN", "--tol", "small"], "--tol"),
+    (["classify", "IN", "--bogus"], "--bogus"),
+    (["verify", "--suite", "foo"], "--suite"),
+    (["frob"], "frob"),
+    ([], "command"),
+])
+def test_refused_command_line_is_one_line_exit_2(tmp_path, capsys, argv, error):
+    src = str(tmp_path / "r.json")
+    assert main(["gen", "random", "--dim", "3", "--seed", "1", "--out", src]) == 0
+    assert main([src if arg == "IN" else arg for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and error in err
+    assert "usage:" not in err
+
+
+def test_help_still_exits_0_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: acbm project")
 
 
 @pytest.mark.parametrize(
