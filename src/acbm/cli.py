@@ -70,8 +70,7 @@ def _load_classifiable(path: str):
     """Resolve an input file to (structure, tensor), running the Koszul
     pipeline for Lie-algebra specifications."""
     doc = fileio.load_document(path)
-    kind = fileio.detect_kind(doc)
-    if kind == "lie":
+    if "brackets" in doc:
         s, c = fileio.lie_from_doc(doc)
         if not check_jacobi(s, c):
             raise PreconditionError("bracket table violates the Jacobi identity")

@@ -161,8 +161,36 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
     return _sealed(_sym_pair(b, eta))
 
 
-def _w1_six_terms(s: StructureData, c: np.ndarray):
-    """The six slot-permuted pullbacks entering the F2 and F3 formulas."""
+def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
+    """The components of the checked tensor c in F1 and F4..F11, as {i: array}, in one pass:
+    the Lee forms and the xi-brackets a and b are each built once, and F2, F3 are _w1_pair's."""
+    phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
+    two_n = 2.0 * s.n
+    lf = _lee_forms(s, c)
+    t_phi = phi.T @ lf.theta
+    t_phi2 = P.T @ lf.theta
+    f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
+    f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
+    f4 = -(float(lf.theta @ xi) / two_n) * _sym_pair(s.phi_g_phi, eta)
+    f5 = -(float(lf.theta_star @ xi) / two_n) * _sym_pair(s.g_phi, eta)
+    a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
+    b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
+    return {
+        1: f1 / two_n,
+        4: f4,
+        5: f5,
+        6: (-f4) - f5 + _sym_pair(0.25 * (a + a.T - b - b.T), eta),
+        7: _sym_pair(0.25 * (a - a.T - b + b.T), eta),
+        8: _sym_pair(0.25 * (a + a.T + b + b.T), eta),
+        9: _sym_pair(0.25 * (a - a.T + b - b.T), eta),
+        10: _block(s, c, 3),
+        11: _block(s, c, 4),
+    }
+
+
+def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
+    """F2 and F3 of the checked tensor c from its F1 and six slot-permuted pullbacks,
+    the kernel's one O(d^6) step, so it runs only when F2 or F3 is asked for."""
     phi, P = s.phi, s.phi2
     t_xyz = np.einsum("abc,ai,bj,ck->ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
     t_yzx = np.einsum("abc,aj,bk,ci->ijk", c, P, P, P)  # F(p y, p z, p x)
@@ -170,55 +198,10 @@ def _w1_six_terms(s: StructureData, c: np.ndarray):
     t_xzy = np.einsum("abc,ai,bk,cj->ijk", c, P, P, P)  # F(p x, p z, p y)
     t_zyx = np.einsum("abc,ak,bj,ci->ijk", c, P, P, P)  # F(p z, p y, p x)
     t_zx = np.einsum("abc,ak,bj,ci->ijk", c, phi, P, phi)  # F(phi z, p y, phi x)
-    return t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx
-
-
-def _component_arrays(s: StructureData, c: np.ndarray, wanted) -> dict:
-    """The components of the checked tensor c in the classes F_i, i in wanted, as {i: array}.
-
-    The Lee forms, the xi-brackets a and b, F1 and the six W1 pullbacks
-    are each built at most once, and only when a wanted class needs them;
-    phi^2 and the metric pairings come with s. The result may also hold
-    classes that others are built from: F1 for F2, F4 and F5 for F6.
-    """
-    phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
-    two_n = 2.0 * s.n
-    wanted = set(wanted)
-    out = {}
-    if wanted & {1, 2, 4, 5, 6}:
-        lf = _lee_forms(s, c)
-    if wanted & {1, 2}:
-        t_phi = phi.T @ lf.theta
-        t_phi2 = P.T @ lf.theta
-        f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
-        f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
-        out[1] = f1 / two_n
-    if wanted & {2, 3}:
-        t_xyz, t_yzx, t_yx, t_xzy, t_zyx, t_zx = _w1_six_terms(s, c)
-        if 2 in wanted:
-            out[2] = -0.25 * (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) - out[1]
-        if 3 in wanted:
-            out[3] = -0.25 * (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx)
-    if wanted & {4, 5, 6}:
-        out[4] = -(float(lf.theta @ xi) / two_n) * _sym_pair(s.phi_g_phi, eta)
-        out[5] = -(float(lf.theta_star @ xi) / two_n) * _sym_pair(s.g_phi, eta)
-    if wanted & {6, 7, 8, 9}:
-        a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
-        b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
-        qs = {
-            6: a + a.T - b - b.T,
-            7: a - a.T - b + b.T,
-            8: a + a.T + b + b.T,
-            9: a - a.T + b - b.T,
-        }
-        for i in wanted & {7, 8, 9}:
-            out[i] = _sym_pair(0.25 * qs[i], eta)
-        if 6 in wanted:
-            out[6] = (-out[4]) - out[5] + _sym_pair(0.25 * qs[6], eta)
-    for i, block in ((10, 3), (11, 4)):
-        if i in wanted:
-            out[i] = _block(s, c, block)
-    return out
+    return (
+        -0.25 * (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) - f1,
+        -0.25 * (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx),
+    )
 
 
 @_in_float_range
@@ -233,7 +216,10 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     """
     c = _tensor(s, f)
     i = _integer(i, "class index", 1, NUM_CLASSES)
-    return _sealed(_component_arrays(s, c, (i,))[i])
+    arrays = _component_arrays(s, c)
+    if i in (2, 3):
+        arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
+    return _sealed(arrays[i])
 
 
 @_in_float_range
@@ -251,7 +237,8 @@ def decompose(s: StructureData, f) -> Decomposition:
 
 def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
     _require_structure_tensor(s, c)
-    arrays = _component_arrays(s, c, range(1, NUM_CLASSES + 1))
+    arrays = _component_arrays(s, c)
+    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
     return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
 
 
@@ -287,7 +274,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
     """Worst residual of the defining identities of class F_i for the checked tensor c, with
     the auxiliary ones: vanishing Lee forms of F2 and F6, cyclic sums of F2 and F3."""
     if i in (1, 4, 5):
-        return _max_abs(c - _component_arrays(s, c, (i,))[i])
+        return _max_abs(c - _component_arrays(s, c)[i])
     phi, xi, eta = s.phi, s.xi, s.eta
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)

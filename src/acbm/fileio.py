@@ -10,11 +10,11 @@ through the shortest round-trip decimal representation of binary64, so
 a generated file parses back to exactly the in-memory values and
 identical inputs produce byte-identical machine-readable output.
 
-Input kinds for classification are auto-detected: a document with a
-"brackets" field is a Lie-algebra specification, one with "comps" is a
-tensor; documents with both, or with a field outside their kind's set,
-are rejected. Omitted structure fields default to the canonical ones for
-n, and a document with none of them gets canonical_structure(n) itself.
+A document's kind is decided by its fields alone: one with a "brackets"
+field is a Lie-algebra specification and any other is a tensor; a field
+outside the kind's set, such as "comps" beside "brackets", is rejected.
+Omitted structure fields default to the canonical ones for n, and a
+document with none of them gets canonical_structure(n) itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .tensors import _tensor
 
 __all__ = [
     "load_document",
-    "detect_kind",
     "structure_from_doc",
     "tensor_from_doc",
     "lie_from_doc",
@@ -76,18 +75,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level value must be an object")
     return doc
-
-
-def detect_kind(doc: dict) -> str:
-    has_brackets = "brackets" in doc
-    has_comps = "comps" in doc
-    if has_brackets and has_comps:
-        raise ValueError("ambiguous document: has both 'brackets' and 'comps'")
-    if has_brackets:
-        return "lie"
-    if has_comps:
-        return "tensor"
-    raise ValueError("missing field: document has neither 'comps' nor 'brackets'")
 
 
 _STRUCTURE_FIELDS = ("n", "dim", "g", "phi", "xi", "eta")
@@ -138,9 +125,9 @@ def structure_from_doc(doc: dict) -> StructureData:
 def tensor_from_doc(doc: dict) -> tuple:
     """(structure, tensor) from a tensor document."""
     _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("comps",), "")
-    s = structure_from_doc(doc)
     if "comps" not in doc:
-        raise ValueError("missing field: 'comps'")
+        raise ValueError("missing field: 'comps' (or 'brackets' for a Lie algebra)")
+    s = structure_from_doc(doc)
     return s, _parse_array(doc["comps"], (s.dim,) * 3, "comps")
 
 
@@ -154,9 +141,11 @@ def lie_from_doc(doc: dict) -> tuple:
     _refuse_unknown_fields(doc, _STRUCTURE_FIELDS + ("brackets",), "")
     s = structure_from_doc(doc)
     d = s.dim
-    brackets = doc.get("brackets")
+    if "brackets" not in doc:
+        raise ValueError("missing field: 'brackets'")
+    brackets = doc["brackets"]
     if not isinstance(brackets, list):
-        raise ValueError("missing field: 'brackets' must be a list")
+        raise ValueError(f"'brackets' must be a list, got {type(brackets).__name__}")
     c = np.zeros((d, d, d))
     first = {}  # (i, j) -> index of the record that gives [E_i, E_j]
     for idx, rec in enumerate(brackets):

@@ -645,7 +645,7 @@ class TestFileFormats:
         ({"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": [0.0] * 3, "k": 2}]},
          "brackets[0]: unknown field 'k'; expected i, j, coeffs"),
         ({"n": 1, "comps": [0.0] * 27, "brackets": [], "x": 1},
-         "ambiguous document: has both 'brackets' and 'comps'"),
+         "unknown field 'comps'; expected n, dim, g, phi, xi, eta, brackets"),
         ({"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": [0.0, -1.0, 0.0]},
                                {"i": 0, "j": 1, "coeffs": [0.0, 5.0, 0.0]}]},
          "brackets[1]: repeats the pair (0, 1) of brackets[0]"),
@@ -653,7 +653,8 @@ class TestFileFormats:
     def test_fields_outside_the_kind_are_refused(self, tmp_path, capsys, doc, error):
         """A misspelt or nested structure field would fall back to the canonical
         structure, and a repeated bracket pair would keep its last record; each
-        exits 2 in one line naming it, after the ambiguity check."""
+        exits 2 in one line naming it. A document with "brackets" is a Lie
+        algebra, so "comps" beside it is a field outside its kind."""
         assert main(["classify", write(tmp_path, "doc.json", doc)]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
@@ -665,10 +666,12 @@ class TestFileFormats:
          "key 'comps' is given twice in one object"),
         ('{"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": ' + "[" * 50 + "0" + "]" * 50 + "}]}",
          "brackets[0].coeffs must have shape (3,), got (1, 1, "),
-    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs"])
+        ('{"n": 1, "brackets": {"a": 1}}', "error: 'brackets' must be a list, got dict\n"),
+    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs", "brackets-object"])
     def test_malformed_json_is_one_line(self, tmp_path, capsys, text, error):
-        """Nesting too deep for the JSON decoder or for numpy, and a key that json
-        would read from its last copy, each exit 2 in one line."""
+        """Nesting too deep for the JSON decoder or for numpy, a key that json
+        would read from its last copy, and a 'brackets' that is not a list,
+        named by the type it has, each exit 2 in one line."""
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert main(["classify", str(path)]) == 2

@@ -1,17 +1,17 @@
 """The one-pass component kernel against the per-class formulas.
 
-`_component_arrays` builds every shared intermediate once. Each of its
-eleven arrays is compared here with the component formula written out
-with einsum, on non-canonical structures and on random tensors both
-admissible and not. The decomposition is also checked to be natural
-under a change of basis.
+`_component_arrays` builds every shared intermediate once, and `_w1_pair`
+adds F2 and F3. Each of the eleven arrays is compared here with the
+component formula written out with einsum, on non-canonical structures
+and on random tensors both admissible and not. The decomposition is also
+checked to be natural under a change of basis.
 """
 
 import numpy as np
 import pytest
 
 import acbm.decomposition as dec
-from acbm.decomposition import NUM_CLASSES, _component_arrays, component, decompose
+from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import embed_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
@@ -85,7 +85,8 @@ def test_kernel_matches_formulas(n, seed, admissible):
     s, f = random_structure(n, seed), raw_tensor(n, seed)
     if admissible:
         f = embed_structure_tensor(s, f)
-    got = _component_arrays(s, f, range(1, NUM_CLASSES + 1))
+    got = _component_arrays(s, f)
+    got[2], got[3] = _w1_pair(s, f, got[1])
     want = formula_components(s, f)
     # relative to the input: at n = 1 some components of an admissible
     # tensor vanish, and their formulas give rounding noise only
@@ -131,7 +132,7 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
     s = random_structure(2, 0)
     f = random_structure_tensor(s, 0)
     lee = _count_calls(monkeypatch, "_lee_forms")
-    w1 = _count_calls(monkeypatch, "_w1_six_terms")
+    w1 = _count_calls(monkeypatch, "_w1_pair")
     decompose(s, f)
     assert (len(lee), len(w1)) == (1, 1)
 
@@ -148,9 +149,9 @@ def test_component_builds_only_what_it_needs(monkeypatch, i):
     s = random_structure(1, 0)
     f = random_structure_tensor(s, 0)
     lee = _count_calls(monkeypatch, "_lee_forms")
-    w1 = _count_calls(monkeypatch, "_w1_six_terms")
+    w1 = _count_calls(monkeypatch, "_w1_pair")
     component(s, f, i)
-    assert len(lee) == (i in (1, 2, 4, 5, 6))
+    assert len(lee) == 1
     assert len(w1) == (i in (2, 3))
 
 
