@@ -4,7 +4,7 @@ Subcommands:
 
     classify  read a tensor or Lie-algebra file, report its classes
     project   read a tensor file, emit one class component or block projection
-    gen       emit input files: sphere, liegroup, random, group
+    gen       emit input files: sphere, liegroup, random
     verify    run the seeded invariant suites
 
 Exit codes: 0 success (verify: all checks passed), 2 any ValueError: a
@@ -34,7 +34,6 @@ import sys
 from . import fileio
 from .decomposition import classify, component, project_w
 from .errors import PreconditionError
-from .group import random_group_element
 from .models import (
     check_jacobi,
     koszul_connection,
@@ -102,7 +101,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind in ("random", "group"):
+    if args.kind == "random":
         _integer(args.seed, "--seed", 0)
     n = _dimension(args.dim, "--dim") if args.kind == "random" else _rank(args.n, "--n")
     if args.kind == "sphere":
@@ -113,11 +112,9 @@ def cmd_gen(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--a must be comma-separated floats: {exc}") from exc
         doc = fileio.lie_to_doc(*lie_family(n, _as_float_array(params, (2 * n,), "--a")))
-    elif args.kind == "random":
+    else:
         s = canonical_structure(n)
         doc = fileio.tensor_to_doc(s, random_structure_tensor(s, args.seed))
-    else:
-        doc = fileio.group_to_doc(n, random_group_element(n, args.seed))
     _emit(fileio.dumps(doc), args.out)
     return EXIT_OK
 
@@ -182,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_random = gen_sub.add_parser("random", help="seeded random admissible tensor")
     g_random.add_argument("--dim", type=int, required=True, help="odd dimension >= 3")
     g_random.add_argument("--seed", type=int, default=0)
-    g_group = gen_sub.add_parser("group", help="seeded structure-group element")
-    g_group.add_argument("--n", type=int, required=True)
-    g_group.add_argument("--seed", type=int, default=0)
-    for g in (g_sphere, g_lie, g_random, g_group):
+    for g in (g_sphere, g_lie, g_random):
         g.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 

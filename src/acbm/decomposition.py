@@ -165,24 +165,24 @@ def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
     """The components of the checked tensor c in F1 and F4..F11, as {i: array}, in one pass:
     the Lee forms and the xi-brackets a and b are each built once, and F2, F3 are _w1_pair's."""
     phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
-    two_n = 2.0 * s.n
+    two_n = 2 * s.n
     lf = _lee_forms(s, c)
     t_phi = phi.T @ lf.theta
     t_phi2 = P.T @ lf.theta
     f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
     f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
-    f4 = -(float(lf.theta @ xi) / two_n) * _sym_pair(s.phi_g_phi, eta)
-    f5 = -(float(lf.theta_star @ xi) / two_n) * _sym_pair(s.g_phi, eta)
+    f4 = -(lf.theta @ xi / two_n) * _sym_pair(s.phi_g_phi, eta)
+    f5 = -(lf.theta_star @ xi / two_n) * _sym_pair(s.g_phi, eta)
     a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
     b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
     return {
         1: f1 / two_n,
         4: f4,
         5: f5,
-        6: (-f4) - f5 + _sym_pair(0.25 * (a + a.T - b - b.T), eta),
-        7: _sym_pair(0.25 * (a - a.T - b + b.T), eta),
-        8: _sym_pair(0.25 * (a + a.T + b + b.T), eta),
-        9: _sym_pair(0.25 * (a - a.T + b - b.T), eta),
+        6: (-f4) - f5 + _sym_pair((a + a.T - b - b.T) / 4, eta),
+        7: _sym_pair((a - a.T - b + b.T) / 4, eta),
+        8: _sym_pair((a + a.T + b + b.T) / 4, eta),
+        9: _sym_pair((a - a.T + b - b.T) / 4, eta),
         10: _block(s, c, 3),
         11: _block(s, c, 4),
     }
@@ -199,8 +199,8 @@ def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
     t_zyx = np.einsum("abc,ak,bj,ci->ijk", c, P, P, P)  # F(p z, p y, p x)
     t_zx = np.einsum("abc,ak,bj,ci->ijk", c, phi, P, phi)  # F(phi z, p y, phi x)
     return (
-        -0.25 * (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) - f1,
-        -0.25 * (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx),
+        -(t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) / 4 - f1,
+        -(t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx) / 4,
     )
 
 

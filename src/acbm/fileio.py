@@ -4,8 +4,9 @@ All array fields are flat row-major lists of decimal floats; nested
 lists of the right shape are accepted on input; past the format, each
 array field passes the library's one check, structure._as_float_array,
 and each integer field its integer rules, whose ValueError names the field.
-Every malformed document is one ValueError: bad or too deeply nested JSON,
-a key given twice in one object, a missing or ill-typed field. Numbers are emitted
+Every malformed document is one ValueError: text past MAX_DOCUMENT_CHARS,
+bad or too deeply nested JSON, a key given twice in one object, a missing
+or ill-typed field. Numbers are emitted
 through the shortest round-trip decimal representation of binary64, so
 a generated file parses back to exactly the in-memory values and
 identical inputs produce byte-identical machine-readable output.
@@ -27,11 +28,12 @@ import numpy as np
 from .decomposition import CLASS_NAMES, ClassReport
 from .models import _unit_bracket_table
 from .structure import (
-    StructureData, _as_float_array, _dimension, _integer, _rank, _sealed, canonical_structure,
+    MAX_DIM, StructureData, _as_float_array, _dimension, _integer, _rank, _sealed, canonical_structure,
 )
 from .tensors import _tensor
 
 __all__ = [
+    "MAX_DOCUMENT_CHARS",
     "load_document",
     "structure_from_doc",
     "tensor_from_doc",
@@ -39,7 +41,6 @@ __all__ = [
     "structure_to_doc",
     "tensor_to_doc",
     "lie_to_doc",
-    "group_to_doc",
     "report_to_doc",
     "format_report_text",
     "dumps",
@@ -64,10 +65,19 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+# The longest document read: 256 characters for each number of the largest tensor
+# document (comps, g, phi, xi and eta at d = MAX_DIM), so an endless input such as
+# /dev/zero is refused after one bounded read.
+MAX_DOCUMENT_CHARS = 256 * (MAX_DIM**3 + 2 * MAX_DIM**2 + 2 * MAX_DIM)
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_object)
+            text = fh.read(MAX_DOCUMENT_CHARS + 1)
+        if len(text) > MAX_DOCUMENT_CHARS:
+            raise ValueError(f"{path} is longer than the document limit of {MAX_DOCUMENT_CHARS} characters")
+        doc = json.loads(text, object_pairs_hook=_object)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -195,11 +205,6 @@ def lie_to_doc(s: StructureData, c) -> dict:
             if np.any(c[i, j] != 0.0):
                 brackets.append({"i": i, "j": j, "coeffs": _float_list(c[i, j])})
     return {**structure_to_doc(s), "brackets": brackets}
-
-
-def group_to_doc(n: int, matrix: np.ndarray) -> dict:
-    n = _rank(n)
-    return {"n": n, "matrix": _float_list(_as_float_array(matrix, (2 * n + 1,) * 2, "matrix"))}
 
 
 def report_to_doc(report: ClassReport) -> dict:

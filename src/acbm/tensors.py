@@ -142,9 +142,9 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     """
     c = _tensor(s, f)
     phi, eta, h = s.phi, s.eta, -s.phi2
-    S = 0.5 * (c + c.transpose(0, 2, 1))
+    S = (c + c.transpose(0, 2, 1)) / 2
     s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
-    out = 0.5 * (h.T @ S @ h + phi.T @ S @ phi)
+    out = (h.T @ S @ h + phi.T @ S @ phi) / 2
     out += eta[:, None] * s_h_xi[:, None, :]
     out += s_h_xi[:, :, None] * eta
     return _sealed(out)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,42 @@ def random_structure(n: int, seed: int) -> StructureData:
     """A valid non-canonical structure: the canonical one pushed forward
     through a random well-conditioned change of basis."""
     return push_structure(canonical_structure(n), basis_change(n, seed))
+
+
+def exact(a) -> np.ndarray:
+    """a as an object array of Fraction, entry by entry; a float is taken at its binary value."""
+    a = np.asarray(a)
+    return np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
+
+
+def _exact_inverse(t: np.ndarray) -> np.ndarray:
+    """The inverse of the invertible Fraction matrix t, by Gauss-Jordan elimination."""
+    d = len(t)
+    m = np.concatenate([t, exact(np.eye(d))], axis=1)
+    for k in range(d):
+        p = next(r for r in range(k, d) if m[r, k] != 0)
+        m[[k, p]] = m[[p, k]]
+        m[k] = m[k] / m[k, k]
+        for r in range(d):
+            if r != k:
+                m[r] = m[r] - m[r, k] * m[k]
+    return m[:, d:]
+
+
+def exact_structure(n: int, t) -> SimpleNamespace:
+    """canonical_structure(n) pushed forward through the integer or rational matrix t, in
+    exact arithmetic: the fields the kernel reads, each an object array of Fraction."""
+    c = canonical_structure(n)
+    t = exact(t)
+    t_inv = _exact_inverse(t)
+    g, phi, xi, eta = t_inv.T @ exact(c.g) @ t_inv, t @ exact(c.phi) @ t_inv, t @ exact(c.xi), exact(c.eta) @ t_inv
+    g_inv = t @ exact(c.g) @ t.T  # the canonical g is its own inverse
+    h = g_inv - np.outer(xi, xi)
+    return SimpleNamespace(
+        n=n, dim=2 * n + 1, g=g, phi=phi, xi=xi, eta=eta, g_inv=g_inv, phi2=phi @ phi,
+        g_phi=g @ phi, phi_g_phi=phi.T @ g @ phi,
+        lee_weights=np.stack([h.ravel(), (h @ phi.T).ravel(), np.outer(xi, xi).ravel()]),
+    )
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +14,10 @@ import pytest
 import acbm
 from acbm import decomposition, fileio, tensors, verify
 from acbm.cli import EXIT_PIPE_CLOSED, main
-from acbm.group import validate_group_element
 from acbm.structure import DEFAULT_RTOL, MAX_DIM, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, random_structure_tensor
 
-from conftest import basis_change, push_structure
+from conftest import basis_change, push_structure, random_structure
 
 
 def _must_not_allocate(n):
@@ -236,24 +234,8 @@ class TestGen:
         for name in ("g", "phi", "xi", "eta"):
             np.testing.assert_array_equal(getattr(back, name), getattr(near, name), err_msg=name)
 
-    def test_group_element_validates(self, tmp_path):
-        path = str(tmp_path / "group.json")
-        assert main(["gen", "group", "--n", "2", "--seed", "1", "--out", path]) == 0
-        doc = fileio.load_document(path)
-        matrix = np.asarray(doc["matrix"]).reshape(5, 5)
-        assert validate_group_element(canonical_structure(2), matrix)
-
-    @pytest.mark.parametrize("matrix, error", [
-        (np.zeros((5, 5)), "matrix must have shape (3, 3), got (5, 5)"),
-        (np.full((3, 3), np.nan), "matrix contains non-finite entries"),
-    ])
-    def test_group_document_refuses_what_it_cannot_write(self, matrix, error):
-        with pytest.raises(ValueError, match=re.escape(error)):
-            fileio.group_to_doc(1, matrix)
-
-    @pytest.mark.parametrize("kind", [["random", "--dim", "3"], ["group", "--n", "1"]])
-    def test_negative_seed_names_the_flag(self, capsys, kind):
-        assert main(["gen", *kind, "--seed", "-1"]) == 2
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["gen", "random", "--dim", "3", "--seed", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: --seed must be an integer >= 0, got -1\n")
 
     @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
@@ -262,9 +244,9 @@ class TestGen:
         assert capsys.readouterr() == ("", f"error: --t must be a finite number, got {float(t)}\n")
 
     @pytest.mark.parametrize("n", ["0", "-1"])
-    @pytest.mark.parametrize("kind", ["sphere", "liegroup", "group"])
+    @pytest.mark.parametrize("kind", ["sphere", "liegroup"])
     def test_bad_rank_names_the_flag(self, capsys, kind, n):
-        extra = {"sphere": ["--t", "0"], "liegroup": ["--a=1"], "group": []}[kind]
+        extra = {"sphere": ["--t", "0"], "liegroup": ["--a=1"]}[kind]
         assert main(["gen", kind, "--n", n, *extra]) == 2
         assert capsys.readouterr() == ("", f"error: --n must be an integer >= 1, got {n}\n")
 
@@ -289,9 +271,9 @@ class TestGen:
         assert "--dim" in err and f"maximum {MAX_DIM}" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("kind", ["sphere", "liegroup", "group"])
+    @pytest.mark.parametrize("kind", ["sphere", "liegroup"])
     def test_oversize_n_rejected(self, capsys, kind):
-        extra = {"sphere": ["--t", "0"], "liegroup": ["--a", "1,1"], "group": []}[kind]
+        extra = {"sphere": ["--t", "0"], "liegroup": ["--a", "1,1"]}[kind]
         n = str((MAX_DIM + 1) // 2)
         assert main(["gen", kind, "--n", n, *extra]) == 2
         assert f"maximum {MAX_DIM}" in capsys.readouterr().err
@@ -407,6 +389,7 @@ class TestProject:
     (["verify", "--suite", "foo"], "--suite"),
     (["frob"], "frob"),
     ([], "command"),
+    (["gen", "group", "--n", "1"], "invalid choice: 'group'"),
 ])
 def test_refused_command_line_is_one_line_exit_2(tmp_path, capsys, argv, error):
     src = str(tmp_path / "r.json")
@@ -678,6 +661,38 @@ class TestFileFormats:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert error in err
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_document_length_limit(self, tmp_path, capsys, extra):
+        """A document is read in one bounded read: past MAX_DOCUMENT_CHARS it exits 2
+        in one line naming the path and the limit, so an endless input such as
+        /dev/zero cannot grow the process until memory runs out."""
+        text = '{"n": 1, "comps": ' + json.dumps([0.0] * 27) + "}"
+        path = tmp_path / "padded.json"
+        path.write_text(text + " " * (fileio.MAX_DOCUMENT_CHARS + extra - len(text)))
+        assert main(["classify", str(path)]) == 2 * extra
+        err = f"error: {path} is longer than the document limit of {fileio.MAX_DOCUMENT_CHARS} characters\n"
+        assert capsys.readouterr().err == (err if extra else "")
+
+    def test_endless_input_is_refused(self, capsys):
+        """An input with no end is refused after one bounded read, not read whole."""
+        assert main(["classify", "/dev/zero"]) == 2
+        err = f"error: /dev/zero is longer than the document limit of {fileio.MAX_DOCUMENT_CHARS} characters\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_largest_indented_document_is_read(self, tmp_path):
+        """A tensor document at d = MAX_DIM with every structure field, written with
+        indent=2 and nested comps, is well inside the length limit."""
+        n = (MAX_DIM - 1) // 2
+        s = random_structure(n, 0)
+        f = -np.random.default_rng(0).uniform(1e-5, 1e-4, (MAX_DIM,) * 3)
+        doc = fileio.tensor_to_doc(s, f)
+        doc["comps"] = f.tolist()
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(doc, indent=2))
+        back, comps = fileio.tensor_from_doc(fileio.load_document(str(path)))
+        np.testing.assert_array_equal(comps, f)
+        np.testing.assert_array_equal(back.g, s.g)
 
     def test_bracket_lower_triangle_rejected(self, tmp_path, capsys):
         doc = {"n": 1, "brackets": [{"i": 1, "j": 0, "coeffs": [0.0, 0.0, 0.0]}]}

@@ -4,8 +4,11 @@
 adds F2 and F3. Each of the eleven arrays is compared here with the
 component formula written out with einsum, on non-canonical structures
 and on random tensors both admissible and not. The decomposition is also
-checked to be natural under a change of basis.
+checked to be natural under a change of basis, and to stay exact on
+Fraction arrays.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import embed_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
 
-from conftest import basis_change, push_structure, random_structure
+from conftest import basis_change, exact, exact_structure, push_structure, random_structure
 
 REL = 1e-12
 CASES = [(n, seed) for n in (1, 2, 3) for seed in range(3)]
@@ -173,3 +176,31 @@ def test_gl_naturality(n, seed):
     for i in range(NUM_CLASSES):
         diff = got.components[i] - push(want.components[i])
         assert _max_abs(diff) <= 1e-12 * scale, f"F{i + 1}"
+
+
+@pytest.mark.parametrize("t", [np.eye(3), [[1, 0.5, 0], [0, 1, -3], [2, 0, 1]]], ids=["canonical", "rational"])
+def test_kernel_keeps_exact_input_exact(t):
+    """On Fraction arrays the kernel is exact: the components of an admissible tensor
+    sum back to it, are pairwise orthogonal and satisfy their class identities, each
+    with residual exactly 0, and no float enters the output (a float literal in the
+    kernel would turn its entries into floats). The float kernel agrees with it."""
+    s = exact_structure(1, t)
+    c = exact(np.random.default_rng(0).integers(-3, 4, (3, 3, 3)))
+    # the formula of embed_structure_tensor, in exact arithmetic
+    S = (c + c.transpose(0, 2, 1)) / 2
+    s_h_xi = -(S @ s.xi) @ s.phi2
+    c = (s.phi2.T @ S @ s.phi2 + s.phi.T @ S @ s.phi) / 2
+    c += s.eta[:, None] * s_h_xi[:, None, :] + s_h_xi[:, :, None] * s.eta
+    arrays = _component_arrays(s, c)
+    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
+    stack = np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)])
+    assert {type(x) for x in stack.ravel()} == {Fraction}
+    assert not np.any(stack.sum(axis=0) - c)
+    gi = s.g_inv
+    for i in range(NUM_CLASSES):
+        assert dec._class_residual(s, stack[i], i + 1) == 0, f"F{i + 1}"
+        for j in range(i):
+            assert np.einsum("abc,ad,be,cf,def->", stack[i], gi, gi, gi, stack[j]) == 0, (i + 1, j + 1)
+    floats = push_structure(canonical_structure(1), np.asarray(t, dtype=float))
+    got = decompose(floats, c.astype(float)).components
+    assert _max_abs(got - stack.astype(float)) <= 1e-14 * _max_abs(c.astype(float))
