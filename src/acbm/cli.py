@@ -45,7 +45,7 @@ from .structure import (
     DEFAULT_RTOL, _as_float_array, _dimension, _integer, _rank, _real, canonical_structure,
 )
 from .tensors import _require_structure_tensor, random_structure_tensor
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,11 +122,10 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     _integer(args.seeds, "--seeds", 1)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(names, args.seeds)
     all_passed = True
-    for suite, checks in results.items():
+    for suite in names:
         print(f"suite: {suite} (seeds={args.seeds})")
-        for check in checks:
+        for check in run_suite(suite, args.seeds):
             status = "PASS" if check.passed else "FAIL"
             all_passed &= check.passed
             print(f"  {status}  {check.name:<32} worst {check.worst:.3e}  tol {check.tol:.1e}")

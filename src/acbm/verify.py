@@ -38,7 +38,7 @@ from .tensors import (
     random_structure_tensor,
 )
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -311,8 +311,3 @@ def run_suite(name: str, seeds: int) -> list:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](_integer(seeds, "seeds", 1))
-
-
-def run_suites(names, seeds: int) -> dict:
-    """Run the named suites; returns {suite: [CheckResult, ...]}."""
-    return {name: run_suite(name, seeds) for name in names}

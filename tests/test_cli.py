@@ -461,7 +461,8 @@ class TestVerify:
                 made.append(self)
 
         monkeypatch.setattr(verify, "_Worst", Recorded)
-        verify.run_suites(verify.SUITE_NAMES, 1)
+        for name in verify.SUITE_NAMES:
+            verify.run_suite(name, 1)
         assert len(made) == len(verify.SUITE_NAMES)
         for w in made:
             assert set(w.values) == set(w.tols)
@@ -566,13 +567,15 @@ def _stdout_command(tmp_path, command) -> list:
     return ["classify", path]
 
 
-def _run_child(args, stdout) -> subprocess.CompletedProcess:
-    """acbm with args in a child process whose standard output is stdout."""
+def _run_child(args, stdout, stdin=None) -> subprocess.CompletedProcess:
+    """acbm with args in a child process whose standard output is stdout
+    and whose standard input, if given, is stdin."""
     env = dict(os.environ, PYTHONPATH=str(Path(acbm.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe or a file is by default
     code = "import sys; from acbm.cli import main; sys.exit(main())"
     return subprocess.run(
-        [sys.executable, "-c", code, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+        [sys.executable, "-c", code, *args],
+        stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
     )
 
 
@@ -679,6 +682,20 @@ class TestFileFormats:
         assert main(["classify", "/dev/zero"]) == 2
         err = f"error: /dev/zero is longer than the document limit of {fileio.MAX_DOCUMENT_CHARS} characters\n"
         assert capsys.readouterr() == ("", err)
+
+    def test_document_read_from_a_pipe(self, capsys):
+        """`acbm gen liegroup ... | acbm classify /dev/stdin`: a document is read
+        from a pipe, whose length is not known before it ends."""
+        assert main(["gen", "liegroup", "--n", "2", "--a=0.5,-1,2,0.25"]) == 0
+        read_end, write_end = os.pipe()
+        os.write(write_end, capsys.readouterr().out.encode())  # well under the pipe's capacity
+        os.close(write_end)
+        try:
+            done = _run_child(["classify", "/dev/stdin"], subprocess.PIPE, stdin=read_end)
+        finally:
+            os.close(read_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[0] == b"classes: F9 F10"
 
     def test_largest_indented_document_is_read(self, tmp_path):
         """A tensor document at d = MAX_DIM with every structure field, written with
