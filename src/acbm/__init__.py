@@ -26,10 +26,8 @@ from .group import (
     validate_group_element,
 )
 from .models import (
-    Dim3Coefficients,
     check_jacobi,
     connection_residuals,
-    dim3_coefficients,
     dim3_decompose,
     koszul_connection,
     lie_family,
@@ -54,7 +52,6 @@ __all__ = [
     "NUM_CLASSES",
     "ClassReport",
     "Decomposition",
-    "Dim3Coefficients",
     "PreconditionError",
     "StructureData",
     "act",
@@ -64,7 +61,6 @@ __all__ = [
     "component",
     "connection_residuals",
     "decompose",
-    "dim3_coefficients",
     "dim3_decompose",
     "group_element_from_blocks",
     "inner_product",

@@ -44,7 +44,7 @@ from .models import (
 from .structure import (
     DEFAULT_RTOL, _as_float_array, _dimension, _integer, _rank, _real, canonical_structure,
 )
-from .tensors import _require_structure_tensor, random_structure_tensor
+from .tensors import random_structure_tensor
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -91,7 +91,6 @@ def cmd_classify(args) -> int:
 
 def cmd_project(args) -> int:
     s, f = _load_classifiable(args.input)
-    _require_structure_tensor(s, f)  # the gate decompose runs for classify
     if args.class_index is not None:
         result = component(s, f, args.class_index)
     else:

@@ -104,10 +104,11 @@ def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def project_w(s: StructureData, f, i: int) -> np.ndarray:
     """Projection p_i(f) onto the block W_i, i in 1..4.
 
-    p4 is computed from its explicit formula; on admissible tensors it
-    agrees with f - p1(f) - p2(f) - p3(f).
+    Requires f admissible, as decompose does. p4 is computed from its
+    explicit formula; it agrees with f - p1(f) - p2(f) - p3(f).
     """
     c = _tensor(s, f)
+    _require_structure_tensor(s, c)
     return _sealed(_block(s, c, _integer(i, "block index", 1, 4)))
 
 
@@ -212,9 +213,10 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     traceful part from slot-permuted pullbacks on the contact
     distribution; F6..F9 are assembled from the symmetrized brackets
     F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi); F10 and F11 are
-    the W3 and W4 projections.
+    the W3 and W4 projections. Requires f admissible, as decompose does.
     """
     c = _tensor(s, f)
+    _require_structure_tensor(s, c)
     i = _integer(i, "class index", 1, NUM_CLASSES)
     arrays = _component_arrays(s, c)
     if i in (2, 3):
@@ -260,7 +262,7 @@ def _decomposition(c: np.ndarray, stack: np.ndarray) -> Decomposition:
         )
     return Decomposition(
         components=stack,
-        magnitudes=np.max(np.abs(stack), axis=(1, 2, 3)),
+        magnitudes=_sealed(np.max(np.abs(stack), axis=(1, 2, 3))),
         reconstruction_residual=residual,
     )
 

@@ -12,7 +12,7 @@ Two sources of concrete structure tensors:
   is out of scope; the closed form fully exercises the classifier).
 
 For dimension 3 over the canonical structure the eleven component
-formulas collapse to a handful of scalar coefficients; this module
+formulas collapse to nine coordinates read off the tensor; this module
 provides that fast path, which the dim3 verify suite checks against
 decompose.
 """
@@ -20,7 +20,6 @@ decompose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,36 +39,14 @@ from .structure import (
 from .tensors import _require_structure_tensor, _sym_pair, _tensor
 
 __all__ = [
-    "Dim3Coefficients",
     "lie_family",
     "check_jacobi",
     "koszul_connection",
     "connection_residuals",
     "structure_tensor_from_connection",
     "sphere_structure_tensor",
-    "dim3_coefficients",
     "dim3_decompose",
 ]
-
-
-@dataclass(frozen=True)
-class Dim3Coefficients:
-    """The scalar data of an admissible tensor in dimension 3.
-
-    Each coefficient is the component combination that isolates one
-    basic class: theta0 and lam split the symmetric xi-bracket data,
-    theta_star0 and mu the skew part, nu is the W3 coefficient and
-    omega1, omega2 the W4 pair. With theta(e_1), theta(e_2) for F1 they are
-    nine numbers, as the admissible space at n = 1 has dimension 9.
-    """
-
-    theta0: float
-    theta_star0: float
-    lam: float
-    mu: float
-    nu: float
-    omega1: float
-    omega2: float
 
 
 def lie_family(n: int, a) -> tuple:
@@ -142,7 +119,7 @@ def koszul_connection(s: StructureData, c) -> np.ndarray:
     """
     cg = _tensor(s, c, "structure constants") @ s.g  # g([E_i, E_j], E_k)
     rhs = cg + cg.transpose(1, 2, 0) + cg.transpose(2, 1, 0)
-    return np.linalg.solve(s.g, 0.5 * rhs.reshape(-1, s.dim).T).T.reshape(cg.shape)
+    return _sealed(np.linalg.solve(s.g, 0.5 * rhs.reshape(-1, s.dim).T).T.reshape(cg.shape))
 
 
 @_in_float_range
@@ -199,52 +176,36 @@ def _canonical_dim3(s: StructureData, f) -> np.ndarray:
 
 
 @_in_float_range
-def dim3_coefficients(s: StructureData, f) -> Dim3Coefficients:
-    """Extract the seven class coefficients of a dimension-3 tensor.
+def dim3_decompose(s: StructureData, f) -> Decomposition:
+    """decompose(s, f) by the closed forms of dimension 3 over the canonical s.
 
-    Reads the representative components, after separating the
-    symmetric and skew parts shared between classes:
+    With Fijk = F(e_i, e_j, e_k), each class reads its coordinates straight
+    from the tensor, nine in all, as the admissible space at n = 1 has
+    dimension 9:
 
-        theta0 = F110 - F220        lam = (F110 + F220) / 2
-        theta*0 = F120 + F210       mu  = (F120 - F210) / 2
-        nu = F011                   omega1 = F001,  omega2 = F002
+        F1:  theta(e_1) = F111 - F221,  theta(e_2) = F112 - F211
+        F4:  (F110 - F220) / 2          F8:  (F110 + F220) / 2
+        F5:  (F120 + F210) / 2          F9:  (F120 - F210) / 2
+        F10: F011                       F11: F001, F002
 
-    Requires the canonical structure s and f admissible (_canonical_dim3).
+    F2, F3, F6 and F7 are identically zero in dimension 3. Requires the
+    canonical s and f admissible (_canonical_dim3); matches decompose then.
     """
     c = _canonical_dim3(s, f)
-    return Dim3Coefficients(
-        theta0=float(c[1, 1, 0] - c[2, 2, 0]),
-        theta_star0=float(c[1, 2, 0] + c[2, 1, 0]),
-        lam=float(0.5 * (c[1, 1, 0] + c[2, 2, 0])),
-        mu=float(0.5 * (c[1, 2, 0] - c[2, 1, 0])),
-        nu=float(c[0, 1, 1]),
-        omega1=float(c[0, 0, 1]),
-        omega2=float(c[0, 0, 2]),
-    )
-
-
-@_in_float_range
-def dim3_decompose(s: StructureData, f) -> Decomposition:
-    """decompose(s, f) by the closed forms, from one dim3_coefficients check.
-
-    F2, F3, F6 and F7 are identically zero in dimension 3. Matches
-    decompose entrywise on admissible tensors over the canonical s.
-    """
-    q = dim3_coefficients(s, f)
-    c = np.asarray(f, dtype=float)  # checked by dim3_coefficients
     out = np.zeros((NUM_CLASSES, 3, 3, 3))
     f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
     th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
     f1[1, 1, 1] = f1[1, 2, 2] = th1
     f1[2, 1, 1] = f1[2, 2, 2] = -th2
-    half = 0.5 * q.theta0
+    half = 0.5 * (c[1, 1, 0] - c[2, 2, 0])
     f4[1, 0, 1] = f4[1, 1, 0] = half
     f4[2, 0, 2] = f4[2, 2, 0] = -half
-    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * q.theta_star0
-    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = q.lam
-    f9[1, 0, 2] = f9[1, 2, 0] = q.mu
-    f9[2, 0, 1] = f9[2, 1, 0] = -q.mu
-    f10[0, 1, 1] = f10[0, 2, 2] = q.nu
-    f11[0, 1, 0] = f11[0, 0, 1] = q.omega1
-    f11[0, 2, 0] = f11[0, 0, 2] = q.omega2
+    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * (c[1, 2, 0] + c[2, 1, 0])
+    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = 0.5 * (c[1, 1, 0] + c[2, 2, 0])
+    mu = 0.5 * (c[1, 2, 0] - c[2, 1, 0])
+    f9[1, 0, 2] = f9[1, 2, 0] = mu
+    f9[2, 0, 1] = f9[2, 1, 0] = -mu
+    f10[0, 1, 1] = f10[0, 2, 2] = c[0, 1, 1]
+    f11[0, 1, 0] = f11[0, 0, 1] = c[0, 0, 1]
+    f11[0, 2, 0] = f11[0, 0, 2] = c[0, 0, 2]
     return _decomposition(c, out)

@@ -172,19 +172,24 @@ class StructureData:
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric g is singular") from exc
         object.__setattr__(self, "g_inv", _as_float_array(g_inv, (d, d), "g_inv"))
-        xi_xi = np.outer(self.xi, self.xi)
-        h = self.g_inv - xi_xi
-        for name, value in (
-            ("phi2", self.phi @ self.phi),
-            ("g_phi", self.g @ self.phi),
-            ("phi_g_phi", self.phi.T @ self.g @ self.phi),
-            ("lee_weights", np.stack([h.ravel(), (h @ self.phi.T).ravel(), xi_xi.ravel()])),
-        ):
+        for name, value in _derived(self.g, self.phi, self.xi, self.g_inv).items():
             object.__setattr__(self, name, _as_float_array(value, value.shape, name))
         bad = {k: v for k, v in _axiom_residuals(self).items() if v > DEFAULT_RTOL}
         if bad:
             worst = ", ".join(f"{k}={v:.3e}" for k, v in bad.items())
             raise PreconditionError(f"structure violates axioms: {worst}")
+
+
+def _derived(g, phi, xi, g_inv) -> dict:
+    """phi2, g_phi, phi_g_phi and lee_weights, by name, from float or Fraction arrays."""
+    xi_xi = np.outer(xi, xi)
+    h = g_inv - xi_xi
+    return {
+        "phi2": phi @ phi,
+        "g_phi": g @ phi,
+        "phi_g_phi": phi.T @ g @ phi,
+        "lee_weights": np.stack([h.ravel(), (h @ phi.T).ravel(), xi_xi.ravel()]),
+    }
 
 
 def _axiom_residuals(s: StructureData) -> dict:

@@ -97,13 +97,12 @@ def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     return {"slot_symmetry": sym, "phi_relation": rel}
 
 
-@_in_float_range
 def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(c).
 
-    This is the one admissibility verdict: is_structure_tensor, decompose
-    (so classify), the dimension-3 closed forms and the project command, which
-    calls it directly and so needs its float-range rule, all ask it.
+    This is the one admissibility verdict: is_structure_tensor and every map on
+    the admissible space (project_w, component, decompose and so classify, the
+    dimension-3 closed forms) ask it, under their own float-range rule.
     """
     bound = DEFAULT_RTOL * _scale(c)
     # `not <=` so that a NaN residual refuses rather than passes
@@ -185,7 +184,8 @@ def lee_forms(s: StructureData, f) -> LeeForms:
     the purely vertical classes, as the decomposition requires; theta*
     is unaffected by the restriction since phi xi = 0.
     """
-    return _lee_forms(s, _tensor(s, f))
+    lf = _lee_forms(s, _tensor(s, f))  # sealed here: _lee_forms also runs on Fraction arrays
+    return LeeForms(_sealed(lf.theta), _sealed(lf.theta_star), _sealed(lf.omega))
 
 
 def _lee_forms(s: StructureData, c: np.ndarray) -> LeeForms:

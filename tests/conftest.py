@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from acbm.structure import StructureData, canonical_structure
+from acbm.structure import StructureData, _derived, canonical_structure
 
 
 def basis_change(n: int, seed: int) -> np.ndarray:
@@ -57,18 +57,53 @@ def _exact_inverse(t: np.ndarray) -> np.ndarray:
 
 def exact_structure(n: int, t) -> SimpleNamespace:
     """canonical_structure(n) pushed forward through the integer or rational matrix t, in
-    exact arithmetic: the fields the kernel reads, each an object array of Fraction."""
+    exact arithmetic: the fields the kernel reads, each an object array of Fraction, the
+    derived ones built by the function StructureData builds them with."""
     c = canonical_structure(n)
     t = exact(t)
     t_inv = _exact_inverse(t)
     g, phi, xi, eta = t_inv.T @ exact(c.g) @ t_inv, t @ exact(c.phi) @ t_inv, t @ exact(c.xi), exact(c.eta) @ t_inv
     g_inv = t @ exact(c.g) @ t.T  # the canonical g is its own inverse
-    h = g_inv - np.outer(xi, xi)
     return SimpleNamespace(
-        n=n, dim=2 * n + 1, g=g, phi=phi, xi=xi, eta=eta, g_inv=g_inv, phi2=phi @ phi,
-        g_phi=g @ phi, phi_g_phi=phi.T @ g @ phi,
-        lee_weights=np.stack([h.ravel(), (h @ phi.T).ravel(), np.outer(xi, xi).ravel()]),
+        n=n, dim=2 * n + 1, g=g, phi=phi, xi=xi, eta=eta, g_inv=g_inv, **_derived(g, phi, xi, g_inv),
     )
+
+
+# Dimension-3 tensors of single classes over the canonical structure.
+def f8_form(lam: float = 1.0) -> np.ndarray:
+    """Dimension-3 class-F8 tensor with coefficient lam."""
+    c = np.zeros((3, 3, 3))
+    c[1, 0, 1] = c[1, 1, 0] = c[2, 0, 2] = c[2, 2, 0] = lam
+    return c
+
+
+def f4_form(theta0: float = 2.0) -> np.ndarray:
+    """Dimension-3 class-F4 tensor with theta(xi) = theta0."""
+    c = np.zeros((3, 3, 3))
+    half = 0.5 * theta0
+    c[1, 0, 1] = c[1, 1, 0] = half
+    c[2, 0, 2] = c[2, 2, 0] = -half
+    return c
+
+
+def f10_form(nu: float = 1.0) -> np.ndarray:
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1] = c[0, 2, 2] = nu
+    return c
+
+
+def f11_form(w1: float = 1.0, w2: float = 0.0) -> np.ndarray:
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 0] = c[0, 0, 1] = w1
+    c[0, 2, 0] = c[0, 0, 2] = w2
+    return c
+
+
+def f1_form(th1: float = 1.0, th2: float = 0.0) -> np.ndarray:
+    c = np.zeros((3, 3, 3))
+    c[1, 1, 1] = c[1, 2, 2] = th1
+    c[2, 1, 1] = c[2, 2, 2] = -th2
+    return c
 
 
 @pytest.fixture

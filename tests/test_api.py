@@ -10,7 +10,7 @@ import pytest
 import acbm
 from acbm import fileio, tensors
 from acbm.cli import main
-from acbm.decomposition import classify, decompose
+from acbm.decomposition import classify, component, decompose, project_w
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_RTOL, MAX_DIM, StructureData, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, membership_residuals, random_structure_tensor
@@ -19,10 +19,10 @@ from acbm.verify import run_suite
 from conftest import random_structure
 
 PUBLIC = [
-    "ClassReport", "Decomposition", "Dim3Coefficients",
+    "ClassReport", "Decomposition",
     "NUM_CLASSES", "PreconditionError", "StructureData",
     "act", "canonical_structure", "check_jacobi", "classify", "component",
-    "connection_residuals", "decompose", "dim3_coefficients", "dim3_decompose",
+    "connection_residuals", "decompose", "dim3_decompose",
     "group_element_from_blocks", "inner_product", "is_structure_tensor",
     "koszul_connection", "lee_forms", "lie_family", "membership_residuals", "project_w",
     "random_group_element", "random_structure_tensor",
@@ -56,8 +56,8 @@ def test_public_api():
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_gate_parity(tmp_path, capsys, scale, ratio):
-    """is_structure_tensor, decompose and `acbm project` agree on a tensor
-    whose worst membership residual is ratio times the bound."""
+    """is_structure_tensor, every map on the admissible space and `acbm project`
+    agree on a tensor whose worst membership residual is ratio times the bound."""
     s = canonical_structure(1)
     f = scale * random_structure_tensor(s, 0)
     vertical = np.zeros((3, 3, 3))
@@ -70,12 +70,18 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     assert is_structure_tensor(s, t) is admissible
     path = tmp_path / "t.json"
     path.write_text(fileio.dumps(fileio.tensor_to_doc(s, t)))
+    maps = (decompose, classify, lambda s, t: component(s, t, 1), lambda s, t: project_w(s, t, 1))
     if admissible:
-        decompose(s, t)
+        for call in maps:
+            call(s, t)
         assert main(["project", str(path), "--w", "1"]) == 0
     else:
-        with pytest.raises(PreconditionError, match="not an admissible") as exc:
-            decompose(s, t)
+        messages = set()
+        for call in maps:
+            with pytest.raises(PreconditionError, match="not an admissible") as exc:
+                call(s, t)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
         capsys.readouterr()
         assert main(["project", str(path), "--w", "1"]) == 3
         assert capsys.readouterr().err == f"error: {exc.value}\n"
@@ -167,7 +173,6 @@ OVERFLOWING_CALLS = {
     "StructureData": lambda s: StructureData(n=1, g=_S1.g, phi=1e200 * _S1.phi, xi=_S1.xi, eta=_S1.eta),
     "membership_residuals": lambda s: acbm.membership_residuals(s, _near_max(s)),
     "is_structure_tensor": lambda s: acbm.is_structure_tensor(s, _near_max(s)),
-    "_require_structure_tensor": lambda s: tensors._require_structure_tensor(s, _near_max(s)),
     "embed_structure_tensor": lambda s: tensors.embed_structure_tensor(s, _near_max(s)),
     "inner_product": lambda s: acbm.inner_product(s, _near_max(s), _near_max(s, 1)),
     "lee_forms": lambda s: acbm.lee_forms(s, _near_max(s)),
@@ -185,7 +190,6 @@ OVERFLOWING_CALLS = {
     "structure_tensor_from_connection": lambda s: acbm.structure_tensor_from_connection(
         _S1, _near_max(_S1)
     ),
-    "dim3_coefficients": lambda s: acbm.dim3_coefficients(_S1, _near_max_admissible(_S1)),
     "dim3_decompose": lambda s: acbm.dim3_decompose(_S1, _near_max_admissible(_S1)),
 }
 
@@ -215,8 +219,6 @@ def test_float_range_rule_is_on_every_arithmetic_entry():
     }
     if hasattr(StructureData.__post_init__, "__wrapped__"):
         carriers.add("StructureData")
-    if hasattr(tensors._require_structure_tensor, "__wrapped__"):
-        carriers.add("_require_structure_tensor")
     assert carriers == set(OVERFLOWING_CALLS) | {"check_jacobi"}
 
 

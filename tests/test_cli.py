@@ -336,7 +336,7 @@ class TestProject:
         assert len(doc["comps"]) == 125
 
     # an index out of range is judged by the library, after the document's own checks
-    @pytest.mark.parametrize("selector", [("--class-index", "4"), ("--w", "2"), ("--class-index", "12")])
+    @pytest.mark.parametrize("selector", [("--class-index", "4"), ("--w", "2"), ("--class-index", "12"), ("--w", "5")])
     def test_inadmissible_tensor_exit_3(self, tmp_path, capsys, selector):
         path = write(tmp_path, "bad.json", {"n": 1, "comps": [float(k) for k in range(1, 28)]})
         assert main(["classify", path]) == 3
@@ -347,7 +347,7 @@ class TestProject:
         assert err.startswith("error: tensor is not an admissible structure tensor:")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", [["classify"], ["project", "--class-index", "4"]])
+    @pytest.mark.parametrize("command", [["classify"], ["project", "--class-index", "4"], ["project", "--w", "2"]])
     def test_admissibility_checked_once(self, tmp_path, monkeypatch, capsys, command):
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])

@@ -2,7 +2,8 @@
 
 Each rewritten function is compared with the einsum expression it
 replaced, written out here, on non-canonical structures and on random
-tensors that are not admissible. Canonical structures would not do:
+tensors that are not admissible: the private bodies where the public
+function refuses such a tensor. Canonical structures would not do:
 there phi and phi^2 are signed permutations, so a transposed factor in
 a pullback can give exactly the same numbers.
 """
@@ -10,7 +11,7 @@ a pullback can give exactly the same numbers.
 import numpy as np
 import pytest
 
-from acbm.decomposition import _class_residual, _xi_bracket, component, project_w
+from acbm.decomposition import _block, _class_residual, _component_arrays, _xi_bracket, project_w
 from acbm.group import act
 from acbm.structure import canonical_structure
 from acbm.models import (
@@ -24,6 +25,7 @@ from acbm.tensors import (
     inner_product,
     lee_forms,
     membership_residuals,
+    random_structure_tensor,
 )
 
 from conftest import random_structure
@@ -121,12 +123,11 @@ def test_xi_bracket(n, seed):
         assert_close(_xi_bracket(c, m1, m2, s.xi), want)
 
 
-@pytest.mark.parametrize("n, seed", CASES)
-def test_project_w(n, seed):
-    s, f = random_structure(n, seed), raw_tensor(n, seed)
-    c, xi, eta = f, s.xi, s.eta
+def block_reference(s, c: np.ndarray) -> dict:
+    """The four block projections p1..p4 of c, as einsum expressions."""
+    xi, eta = s.xi, s.eta
     P = s.phi @ s.phi
-    want = {
+    return {
         1: -np.einsum("abc,ai,bj,ck->ijk", c, P, P, P),
         2: np.einsum("j,ik->ijk", eta, np.einsum("abc,ai,b,ck->ik", c, P, xi, P))
         + np.einsum("k,ij->ijk", eta, np.einsum("abc,ai,bj,c->ij", c, P, P, xi)),
@@ -136,8 +137,26 @@ def test_project_w(n, seed):
             + np.einsum("i,k,j->ijk", eta, eta, np.einsum("abc,a,bj,c->j", c, xi, P, xi))
         ),
     }
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_block(n, seed):
+    s, f = random_structure(n, seed), raw_tensor(n, seed)
+    want = block_reference(s, f)
+    for i in (1, 2, 3, 4):
+        assert_close(_block(s, f, i), want[i])
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_project_w(n, seed):
+    """The public projection, past its admissibility gate, on a tensor
+    admissible for the non-canonical structure: the four blocks sum back."""
+    s = random_structure(n, seed)
+    f = random_structure_tensor(s, seed)
+    want = block_reference(s, f)
     for i in (1, 2, 3, 4):
         assert_close(project_w(s, f, i), want[i])
+    assert_close(sum(project_w(s, f, i) for i in (1, 2, 3, 4)), f)
 
 
 @pytest.mark.parametrize("n, seed", CASES)
@@ -173,7 +192,8 @@ def test_class_residual(n, seed):
     d_mat = np.einsum("ija,a->ij", c, xi)
     b_mat = np.einsum("abc,ai,bj,c->ij", c, phi, phi, xi)
     recon = c - np.einsum("ij,k->ijk", d_mat, eta) - np.einsum("ik,j->ijk", d_mat, eta)
-    want = {i: worst(c - component(s, f, i)) for i in (1, 4, 5)}
+    arrays = _component_arrays(s, f)
+    want = {i: worst(c - arrays[i]) for i in (1, 4, 5)}
     want[2] = worst(first, second, cyc_phi, lf.theta)
     want[3] = worst(first, second, cyc)
     want[6] = worst(recon, d_mat - d_mat.T, d_mat + b_mat, lf.theta, lf.theta_star)

@@ -16,8 +16,7 @@ from acbm.models import lie_family, koszul_connection, sphere_structure_tensor, 
 from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
 from acbm.tensors import _scale, embed_structure_tensor, inner_product, random_structure_tensor
 
-from conftest import random_structure
-from test_tensors import f4_form, f8_form
+from conftest import f1_form, f4_form, f8_form, f10_form, f11_form, random_structure
 
 
 @pytest.mark.parametrize(
@@ -34,24 +33,20 @@ def test_overflowing_result_is_one_error(call):
         call(s, f * (1.5e308 / _max_abs(f)))
 
 
-def f10_form(nu: float = 1.0) -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 1] = c[0, 2, 2] = nu
-    return c
-
-
-def f11_form(w1: float = 1.0, w2: float = 0.0) -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 0] = c[0, 0, 1] = w1
-    c[0, 2, 0] = c[0, 0, 2] = w2
-    return c
-
-
-def f1_form(th1: float = 1.0, th2: float = 0.0) -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    c[1, 1, 1] = c[1, 2, 2] = th1
-    c[2, 1, 1] = c[2, 2, 2] = -th2
-    return c
+@pytest.mark.parametrize(
+    "call, index",
+    [(component, 0), (component, 12), (component, 1.5), (project_w, 0), (project_w, 5), (project_w, 1.5)],
+    ids=["component-0", "component-12", "component-1.5", "project_w-0", "project_w-5", "project_w-1.5"],
+)
+def test_gate_precedes_index_check(call, index):
+    """A bad index is judged only on an admissible tensor: on an inadmissible
+    one the admissibility gate speaks first, as decompose's does."""
+    s = canonical_structure(1)
+    with pytest.raises(PreconditionError, match="^tensor is not an admissible structure tensor:"):
+        call(s, np.arange(27.0).reshape(3, 3, 3), index)
+    with pytest.raises(ValueError, match="index must be an integer") as info:
+        call(s, random_structure_tensor(s, 0), index)
+    assert type(info.value) is ValueError
 
 
 class TestProjectW:

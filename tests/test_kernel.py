@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import acbm.decomposition as dec
+import acbm.models as models
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import embed_structure_tensor, random_structure_tensor
@@ -119,15 +120,15 @@ def test_decompose_equals_component_bitwise(make_structure, n, seed):
         assert d.components[i - 1].tobytes() == component(s, f, i).tobytes()
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, module=dec) -> list:
     calls = []
-    original = getattr(dec, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dec, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -141,10 +142,13 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
 
 
 def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
+    """One decompose and one dim3_decompose per seed, which checks its tensor once."""
     single = _count_calls(monkeypatch, "component")
     whole = _count_calls(monkeypatch, "decompose")
+    fast = _count_calls(monkeypatch, "dim3_decompose", models)
+    gate = _count_calls(monkeypatch, "_require_structure_tensor", models)
     assert all(check.passed for check in run_suite("dim3", 3))
-    assert (len(single), len(whole)) == (0, 3)
+    assert (len(single), len(whole), len(fast), len(gate)) == (0, 3, 3, 3)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))

@@ -10,9 +10,7 @@ from acbm import fileio, models
 from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
-    Dim3Coefficients,
     check_jacobi,
-    dim3_coefficients,
     dim3_decompose,
     koszul_connection,
     lie_family,
@@ -27,12 +25,8 @@ from acbm.tensors import (
     lee_forms,
     random_structure_tensor,
 )
-from acbm.verify import run_suite
 
-from conftest import basis_change, random_structure
-
-from test_tensors import f8_form
-from test_decomposition import f11_form
+from conftest import basis_change, f8_form, f11_form, random_structure
 
 
 def family_tensor(n, params):
@@ -152,13 +146,13 @@ class TestFamilyStructureTensor:
         assert report.present == ()
         assert report.is_F0
 
-    def test_class_coefficients(self):
-        # F9 coefficient mu = a1, F10 coefficient nu = -2 a2
+    def test_class_coordinates(self):
+        # F9 coordinate (F120 - F210) / 2 = a1, F10 coordinate F011 = -2 a2
         a1, a2 = 0.7, -1.2
         s, f = family_tensor(1, [a1, a2])
-        q = dim3_coefficients(s, f)
-        assert q.mu == pytest.approx(a1)
-        assert q.nu == pytest.approx(-2 * a2)
+        comps = dim3_decompose(s, f).components
+        assert comps[8][1, 0, 2] == pytest.approx(a1)
+        assert comps[9][0, 1, 1] == pytest.approx(-2 * a2)
 
 
 class TestSphere:
@@ -219,7 +213,7 @@ class TestDim3LeeForms:
 # pairs of index triples that agree and nine triples that vanish. They involve
 # 27 distinct entries and are independent, so they cut out a space of
 # dimension 9, the admissible space at n = 1. An oracle independent of the
-# membership gate that dim3_coefficients asks.
+# membership gate that dim3_decompose asks.
 _DIM3_EQUAL_PAIRS = (
     ((1, 0, 1), (1, 1, 0)),
     ((2, 0, 2), (2, 2, 0)),
@@ -291,19 +285,17 @@ class TestDim3Components:
         c = np.zeros((3, 3, 3))
         c[left] = 0.5
         c[_DIM3_ZERO_TRIPLES[-1]] = 0.25  # also broken
-        for fn in (dim3_coefficients, dim3_decompose):
-            with pytest.raises(PreconditionError) as info:
-                fn(s1, c)
-            assert str(info.value) == _gate_message(s1, c)
+        with pytest.raises(PreconditionError) as info:
+            dim3_decompose(s1, c)
+        assert str(info.value) == _gate_message(s1, c)
 
     @pytest.mark.parametrize("triple", _DIM3_ZERO_TRIPLES)
     def test_names_the_nonzero_triple(self, triple, s1):
         c = np.zeros((3, 3, 3))
         c[triple] = -0.5
-        for fn in (dim3_coefficients, dim3_decompose):
-            with pytest.raises(PreconditionError) as info:
-                fn(s1, c)
-            assert str(info.value) == _gate_message(s1, c)
+        with pytest.raises(PreconditionError) as info:
+            dim3_decompose(s1, c)
+        assert str(info.value) == _gate_message(s1, c)
 
     def test_names_the_first_of_two_unequal_pairs(self, s1):
         c = np.zeros((3, 3, 3))
@@ -311,7 +303,7 @@ class TestDim3Components:
         c[_DIM3_EQUAL_PAIRS[2][1]] = 1.0
         want = "tensor is not an admissible structure tensor: slot_symmetry residual 1.000e+00"
         with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(s1, c)
+            dim3_decompose(s1, c)
         assert str(info.value) == want == _gate_message(s1, c)
 
     def test_rejects_wrong_dim(self, s1, s2):
@@ -321,12 +313,11 @@ class TestDim3Components:
             dim3_decompose(s1, np.zeros((5, 5, 5)))
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("fn", [dim3_coefficients, dim3_decompose])
-    def test_rejects_non_canonical_structure(self, fn, seed):
+    def test_rejects_non_canonical_structure(self, seed):
         s = random_structure(1, seed)
         f = random_structure_tensor(s, seed)  # admissible for s
         with pytest.raises(PreconditionError, match="^structure is not canonical;"):
-            fn(s, f)
+            dim3_decompose(s, f)
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     def test_rejects_inadmissible_at_any_scale(self, s1, scale):
@@ -334,10 +325,9 @@ class TestDim3Components:
         tensor they would disagree with the general contractions without a word."""
         for raw in (_inadmissible_dim3(), np.arange(27.0).reshape(3, 3, 3)):
             c = scale * raw
-            for fn in (dim3_coefficients, dim3_decompose):
-                with pytest.raises(PreconditionError) as info:
-                    fn(s1, c)
-                assert str(info.value) == _gate_message(s1, c)
+            with pytest.raises(PreconditionError) as info:
+                dim3_decompose(s1, c)
+            assert str(info.value) == _gate_message(s1, c)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-300, 1e-315, 1e10])
     def test_accepts_admissible_at_any_scale(self, s1, scale):
@@ -347,24 +337,17 @@ class TestDim3Components:
             assert _max_abs(c_fast - c_general) <= 1e-12 * scale
 
     def test_residual_gate(self, s1, monkeypatch):
-        """Closed forms that do not sum back are refused, naming the residual."""
-        f = random_structure_tensor(s1, 0)
-        q = dim3_coefficients(s1, f)
-        wrong = Dim3Coefficients(**{**vars(q), "nu": q.nu + 1.0})
-        monkeypatch.setattr(models, "dim3_coefficients", lambda *args, **kwargs: wrong)
-        residual = 1.0 / _max_abs(f)
+        """Closed forms that do not sum back are refused, naming the residual: past
+        the gate, F000 moved by 1, an entry no coordinate reads."""
+        broken = np.array(random_structure_tensor(s1, 0))
+        broken[0, 0, 0] += 1.0
+        monkeypatch.setattr(models, "_canonical_dim3", lambda *args, **kwargs: broken)
+        residual = 1.0 / _max_abs(broken)
         with pytest.raises(PreconditionError) as info:
-            dim3_decompose(s1, f)
+            dim3_decompose(s1, random_structure_tensor(s1, 0))
         assert str(info.value) == (
             f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
         )
-
-    def test_dim3_suite_checks_each_seed_once(self, monkeypatch):
-        calls = []
-        original = models.dim3_coefficients
-        monkeypatch.setattr(models, "dim3_coefficients", lambda *a, **k: calls.append(1) or original(*a, **k))
-        assert all(check.passed for check in run_suite("dim3", 3))
-        assert len(calls) == 3
 
 
 @pytest.mark.parametrize("entry", list(np.ndindex(3, 3, 3)))
@@ -377,15 +360,15 @@ class TestDim3Components:
 )
 def test_dim3_gate_agrees_with_the_eighteen_relations(entry, seed, exponent, size, negative):
     """One entry of an admissible tensor of max-abs about 10^exponent, moved by
-    10^size of that magnitude: dim3_coefficients refuses it, with the gate's
+    10^size of that magnitude: dim3_decompose refuses it, with the gate's
     message, exactly when one of the eighteen relations exceeds the bound."""
     s = canonical_structure(1)
     f = random_structure_tensor(s, seed) * 10.0**exponent
     c = np.array(f)
     c[entry] += (-1.0 if negative else 1.0) * 10.0**size * _max_abs(f)
     if _dim3_oracle_admits(c):
-        dim3_coefficients(s, c)
+        dim3_decompose(s, c)
     else:
         with pytest.raises(PreconditionError) as info:
-            dim3_coefficients(s, c)
+            dim3_decompose(s, c)
         assert str(info.value) == _gate_message(s, c)

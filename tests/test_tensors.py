@@ -13,7 +13,6 @@ from acbm.group import act, random_group_element
 from acbm.models import (
     check_jacobi,
     connection_residuals,
-    dim3_coefficients,
     dim3_decompose,
     koszul_connection,
     lie_family,
@@ -30,23 +29,7 @@ from acbm.tensors import (
     random_structure_tensor,
 )
 
-from conftest import random_structure
-
-
-def f8_form(lam: float = 1.0) -> np.ndarray:
-    """Dimension-3 class-F8 tensor with coefficient lam."""
-    c = np.zeros((3, 3, 3))
-    c[1, 0, 1] = c[1, 1, 0] = c[2, 0, 2] = c[2, 2, 0] = lam
-    return c
-
-
-def f4_form(theta0: float = 2.0) -> np.ndarray:
-    """Dimension-3 class-F4 tensor with theta(xi) = theta0."""
-    c = np.zeros((3, 3, 3))
-    half = 0.5 * theta0
-    c[1, 0, 1] = c[1, 1, 0] = half
-    c[2, 0, 2] = c[2, 2, 0] = -half
-    return c
+from conftest import f4_form, f8_form, random_structure
 
 
 class TestMembership:
@@ -236,7 +219,6 @@ TENSOR_TAKERS = {
     "decompose": lambda s, f: decompose(s, f),
     "classify": lambda s, f: classify(s, f),
     "act": lambda s, f: act(s, np.eye(3), f),
-    "dim3_coefficients": lambda s, f: dim3_coefficients(s, f),
     "dim3_decompose": lambda s, f: dim3_decompose(s, f),
     "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
     "structure_tensor_from_connection": lambda s, f: structure_tensor_from_connection(s, f),
@@ -322,8 +304,13 @@ class TestTensorInput:
             sphere_structure_tensor(2, 0.3)[1],
             c,
             fileio.lie_from_doc(fileio.lie_to_doc(s2, c))[1],
+            koszul_connection(s2, c),
             structure_tensor_from_connection(s2, koszul_connection(s2, c)),
+            decompose(s2, f).magnitudes,
+            classify(s2, f).magnitudes,
+            *vars(lee_forms(s2, f)).values(),
             dim3_decompose(s1, random_structure_tensor(s1, 0)).components,
+            dim3_decompose(s1, random_structure_tensor(s1, 0)).magnitudes,
             fileio.tensor_from_doc(fileio.tensor_to_doc(s2, f))[1],
         ]
         for t in results:
