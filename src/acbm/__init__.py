@@ -15,6 +15,7 @@ from .decomposition import (
     classify,
     component,
     decompose,
+    dim3_decompose,
     project_w,
     w2_involution,
 )
@@ -28,7 +29,6 @@ from .group import (
 from .models import (
     check_jacobi,
     connection_residuals,
-    dim3_decompose,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,

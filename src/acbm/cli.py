@@ -3,7 +3,7 @@
 Subcommands:
 
     classify  read a tensor or Lie-algebra file, report its classes
-    project   read a tensor file, emit one class component or block projection
+    project   read a tensor or Lie-algebra file, emit one class component or block projection
     gen       emit input files: sphere, liegroup, random
     verify    run the seeded invariant suites
 

@@ -16,6 +16,10 @@ its complement on the contact distribution), W2 splits into F4..F9 via
 two commuting involutions, W3 = F10 and W4 = F11. Class F0 is the zero
 tensor, contained in every class.
 
+For dimension 3 over the canonical structure the eleven component
+formulas collapse to nine coordinates read off the tensor: dim3_decompose,
+which the dim3 verify suite checks against decompose.
+
 Component magnitudes are reported as max-abs of entries, never as the
 induced inner product: the metric is indefinite and nonzero components
 can be null.
@@ -28,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .structure import DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed
+from .structure import (
+    DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed, is_canonical_basis,
+)
 from .tensors import (
     _lee_forms,
     _pullback,
@@ -48,6 +54,7 @@ __all__ = [
     "component",
     "decompose",
     "classify",
+    "dim3_decompose",
 ]
 
 NUM_CLASSES = 11
@@ -141,25 +148,23 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
         L2(F)(x,y,z) = F(phi x, phi y, xi) eta(z)
                        + F(phi x, phi z, xi) eta(y)
 
-    Their joint eigenspaces carve W2 into the classes F4..F9: L1 fixes
-    F4+F5+F6+F8 and negates F7+F9; L2 fixes F8+F9 and negates
-    F4+F5+F6+F7. Requires f in W2 (f = p2(f) within DEFAULT_RTOL relative
-    to _scale(f), so the check does not depend on the scale of f); both
-    operators are involutions only there.
+    Both read f only through F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi),
+    which p2 keeps, so the result is L_j(p2 f): it vanishes on W1, W3 and W4,
+    and on W2 each operator is an involution. Their joint eigenspaces carve
+    W2 into the classes F4..F9: L1 fixes F4+F5+F6+F8 and negates F7+F9; L2
+    fixes F8+F9 and negates F4+F5+F6+F7. Requires f admissible, as
+    decompose does.
     """
     c = _tensor(s, f)
-    j = _integer(j, "involution index", 1, 2)
-    w2_residual = _max_abs(c - _block(s, c, 2))
-    if w2_residual > DEFAULT_RTOL * _scale(c):
-        raise PreconditionError(
-            f"operand is not in W2: p2 fixed-point residual {w2_residual:.3e}"
-        )
-    xi, eta = s.xi, s.eta
+    _require_structure_tensor(s, c)
+    return _sealed(_involution(s, c, _integer(j, "involution index", 1, 2)))
+
+
+def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
+    """L_j of the components c, unchecked, so that a suite can measure a broken component."""
     if j == 1:
-        a = _xi_bracket(c, s.phi2, s.phi2, xi)
-        return _sealed(_sym_pair(a.T, eta))
-    b = _xi_bracket(c, s.phi, s.phi, xi)
-    return _sealed(_sym_pair(b, eta))
+        return _sym_pair(_xi_bracket(c, s.phi2, s.phi2, s.xi).T, s.eta)
+    return _sym_pair(_xi_bracket(c, s.phi, s.phi, s.xi), s.eta)
 
 
 def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
@@ -325,3 +330,52 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
         input_magnitude=_max_abs(c),
         reconstruction_residual=dec.reconstruction_residual,
     )
+
+
+def _canonical_dim3(s: StructureData, f) -> np.ndarray:
+    """f checked by _tensor for a canonical dimension-3 structure s, and admitted by the gate
+    decompose asks (_require_structure_tensor): for n = 1 its two identities are the eighteen
+    entry relations the closed forms rely on (F101 = F110, F222 = F211, F000 = 0, ...)."""
+    if s.dim != 3:
+        raise ValueError(f"expected a dimension-3 structure, got dimension {s.dim}")
+    if not is_canonical_basis(s):
+        raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
+    c = _tensor(s, f)
+    _require_structure_tensor(s, c)
+    return c
+
+
+@_in_float_range
+def dim3_decompose(s: StructureData, f) -> Decomposition:
+    """decompose(s, f) by the closed forms of dimension 3 over the canonical s.
+
+    With Fijk = F(e_i, e_j, e_k), each class reads its coordinates straight
+    from the tensor, nine in all, as the admissible space at n = 1 has
+    dimension 9:
+
+        F1:  theta(e_1) = F111 - F221,  theta(e_2) = F112 - F211
+        F4:  (F110 - F220) / 2          F8:  (F110 + F220) / 2
+        F5:  (F120 + F210) / 2          F9:  (F120 - F210) / 2
+        F10: F011                       F11: F001, F002
+
+    F2, F3, F6 and F7 are identically zero in dimension 3. Requires the
+    canonical s and f admissible (_canonical_dim3); matches decompose then.
+    """
+    c = _canonical_dim3(s, f)
+    out = np.zeros((NUM_CLASSES, 3, 3, 3))
+    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
+    th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
+    f1[1, 1, 1] = f1[1, 2, 2] = th1
+    f1[2, 1, 1] = f1[2, 2, 2] = -th2
+    half = 0.5 * (c[1, 1, 0] - c[2, 2, 0])
+    f4[1, 0, 1] = f4[1, 1, 0] = half
+    f4[2, 0, 2] = f4[2, 2, 0] = -half
+    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * (c[1, 2, 0] + c[2, 1, 0])
+    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = 0.5 * (c[1, 1, 0] + c[2, 2, 0])
+    mu = 0.5 * (c[1, 2, 0] - c[2, 1, 0])
+    f9[1, 0, 2] = f9[1, 2, 0] = mu
+    f9[2, 0, 1] = f9[2, 1, 0] = -mu
+    f10[0, 1, 1] = f10[0, 2, 2] = c[0, 1, 1]
+    f11[0, 1, 0] = f11[0, 0, 1] = c[0, 0, 1]
+    f11[0, 2, 0] = f11[0, 0, 2] = c[0, 0, 2]
+    return _decomposition(c, out)

@@ -1,6 +1,4 @@
-"""Example models and the dimension-3 fast path.
-
-Two sources of concrete structure tensors:
+"""Example models: two sources of concrete structure tensors.
 
 * a family of solvable Lie algebras carrying a left-invariant almost
   contact B-metric structure, where the tensor is computed from the
@@ -10,11 +8,6 @@ Two sources of concrete structure tensors:
 * the unit time-like sphere, realized directly from the closed form of
   its structure tensor at a point (the ambient hypersurface derivation
   is out of scope; the closed form fully exercises the classifier).
-
-For dimension 3 over the canonical structure the eleven component
-formulas collapse to nine coordinates read off the tensor; this module
-provides that fast path, which the dim3 verify suite checks against
-decompose.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ import math
 
 import numpy as np
 
-from .decomposition import NUM_CLASSES, Decomposition, _decomposition
 from .errors import PreconditionError
 from .structure import (
     DEFAULT_ATOL,
@@ -34,9 +26,8 @@ from .structure import (
     _real,
     _sealed,
     canonical_structure,
-    is_canonical_basis,
 )
-from .tensors import _require_structure_tensor, _sym_pair, _tensor
+from .tensors import _sym_pair, _tensor
 
 __all__ = [
     "lie_family",
@@ -45,7 +36,6 @@ __all__ = [
     "connection_residuals",
     "structure_tensor_from_connection",
     "sphere_structure_tensor",
-    "dim3_decompose",
 ]
 
 
@@ -160,52 +150,3 @@ def sphere_structure_tensor(n: int, t: float) -> tuple:
     s, t = canonical_structure(n), _real(t, "t")
     comps = -math.cos(t) * _sym_pair(s.phi_g_phi, s.eta) - math.sin(t) * _sym_pair(s.g_phi, s.eta)
     return s, _sealed(comps)
-
-
-def _canonical_dim3(s: StructureData, f) -> np.ndarray:
-    """f checked by _tensor for a canonical dimension-3 structure s, and admitted by the gate
-    decompose asks (_require_structure_tensor): for n = 1 its two identities are the eighteen
-    entry relations the closed forms rely on (F101 = F110, F222 = F211, F000 = 0, ...)."""
-    if s.dim != 3:
-        raise ValueError(f"expected a dimension-3 structure, got dimension {s.dim}")
-    if not is_canonical_basis(s):
-        raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
-    c = _tensor(s, f)
-    _require_structure_tensor(s, c)
-    return c
-
-
-@_in_float_range
-def dim3_decompose(s: StructureData, f) -> Decomposition:
-    """decompose(s, f) by the closed forms of dimension 3 over the canonical s.
-
-    With Fijk = F(e_i, e_j, e_k), each class reads its coordinates straight
-    from the tensor, nine in all, as the admissible space at n = 1 has
-    dimension 9:
-
-        F1:  theta(e_1) = F111 - F221,  theta(e_2) = F112 - F211
-        F4:  (F110 - F220) / 2          F8:  (F110 + F220) / 2
-        F5:  (F120 + F210) / 2          F9:  (F120 - F210) / 2
-        F10: F011                       F11: F001, F002
-
-    F2, F3, F6 and F7 are identically zero in dimension 3. Requires the
-    canonical s and f admissible (_canonical_dim3); matches decompose then.
-    """
-    c = _canonical_dim3(s, f)
-    out = np.zeros((NUM_CLASSES, 3, 3, 3))
-    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
-    th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
-    f1[1, 1, 1] = f1[1, 2, 2] = th1
-    f1[2, 1, 1] = f1[2, 2, 2] = -th2
-    half = 0.5 * (c[1, 1, 0] - c[2, 2, 0])
-    f4[1, 0, 1] = f4[1, 1, 0] = half
-    f4[2, 0, 2] = f4[2, 2, 0] = -half
-    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * (c[1, 2, 0] + c[2, 1, 0])
-    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = 0.5 * (c[1, 1, 0] + c[2, 2, 0])
-    mu = 0.5 * (c[1, 2, 0] - c[2, 1, 0])
-    f9[1, 0, 2] = f9[1, 2, 0] = mu
-    f9[2, 0, 1] = f9[2, 1, 0] = -mu
-    f10[0, 1, 1] = f10[0, 2, 2] = c[0, 1, 1]
-    f11[0, 1, 0] = f11[0, 0, 1] = c[0, 0, 1]
-    f11[0, 2, 0] = f11[0, 0, 2] = c[0, 0, 2]
-    return _decomposition(c, out)

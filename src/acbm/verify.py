@@ -146,12 +146,12 @@ def decomposition_suite(seeds: int) -> list:
             plus_l2 = d.components[7] + d.components[8]
             minus_l2 = f456 + d.components[6]
             w.add("w2 eigenspaces", _max_abs(
-                dec.w2_involution(s, plus_l1, 1) - plus_l1, dec.w2_involution(s, minus_l1, 1) + minus_l1,
-                dec.w2_involution(s, plus_l2, 2) - plus_l2, dec.w2_involution(s, minus_l2, 2) + minus_l2,
+                dec._involution(s, plus_l1, 1) - plus_l1, dec._involution(s, minus_l1, 1) + minus_l1,
+                dec._involution(s, plus_l2, 2) - plus_l2, dec._involution(s, minus_l2, 2) + minus_l2,
             ) / scale)
             # involution oracle: (p2 f + L1 - L2 - L2 L1)/4 on p2 f is F4 + F5 + F6
-            l1 = dec.w2_involution(s, projs[1], 1)
-            oracle = projs[1] + l1 - dec.w2_involution(s, projs[1], 2) - dec.w2_involution(s, l1, 2)
+            l1 = dec._involution(s, projs[1], 1)
+            oracle = projs[1] + l1 - dec._involution(s, projs[1], 2) - dec._involution(s, l1, 2)
             w.add("involution oracle", _max_abs(0.25 * oracle - f456) / scale)
             # W2,1 refinement
             lf4, lf5, lf6 = (lee_forms(s, d.components[i]) for i in (3, 4, 5))
@@ -290,7 +290,7 @@ def dim3_suite(seeds: int) -> list:
         comps = dec.decompose(s, f).components
         for i in (2, 3, 6, 7):
             w.add("components 2,3,6,7 vanish", _max_abs(comps[i - 1]) / scale)
-        for closed_form, comp in zip(models.dim3_decompose(s, f).components, comps):
+        for closed_form, comp in zip(dec.dim3_decompose(s, f).components, comps):
             w.add("fast path matches general", _max_abs(closed_form - comp) / scale)
     return w.results()
 

@@ -84,6 +84,7 @@ _TIGHTER = {
     ("decomposition", "closure"): 1e-13,
     ("decomposition", "class predicates"): 1e-13,
     ("group", "space invariance"): 1e-12,
+    ("group", "component equivariance"): 1e-12,
     ("models", "family membership"): 1e-12,
 }
 

@@ -10,7 +10,7 @@ import pytest
 import acbm
 from acbm import fileio, tensors
 from acbm.cli import main
-from acbm.decomposition import classify, component, decompose, project_w
+from acbm.decomposition import classify, component, decompose, dim3_decompose, project_w, w2_involution
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_RTOL, MAX_DIM, StructureData, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, membership_residuals, random_structure_tensor
@@ -70,7 +70,10 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     assert is_structure_tensor(s, t) is admissible
     path = tmp_path / "t.json"
     path.write_text(fileio.dumps(fileio.tensor_to_doc(s, t)))
-    maps = (decompose, classify, lambda s, t: component(s, t, 1), lambda s, t: project_w(s, t, 1))
+    maps = (
+        decompose, classify, dim3_decompose, lambda s, t: component(s, t, 1),
+        lambda s, t: project_w(s, t, 1), lambda s, t: w2_involution(s, t, 1),
+    )
     if admissible:
         for call in maps:
             call(s, t)

@@ -167,18 +167,6 @@ class TestClassify:
             lines.append(capsys.readouterr().out.splitlines()[0])
         assert lines == ["classes: " + " ".join(f"F{i}" for i in range(1, 12))] * 2
 
-    def test_jacobi_violation_exit_3(self, tmp_path, capsys):
-        doc = {
-            "n": 1,
-            "brackets": [
-                {"i": 0, "j": 1, "coeffs": [0.0, 0.0, 1.0]},
-                {"i": 1, "j": 2, "coeffs": [0.0, 1.0, 0.0]},
-            ],
-        }
-        path = write(tmp_path, "nojacobi.json", doc)
-        assert main(["classify", path]) == 3
-        assert "Jacobi" in capsys.readouterr().err
-
     def test_json_format_and_out_file(self, tmp_path):
         lie = write(
             tmp_path,
@@ -315,6 +303,32 @@ class TestGen:
         assert "classes: F9 F10" in capsys.readouterr().out
         assert main(["gen", "liegroup", "--n", "1", "--a", "-0.5,1.5"]) == 2
         assert capsys.readouterr() == ("", "error: argument --a: expected one argument\n")
+
+
+# Each command that reads a document, with what it prints for the tensor f on s.
+_READERS = {
+    "classify": (["classify"], lambda s, f: fileio.format_report_text(acbm.classify(s, f))),
+    "project-class-index": (
+        ["project", "--class-index", "9"], lambda s, f: fileio.dumps(fileio.tensor_to_doc(s, acbm.component(s, f, 9)))
+    ),
+    "project-w": (["project", "--w", "2"], lambda s, f: fileio.dumps(fileio.tensor_to_doc(s, acbm.project_w(s, f, 2)))),
+}
+
+
+@pytest.mark.parametrize("command, printed", list(_READERS.values()), ids=list(_READERS))
+def test_lie_document_is_read_as_its_koszul_tensor(tmp_path, capsys, command, printed):
+    """classify and project read a Lie-algebra document as the structure tensor
+    of its Levi-Civita connection, and refuse one that breaks the Jacobi identity."""
+    src = str(tmp_path / "lie.json")
+    assert main(["gen", "liegroup", "--n", "1", "--a", "1.0,1.0", "--out", src]) == 0
+    s, c = acbm.lie_family(1, [1.0, 1.0])
+    f = acbm.structure_tensor_from_connection(s, acbm.koszul_connection(s, c))
+    assert main([command[0], src, *command[1:]]) == 0
+    assert capsys.readouterr() == (printed(s, f), "")
+    brackets = [{"i": 0, "j": 1, "coeffs": [0.0, 0.0, 1.0]}, {"i": 1, "j": 2, "coeffs": [0.0, 1.0, 0.0]}]
+    path = write(tmp_path, "nojacobi.json", {"n": 1, "brackets": brackets})
+    assert main([command[0], path, *command[1:]]) == 3
+    assert capsys.readouterr() == ("", "error: bracket table violates the Jacobi identity\n")
 
 
 class TestProject:

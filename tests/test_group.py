@@ -206,12 +206,3 @@ class TestEquivariance:
             for i in range(1, NUM_CLASSES + 1):
                 diff = component(s, af, i) - act(s, elem, component(s, f, i))
                 assert _max_abs(diff) <= 1e-12 * scale
-
-    def test_dim3_discrete_equivariance(self, s1):
-        elem = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
-        for seed in range(10):
-            f = random_structure_tensor(s1, seed)
-            af = act(s1, elem, f)
-            for i in range(1, NUM_CLASSES + 1):
-                diff = component(s1, af, i) - act(s1, elem, component(s1, f, i))
-                assert _max_abs(diff) <= 1e-12

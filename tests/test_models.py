@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acbm import fileio, models
-from acbm.decomposition import classify, decompose
+from acbm import decomposition, fileio
+from acbm.decomposition import classify, decompose, dim3_decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
     check_jacobi,
-    dim3_decompose,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -341,7 +340,7 @@ class TestDim3Components:
         the gate, F000 moved by 1, an entry no coordinate reads."""
         broken = np.array(random_structure_tensor(s1, 0))
         broken[0, 0, 0] += 1.0
-        monkeypatch.setattr(models, "_canonical_dim3", lambda *args, **kwargs: broken)
+        monkeypatch.setattr(decomposition, "_canonical_dim3", lambda *args, **kwargs: broken)
         residual = 1.0 / _max_abs(broken)
         with pytest.raises(PreconditionError) as info:
             dim3_decompose(s1, random_structure_tensor(s1, 0))

@@ -6,6 +6,7 @@ from acbm.decomposition import (
     classify,
     component,
     decompose,
+    dim3_decompose,
     project_w,
     w2_involution,
 )
@@ -13,7 +14,6 @@ from acbm.group import act, random_group_element
 from acbm.models import (
     check_jacobi,
     connection_residuals,
-    dim3_decompose,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
