@@ -86,11 +86,14 @@ class ClassReport:
     """
 
     present: tuple
-    is_F0: bool
     magnitudes: np.ndarray
     rel_tol: float
     input_magnitude: float
     reconstruction_residual: float
+
+    @property
+    def is_F0(self) -> bool:
+        return not self.present
 
     def class_names(self) -> tuple:
         return tuple(CLASS_NAMES[i - 1] for i in self.present)
@@ -319,12 +322,9 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     c = _tensor(s, f)
     dec = _decompose(s, c)
     threshold = rel_tol * _scale(c)
-    present = tuple(
-        i for i in range(1, NUM_CLASSES + 1) if dec.magnitudes[i - 1] > threshold
-    )
+    present = tuple(i for i in range(1, NUM_CLASSES + 1) if dec.magnitudes[i - 1] > threshold)
     return ClassReport(
         present=present,
-        is_F0=not present,
         magnitudes=dec.magnitudes,
         rel_tol=rel_tol,
         input_magnitude=_max_abs(c),

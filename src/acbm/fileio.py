@@ -210,7 +210,7 @@ def lie_to_doc(s: StructureData, c) -> dict:
 def report_to_doc(report: ClassReport) -> dict:
     return {
         "present": list(report.class_names()),
-        "is_F0": bool(report.is_F0),
+        "is_F0": report.is_F0,
         "magnitudes": _float_list(report.magnitudes),
         "input_magnitude": float(report.input_magnitude),
         "reconstruction_residual": float(report.reconstruction_residual),

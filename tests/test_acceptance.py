@@ -83,6 +83,7 @@ _TIGHTER = {
     ("decomposition", "projector self-adjointness"): 1e-12,
     ("decomposition", "closure"): 1e-13,
     ("decomposition", "class predicates"): 1e-13,
+    ("decomposition", "w2 eigenspaces"): 1e-12,
     ("group", "space invariance"): 1e-12,
     ("group", "component equivariance"): 1e-12,
     ("models", "family membership"): 1e-12,

@@ -16,31 +16,16 @@ class TestRandomGroupElement:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("seed", range(20))
     def test_seed_parity_picks_the_component(self, n, seed):
-        """det(A + iB) = (-1)^seed; at n = 1 the element is diag(1, +-1, +-1)."""
+        """A valid element in the exact block form of its blocks A, B, with q = A + iB
+        complex orthogonal (q^T q = I holds both block conditions, as its real and
+        imaginary parts) and det q = (-1)^seed; at n = 1 it is diag(1, +-1, +-1)."""
         a, sign = random_group_element(n, seed), (-1) ** seed
         assert validate_group_element(canonical_structure(n), a)
         q = a[1 : n + 1, 1 : n + 1] + 1j * a[1 : n + 1, n + 1 :]
+        blocks = (sign * np.eye(1), np.zeros((1, 1))) if n == 1 else (q.real, q.imag)
+        np.testing.assert_array_equal(a, group_element_from_blocks(n, *blocks))
+        assert _max_abs(q.T @ q - np.eye(n)) <= 1e-12
         assert abs(np.linalg.det(q) - sign) <= 1e-12
-        if n == 1:
-            np.testing.assert_array_equal(a, group_element_from_blocks(1, sign * np.eye(1), np.zeros((1, 1))))
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_block_conditions(self, seed):
-        a = random_group_element(2, seed)
-        a_block, b_block = a[1:3, 1:3], a[1:3, 3:5]
-        np.testing.assert_allclose(
-            a_block.T @ a_block - b_block.T @ b_block, np.eye(2), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            b_block.T @ a_block + a_block.T @ b_block, np.zeros((2, 2)), atol=1e-9
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_structure_preservation(self, seed, s2):
-        a = random_group_element(2, seed)
-        np.testing.assert_allclose(a @ s2.phi, s2.phi @ a, atol=1e-9)
-        np.testing.assert_allclose(a.T @ s2.g @ a, s2.g, atol=1e-9)
-        np.testing.assert_allclose(a @ s2.xi, s2.xi, atol=1e-12)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(random_group_element(3, 99), random_group_element(3, 99))
@@ -62,12 +47,6 @@ class TestValidateGroupElement:
 
     def test_scaled_identity_fails(self, s2):
         assert not validate_group_element(s2, 2.0 * np.eye(5))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_fifty_seeds(self, n):
-        s = canonical_structure(n)
-        for seed in range(50):
-            assert validate_group_element(s, random_group_element(n, seed))
 
     def test_shape_mismatch(self, s2):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Property tests over hypothesis-drawn seeds, scales and class subsets,
-and over malformed document fields.
+over single-entry moves of a dimension-3 tensor and over malformed
+document fields.
 
 Inputs are admissible tensors on canonical and non-canonical structures
 (the change of basis of conftest.random_structure). Examples are
@@ -11,13 +12,15 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acbm.cli import main
-from acbm.decomposition import NUM_CLASSES, classify, component, decompose
-from acbm.structure import _max_abs, canonical_structure
-from acbm.tensors import random_structure_tensor
+from acbm.decomposition import NUM_CLASSES, classify, component, decompose, dim3_decompose
+from acbm.errors import PreconditionError
+from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
+from acbm.tensors import _require_structure_tensor, _scale, is_structure_tensor, random_structure_tensor
 
 from conftest import random_structure
 
@@ -48,12 +51,87 @@ def test_classify_is_scale_free(sf, classes, exponent):
 
 
 @_SETTINGS
-@given(tensors(), st.integers(1, NUM_CLASSES))
-def test_component_is_idempotent(sf, i):
+@given(tensors())
+def test_component_is_idempotent(sf):
+    """component_i fixes its own output and component_j kills it, j != i: within
+    1e-12 of max(1, max-abs f), for every i. decompose gives each component_j,
+    bit for bit (tests/test_kernel.py). At n = 1, F2, F3, F6 and F7 are 0, so
+    their components are rounding noise, which the gate refuses in a changed basis."""
     s, f = sf
-    ci = component(s, f, i)
     scale = max(_max_abs(f), 1.0)
-    assert _max_abs(component(s, ci, i) - ci) <= 1e-12 * scale
+    for i in range(1, NUM_CLASSES + 1):
+        if s.n == 1 and i in (2, 3, 6, 7):
+            continue
+        ci = component(s, f, i)
+        want = np.zeros((NUM_CLASSES,) + f.shape)
+        want[i - 1] = ci
+        assert _max_abs(decompose(s, ci).components - want) <= 1e-12 * scale
+
+
+# The eighteen entry relations of an admissible tensor in dimension 3 over the
+# canonical structure, slot symmetry and the phi relation written out: nine
+# pairs of index triples that agree and nine triples that vanish. They involve
+# 27 distinct entries and are independent, so they cut out a space of
+# dimension 9, the admissible space at n = 1. An oracle independent of the
+# membership gate.
+_DIM3_EQUAL_PAIRS = (
+    ((1, 0, 1), (1, 1, 0)),
+    ((2, 0, 2), (2, 2, 0)),
+    ((1, 0, 2), (1, 2, 0)),
+    ((2, 0, 1), (2, 1, 0)),
+    ((0, 1, 1), (0, 2, 2)),
+    ((0, 0, 1), (0, 1, 0)),
+    ((0, 0, 2), (0, 2, 0)),
+    ((1, 1, 1), (1, 2, 2)),
+    ((2, 1, 1), (2, 2, 2)),
+)
+_DIM3_ZERO_TRIPLES = (
+    (0, 0, 0),
+    (1, 0, 0),
+    (2, 0, 0),
+    (0, 1, 2),
+    (0, 2, 1),
+    (1, 1, 2),
+    (1, 2, 1),
+    (2, 2, 1),
+    (2, 1, 2),
+)
+
+
+def _dim3_oracle_admits(c: np.ndarray) -> bool:
+    """The eighteen relations, each within DEFAULT_RTOL relative to _scale(c):
+    the bound of the membership gate."""
+    bound = DEFAULT_RTOL * _scale(c)
+    pairs_agree = all(abs(c[left] - c[right]) <= bound for left, right in _DIM3_EQUAL_PAIRS)
+    return pairs_agree and all(abs(c[triple]) <= bound for triple in _DIM3_ZERO_TRIPLES)
+
+
+@pytest.mark.parametrize("entry", list(np.ndindex(3, 3, 3)))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    exponent=st.integers(-12, 12),
+    size=st.floats(-11.0, -6.0),
+    negative=st.booleans(),
+)
+def test_dim3_gate_agrees_with_the_eighteen_relations(entry, seed, exponent, size, negative):
+    """One entry of an admissible tensor of max-abs about 10^exponent, moved by
+    10^size of that magnitude: the gate admits it exactly when the eighteen
+    relations hold, and dim3_decompose refuses every tensor they reject, with
+    the gate's message. An admitted tensor meets only the gate here:
+    dim3_decompose may still refuse it (ROADMAP item 16)."""
+    s = canonical_structure(1)
+    f = random_structure_tensor(s, seed) * 10.0**exponent
+    c = np.array(f)
+    c[entry] += (-1.0 if negative else 1.0) * 10.0**size * _max_abs(f)
+    admitted = _dim3_oracle_admits(c)
+    assert is_structure_tensor(s, c) is admitted
+    if not admitted:
+        with pytest.raises(PreconditionError) as gate:
+            _require_structure_tensor(s, c)
+        with pytest.raises(PreconditionError) as info:
+            dim3_decompose(s, c)
+        assert str(info.value) == str(gate.value)
 
 
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False, width=32) | st.integers(-9, 9)

@@ -10,6 +10,7 @@ from acbm.decomposition import (
     project_w,
     w2_involution,
 )
+from acbm.errors import PreconditionError
 from acbm.group import act, random_group_element
 from acbm.models import (
     check_jacobi,
@@ -21,6 +22,7 @@ from acbm.models import (
 )
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import (
+    _require_structure_tensor,
     embed_structure_tensor,
     inner_product,
     is_structure_tensor,
@@ -39,20 +41,27 @@ class TestMembership:
     def test_f8_form(self, s1):
         assert is_structure_tensor(s1, f8_form())
 
-    def test_single_vertical_entry_fails(self, s1):
+    @pytest.mark.parametrize(
+        "entries, detail",
+        [
+            ({(0, 0, 1): 1.0, (1, 2, 0): 1.0}, "slot_symmetry residual 1.000e+00"),
+            ({(0, 0, 0): 1.0, (0, 0, 1): 1e-10}, "phi_relation residual 1.000e+00"),
+            ({(0, 0, 0): 1.0, (0, 0, 1): 2.5e-3},
+             "slot_symmetry residual 2.500e-03, phi_relation residual 1.000e+00"),
+        ],
+        ids=["slot-symmetry", "phi-relation", "both"],
+    )
+    def test_refusal_names_each_residual_above_the_bound(self, s1, entries, detail):
+        """The gate's one message: each membership residual above DEFAULT_RTOL
+        times the tensor's max-abs, in .3e, and only those. F(xi, xi, xi) = 1
+        breaks only the phi relation, which forces F(x, xi, xi) = 0."""
         c = np.zeros((3, 3, 3))
-        c[0, 0, 0] = 1.0
-        # the phi relation forces F(x, xi, xi) = 0
+        for entry, value in entries.items():
+            c[entry] = value
         assert not is_structure_tensor(s1, c)
-        assert membership_residuals(s1, c)["phi_relation"] == pytest.approx(1.0)
-
-    def test_verdict_does_not_depend_on_scale(self):
-        s = random_structure(2, 0)
-        raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 5, 5))
-        f = random_structure_tensor(s, 0)
-        for scale in (1e-300, 1e-25, 1e-10, 1.0, 1e10):
-            assert not is_structure_tensor(s, scale * raw)
-            assert is_structure_tensor(s, scale * f)
+        with pytest.raises(PreconditionError) as info:
+            _require_structure_tensor(s1, c)
+        assert str(info.value) == f"tensor is not an admissible structure tensor: {detail}"
 
     def test_dimension_mismatch(self, s1):
         with pytest.raises(ValueError):
@@ -69,12 +78,15 @@ class TestMembership:
 
 class TestEmbedding:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("seed", range(17))
-    def test_image_is_admissible(self, n, seed):
-        s = canonical_structure(n)
-        rng = np.random.default_rng(seed)
-        raw = rng.uniform(-1.0, 1.0, (s.dim,) * 3)
-        assert is_structure_tensor(s, embed_structure_tensor(s, raw))
+    @pytest.mark.parametrize("pushed", [False, True], ids=["canonical", "pushed"])
+    def test_image_is_admissible(self, pushed, n):
+        """The embedding of a uniform draw from [-1, 1], which is what
+        random_structure_tensor returns, is admissible and not 0, at 100 seeds."""
+        for seed in range(100):
+            s = random_structure(n, seed) if pushed else canonical_structure(n)
+            f = embed_structure_tensor(s, np.random.default_rng(seed).uniform(-1.0, 1.0, (s.dim,) * 3))
+            np.testing.assert_array_equal(random_structure_tensor(s, seed), f)
+            assert is_structure_tensor(s, f) and _max_abs(f) > 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
     def test_idempotent(self, seed):
@@ -93,13 +105,6 @@ class TestEmbedding:
         c[0, 0, 0] = 1.0
         assert _max_abs(embed_structure_tensor(s1, c)) == 0.0
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_non_canonical_structure(self, seed):
-        s = random_structure(2, seed)
-        rng = np.random.default_rng(seed)
-        raw = rng.uniform(-1.0, 1.0, (s.dim,) * 3)
-        assert is_structure_tensor(s, embed_structure_tensor(s, raw))
-
 
 class TestRandomStructureTensor:
     def test_deterministic(self, s2):
@@ -111,12 +116,6 @@ class TestRandomStructureTensor:
         a = random_structure_tensor(s2, 0)
         b = random_structure_tensor(s2, 1)
         assert _max_abs(a - b) > 1e-6
-
-    def test_hundred_seeds_admissible_and_nonzero(self, s1):
-        for seed in range(100):
-            f = random_structure_tensor(s1, seed)
-            assert is_structure_tensor(s1, f)
-            assert _max_abs(f) > 1e-6
 
 
 class TestInnerProduct:
