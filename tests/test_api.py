@@ -53,7 +53,7 @@ def test_public_api():
     assert all(namespace[name] is getattr(acbm, name) for name in PUBLIC)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-25, 1e-10, 1.0, 1e10, 1e300])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_gate_parity(tmp_path, capsys, scale, ratio):
     """is_structure_tensor, every map on the admissible space and `acbm project`

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,12 @@ class TestMembership:
 
 
 class TestEmbedding:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("pushed", [False, True], ids=["canonical", "pushed"])
-    def test_image_is_admissible(self, pushed, n):
+    @pytest.mark.parametrize("seed", range(100))
+    def test_image_is_admissible(self, seed):
         """The embedding of a uniform draw from [-1, 1], which is what
-        random_structure_tensor returns, is admissible and not 0, at 100 seeds."""
-        for seed in range(100):
+        random_structure_tensor returns, is admissible and not 0, at n = 1..3 on
+        canonical_structure(n) and random_structure(n, seed)."""
+        for n, pushed in itertools.product((1, 2, 3), (False, True)):
             s = random_structure(n, seed) if pushed else canonical_structure(n)
             f = embed_structure_tensor(s, np.random.default_rng(seed).uniform(-1.0, 1.0, (s.dim,) * 3))
             np.testing.assert_array_equal(random_structure_tensor(s, seed), f)
