@@ -15,7 +15,6 @@ from .decomposition import (
     classify,
     component,
     decompose,
-    dim3_decompose,
     project_w,
     w2_involution,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "component",
     "connection_residuals",
     "decompose",
-    "dim3_decompose",
     "group_element_from_blocks",
     "inner_product",
     "is_structure_tensor",

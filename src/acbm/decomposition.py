@@ -17,8 +17,8 @@ two commuting involutions, W3 = F10 and W4 = F11. Class F0 is the zero
 tensor, contained in every class.
 
 For dimension 3 over the canonical structure the eleven component
-formulas collapse to nine coordinates read off the tensor: dim3_decompose,
-which the dim3 verify suite checks against decompose.
+formulas collapse to nine coordinates read off the tensor; the dim3
+verify suite checks decompose against them.
 
 Component magnitudes are reported as max-abs of entries, never as the
 induced inner product: the metric is indefinite and nonzero components
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .structure import (
-    DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed, is_canonical_basis,
+    DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed,
 )
 from .tensors import (
     _lee_forms,
@@ -54,7 +54,6 @@ __all__ = [
     "component",
     "decompose",
     "classify",
-    "dim3_decompose",
 ]
 
 NUM_CLASSES = 11
@@ -239,27 +238,23 @@ def decompose(s: StructureData, f) -> Decomposition:
     Requires f admissible (the one gate, _require_structure_tensor): the
     component formulas are only meaningful on the admissible space. The
     recorded residual is max-abs(sum of components - f) relative to
-    _scale(f), the max-abs of f; past the fixed bound of _decomposition
+    _scale(f), the max-abs of f; past the fixed bound of _decompose
     it raises PreconditionError.
     """
     return _decompose(s, _tensor(s, f))
 
 
 def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
-    _require_structure_tensor(s, c)
-    arrays = _component_arrays(s, c)
-    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
-    return _decomposition(c, np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
-
-
-def _decomposition(c: np.ndarray, stack: np.ndarray) -> Decomposition:
     """The checked tensor c split into one sealed (11, d, d, d) stack.
 
     The components must sum back to c within DEFAULT_RTOL relative to
     _scale(c): on admissible input the difference is rounding noise at any
     scale.
     """
-    stack = _sealed(stack)
+    _require_structure_tensor(s, c)
+    arrays = _component_arrays(s, c)
+    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
+    stack = _sealed(np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
     total = np.zeros_like(c)
     for a in stack:
         total = total + a
@@ -331,51 +326,3 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
         reconstruction_residual=dec.reconstruction_residual,
     )
 
-
-def _canonical_dim3(s: StructureData, f) -> np.ndarray:
-    """f checked by _tensor for a canonical dimension-3 structure s, and admitted by the gate
-    decompose asks (_require_structure_tensor): for n = 1 its two identities are the eighteen
-    entry relations the closed forms rely on (F101 = F110, F222 = F211, F000 = 0, ...)."""
-    if s.dim != 3:
-        raise ValueError(f"expected a dimension-3 structure, got dimension {s.dim}")
-    if not is_canonical_basis(s):
-        raise PreconditionError("structure is not canonical; the dimension-3 closed forms need it")
-    c = _tensor(s, f)
-    _require_structure_tensor(s, c)
-    return c
-
-
-@_in_float_range
-def dim3_decompose(s: StructureData, f) -> Decomposition:
-    """decompose(s, f) by the closed forms of dimension 3 over the canonical s.
-
-    With Fijk = F(e_i, e_j, e_k), each class reads its coordinates straight
-    from the tensor, nine in all, as the admissible space at n = 1 has
-    dimension 9:
-
-        F1:  theta(e_1) = F111 - F221,  theta(e_2) = F112 - F211
-        F4:  (F110 - F220) / 2          F8:  (F110 + F220) / 2
-        F5:  (F120 + F210) / 2          F9:  (F120 - F210) / 2
-        F10: F011                       F11: F001, F002
-
-    F2, F3, F6 and F7 are identically zero in dimension 3. Requires the
-    canonical s and f admissible (_canonical_dim3); matches decompose then.
-    """
-    c = _canonical_dim3(s, f)
-    out = np.zeros((NUM_CLASSES, 3, 3, 3))
-    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
-    th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
-    f1[1, 1, 1] = f1[1, 2, 2] = th1
-    f1[2, 1, 1] = f1[2, 2, 2] = -th2
-    half = 0.5 * (c[1, 1, 0] - c[2, 2, 0])
-    f4[1, 0, 1] = f4[1, 1, 0] = half
-    f4[2, 0, 2] = f4[2, 2, 0] = -half
-    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = 0.5 * (c[1, 2, 0] + c[2, 1, 0])
-    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = 0.5 * (c[1, 1, 0] + c[2, 2, 0])
-    mu = 0.5 * (c[1, 2, 0] - c[2, 1, 0])
-    f9[1, 0, 2] = f9[1, 2, 0] = mu
-    f9[2, 0, 1] = f9[2, 1, 0] = -mu
-    f10[0, 1, 1] = f10[0, 2, 2] = c[0, 1, 1]
-    f11[0, 1, 0] = f11[0, 0, 1] = c[0, 0, 1]
-    f11[0, 2, 0] = f11[0, 0, 2] = c[0, 0, 2]
-    return _decomposition(c, out)

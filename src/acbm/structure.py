@@ -31,7 +31,6 @@ __all__ = [
     "MAX_DIM",
     "StructureData",
     "canonical_structure",
-    "is_canonical_basis",
 ]
 
 # The tolerances of every check in the package: absolute for algebraic
@@ -244,9 +243,3 @@ def canonical_structure(n: int) -> StructureData:
     s = _CANONICAL[n] = StructureData(n=n, g=g, phi=phi, xi=xi, eta=eta)
     return s
 
-
-def is_canonical_basis(s: StructureData) -> bool:
-    """True when the coordinates of s match canonical_structure(s.n) within DEFAULT_ATOL."""
-    c = canonical_structure(s.n)
-    pairs = ((s.g, c.g), (s.phi, c.phi), (s.xi, c.xi), (s.eta, c.eta))
-    return all(np.max(np.abs(a - b)) <= DEFAULT_ATOL for a, b in pairs)

@@ -102,7 +102,7 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
 
     This is the one admissibility verdict: is_structure_tensor and every map on
     the admissible space (project_w, w2_involution, component, decompose and so
-    classify, the dimension-3 closed forms) ask it, under their own float-range rule.
+    classify) ask it, under their own float-range rule.
     """
     bound = DEFAULT_RTOL * _scale(c)
     # `not <=` so that a NaN residual refuses rather than passes

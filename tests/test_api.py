@@ -10,7 +10,7 @@ import pytest
 import acbm
 from acbm import fileio, tensors
 from acbm.cli import main
-from acbm.decomposition import classify, component, decompose, dim3_decompose, project_w, w2_involution
+from acbm.decomposition import classify, component, decompose, project_w, w2_involution
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_RTOL, MAX_DIM, StructureData, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, membership_residuals, random_structure_tensor
@@ -22,7 +22,7 @@ PUBLIC = [
     "ClassReport", "Decomposition",
     "NUM_CLASSES", "PreconditionError", "StructureData",
     "act", "canonical_structure", "check_jacobi", "classify", "component",
-    "connection_residuals", "decompose", "dim3_decompose",
+    "connection_residuals", "decompose",
     "group_element_from_blocks", "inner_product", "is_structure_tensor",
     "koszul_connection", "lee_forms", "lie_family", "membership_residuals", "project_w",
     "random_group_element", "random_structure_tensor",
@@ -71,7 +71,7 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     path = tmp_path / "t.json"
     path.write_text(fileio.dumps(fileio.tensor_to_doc(s, t)))
     maps = (
-        decompose, classify, dim3_decompose, lambda s, t: component(s, t, 1),
+        decompose, classify, lambda s, t: component(s, t, 1),
         lambda s, t: project_w(s, t, 1), lambda s, t: w2_involution(s, t, 1),
     )
     if admissible:
@@ -193,7 +193,6 @@ OVERFLOWING_CALLS = {
     "structure_tensor_from_connection": lambda s: acbm.structure_tensor_from_connection(
         _S1, _near_max(_S1)
     ),
-    "dim3_decompose": lambda s: acbm.dim3_decompose(_S1, _near_max_admissible(_S1)),
 }
 
 

@@ -342,6 +342,18 @@ class TestProject:
         assert main(["classify", out]) == 0
         assert "classes: F4" in capsys.readouterr().out
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+    def test_projected_noise_classifies(self, tmp_path, capsys):
+        """`classify` reads what `project` writes: here the F8 component of a pure F9
+        tensor in a changed basis, rounding noise that the gate refuses today."""
+        s = random_structure(2, 0)
+        f9 = decomposition.component(s, random_structure_tensor(s, 0), 9)
+        src = tmp_path / "f9.json"
+        src.write_text(fileio.dumps(fileio.tensor_to_doc(s, f9)))
+        out = str(tmp_path / "f8.json")
+        assert main(["project", str(src), "--class-index", "8", "--out", out]) == 0
+        assert main(["classify", out]) == 0
+
     def test_block_projection(self, tmp_path, capsys):
         src = str(tmp_path / "rand.json")
         main(["gen", "random", "--dim", "5", "--seed", "2", "--out", src])

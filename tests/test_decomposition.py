@@ -8,7 +8,6 @@ from acbm.decomposition import (
     classify,
     component,
     decompose,
-    dim3_decompose,
     project_w,
     w2_involution,
 )
@@ -110,6 +109,9 @@ class TestW2Involutions:
             w2_involution(s2, 1e-10 * np.arange(125.0).reshape(5, 5, 5), j)
 
 
+_ITEM_17 = pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+
+
 class TestComponent:
     def test_lie_family_pure_f10(self):
         s, c = lie_family(1, [0.0, 1.0])
@@ -126,6 +128,21 @@ class TestComponent:
             if i != 8:
                 assert _max_abs(component(s1, f, i)) <= 1e-12
 
+    @pytest.mark.parametrize("pushed, n, i", [
+        pytest.param(
+            pushed, n, i, id=f"{'pushed' if pushed else 'canonical'}-{n}-{i}",
+            marks=_ITEM_17 if pushed and i in (2, 3, 6, 7, 8, 10) else (),
+        )
+        for pushed in (False, True) for n in (1, 2, 3) for i in range(1, NUM_CLASSES + 1)
+    ])
+    def test_gate_admits_every_component_of_a_component(self, pushed, n, i):
+        """Each component of the F9 component of a tensor is a tensor every map reads.
+        In a changed basis the classes F9 lacks come out as rounding noise, which the
+        gate judges against its own max-abs and refuses for i = 2, 3, 6, 7, 8 and 10."""
+        s = random_structure(n, 0) if pushed else canonical_structure(n)
+        f9 = component(s, random_structure_tensor(s, 0), 9)
+        assert is_structure_tensor(s, component(s, f9, i))
+
 
 class TestDecompose:
     def test_zero_tensor(self, s1):
@@ -141,6 +158,7 @@ class TestDecompose:
                 assert d.magnitudes[i - 1] > 1e-9
             else:
                 assert d.magnitudes[i - 1] <= 1e-9
+        assert _max_abs(d.components[3] + d.components[4] - f) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_residual_gate(self, n, monkeypatch):
@@ -162,27 +180,17 @@ class TestDecompose:
         )
 
     @pytest.mark.xfail(strict=True, raises=PreconditionError, reason="ROADMAP item 16")
-    @pytest.mark.parametrize("case", ["n1-k65", "n2-k18", "dim3"])
-    def test_decomposes_what_the_gate_admits(self, case):
+    @pytest.mark.parametrize("n, k", [(1, 65), (2, 18)], ids=["n1-k65", "n2-k18"])
+    def test_decomposes_what_the_gate_admits(self, n, k):
         """A tensor the gate admits, off the admissible space by just under its
         bound: the kernel enlarges that part past the same bound, 1e-9 of the
         tensor, on the reconstruction."""
-        if case == "dim3":
-            # the closed forms rebuild F122 as F111 - F221, so the two offsets
-            # of 0.5e-9 add up to the bound; decompose accepts this one
-            call, s = dim3_decompose, canonical_structure(1)
-            f = random_structure_tensor(s, 0)
-            t = np.array(f / _max_abs(f))
-            t[1, 2, 2] += 0.5e-9
-            t[2, 2, 1] += 0.5e-9
-        else:
-            n, k = (1, 65) if case == "n1-k65" else (2, 18)
-            call, s = decompose, random_structure(n, 0)
-            f = random_structure_tensor(s, k)
-            delta = np.random.default_rng(k).uniform(-1.0, 1.0, (s.dim,) * 3)
-            t = f + delta * (0.95e-9 * _max_abs(f) / max(membership_residuals(s, delta).values()))
+        s = random_structure(n, 0)
+        f = random_structure_tensor(s, k)
+        delta = np.random.default_rng(k).uniform(-1.0, 1.0, (s.dim,) * 3)
+        t = f + delta * (0.95e-9 * _max_abs(f) / max(membership_residuals(s, delta).values()))
         assert is_structure_tensor(s, t)
-        call(s, t)
+        decompose(s, t)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_components_are_read_only_and_apart_from_input(self, n):

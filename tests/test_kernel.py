@@ -17,7 +17,7 @@ import acbm.decomposition as dec
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import embed_structure_tensor, random_structure_tensor
-from acbm.verify import run_suite
+from acbm.verify import _dim3_closed_forms, run_suite
 
 from conftest import basis_change, exact, exact_structure, push_structure, random_structure
 
@@ -141,13 +141,13 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
 
 
 def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
-    """One decompose and one dim3_decompose per seed, each checking its tensor once."""
+    """One decompose per seed, checking its tensor once; the closed forms it is
+    compared with read the coordinates of that tensor and ask no gate."""
     single = _count_calls(monkeypatch, "component")
     whole = _count_calls(monkeypatch, "decompose")
-    fast = _count_calls(monkeypatch, "dim3_decompose")
     gate = _count_calls(monkeypatch, "_require_structure_tensor")
     assert all(check.passed for check in run_suite("dim3", 3))
-    assert (len(single), len(whole), len(fast), len(gate)) == (0, 3, 3, 6)
+    assert (len(single), len(whole), len(gate)) == (0, 3, 3)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))
@@ -186,9 +186,11 @@ def test_kernel_keeps_exact_input_exact(t):
     """On Fraction arrays the kernel is exact: the components of an admissible tensor
     sum back to it, are pairwise orthogonal and satisfy their class identities, each
     with residual exactly 0, and no float enters the output (a float literal in the
-    kernel would turn its entries into floats). The float kernel agrees with it."""
+    kernel would turn its entries into floats). In the canonical basis they are the
+    paper's nine coordinates, the dim3 suite's closed forms, entry for entry. The
+    float kernel agrees with it."""
     s = exact_structure(1, t)
-    c = exact(np.random.default_rng(0).integers(-3, 4, (3, 3, 3)))
+    c = exact(np.random.default_rng(1).integers(-3, 4, (3, 3, 3)))  # all nine coordinates nonzero
     # the formula of embed_structure_tensor, in exact arithmetic
     S = (c + c.transpose(0, 2, 1)) / 2
     s_h_xi = -(S @ s.xi) @ s.phi2
@@ -204,6 +206,10 @@ def test_kernel_keeps_exact_input_exact(t):
         assert dec._class_residual(s, stack[i], i + 1) == 0, f"F{i + 1}"
         for j in range(i):
             assert np.einsum("abc,ad,be,cf,def->", stack[i], gi, gi, gi, stack[j]) == 0, (i + 1, j + 1)
+    if np.array_equal(t, np.eye(3)):
+        closed = _dim3_closed_forms(c)
+        assert float not in {type(x) for x in closed.ravel()}
+        assert np.array_equal(closed, stack)
     floats = push_structure(canonical_structure(1), np.asarray(t, dtype=float))
     got = decompose(floats, c.astype(float)).components
     assert _max_abs(got - stack.astype(float)) <= 1e-14 * _max_abs(c.astype(float))

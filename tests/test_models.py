@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from acbm import decomposition, fileio
-from acbm.decomposition import classify, decompose, dim3_decompose
+from acbm import fileio
+from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
     check_jacobi,
@@ -16,7 +16,7 @@ from acbm.models import (
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, lee_forms, random_structure_tensor
 
-from conftest import basis_change, f8_form, f11_form, random_structure
+from conftest import basis_change, f8_form, f11_form
 
 
 def family_tensor(n, params):
@@ -140,7 +140,7 @@ class TestFamilyStructureTensor:
         # F9 coordinate (F120 - F210) / 2 = a1, F10 coordinate F011 = -2 a2
         a1, a2 = 0.7, -1.2
         s, f = family_tensor(1, [a1, a2])
-        comps = dim3_decompose(s, f).components
+        comps = decompose(s, f).components
         assert comps[8][1, 0, 2] == pytest.approx(a1)
         assert comps[9][0, 1, 1] == pytest.approx(-2 * a2)
 
@@ -196,55 +196,4 @@ class TestDim3LeeForms:
         lf = lee_forms(s1, f)
         for got, want in zip((lf.theta, lf.theta_star, lf.omega), _dim3_lee_forms(f)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-class TestDim3Components:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_closed_forms_beyond_the_suite(self, seed, s1):
-        """What the dim3 suite does not assert: F2, F3, F6 and F7 of the closed
-        forms are exactly 0.0, and they sum back to the tensor within 1e-15."""
-        f = random_structure_tensor(s1, seed)
-        fast, general = dim3_decompose(s1, f), decompose(s1, f)
-        assert _max_abs(fast.components[[1, 2, 5, 6]]) == 0.0
-        np.testing.assert_allclose(fast.magnitudes, general.magnitudes, rtol=0, atol=1e-12)
-        assert fast.reconstruction_residual <= 1e-15
-
-    def test_sphere_splits_into_f4_f5(self):
-        s, f = sphere_structure_tensor(1, math.pi / 4)
-        comps = dim3_decompose(s, f).components
-        recon = comps[3] + comps[4]
-        assert _max_abs(recon - f) <= 1e-12
-
-    def test_rejects_wrong_dim(self, s1, s2):
-        with pytest.raises(ValueError, match="expected a dimension-3 structure"):
-            dim3_decompose(s2, np.zeros((5, 5, 5)))
-        with pytest.raises(ValueError):
-            dim3_decompose(s1, np.zeros((5, 5, 5)))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rejects_non_canonical_structure(self, seed):
-        s = random_structure(1, seed)
-        f = random_structure_tensor(s, seed)  # admissible for s
-        with pytest.raises(PreconditionError, match="^structure is not canonical;"):
-            dim3_decompose(s, f)
-
-    @pytest.mark.parametrize("scale", [1e-10, 1e-300, 1e-315, 1e10])
-    def test_accepts_admissible_at_any_scale(self, s1, scale):
-        f = scale * random_structure_tensor(s1, 0)
-        fast, general = dim3_decompose(s1, f), decompose(s1, f)
-        for c_fast, c_general in zip(fast.components, general.components):
-            assert _max_abs(c_fast - c_general) <= 1e-12 * scale
-
-    def test_residual_gate(self, s1, monkeypatch):
-        """Closed forms that do not sum back are refused, naming the residual: past
-        the gate, F000 moved by 1, an entry no coordinate reads."""
-        broken = np.array(random_structure_tensor(s1, 0))
-        broken[0, 0, 0] += 1.0
-        monkeypatch.setattr(decomposition, "_canonical_dim3", lambda *args, **kwargs: broken)
-        residual = 1.0 / _max_abs(broken)
-        with pytest.raises(PreconditionError) as info:
-            dim3_decompose(s1, random_structure_tensor(s1, 0))
-        assert str(info.value) == (
-            f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
-        )
 

@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acbm.cli import main
-from acbm.decomposition import NUM_CLASSES, classify, component, decompose, dim3_decompose
-from acbm.errors import PreconditionError
+from acbm.decomposition import NUM_CLASSES, classify, component, decompose
 from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
-from acbm.tensors import _require_structure_tensor, _scale, is_structure_tensor, random_structure_tensor
+from acbm.tensors import _scale, is_structure_tensor, random_structure_tensor
 
 from conftest import random_structure
 
@@ -116,21 +115,12 @@ def _dim3_oracle_admits(c: np.ndarray) -> bool:
 def test_dim3_gate_agrees_with_the_eighteen_relations(entry, seed, exponent, size, negative):
     """One entry of an admissible tensor of max-abs about 10^exponent, moved by
     10^size of that magnitude: the gate admits it exactly when the eighteen
-    relations hold, and dim3_decompose refuses every tensor they reject, with
-    the gate's message. An admitted tensor meets only the gate here:
-    dim3_decompose may still refuse it (ROADMAP item 16)."""
+    relations hold."""
     s = canonical_structure(1)
     f = random_structure_tensor(s, seed) * 10.0**exponent
     c = np.array(f)
     c[entry] += (-1.0 if negative else 1.0) * 10.0**size * _max_abs(f)
-    admitted = _dim3_oracle_admits(c)
-    assert is_structure_tensor(s, c) is admitted
-    if not admitted:
-        with pytest.raises(PreconditionError) as gate:
-            _require_structure_tensor(s, c)
-        with pytest.raises(PreconditionError) as info:
-            dim3_decompose(s, c)
-        assert str(info.value) == str(gate.value)
+    assert is_structure_tensor(s, c) is _dim3_oracle_admits(c)
 
 
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False, width=32) | st.integers(-9, 9)

@@ -13,7 +13,6 @@ from acbm.structure import (
     _axiom_residuals,
     _max_abs,
     canonical_structure,
-    is_canonical_basis,
 )
 from acbm.tensors import random_structure_tensor
 
@@ -268,7 +267,3 @@ class TestProjectors:
         rhs = -(x @ s.g @ y) + (s.eta @ x) * (s.eta @ y)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-
-def test_is_canonical_basis(s1):
-    assert is_canonical_basis(s1)
-    assert not is_canonical_basis(random_structure(1, 0))

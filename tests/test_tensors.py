@@ -8,7 +8,6 @@ from acbm.decomposition import (
     classify,
     component,
     decompose,
-    dim3_decompose,
     project_w,
     w2_involution,
 )
@@ -220,7 +219,6 @@ TENSOR_TAKERS = {
     "decompose": lambda s, f: decompose(s, f),
     "classify": lambda s, f: classify(s, f),
     "act": lambda s, f: act(s, np.eye(3), f),
-    "dim3_decompose": lambda s, f: dim3_decompose(s, f),
     "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
     "structure_tensor_from_connection": lambda s, f: structure_tensor_from_connection(s, f),
     "connection_residuals connection": lambda s, f: connection_residuals(s, np.zeros((3, 3, 3)), f),
@@ -289,7 +287,7 @@ class TestTensorInput:
         f = random_structure_tensor(s1, 0)
         np.testing.assert_array_equal(lee_forms(s1, f.tolist()).theta, lee_forms(s1, f).theta)
 
-    def test_returned_tensors_are_read_only(self, s1, s2):
+    def test_returned_tensors_are_read_only(self, s2):
         f = random_structure_tensor(s2, 0)
         p2 = project_w(s2, f, 2)
         _, c = lie_family(2, [0.5, -1.0, 2.0, 0.25])  # on s2, the canonical structure
@@ -310,8 +308,6 @@ class TestTensorInput:
             decompose(s2, f).magnitudes,
             classify(s2, f).magnitudes,
             *vars(lee_forms(s2, f)).values(),
-            dim3_decompose(s1, random_structure_tensor(s1, 0)).components,
-            dim3_decompose(s1, random_structure_tensor(s1, 0)).magnitudes,
             fileio.tensor_from_doc(fileio.tensor_to_doc(s2, f))[1],
         ]
         for t in results:
