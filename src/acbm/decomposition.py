@@ -105,8 +105,8 @@ def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -
 
 def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Matrix M[j,k] = F(xi, e_j, e_k)."""
-    d = c.shape[0]
-    return (xi @ c.reshape(d, -1)).reshape(d, d)
+    d = c.shape[-1]
+    return (xi @ c.reshape(*c.shape[:-3], d, -1)).reshape(c.shape[:-1])
 
 
 @_in_float_range
@@ -129,13 +129,13 @@ def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     if i == 2:
         m_x_xi_z = P.T @ (xi @ c) @ P
         m_x_y_xi = _xi_bracket(c, P, P, xi)
-        return m_x_xi_z[:, None, :] * eta[:, None] + m_x_y_xi[:, :, None] * eta
+        return m_x_xi_z[..., :, None, :] * eta[:, None] + m_x_y_xi[..., :, :, None] * eta
     m_xi = _xi_first(c, xi)
     if i == 3:
-        return eta[:, None, None] * (P.T @ m_xi @ P)
+        return eta[:, None, None] * (P.T @ m_xi @ P)[..., None, :, :]
     u = (xi @ m_xi) @ P
     w = (m_xi @ xi) @ P
-    return -eta[:, None, None] * (np.outer(eta, u) + np.outer(w, eta))
+    return -eta[:, None, None] * (eta[:, None] * u[..., None, :] + w[..., :, None] * eta)[..., None, :, :]
 
 
 @_in_float_range
@@ -175,22 +175,24 @@ def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
     phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
     two_n = 2 * s.n
     lf = _lee_forms(s, c)
-    t_phi = phi.T @ lf.theta
-    t_phi2 = P.T @ lf.theta
+    t_phi = (lf.theta @ phi)[..., None, None, :]  # phi^T theta
+    t_phi2 = (lf.theta @ P)[..., None, None, :]
     f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
-    f1 += s.phi_g_phi[:, None, :] * t_phi2[:, None] + s.g_phi[:, None, :] * t_phi[:, None]
-    f4 = -(lf.theta @ xi / two_n) * _sym_pair(s.phi_g_phi, eta)
-    f5 = -(lf.theta_star @ xi / two_n) * _sym_pair(s.g_phi, eta)
+    f1 += s.phi_g_phi[:, None, :] * t_phi2.swapaxes(-1, -2) + s.g_phi[:, None, :] * t_phi.swapaxes(-1, -2)
+    # theta(xi) and theta*(xi), one per tensor, kept as (..., 1, 1, 1) by a (d, 1) xi
+    f4 = -((lf.theta @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.phi_g_phi, eta)
+    f5 = -((lf.theta_star @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.g_phi, eta)
     a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
     b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
+    a_t, b_t = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     return {
         1: f1 / two_n,
         4: f4,
         5: f5,
-        6: (-f4) - f5 + _sym_pair((a + a.T - b - b.T) / 4, eta),
-        7: _sym_pair((a - a.T - b + b.T) / 4, eta),
-        8: _sym_pair((a + a.T + b + b.T) / 4, eta),
-        9: _sym_pair((a - a.T + b - b.T) / 4, eta),
+        6: (-f4) - f5 + _sym_pair((a + a_t - b - b_t) / 4, eta),
+        7: _sym_pair((a - a_t - b + b_t) / 4, eta),
+        8: _sym_pair((a + a_t + b + b_t) / 4, eta),
+        9: _sym_pair((a - a_t + b - b_t) / 4, eta),
         10: _block(s, c, 3),
         11: _block(s, c, 4),
     }
@@ -200,12 +202,12 @@ def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
     """F2 and F3 of the checked tensor c from its F1 and six slot-permuted pullbacks,
     the kernel's one O(d^6) step, so it runs only when F2 or F3 is asked for."""
     phi, P = s.phi, s.phi2
-    t_xyz = np.einsum("abc,ai,bj,ck->ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
-    t_yzx = np.einsum("abc,aj,bk,ci->ijk", c, P, P, P)  # F(p y, p z, p x)
-    t_yx = np.einsum("abc,aj,bk,ci->ijk", c, phi, P, phi)  # F(phi y, p z, phi x)
-    t_xzy = np.einsum("abc,ai,bk,cj->ijk", c, P, P, P)  # F(p x, p z, p y)
-    t_zyx = np.einsum("abc,ak,bj,ci->ijk", c, P, P, P)  # F(p z, p y, p x)
-    t_zx = np.einsum("abc,ak,bj,ci->ijk", c, phi, P, phi)  # F(phi z, p y, phi x)
+    t_xyz = np.einsum("...abc,ai,bj,ck->...ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
+    t_yzx = np.einsum("...abc,aj,bk,ci->...ijk", c, P, P, P)  # F(p y, p z, p x)
+    t_yx = np.einsum("...abc,aj,bk,ci->...ijk", c, phi, P, phi)  # F(phi y, p z, phi x)
+    t_xzy = np.einsum("...abc,ai,bk,cj->...ijk", c, P, P, P)  # F(p x, p z, p y)
+    t_zyx = np.einsum("...abc,ak,bj,ci->...ijk", c, P, P, P)  # F(p z, p y, p x)
+    t_zx = np.einsum("...abc,ak,bj,ci->...ijk", c, phi, P, phi)  # F(phi z, p y, phi x)
     return (
         -(t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) / 4 - f1,
         -(t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx) / 4,
@@ -238,36 +240,34 @@ def decompose(s: StructureData, f) -> Decomposition:
     Requires f admissible (the one gate, _require_structure_tensor): the
     component formulas are only meaningful on the admissible space. The
     recorded residual is max-abs(sum of components - f) relative to
-    _scale(f), the max-abs of f; past the fixed bound of _decompose
+    _scale(f), the max-abs of f; past the fixed bound of _decompose_many
     it raises PreconditionError.
     """
-    return _decompose(s, _tensor(s, f))
+    stack, magnitudes, residuals = _decompose_many(s, _tensor(s, f)[None])
+    return Decomposition(stack[0], magnitudes[0], float(residuals[0]))
 
 
-def _decompose(s: StructureData, c: np.ndarray) -> Decomposition:
-    """The checked tensor c split into one sealed (11, d, d, d) stack.
+def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
+    """The checked tensors cs, shape (N, d, d, d), split into the sealed (N, 11, d, d, d)
+    stack of their components, the (N, 11) magnitudes and the N reconstruction residuals.
 
-    The components must sum back to c within DEFAULT_RTOL relative to
-    _scale(c): on admissible input the difference is rounding noise at any
-    scale.
+    Each tensor is gated, and its components must sum back to it within DEFAULT_RTOL
+    relative to its own _scale: on admissible input the difference is rounding noise
+    at any scale. A refusal names the first tensor the gate refuses, else the first
+    that does not sum back, with the message decompose gives that tensor.
     """
-    _require_structure_tensor(s, c)
-    arrays = _component_arrays(s, c)
-    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
-    stack = _sealed(np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)]))
-    total = np.zeros_like(c)
-    for a in stack:
-        total = total + a
-    residual = _max_abs(total - c) / _scale(c)
-    if residual > DEFAULT_RTOL:
+    _require_structure_tensor(s, cs)
+    arrays = _component_arrays(s, cs)
+    arrays[2], arrays[3] = _w1_pair(s, cs, arrays[1])
+    components = [arrays[i] for i in range(1, NUM_CLASSES + 1)]
+    stack = _sealed(np.stack(components, axis=1))
+    residuals = np.abs(sum(components) - cs).max(axis=(1, 2, 3)) / _scale(cs)
+    refused = residuals[residuals > DEFAULT_RTOL]
+    if refused.size:
         raise PreconditionError(
-            f"components do not sum back to the tensor: reconstruction residual {residual:.3e}"
+            f"components do not sum back to the tensor: reconstruction residual {refused[0]:.3e}"
         )
-    return Decomposition(
-        components=stack,
-        magnitudes=_sealed(np.max(np.abs(stack), axis=(1, 2, 3))),
-        reconstruction_residual=residual,
-    )
+    return stack, _sealed(np.abs(stack).max(axis=(2, 3, 4))), residuals
 
 
 # Per class F6..F9, the signs s, t in the conditions D = s D^T and D = t B
@@ -315,14 +315,14 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     """
     rel_tol = _real(rel_tol, "rel_tol", positive=True)
     c = _tensor(s, f)
-    dec = _decompose(s, c)
+    _, magnitudes, residuals = _decompose_many(s, c[None])
     threshold = rel_tol * _scale(c)
-    present = tuple(i for i in range(1, NUM_CLASSES + 1) if dec.magnitudes[i - 1] > threshold)
+    present = tuple(i for i in range(1, NUM_CLASSES + 1) if magnitudes[0, i - 1] > threshold)
     return ClassReport(
         present=present,
-        magnitudes=dec.magnitudes,
+        magnitudes=magnitudes[0],
         rel_tol=rel_tol,
         input_magnitude=_max_abs(c),
-        reconstruction_residual=dec.reconstruction_residual,
+        reconstruction_residual=float(residuals[0]),
     )
 

@@ -14,7 +14,8 @@ membership testing, a canonical surjection onto the space (used to
 manufacture admissible test data), seeded random elements, the induced
 inner product, and the three Lee forms. A tensor is a float array f of
 shape (d, d, d), f[i, j, k] its value on the basis triple (e_i, e_j, e_k);
-every tensor the package returns is read-only.
+every tensor the package returns is read-only. The private bodies also take
+a stack of N tensors, shape (N, d, d, d), and work on each one alone.
 
 All identity checks quantify over basis vectors only; the identities
 are multilinear, so basis verification is exhaustive.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .structure import (
-    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _integer, _max_abs, _sealed,
+    DEFAULT_RTOL, StructureData, _as_float_array, _in_float_range, _integer, _sealed,
 )
 
 __all__ = [
@@ -56,11 +57,12 @@ def _tensor(s: StructureData, f, name: str = "tensor") -> np.ndarray:
     return _as_float_array(f, (s.dim,) * 3, name)
 
 
-def _scale(c: np.ndarray) -> float:
+def _scale(c: np.ndarray):
     """The one scale of every tensor verdict: max-abs(c), so no verdict depends
     on the overall scale of c, floored at the smallest normal float, below which
-    floats keep no relative precision; the zero tensor keeps a positive tolerance."""
-    return max(_max_abs(c), np.finfo(float).tiny)
+    floats keep no relative precision; the zero tensor keeps a positive tolerance.
+    Taken per tensor over the last three axes, so a stack gets one scale each."""
+    return np.abs(c).max(axis=(-3, -2, -1), initial=np.finfo(float).tiny)
 
 
 def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -69,31 +71,32 @@ def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.
     Staged one slot at a time this costs O(d^4), against O(d^6) for the
     single four-operand einsum, and it needs no contraction-path search.
     """
-    d = c.shape[0]
-    t = (a.T @ c.reshape(d, -1)).reshape(d, d, d)
+    d = c.shape[-1]
+    t = (a.T @ c.reshape(*c.shape[:-3], d, -1)).reshape(c.shape)
     return (b.T @ t) @ m
 
 
 def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j]."""
-    return q[:, :, None] * eta + q[:, None, :] * eta[:, None]
+    return q[..., :, :, None] * eta + q[..., :, None, :] * eta[:, None]
 
 
 @_in_float_range
 def membership_residuals(s: StructureData, f) -> dict:
     """Worst-case residuals of the two defining identities, by name."""
-    return _membership_residuals(s, _tensor(s, f))
+    return {k: float(v) for k, v in _membership_residuals(s, _tensor(s, f)).items()}
 
 
 def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
-    sym = float(np.max(np.abs(c - c.transpose(0, 2, 1))))
+    axes = (-3, -2, -1)  # one residual per tensor of a stack
+    sym = np.abs(c - c.swapaxes(-1, -2)).max(axis=axes)
     phi, xi, eta = s.phi, s.xi, s.eta
     f_xi_z = xi @ c  # F(x, xi, z)
     f_y_xi = c @ xi  # F(x, y, xi)
     rhs = phi.T @ c @ phi
-    rhs += eta[:, None] * f_xi_z[:, None, :]
-    rhs += f_y_xi[:, :, None] * eta
-    rel = float(np.max(np.abs(c - rhs)))
+    rhs += eta[:, None] * f_xi_z[..., :, None, :]
+    rhs += f_y_xi[..., :, :, None] * eta
+    rel = np.abs(c - rhs).max(axis=axes)
     return {"slot_symmetry": sym, "phi_relation": rel}
 
 
@@ -102,14 +105,16 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
 
     This is the one admissibility verdict: is_structure_tensor and every map on
     the admissible space (project_w, w2_involution, component, decompose and so
-    classify) ask it, under their own float-range rule.
+    classify) ask it, under their own float-range rule. A stack is judged tensor
+    by tensor, each on its own scale, and the first one refused is named.
     """
-    bound = DEFAULT_RTOL * _scale(c)
-    # `not <=` so that a NaN residual refuses rather than passes
-    bad = {k: v for k, v in _membership_residuals(s, c).items() if not v <= bound}
-    if bad:
-        detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
-        raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
+    residuals = _membership_residuals(s, c)
+    for bound, *values in zip(np.ravel(DEFAULT_RTOL * _scale(c)), *map(np.ravel, residuals.values())):
+        # `not <=` so that a NaN residual refuses rather than passes
+        bad = {k: v for k, v in zip(residuals, values) if not v <= bound}
+        if bad:
+            detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
+            raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
 
 
 @_in_float_range
@@ -189,7 +194,7 @@ def lee_forms(s: StructureData, f) -> LeeForms:
 
 
 def _lee_forms(s: StructureData, c: np.ndarray) -> LeeForms:
-    c = c.reshape(s.dim**2, s.dim)
+    c = c.reshape(*c.shape[:-3], s.dim**2, s.dim)
     # one row product per form: a stacked product may round differently
     theta, theta_star, omega = (w @ c for w in s.lee_weights)
     return LeeForms(theta=theta, theta_star=theta_star, omega=omega)

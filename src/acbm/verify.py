@@ -279,8 +279,9 @@ def models_suite(seeds: int) -> list:
 
 
 def _dim3_closed_forms(c: np.ndarray) -> np.ndarray:
-    """The (11, 3, 3, 3) components of an admissible c at n = 1 over the canonical
-    structure, each class read from its coordinates, Fijk = F(e_i, e_j, e_k):
+    """The (..., 11, 3, 3, 3) components of an admissible c, or of each tensor of a stack
+    c of shape (..., 3, 3, 3), at n = 1 over the canonical structure, each class read
+    from its coordinates, Fijk = F(e_i, e_j, e_k):
 
         F1:  theta(e_1) = F111 - F221,  theta(e_2) = F112 - F211
         F4:  (F110 - F220) / 2          F8:  (F110 + F220) / 2
@@ -290,23 +291,30 @@ def _dim3_closed_forms(c: np.ndarray) -> np.ndarray:
     F2, F3, F6 and F7 are identically zero. Computed in the dtype of c with no
     float literal, so exact on Fraction input.
     """
-    out = np.zeros((dec.NUM_CLASSES, 3, 3, 3), dtype=c.dtype)
-    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = out
-    th1, th2 = c[1, 1, 1] - c[2, 2, 1], c[1, 1, 2] - c[2, 1, 1]  # theta(e_1), theta(e_2)
-    f1[1, 1, 1] = f1[1, 2, 2] = th1
-    f1[2, 1, 1] = f1[2, 2, 2] = -th2
-    half = (c[1, 1, 0] - c[2, 2, 0]) / 2
-    f4[1, 0, 1] = f4[1, 1, 0] = half
-    f4[2, 0, 2] = f4[2, 2, 0] = -half
-    f5[1, 0, 2] = f5[1, 2, 0] = f5[2, 0, 1] = f5[2, 1, 0] = (c[1, 2, 0] + c[2, 1, 0]) / 2
-    f8[1, 0, 1] = f8[1, 1, 0] = f8[2, 0, 2] = f8[2, 2, 0] = (c[1, 1, 0] + c[2, 2, 0]) / 2
-    mu = (c[1, 2, 0] - c[2, 1, 0]) / 2
-    f9[1, 0, 2] = f9[1, 2, 0] = mu
-    f9[2, 0, 1] = f9[2, 1, 0] = -mu
-    f10[0, 1, 1] = f10[0, 2, 2] = c[0, 1, 1]
-    f11[0, 1, 0] = f11[0, 0, 1] = c[0, 0, 1]
-    f11[0, 2, 0] = f11[0, 0, 2] = c[0, 0, 2]
+    out = np.zeros((*c.shape[:-3], dec.NUM_CLASSES, 3, 3, 3), dtype=c.dtype)
+    f1, _, _, f4, f5, _, _, f8, f9, f10, f11 = np.moveaxis(out, -4, 0)  # views into out
+    th1, th2 = c[..., 1, 1, 1] - c[..., 2, 2, 1], c[..., 1, 1, 2] - c[..., 2, 1, 1]  # theta(e_1), theta(e_2)
+    f1[..., 1, 1, 1] = f1[..., 1, 2, 2] = th1
+    f1[..., 2, 1, 1] = f1[..., 2, 2, 2] = -th2
+    half = (c[..., 1, 1, 0] - c[..., 2, 2, 0]) / 2
+    f4[..., 1, 0, 1] = f4[..., 1, 1, 0] = half
+    f4[..., 2, 0, 2] = f4[..., 2, 2, 0] = -half
+    lam = (c[..., 1, 2, 0] + c[..., 2, 1, 0]) / 2
+    f5[..., 1, 0, 2] = f5[..., 1, 2, 0] = f5[..., 2, 0, 1] = f5[..., 2, 1, 0] = lam
+    nu = (c[..., 1, 1, 0] + c[..., 2, 2, 0]) / 2
+    f8[..., 1, 0, 1] = f8[..., 1, 1, 0] = f8[..., 2, 0, 2] = f8[..., 2, 2, 0] = nu
+    mu = (c[..., 1, 2, 0] - c[..., 2, 1, 0]) / 2
+    f9[..., 1, 0, 2] = f9[..., 1, 2, 0] = mu
+    f9[..., 2, 0, 1] = f9[..., 2, 1, 0] = -mu
+    f10[..., 0, 1, 1] = f10[..., 0, 2, 2] = c[..., 0, 1, 1]
+    f11[..., 0, 1, 0] = f11[..., 0, 0, 1] = c[..., 0, 0, 1]
+    f11[..., 0, 2, 0] = f11[..., 0, 0, 2] = c[..., 0, 0, 2]
     return out
+
+
+# Seeds per kernel call of the dim3 suite, so that its memory stays bounded however
+# many seeds it runs: about 14 kB each with the temporaries, 14 MB for a chunk.
+_DIM3_CHUNK = 1000
 
 
 def dim3_suite(seeds: int) -> list:
@@ -315,14 +323,12 @@ def dim3_suite(seeds: int) -> list:
         "closed forms match decompose": DEFAULT_ATOL,
     })
     s = canonical_structure(1)
-    for seed in range(seeds):
-        f = random_structure_tensor(s, seed)
-        scale = _scale(f)
-        comps = dec.decompose(s, f).components
-        for i in (2, 3, 6, 7):
-            w.add("components 2,3,6,7 vanish", _max_abs(comps[i - 1]) / scale)
-        for closed_form, comp in zip(_dim3_closed_forms(f), comps):
-            w.add("closed forms match decompose", _max_abs(closed_form - comp) / scale)
+    for start in range(0, seeds, _DIM3_CHUNK):
+        fs = np.stack([random_structure_tensor(s, k) for k in range(start, min(seeds, start + _DIM3_CHUNK))])
+        comps = dec._decompose_many(s, fs)[0]  # one kernel call and one gate call per chunk
+        scale = _scale(fs)[:, None, None, None, None]  # each seed's own
+        w.add("components 2,3,6,7 vanish", np.max(np.abs(comps[:, [1, 2, 5, 6]]) / scale))
+        w.add("closed forms match decompose", np.max(np.abs(_dim3_closed_forms(fs) - comps) / scale))
     return w.results()
 
 

@@ -141,10 +141,15 @@ def block_reference(s, c: np.ndarray) -> dict:
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_block(n, seed):
-    s, f = random_structure(n, seed), raw_tensor(n, seed)
-    want = block_reference(s, f)
-    for i in (1, 2, 3, 4):
-        assert_close(_block(s, f, i), want[i])
+    """Each block of one tensor, and row by row of a stack of two."""
+    s = random_structure(n, seed)
+    fs = np.stack([raw_tensor(n, seed), raw_tensor(n, seed + 3)])
+    stacked = {i: _block(s, fs, i) for i in (1, 2, 3, 4)}
+    for k, f in enumerate(fs):
+        want = block_reference(s, f)
+        for i in (1, 2, 3, 4):
+            assert_close(_block(s, f, i), want[i])
+            assert_close(stacked[i][k], want[i])
 
 
 @pytest.mark.parametrize("n, seed", CASES)

@@ -4,8 +4,9 @@
 adds F2 and F3. Each of the eleven arrays is compared here with the
 component formula written out with einsum, on non-canonical structures
 and on random tensors both admissible and not. The decomposition is also
-checked to be natural under a change of basis, and to stay exact on
-Fraction arrays.
+checked to be natural under a change of basis, to stay exact on
+Fraction arrays, and to split a stack of tensors row by row as
+`decompose` splits each one.
 """
 
 from fractions import Fraction
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import acbm.decomposition as dec
+import acbm.verify as verify
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose
+from acbm.errors import PreconditionError
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import embed_structure_tensor, random_structure_tensor
 from acbm.verify import _dim3_closed_forms, run_suite
@@ -140,14 +143,64 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
     assert (len(lee), len(w1)) == (1, 1)
 
 
-def test_dim3_suite_decomposes_once_per_seed(monkeypatch):
-    """One decompose per seed, checking its tensor once; the closed forms it is
-    compared with read the coordinates of that tensor and ask no gate."""
+def test_dim3_suite_decomposes_in_one_call(monkeypatch):
+    """One kernel call and one gate call for all the seeds; the closed forms they
+    are compared with read the coordinates of the same tensors and ask no gate."""
     single = _count_calls(monkeypatch, "component")
     whole = _count_calls(monkeypatch, "decompose")
+    many = _count_calls(monkeypatch, "_decompose_many")
     gate = _count_calls(monkeypatch, "_require_structure_tensor")
     assert all(check.passed for check in run_suite("dim3", 3))
-    assert (len(single), len(whole), len(gate)) == (0, 3, 3)
+    assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 1)
+
+
+def test_dim3_suite_decomposes_chunk_by_chunk(monkeypatch):
+    """Past _DIM3_CHUNK seeds the suite makes one kernel call per chunk, so its memory
+    does not grow with the seeds, and reports what one call over all of them reports."""
+    whole = run_suite("dim3", 5)
+    monkeypatch.setattr(verify, "_DIM3_CHUNK", 2)
+    many = _count_calls(monkeypatch, "_decompose_many")
+    assert run_suite("dim3", 5) == whole
+    assert len(many) == 3
+
+
+@pytest.mark.parametrize("seeds", [range(1), range(5)], ids=["N1", "N5"])
+@pytest.mark.parametrize("make_structure", [_canonical, random_structure], ids=["canonical", "pushed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_rows_are_decompose(n, make_structure, seeds):
+    """Each row of one _decompose_many call is decompose of that tensor. Bit for bit
+    at N = 1, which is decompose's own call, and on the canonical basis, whose
+    products are exact; elsewhere a stacked matrix product may add in another
+    order, so within 1e-15 of the tensor's max-abs."""
+    s = make_structure(n, 0)
+    cs = np.stack([random_structure_tensor(s, seed) for seed in seeds])
+    stack, magnitudes, residuals = dec._decompose_many(s, cs)
+    assert stack.shape == (len(seeds), NUM_CLASSES, *cs.shape[1:])
+    assert not (stack.flags.writeable or magnitudes.flags.writeable)
+    for f, row, sizes, residual in zip(cs, stack, magnitudes, residuals):
+        d = decompose(s, f)
+        if len(seeds) == 1 or make_structure is _canonical:
+            assert (row.tobytes(), sizes.tobytes()) == (d.components.tobytes(), d.magnitudes.tobytes())
+            assert residual == d.reconstruction_residual
+        else:
+            assert _max_abs(row - d.components, sizes - d.magnitudes) <= 1e-15 * _max_abs(f)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+@pytest.mark.parametrize("k", [0, 2])
+def test_batch_refuses_as_decompose_refuses(k, scale):
+    """Tensors k.. of a stack of three are inadmissible: the stack is refused with the
+    message decompose gives tensor k, the first one refused. At 1e-12 the tensor is
+    refused on its own scale, which the stack's largest scale would not do."""
+    s = random_structure(1, 0)
+    cs = np.stack([random_structure_tensor(s, seed) for seed in range(3)])
+    for j in range(k, 3):
+        cs[j] = scale * raw_tensor(1, j)
+    with pytest.raises(PreconditionError) as single:
+        decompose(s, cs[k])
+    with pytest.raises(PreconditionError) as batch:
+        dec._decompose_many(s, cs)
+    assert str(batch.value) == str(single.value)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))
@@ -186,30 +239,33 @@ def test_kernel_keeps_exact_input_exact(t):
     """On Fraction arrays the kernel is exact: the components of an admissible tensor
     sum back to it, are pairwise orthogonal and satisfy their class identities, each
     with residual exactly 0, and no float enters the output (a float literal in the
-    kernel would turn its entries into floats). In the canonical basis they are the
-    paper's nine coordinates, the dim3 suite's closed forms, entry for entry. The
-    float kernel agrees with it."""
+    kernel would turn its entries into floats). It runs on a stack of two tensors, so
+    the batch axis is exact too. In the canonical basis they are the paper's nine
+    coordinates, the dim3 suite's closed forms, entry for entry. The float kernel
+    agrees with it."""
     s = exact_structure(1, t)
-    c = exact(np.random.default_rng(1).integers(-3, 4, (3, 3, 3)))  # all nine coordinates nonzero
+    c = exact(np.random.default_rng(1).integers(-3, 4, (2, 3, 3, 3)))  # all nine coordinates nonzero
     # the formula of embed_structure_tensor, in exact arithmetic
-    S = (c + c.transpose(0, 2, 1)) / 2
+    S = (c + c.swapaxes(-1, -2)) / 2
     s_h_xi = -(S @ s.xi) @ s.phi2
     c = (s.phi2.T @ S @ s.phi2 + s.phi.T @ S @ s.phi) / 2
-    c += s.eta[:, None] * s_h_xi[:, None, :] + s_h_xi[:, :, None] * s.eta
+    c += s.eta[:, None] * s_h_xi[..., :, None, :] + s_h_xi[..., None] * s.eta
     arrays = _component_arrays(s, c)
     arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
-    stack = np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)])
+    stack = np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)], axis=1)
+    assert stack.shape == (2, NUM_CLASSES, 3, 3, 3)
     assert {type(x) for x in stack.ravel()} == {Fraction}
-    assert not np.any(stack.sum(axis=0) - c)
+    assert not np.any(stack.sum(axis=1) - c)
     gi = s.g_inv
-    for i in range(NUM_CLASSES):
-        assert dec._class_residual(s, stack[i], i + 1) == 0, f"F{i + 1}"
-        for j in range(i):
-            assert np.einsum("abc,ad,be,cf,def->", stack[i], gi, gi, gi, stack[j]) == 0, (i + 1, j + 1)
+    for comps in stack:
+        for i in range(NUM_CLASSES):
+            assert dec._class_residual(s, comps[i], i + 1) == 0, f"F{i + 1}"
+            for j in range(i):
+                assert np.einsum("abc,ad,be,cf,def->", comps[i], gi, gi, gi, comps[j]) == 0, (i + 1, j + 1)
     if np.array_equal(t, np.eye(3)):
         closed = _dim3_closed_forms(c)
         assert float not in {type(x) for x in closed.ravel()}
         assert np.array_equal(closed, stack)
     floats = push_structure(canonical_structure(1), np.asarray(t, dtype=float))
-    got = decompose(floats, c.astype(float)).components
+    got = dec._decompose_many(floats, c.astype(float))[0]
     assert _max_abs(got - stack.astype(float)) <= 1e-14 * _max_abs(c.astype(float))
