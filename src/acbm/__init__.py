@@ -16,7 +16,6 @@ from .decomposition import (
     component,
     decompose,
     project_w,
-    w2_involution,
 )
 from .errors import PreconditionError
 from .group import (
@@ -41,7 +40,6 @@ from .tensors import (
     inner_product,
     is_structure_tensor,
     lee_forms,
-    membership_residuals,
     random_structure_tensor,
 )
 
@@ -66,12 +64,10 @@ __all__ = [
     "koszul_connection",
     "lee_forms",
     "lie_family",
-    "membership_residuals",
     "project_w",
     "random_group_element",
     "random_structure_tensor",
     "sphere_structure_tensor",
     "structure_tensor_from_connection",
     "validate_group_element",
-    "w2_involution",
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "Decomposition",
     "ClassReport",
     "project_w",
-    "w2_involution",
     "component",
     "decompose",
     "classify",
@@ -138,9 +137,9 @@ def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     return -eta[:, None, None] * (eta[:, None] * u[..., None, :] + w[..., :, None] * eta)[..., None, :, :]
 
 
-@_in_float_range
-def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
-    """The involutive isometries L1, L2 of the block W2.
+def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
+    """The involutive isometry L_j (j = 1, 2) of the block W2, of the components c,
+    unchecked, so that a suite can measure a broken component.
 
     L1 transposes the first two slots through phi^2; L2 replaces them
     by their phi images:
@@ -150,20 +149,12 @@ def w2_involution(s: StructureData, f, j: int) -> np.ndarray:
         L2(F)(x,y,z) = F(phi x, phi y, xi) eta(z)
                        + F(phi x, phi z, xi) eta(y)
 
-    Both read f only through F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi),
-    which p2 keeps, so the result is L_j(p2 f): it vanishes on W1, W3 and W4,
-    and on W2 each operator is an involution. Their joint eigenspaces carve
-    W2 into the classes F4..F9: L1 fixes F4+F5+F6+F8 and negates F7+F9; L2
-    fixes F8+F9 and negates F4+F5+F6+F7. Requires f admissible, as
-    decompose does.
+    Both read c only through F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi),
+    which p2 keeps, so on an admissible f the result is L_j(p2 f): it vanishes
+    on W1, W3 and W4, and on W2 each operator is an involution. Their
+    joint eigenspaces carve W2 into the classes F4..F9: L1 fixes F4+F5+F6+F8
+    and negates F7+F9; L2 fixes F8+F9 and negates F4+F5+F6+F7.
     """
-    c = _tensor(s, f)
-    _require_structure_tensor(s, c)
-    return _sealed(_involution(s, c, _integer(j, "involution index", 1, 2)))
-
-
-def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
-    """L_j of the components c, unchecked, so that a suite can measure a broken component."""
     if j == 1:
         return _sym_pair(_xi_bracket(c, s.phi2, s.phi2, s.xi).T, s.eta)
     return _sym_pair(_xi_bracket(c, s.phi, s.phi, s.xi), s.eta)

@@ -33,7 +33,6 @@ from .structure import (
 )
 
 __all__ = [
-    "membership_residuals",
     "is_structure_tensor",
     "embed_structure_tensor",
     "random_structure_tensor",
@@ -81,13 +80,8 @@ def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return q[..., :, :, None] * eta + q[..., :, None, :] * eta[:, None]
 
 
-@_in_float_range
-def membership_residuals(s: StructureData, f) -> dict:
-    """Worst-case residuals of the two defining identities, by name."""
-    return {k: float(v) for k, v in _membership_residuals(s, _tensor(s, f)).items()}
-
-
 def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
+    """Worst-case residuals of the two defining identities, by name, unchecked."""
     axes = (-3, -2, -1)  # one residual per tensor of a stack
     sym = np.abs(c - c.swapaxes(-1, -2)).max(axis=axes)
     phi, xi, eta = s.phi, s.xi, s.eta
@@ -104,9 +98,9 @@ def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(c).
 
     This is the one admissibility verdict: is_structure_tensor and every map on
-    the admissible space (project_w, w2_involution, component, decompose and so
-    classify) ask it, under their own float-range rule. A stack is judged tensor
-    by tensor, each on its own scale, and the first one refused is named.
+    the admissible space (project_w, component, decompose and so classify) ask
+    it, under their own float-range rule. A stack is judged tensor by tensor,
+    each on its own scale, and the first one refused is named.
     """
     residuals = _membership_residuals(s, c)
     for bound, *values in zip(np.ravel(DEFAULT_RTOL * _scale(c)), *map(np.ravel, residuals.values())):

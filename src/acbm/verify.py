@@ -31,10 +31,12 @@ from . import models
 from .group import act, group_element_from_blocks, random_group_element, validate_group_element
 from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _integer, _max_abs, canonical_structure
 from .tensors import (
+    _lee_forms,
+    _membership_residuals,
+    _pullback,
     _scale,
     inner_product,
     lee_forms,
-    membership_residuals,
     random_structure_tensor,
 )
 
@@ -100,39 +102,40 @@ def decomposition_suite(seeds: int) -> list:
         "involution oracle": DEFAULT_RTOL,
         "w21 refinement": DEFAULT_ATOL,
     })
+    upper = np.triu_indices(dec.NUM_CLASSES, 1)  # the pairs i < j
     for n in (1, 2, 3):
         s = canonical_structure(n)
+        gi_t = s.g_inv.T
         for seed in range(seeds):
             f = random_structure_tensor(s, seed)
             scale = _scale(f)
             d = dec.decompose(s, f)
+            comps = d.components.reshape(dec.NUM_CLASSES, -1)
             w.add("reconstruction", d.reconstruction_residual)
-            for i in range(dec.NUM_CLASSES):
-                for j in range(i + 1, dec.NUM_CLASSES):
-                    w.add(
-                        "orthogonality",
-                        abs(inner_product(s, d.components[i], d.components[j])) / scale**2,
-                    )
+            # the Gram matrix of the induced inner product on the eleven components
+            gram = comps @ _pullback(d.components, gi_t, gi_t, gi_t).reshape(comps.shape).T
+            w.add("orthogonality", np.abs(gram[upper]).max() / scale**2)
+            closure = np.maximum(*_membership_residuals(s, d.components).values())
             for i in range(1, dec.NUM_CLASSES + 1):
                 ci, size = d.components[i - 1], d.magnitudes[i - 1]
-                w.add("closure", _by_size(max(membership_residuals(s, ci).values()), size, scale))
+                w.add("closure", _by_size(closure[i - 1], size, scale))
                 w.add("class predicates", _by_size(dec._class_residual(s, ci, i), size, scale))
-            projs = [dec.project_w(s, f, i) for i in range(1, 5)]
+            projs = [dec._block(s, f, i) for i in range(1, 5)]
             w.add("projector sum", _max_abs(sum(projs) - f) / scale)
             for i, p in enumerate(projs, start=1):
-                w.add("projector idempotency", _max_abs(dec.project_w(s, p, i) - p) / scale)
+                w.add("projector idempotency", _max_abs(dec._block(s, p, i) - p) / scale)
             g2 = random_structure_tensor(s, seed + 10_000)
             for i, p in enumerate(projs, start=1):
                 lhs = inner_product(s, p, g2)
-                rhs = inner_product(s, f, dec.project_w(s, g2, i))
+                rhs = inner_product(s, f, dec._block(s, g2, i))
                 w.add("projector self-adjointness", abs(lhs - rhs) / (scale * _scale(g2)))
             # Lee-form identities of f, then their vanishing per block
             xi = s.xi
             h = -s.phi2
-            lf = lee_forms(s, f)
+            lf = _lee_forms(s, f)
             identities = _max_abs(lf.omega @ xi, s.phi.T @ lf.theta_star - h.T @ lf.theta)
             w.add("lee form identities", identities / scale)
-            lee_p = [lee_forms(s, p) for p in projs]
+            lee_p = [_lee_forms(s, p) for p in projs]
             w.add("lee form table", _max_abs(
                 lee_p[0].theta @ xi, lee_p[0].theta_star @ xi, lee_p[0].omega,
                 h.T @ lee_p[1].theta, h.T @ lee_p[1].theta_star, lee_p[1].omega,
@@ -154,7 +157,7 @@ def decomposition_suite(seeds: int) -> list:
             oracle = projs[1] + l1 - dec._involution(s, projs[1], 2) - dec._involution(s, l1, 2)
             w.add("involution oracle", _max_abs(0.25 * oracle - f456) / scale)
             # W2,1 refinement
-            lf4, lf5, lf6 = (lee_forms(s, d.components[i]) for i in (3, 4, 5))
+            lf4, lf5, lf6 = (_lee_forms(s, d.components[i]) for i in (3, 4, 5))
             w.add("w21 refinement", _max_abs(
                 lf4.theta_star @ xi, lf5.theta @ xi, lf6.theta @ xi, lf6.theta_star @ xi,
             ) / scale)
@@ -186,7 +189,7 @@ def group_suite(seeds: int) -> list:
         g2 = random_structure_tensor(s, seed + 20_000)
         af = act(s, elem, f)
         scale = _scale(f)
-        w.add("space invariance", max(membership_residuals(s, af).values()) / _scale(af))
+        w.add("space invariance", max(_membership_residuals(s, af).values()) / _scale(af))
         w.add(
             "inner product invariance",
             abs(inner_product(s, af, act(s, elem, g2)) - inner_product(s, f, g2)) / (scale * _scale(g2)),
@@ -252,7 +255,7 @@ def models_suite(seeds: int) -> list:
             w.add("koszul torsion", torsion / _scale(c))
             w.add("koszul metric compatibility", compat / _scale(c))
             f = models.structure_tensor_from_connection(s, g)
-            w.add("family membership", max(membership_residuals(s, f).values()) / _scale(f))
+            w.add("family membership", max(_membership_residuals(s, f).values()) / _scale(f))
             if n == 1:
                 a1, a2 = params
                 gamma, tensor = _lie_family_closed_forms(a1, a2)
@@ -345,6 +348,6 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, seeds: int) -> list:
     """Run one suite over seeds 0..seeds-1, seeds an integer >= 1."""
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:  # a tuple compares, so an unhashable name is unknown too
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](_integer(seeds, "seeds", 1))

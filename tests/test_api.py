@@ -10,10 +10,10 @@ import pytest
 import acbm
 from acbm import fileio, tensors
 from acbm.cli import main
-from acbm.decomposition import classify, component, decompose, project_w, w2_involution
+from acbm.decomposition import classify, component, decompose, project_w
 from acbm.errors import PreconditionError
 from acbm.structure import DEFAULT_RTOL, MAX_DIM, StructureData, _max_abs, canonical_structure
-from acbm.tensors import is_structure_tensor, membership_residuals, random_structure_tensor
+from acbm.tensors import _membership_residuals, is_structure_tensor, random_structure_tensor
 from acbm.verify import run_suite
 
 from conftest import random_structure
@@ -24,10 +24,10 @@ PUBLIC = [
     "act", "canonical_structure", "check_jacobi", "classify", "component",
     "connection_residuals", "decompose",
     "group_element_from_blocks", "inner_product", "is_structure_tensor",
-    "koszul_connection", "lee_forms", "lie_family", "membership_residuals", "project_w",
+    "koszul_connection", "lee_forms", "lie_family", "project_w",
     "random_group_element", "random_structure_tensor",
     "sphere_structure_tensor", "structure_tensor_from_connection",
-    "validate_group_element", "w2_involution",
+    "validate_group_element",
 ]
 LIBRARY = ("cli", "fileio", "structure", "tensors", "decomposition", "group", "models", "verify")
 
@@ -64,15 +64,14 @@ def test_gate_parity(tmp_path, capsys, scale, ratio):
     vertical[0, 0, 0] = 1.0  # F(xi, xi, xi): phi_relation residual 1, slot symmetry 0
     t = f + ratio * DEFAULT_RTOL * tensors._scale(f) * vertical
     bound = DEFAULT_RTOL * tensors._scale(t)
-    assert max(membership_residuals(s, t).values()) == pytest.approx(ratio * bound, rel=1e-6)
+    assert max(_membership_residuals(s, t).values()) == pytest.approx(ratio * bound, rel=1e-6)
 
     admissible = ratio < 1.0
     assert is_structure_tensor(s, t) is admissible
     path = tmp_path / "t.json"
     path.write_text(fileio.dumps(fileio.tensor_to_doc(s, t)))
     maps = (
-        decompose, classify, lambda s, t: component(s, t, 1),
-        lambda s, t: project_w(s, t, 1), lambda s, t: w2_involution(s, t, 1),
+        decompose, classify, lambda s, t: component(s, t, 1), lambda s, t: project_w(s, t, 1),
     )
     if admissible:
         for call in maps:
@@ -174,13 +173,11 @@ def _near_max_admissible(s) -> np.ndarray:
 
 OVERFLOWING_CALLS = {
     "StructureData": lambda s: StructureData(n=1, g=_S1.g, phi=1e200 * _S1.phi, xi=_S1.xi, eta=_S1.eta),
-    "membership_residuals": lambda s: acbm.membership_residuals(s, _near_max(s)),
     "is_structure_tensor": lambda s: acbm.is_structure_tensor(s, _near_max(s)),
     "embed_structure_tensor": lambda s: tensors.embed_structure_tensor(s, _near_max(s)),
     "inner_product": lambda s: acbm.inner_product(s, _near_max(s), _near_max(s, 1)),
     "lee_forms": lambda s: acbm.lee_forms(s, _near_max(s)),
     "project_w": lambda s: acbm.project_w(s, _near_max(s), 2),
-    "w2_involution": lambda s: acbm.w2_involution(s, _near_max(s), 1),
     "component": lambda s: acbm.component(s, _near_max_admissible(s), 2),
     "decompose": lambda s: acbm.decompose(s, _near_max_admissible(s)),
     "classify": lambda s: acbm.classify(s, _near_max_admissible(s)),
@@ -229,7 +226,6 @@ def test_float_range_rule_is_on_every_arithmetic_entry():
 # maximum or None); n's maximum is where 2n + 1 passes MAX_DIM. A real rule is
 # positive (> 0) or not.
 _F1 = random_structure_tensor(_S1, 0)
-_P2 = acbm.project_w(_S1, _F1, 2)
 _N_MAX = (MAX_DIM - 1) // 2
 _STRUCTURE_1 = {k: getattr(_S1, k) for k in ("g", "phi", "xi", "eta")}
 INTEGER_TAKERS = {
@@ -246,7 +242,6 @@ INTEGER_TAKERS = {
     "run_suite seeds": (lambda v: run_suite("dim3", v), "seeds", 1, None),
     "component i": (lambda v: acbm.component(_S1, _F1, v), "class index", 1, 11),
     "project_w i": (lambda v: acbm.project_w(_S1, _F1, v), "block index", 1, 4),
-    "w2_involution j": (lambda v: acbm.w2_involution(_S1, _P2, v), "involution index", 1, 2),
 }
 REAL_TAKERS = {
     "classify rel_tol": (lambda v: classify(_S1, _F1, rel_tol=v), "rel_tol", True),
@@ -260,14 +255,19 @@ SCALAR_CASES = [
     pytest.param(call, name, bad, id=f"{taker}-{bad!r}")
     for taker, (call, name, positive) in REAL_TAKERS.items()
     for bad in (True, float("nan"), float("inf"), *((0.0,) if positive else ()))
+] + [
+    # a suite name that is not a string, hashable or not, is an unknown suite
+    pytest.param(lambda v: run_suite(v, 1), "unknown suite", bad, id=f"run_suite name-{bad!r}")
+    for bad in (3, ["dim3"], {})
 ]
 
 
 @pytest.mark.parametrize("call, name, bad", SCALAR_CASES)
 def test_scalar_parameters_follow_one_rule(call, name, bad):
     """One integer rule and one real rule: a bool, a float where an integer is
-    due, a value out of range and a non-finite real are each one ValueError
-    naming the parameter, not a numpy error, a NaN report or a silent 1."""
+    due, a value out of range, a non-finite real and a suite name that is not
+    one are each one ValueError naming the parameter, not a numpy error, a
+    TypeError, a NaN report or a silent 1."""
     with pytest.raises(ValueError, match=f"^{re.escape(name)}[ :]") as info:
         call(bad)
     assert type(info.value) is ValueError

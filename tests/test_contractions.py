@@ -20,11 +20,11 @@ from acbm.models import (
     structure_tensor_from_connection,
 )
 from acbm.tensors import (
+    _membership_residuals,
     _pullback,
     embed_structure_tensor,
     inner_product,
     lee_forms,
-    membership_residuals,
     random_structure_tensor,
 )
 
@@ -65,7 +65,7 @@ def test_membership_residuals(n, seed):
         + np.einsum("j,ik->ijk", eta, np.einsum("iak,a->ik", c, xi))
         + np.einsum("k,ij->ijk", eta, np.einsum("ija,a->ij", c, xi))
     )
-    got = membership_residuals(s, c)
+    got = _membership_residuals(s, c)
     assert got["phi_relation"] == pytest.approx(np.max(np.abs(c - rhs)), rel=REL)
 
 

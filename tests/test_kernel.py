@@ -6,7 +6,8 @@ component formula written out with einsum, on non-canonical structures
 and on random tensors both admissible and not. The decomposition is also
 checked to be natural under a change of basis, to stay exact on
 Fraction arrays, and to split a stack of tensors row by row as
-`decompose` splits each one.
+`decompose` splits each one. The stacked calls of the `decomposition`
+verify suite are checked against the public maps they stand in for.
 """
 
 from fractions import Fraction
@@ -16,10 +17,13 @@ import pytest
 
 import acbm.decomposition as dec
 import acbm.verify as verify
-from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose
+from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose, project_w
 from acbm.errors import PreconditionError
 from acbm.structure import _max_abs, canonical_structure
-from acbm.tensors import embed_structure_tensor, random_structure_tensor
+from acbm.tensors import (
+    _lee_forms, _membership_residuals, _pullback, embed_structure_tensor, inner_product, lee_forms,
+    random_structure_tensor,
+)
 from acbm.verify import _dim3_closed_forms, run_suite
 
 from conftest import basis_change, exact, exact_structure, push_structure, random_structure
@@ -152,6 +156,65 @@ def test_dim3_suite_decomposes_in_one_call(monkeypatch):
     gate = _count_calls(monkeypatch, "_require_structure_tensor")
     assert all(check.passed for check in run_suite("dim3", 3))
     assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 1)
+
+
+def test_decomposition_suite_reads_the_kernel(monkeypatch):
+    """Per (n, seed) the suite asks inner_product only for its eight self-adjointness
+    pairs, orthogonality being one Gram matrix; it asks no public projection or Lee
+    form; and closure is one membership call on the stack of the eleven components."""
+    inner = _count_calls(monkeypatch, "inner_product", verify)
+    blocks = _count_calls(monkeypatch, "project_w")
+    lee = _count_calls(monkeypatch, "lee_forms", verify)
+    shapes = []
+    original = verify._membership_residuals
+    monkeypatch.setattr(verify, "_membership_residuals", lambda s, c: shapes.append(c.shape) or original(s, c))
+    assert all(check.passed for check in run_suite("decomposition", 2))
+    assert (len(inner), len(blocks), len(lee)) == (8 * 3 * 2, 0, 0)
+    assert shapes == [(NUM_CLASSES, d, d, d) for d in (3, 5, 7) for _ in range(2)]
+
+
+SUITE_CASES = [(n, seed) for n in (1, 2, 3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("n, seed", SUITE_CASES)
+def test_gram_matrix_is_the_pairwise_inner_product(n, seed):
+    """The decomposition suite's one stacked pullback gives the inner products
+    that inner_product gives pair by pair, on a non-canonical basis."""
+    s = random_structure(n, seed)
+    f = random_structure_tensor(s, seed)
+    cs = decompose(s, f).components
+    flat = cs.reshape(NUM_CLASSES, -1)
+    gi_t = s.g_inv.T
+    gram = flat @ _pullback(cs, gi_t, gi_t, gi_t).reshape(flat.shape).T
+    want = np.array([[inner_product(s, a, b) for b in cs] for a in cs])
+    assert np.max(np.abs(gram - want)) <= REL * _max_abs(f) ** 2
+
+
+@pytest.mark.parametrize("n, seed", SUITE_CASES)
+def test_membership_residuals_of_a_stack_are_per_tensor(n, seed):
+    """One _membership_residuals call on the eleven components measures each
+    component as a call on that component alone does."""
+    s = random_structure(n, seed)
+    f = random_structure_tensor(s, seed)
+    cs = decompose(s, f).components + raw_tensor(n, seed)  # inadmissible rows, so residuals are not 0
+    stacked = _membership_residuals(s, cs)
+    for k, c in enumerate(cs):
+        for name, value in _membership_residuals(s, c).items():
+            assert stacked[name][k] == pytest.approx(value, rel=REL, abs=REL * _max_abs(c)), f"F{k + 1} {name}"
+
+
+@pytest.mark.parametrize("n, seed", SUITE_CASES)
+def test_private_bodies_match_the_public_maps(n, seed):
+    """The suite's _block and _lee_forms give, bit for bit, what project_w and
+    lee_forms give on an admissible tensor."""
+    s = random_structure(n, seed)
+    f = random_structure_tensor(s, seed)
+    for i in range(1, 5):
+        p = dec._block(s, f, i)
+        assert p.tobytes() == project_w(s, f, i).tobytes(), f"p{i}"
+        got, want = _lee_forms(s, p), lee_forms(s, p)
+        for name in ("theta", "theta_star", "omega"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), f"p{i} {name}"
 
 
 def test_dim3_suite_decomposes_chunk_by_chunk(monkeypatch):

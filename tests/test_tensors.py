@@ -9,7 +9,6 @@ from acbm.decomposition import (
     component,
     decompose,
     project_w,
-    w2_involution,
 )
 from acbm.errors import PreconditionError
 from acbm.group import act, random_group_element
@@ -28,7 +27,6 @@ from acbm.tensors import (
     inner_product,
     is_structure_tensor,
     lee_forms,
-    membership_residuals,
     random_structure_tensor,
 )
 
@@ -207,14 +205,12 @@ class TestLeeForms:
 # Every public function that takes a (d, d, d) array, as f -> call on the
 # structure s; its ValueError names the array a tensor unless ARRAY_NAMES says otherwise.
 TENSOR_TAKERS = {
-    "membership_residuals": lambda s, f: membership_residuals(s, f),
     "is_structure_tensor": lambda s, f: is_structure_tensor(s, f),
     "embed_structure_tensor": lambda s, f: embed_structure_tensor(s, f),
     "inner_product first": lambda s, f: inner_product(s, f, np.zeros((3, 3, 3))),
     "inner_product second": lambda s, f: inner_product(s, np.zeros((3, 3, 3)), f),
     "lee_forms": lambda s, f: lee_forms(s, f),
     "project_w": lambda s, f: project_w(s, f, 1),
-    "w2_involution": lambda s, f: w2_involution(s, f, 1),
     "component": lambda s, f: component(s, f, 1),
     "decompose": lambda s, f: decompose(s, f),
     "classify": lambda s, f: classify(s, f),
@@ -295,8 +291,6 @@ class TestTensorInput:
             f,
             p2,
             component(s2, f, 3),
-            w2_involution(s2, p2, 1),
-            w2_involution(s2, p2, 2),
             embed_structure_tensor(s2, np.ones((5, 5, 5))),
             act(s2, random_group_element(2, 0), f),
             decompose(s2, f).components,
