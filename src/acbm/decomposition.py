@@ -156,7 +156,7 @@ def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
     and negates F7+F9; L2 fixes F8+F9 and negates F4+F5+F6+F7.
     """
     if j == 1:
-        return _sym_pair(_xi_bracket(c, s.phi2, s.phi2, s.xi).T, s.eta)
+        return _sym_pair(_xi_bracket(c, s.phi2, s.phi2, s.xi).swapaxes(-1, -2), s.eta)
     return _sym_pair(_xi_bracket(c, s.phi, s.phi, s.xi), s.eta)
 
 
@@ -191,8 +191,14 @@ def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
 
 def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
     """F2 and F3 of the checked tensor c from its F1 and six slot-permuted pullbacks,
-    the kernel's one O(d^6) step, so it runs only when F2 or F3 is asked for."""
+    the kernel's one O(d^6) step, so it runs only when F2 or F3 is asked for.
+
+    A stack is copied so that its tensors lie innermost in memory, shape unchanged:
+    einsum's inner loop then runs over the tensors, while each sum over (a, b, c)
+    keeps its order. One tensor keeps its own layout."""
     phi, P = s.phi, s.phi2
+    d = c.shape[-1]
+    c = c.reshape(-1, d, d, d).transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2).reshape(c.shape)
     t_xyz = np.einsum("...abc,ai,bj,ck->...ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
     t_yzx = np.einsum("...abc,aj,bk,ci->...ijk", c, P, P, P)  # F(p y, p z, p x)
     t_yx = np.einsum("...abc,aj,bk,ci->...ijk", c, phi, P, phi)  # F(phi y, p z, phi x)
@@ -250,9 +256,9 @@ def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
     _require_structure_tensor(s, cs)
     arrays = _component_arrays(s, cs)
     arrays[2], arrays[3] = _w1_pair(s, cs, arrays[1])
-    components = [arrays[i] for i in range(1, NUM_CLASSES + 1)]
-    stack = _sealed(np.stack(components, axis=1))
-    residuals = np.abs(sum(components) - cs).max(axis=(1, 2, 3)) / _scale(cs)
+    # popped, so that the components are not held next to the stack
+    stack = _sealed(np.stack([arrays.pop(i) for i in range(1, NUM_CLASSES + 1)], axis=1))
+    residuals = np.abs(stack.sum(axis=1) - cs).max(axis=(1, 2, 3)) / _scale(cs)
     refused = residuals[residuals > DEFAULT_RTOL]
     if refused.size:
         raise PreconditionError(
@@ -294,6 +300,13 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
     return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
 
 
+def _present(magnitudes: np.ndarray, cs: np.ndarray, rel_tol: float) -> list:
+    """The class verdict of each tensor of the stack cs, from its (N, 11) magnitudes: the
+    tuple of the classes i whose magnitude exceeds rel_tol * _scale of that tensor."""
+    over = magnitudes > rel_tol * _scale(cs)[:, None]
+    return [tuple(i for i in range(1, NUM_CLASSES + 1) if row[i - 1]) for row in over]
+
+
 @_in_float_range
 def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     """Classify f into a direct sum of basic classes.
@@ -305,15 +318,12 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     fixed. It is echoed in the report for reproducibility.
     """
     rel_tol = _real(rel_tol, "rel_tol", positive=True)
-    c = _tensor(s, f)
-    _, magnitudes, residuals = _decompose_many(s, c[None])
-    threshold = rel_tol * _scale(c)
-    present = tuple(i for i in range(1, NUM_CLASSES + 1) if magnitudes[0, i - 1] > threshold)
+    cs = _tensor(s, f)[None]
+    _, magnitudes, residuals = _decompose_many(s, cs)
     return ClassReport(
-        present=present,
+        present=_present(magnitudes, cs, rel_tol)[0],
         magnitudes=magnitudes[0],
         rel_tol=rel_tol,
-        input_magnitude=_max_abs(c),
+        input_magnitude=_max_abs(cs),
         reconstruction_residual=float(residuals[0]),
     )
-

@@ -36,7 +36,6 @@ from .tensors import (
     _pullback,
     _scale,
     inner_product,
-    lee_forms,
     random_structure_tensor,
 )
 
@@ -266,18 +265,23 @@ def models_suite(seeds: int) -> list:
                     i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero
                 )
                 w.add("family classification", 0.0 if report.present == expected else 1.0)
-    # sphere grid
+    # sphere grid: per n, its 21 tensors (20 grid points and t = 0) in one kernel call and one Lee-form call
+    ts = np.append(np.linspace(-np.pi / 2, np.pi / 2, 20), 0.0)
     for n in (1, 2, 3):
-        for t in np.linspace(-np.pi / 2, np.pi / 2, 20):
-            s, f = models.sphere_structure_tensor(n, float(t))
-            lf = lee_forms(s, f)
-            w.add("sphere lee values", abs(float(lf.theta @ s.xi) - 2 * n * np.cos(t)))
-            w.add("sphere lee values", abs(float(lf.theta_star @ s.xi) - 2 * n * np.sin(t)))
-            present = dec.classify(s, f).present
-            ok = present == (5,) if abs(t) == np.pi / 2 else set(present) <= {4, 5}
+        s = canonical_structure(n)
+        fs = np.stack([models.sphere_structure_tensor(n, float(t))[1] for t in ts])
+        lf = _lee_forms(s, fs)
+        w.add("sphere lee values", np.max(np.abs(lf.theta @ s.xi - 2 * n * np.cos(ts))))
+        w.add("sphere lee values", np.max(np.abs(lf.theta_star @ s.xi - 2 * n * np.sin(ts))))
+        magnitudes = dec._decompose_many(s, fs)[1]
+        for t, present in zip(ts, dec._present(magnitudes, fs, DEFAULT_RTOL)):
+            if t == 0.0:  # no grid point is 0, so this is the appended one
+                ok = present == (4,)
+            elif abs(t) == np.pi / 2:
+                ok = present == (5,)
+            else:
+                ok = set(present) <= {4, 5}
             w.add("sphere classification", 0.0 if ok else 1.0)
-        s, f = models.sphere_structure_tensor(n, 0.0)
-        w.add("sphere classification", 0.0 if dec.classify(s, f).present == (4,) else 1.0)
     return w.results()
 
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from acbm import verify
+from acbm.decomposition import component
 from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import canonical_structure
 from acbm.tensors import random_structure_tensor
@@ -173,6 +174,26 @@ def test_family_closed_forms_are_compared_whole(monkeypatch):
     assert checks["family membership"].passed
     assert checks["family connection values"].passed
     assert not checks["family tensor components"].passed
+
+
+def test_sphere_grid_is_judged_tensor_by_tensor(monkeypatch):
+    """An F9 part of 1e-6 of the tensor at one grid point only fails `sphere
+    classification`: the grid is decomposed in one call, and each tensor of it is
+    still given its own verdict."""
+    exact = verify.models.sphere_structure_tensor
+    spoilt = float(np.linspace(-np.pi / 2, np.pi / 2, 20)[7])
+
+    def with_f9(n, t):
+        s, f = exact(n, t)
+        if t == spoilt:
+            f9 = component(s, random_structure_tensor(s, 0), 9)
+            f = f + 1e-6 * np.abs(f).max() / np.abs(f9).max() * f9
+        return s, f
+
+    monkeypatch.setattr(verify.models, "sphere_structure_tensor", with_f9)
+    checks = {check.name: check for check in run_suite("models", 1)}
+    assert checks["sphere lee values"].passed
+    assert not checks["sphere classification"].passed
 
 
 def test_readme_table_is_the_suites_checks(monkeypatch, request):

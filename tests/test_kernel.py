@@ -158,18 +158,45 @@ def test_dim3_suite_decomposes_in_one_call(monkeypatch):
     assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 1)
 
 
+def test_models_suite_decomposes_its_sphere_grid_in_one_call_per_n(monkeypatch):
+    """The sphere grid asks no classify: per n its 21 tensors are one _decompose_many
+    call. The other calls are the family's classify, one per n = 1 parameter pair."""
+    classify = _count_calls(monkeypatch, "classify")
+    shapes = []
+    original = dec._decompose_many
+    monkeypatch.setattr(dec, "_decompose_many", lambda s, cs: shapes.append(cs.shape) or original(s, cs))
+    assert all(check.passed for check in run_suite("models", 3))
+    family = len(verify._LIE_PAIRS) + 3
+    assert len(classify) == family
+    assert shapes == [(1, 3, 3, 3)] * family + [(21, d, d, d) for d in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_involution_rows_are_single_calls(n, j):
+    """_involution takes a stack as the kernel's other bodies do: on the canonical
+    basis each row is, bit for bit, the call on that tensor alone."""
+    s = canonical_structure(n)
+    cs = np.stack([random_structure_tensor(s, seed) for seed in range(3)])
+    stacked = dec._involution(s, cs, j)
+    assert stacked.shape == cs.shape
+    for c, row in zip(cs, stacked):
+        assert row.tobytes() == dec._involution(s, c, j).tobytes()
+
+
 def test_decomposition_suite_reads_the_kernel(monkeypatch):
     """Per (n, seed) the suite asks inner_product only for its eight self-adjointness
     pairs, orthogonality being one Gram matrix; it asks no public projection or Lee
-    form; and closure is one membership call on the stack of the eleven components."""
+    form (no suite imports lee_forms); and closure is one membership call on the
+    stack of the eleven components."""
     inner = _count_calls(monkeypatch, "inner_product", verify)
     blocks = _count_calls(monkeypatch, "project_w")
-    lee = _count_calls(monkeypatch, "lee_forms", verify)
+    assert not hasattr(verify, "lee_forms")
     shapes = []
     original = verify._membership_residuals
     monkeypatch.setattr(verify, "_membership_residuals", lambda s, c: shapes.append(c.shape) or original(s, c))
     assert all(check.passed for check in run_suite("decomposition", 2))
-    assert (len(inner), len(blocks), len(lee)) == (8 * 3 * 2, 0, 0)
+    assert (len(inner), len(blocks)) == (8 * 3 * 2, 0)
     assert shapes == [(NUM_CLASSES, d, d, d) for d in (3, 5, 7) for _ in range(2)]
 
 
@@ -227,14 +254,15 @@ def test_dim3_suite_decomposes_chunk_by_chunk(monkeypatch):
     assert len(many) == 3
 
 
-@pytest.mark.parametrize("seeds", [range(1), range(5)], ids=["N1", "N5"])
+@pytest.mark.parametrize("seeds", [range(1), range(5), range(21)], ids=["N1", "N5", "N21"])
 @pytest.mark.parametrize("make_structure", [_canonical, random_structure], ids=["canonical", "pushed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_rows_are_decompose(n, make_structure, seeds):
     """Each row of one _decompose_many call is decompose of that tensor. Bit for bit
     at N = 1, which is decompose's own call, and on the canonical basis, whose
     products are exact; elsewhere a stacked matrix product may add in another
-    order, so within 1e-15 of the tensor's max-abs."""
+    order, so within 1e-15 of the tensor's max-abs. N = 21 is the models suite's
+    sphere grid, whose stack _w1_pair lays out with the tensors innermost."""
     s = make_structure(n, 0)
     cs = np.stack([random_structure_tensor(s, seed) for seed in seeds])
     stack, magnitudes, residuals = dec._decompose_many(s, cs)
