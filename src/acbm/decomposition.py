@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .structure import (
-    DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _real, _sealed,
+    DEFAULT_RTOL, StructureData, _in_float_range, _integer, _max_abs, _max_abs_each, _real, _sealed,
 )
 from .tensors import (
     _lee_forms,
@@ -272,11 +272,13 @@ def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
 _W2_SIGNS = {6: (1.0, -1.0), 7: (-1.0, -1.0), 8: (1.0, 1.0), 9: (-1.0, 1.0)}
 
 
-def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
+def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     """Worst residual of the defining identities of class F_i for the checked tensor c, with
-    the auxiliary ones: vanishing Lee forms of F2 and F6, cyclic sums of F2 and F3."""
+    the auxiliary ones: vanishing Lee forms of F2 and F6, cyclic sums of F2 and F3. A stack
+    c of shape (N, d, d, d) gets one residual per tensor."""
+    lead = c.shape[:-3]
     if i in (1, 4, 5):
-        return _max_abs(c - _component_arrays(s, c)[i])
+        return _max_abs_each(lead, c - _component_arrays(s, c)[i])
     phi, xi, eta = s.phi, s.xi, s.eta
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)
@@ -287,17 +289,18 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> float:
             lf = _lee_forms(s, c)
             extra = (lf.theta, lf.theta_star)
         recon = c - _sym_pair(d_mat, eta)
-        return _max_abs(recon, d_mat - sym * d_mat.T, d_mat - phi_sign * b_mat, *extra)
+        return _max_abs_each(lead, recon, d_mat - sym * d_mat.swapaxes(-1, -2), d_mat - phi_sign * b_mat, *extra)
     first = _xi_first(c, xi)  # F(xi, y, z)
     if i in (2, 3):
         cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F
-        cyc = cp + cp.transpose(1, 2, 0) + cp.transpose(2, 0, 1)
+        cyc = cp + np.moveaxis(cp, -3, -1) + np.moveaxis(cp, -1, -3)
         extra = (_lee_forms(s, c).theta,) if i == 2 else ()
-        return _max_abs(first, xi @ c, cyc, *extra)
-    if i == 10:
-        return _max_abs(c - eta[:, None, None] * (phi.T @ first @ phi))  # eta(x) F(xi, phi y, phi z)
+        return _max_abs_each(lead, first, xi @ c, cyc, *extra)
+    if i == 10:  # eta(x) F(xi, phi y, phi z)
+        return _max_abs_each(lead, c - eta[:, None, None] * (phi.T @ first @ phi)[..., None, :, :])
     omega = xi @ first  # F(xi, xi, z)
-    return _max_abs(c - eta[:, None, None] * (np.outer(eta, omega) + np.outer(omega, eta)))
+    pair = eta[:, None] * omega[..., None, :] + omega[..., :, None] * eta
+    return _max_abs_each(lead, c - eta[:, None, None] * pair[..., None, :, :])
 
 
 def _present(magnitudes: np.ndarray, cs: np.ndarray, rel_tol: float) -> list:

@@ -99,6 +99,12 @@ def _max_abs(*arrays) -> float:
     return max(float(np.max(np.abs(a))) for a in arrays)
 
 
+def _max_abs_each(lead: tuple, *arrays) -> np.ndarray:
+    """The max-abs over several arrays with the leading axes lead, one per index of lead
+    (per tensor of a stack). np.max keeps a NaN, which Python's max may drop."""
+    return np.max([np.abs(a).reshape(*lead, -1).max(axis=-1) for a in arrays], axis=0)
+
+
 def _integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
     """The one integer rule: value as an int, or one ValueError naming it unless it is an
     integer (not a bool or a float) from minimum up to maximum, when there is one."""

@@ -29,7 +29,7 @@ import numpy as np
 from . import decomposition as dec
 from . import models
 from .group import act, group_element_from_blocks, random_group_element, validate_group_element
-from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _integer, _max_abs, canonical_structure
+from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _integer, _max_abs, _max_abs_each, canonical_structure
 from .tensors import (
     _lee_forms,
     _membership_residuals,
@@ -61,13 +61,14 @@ class _Worst:
         self.tols = tols
         self.values = {}
 
-    def add(self, name: str, value: float) -> None:
+    def add(self, name: str, values) -> None:
+        """Record the worst of values, one residual or an array of them (one per seed)."""
         if name not in self.tols:
             # a misspelt name would otherwise report its check as a PASS at 0
             raise KeyError(f"check {name!r} is not in the suite's tolerance table")
-        value = float(value)
-        # every check that runs stores a value, 0.0 included; max() would
-        # drop a NaN residual, which must stick and fail the check
+        value = float(np.max(values))
+        # every check that runs stores a value, 0.0 included; a NaN residual, which
+        # np.max keeps and max() would drop, must stick and fail the check
         if value > self.values.get(name, -math.inf) or math.isnan(value):
             self.values[name] = value
 
@@ -75,15 +76,28 @@ class _Worst:
         return [CheckResult(name, self.values.get(name, math.nan), tol) for name, tol in self.tols.items()]
 
 
-def _by_size(residual: float, size: float, scale: float) -> float:
-    """The residual of a component of size `size` of a tensor of max-abs `scale`.
+# Bytes of the (N, 11, d, d, d) component stack of one kernel call: a batched suite splits
+# its seeds into calls of this size, about 50 seeds at d = 7 and 630 at d = 3, so that its
+# memory stays bounded however many seeds it runs.
+_CHUNK_BYTES = 1_500_000
+
+
+def _chunks(count: int, d: int, per_seed: int = 1) -> list:
+    """Slices that cut count seeds into those of one kernel call each, per_seed tensors a seed."""
+    size = max(1, _CHUNK_BYTES // (per_seed * dec.NUM_CLASSES * d**3 * 8))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _by_size(residual, size, scale):
+    """The residual of a component of size `size` of a tensor of max-abs `scale`,
+    elementwise over arrays of them.
 
     Above 1e-5 of the tensor a component is measured by its own size, as the
     admissibility gate measures a tensor; rounding leaks up to 5e-15 of the
     tensor into each component, which a smaller one would fail on, so that
     one is measured by the tensor's scale.
     """
-    return residual / (size if size > 1e-5 * scale else scale)
+    return residual / np.where(size > 1e-5 * scale, size, scale)
 
 
 def decomposition_suite(seeds: int) -> list:
@@ -101,73 +115,84 @@ def decomposition_suite(seeds: int) -> list:
         "involution oracle": DEFAULT_RTOL,
         "w21 refinement": DEFAULT_ATOL,
     })
-    upper = np.triu_indices(dec.NUM_CLASSES, 1)  # the pairs i < j
     for n in (1, 2, 3):
         s = canonical_structure(n)
-        gi_t = s.g_inv.T
-        for seed in range(seeds):
-            f = random_structure_tensor(s, seed)
-            scale = _scale(f)
-            d = dec.decompose(s, f)
-            comps = d.components.reshape(dec.NUM_CLASSES, -1)
-            w.add("reconstruction", d.reconstruction_residual)
-            # the Gram matrix of the induced inner product on the eleven components
-            gram = comps @ _pullback(d.components, gi_t, gi_t, gi_t).reshape(comps.shape).T
-            w.add("orthogonality", np.abs(gram[upper]).max() / scale**2)
-            closure = np.maximum(*_membership_residuals(s, d.components).values())
-            for i in range(1, dec.NUM_CLASSES + 1):
-                ci, size = d.components[i - 1], d.magnitudes[i - 1]
-                w.add("closure", _by_size(closure[i - 1], size, scale))
-                w.add("class predicates", _by_size(dec._class_residual(s, ci, i), size, scale))
-            projs = [dec._block(s, f, i) for i in range(1, 5)]
-            w.add("projector sum", _max_abs(sum(projs) - f) / scale)
-            for i, p in enumerate(projs, start=1):
-                w.add("projector idempotency", _max_abs(dec._block(s, p, i) - p) / scale)
-            g2 = random_structure_tensor(s, seed + 10_000)
-            for i, p in enumerate(projs, start=1):
-                lhs = inner_product(s, p, g2)
-                rhs = inner_product(s, f, dec._block(s, g2, i))
-                w.add("projector self-adjointness", abs(lhs - rhs) / (scale * _scale(g2)))
-            # Lee-form identities of f, then their vanishing per block
-            xi = s.xi
-            h = -s.phi2
-            lf = _lee_forms(s, f)
-            identities = _max_abs(lf.omega @ xi, s.phi.T @ lf.theta_star - h.T @ lf.theta)
-            w.add("lee form identities", identities / scale)
-            lee_p = [_lee_forms(s, p) for p in projs]
-            w.add("lee form table", _max_abs(
-                lee_p[0].theta @ xi, lee_p[0].theta_star @ xi, lee_p[0].omega,
-                h.T @ lee_p[1].theta, h.T @ lee_p[1].theta_star, lee_p[1].omega,
-                lee_p[2].theta, lee_p[2].theta_star, lee_p[2].omega,
-                lee_p[3].theta, lee_p[3].theta_star,
-            ) / scale)
-            # W2 involution eigenspaces
-            f456 = d.components[3] + d.components[4] + d.components[5]
-            plus_l1 = f456 + d.components[7]
-            minus_l1 = d.components[6] + d.components[8]
-            plus_l2 = d.components[7] + d.components[8]
-            minus_l2 = f456 + d.components[6]
-            w.add("w2 eigenspaces", _max_abs(
-                dec._involution(s, plus_l1, 1) - plus_l1, dec._involution(s, minus_l1, 1) + minus_l1,
-                dec._involution(s, plus_l2, 2) - plus_l2, dec._involution(s, minus_l2, 2) + minus_l2,
-            ) / scale)
-            # involution oracle: (p2 f + L1 - L2 - L2 L1)/4 on p2 f is F4 + F5 + F6
-            l1 = dec._involution(s, projs[1], 1)
-            oracle = projs[1] + l1 - dec._involution(s, projs[1], 2) - dec._involution(s, l1, 2)
-            w.add("involution oracle", _max_abs(0.25 * oracle - f456) / scale)
-            # W2,1 refinement
-            lf4, lf5, lf6 = (_lee_forms(s, d.components[i]) for i in (3, 4, 5))
-            w.add("w21 refinement", _max_abs(
-                lf4.theta_star @ xi, lf5.theta @ xi, lf6.theta @ xi, lf6.theta_star @ xi,
-            ) / scale)
+        for chunk in _chunks(seeds, s.dim):
+            drawn = range(seeds)[chunk]
+            fs = np.stack([random_structure_tensor(s, seed) for seed in drawn])
+            g2s = np.stack([random_structure_tensor(s, seed + 10_000) for seed in drawn])
+            _decomposition_checks(w, s, fs, g2s)
     return w.results()
 
 
-def _component_equivariance(w: _Worst, s, elem, f, af) -> None:
-    """Each component of af = elem . f against elem acting on that of f."""
-    pairs = zip(dec.decompose(s, af).components, dec.decompose(s, f).components)
-    for c_af, c_f in pairs:
-        w.add("component equivariance", _max_abs(c_af - act(s, elem, c_f)) / _scale(f))
+def _decomposition_checks(w: _Worst, s, fs: np.ndarray, g2s: np.ndarray) -> None:
+    """The decomposition suite's checks on the stack fs of N seeds, one kernel call for all,
+    each seed measured on its own scale; g2s are the partners of the self-adjointness check."""
+    lead, xi, h, gi_t = fs.shape[:-3], s.xi, -s.phi2, s.g_inv.T
+    scale = _scale(fs)
+
+    def worst(*arrays):  # per seed, on that seed's scale
+        return _max_abs_each(lead, *arrays) / scale
+
+    def inner(a, b):  # <a, b> per seed, as inner_product takes it: a dot with b's g_inv pullback
+        return (a.reshape(*lead, 1, -1) @ _pullback(b, gi_t, gi_t, gi_t).reshape(*lead, -1, 1))[..., 0, 0]
+
+    comps, sizes, residuals = dec._decompose_many(s, fs)
+    classes = comps.swapaxes(0, 1)  # classes[i - 1] is the (N, d, d, d) F_i part of every seed
+    w.add("reconstruction", residuals)
+    # the Gram matrix of the induced inner product on the eleven components of each seed
+    rows = comps.reshape(*lead, dec.NUM_CLASSES, -1)
+    gram = rows @ _pullback(comps, gi_t, gi_t, gi_t).reshape(rows.shape).swapaxes(-1, -2)
+    upper = np.triu_indices(dec.NUM_CLASSES, 1)  # the pairs i < j
+    w.add("orthogonality", np.abs(gram[..., upper[0], upper[1]]).max(axis=-1) / scale**2)
+    closure = np.maximum(*_membership_residuals(s, comps).values())
+    predicates = np.stack([dec._class_residual(s, c, i) for i, c in enumerate(classes, start=1)], axis=-1)
+    w.add("closure", _by_size(closure, sizes, scale[:, None]))
+    w.add("class predicates", _by_size(predicates, sizes, scale[:, None]))
+    projs = [dec._block(s, fs, i) for i in range(1, 5)]
+    w.add("projector sum", worst(sum(projs) - fs))
+    for i, p in enumerate(projs, start=1):
+        w.add("projector idempotency", worst(dec._block(s, p, i) - p))
+    for i, p in enumerate(projs, start=1):
+        adjoint = np.abs(inner(p, g2s) - inner(fs, dec._block(s, g2s, i)))
+        w.add("projector self-adjointness", adjoint / (scale * _scale(g2s)))
+    # Lee-form identities of f, then their vanishing per block
+    lf = _lee_forms(s, fs)
+    w.add("lee form identities", worst(lf.omega @ xi, lf.theta_star @ s.phi - lf.theta @ h))
+    lee_p = [_lee_forms(s, p) for p in projs]
+    w.add("lee form table", worst(
+        lee_p[0].theta @ xi, lee_p[0].theta_star @ xi, lee_p[0].omega,
+        lee_p[1].theta @ h, lee_p[1].theta_star @ h, lee_p[1].omega,
+        lee_p[2].theta, lee_p[2].theta_star, lee_p[2].omega,
+        lee_p[3].theta, lee_p[3].theta_star,
+    ))
+    # W2 involution eigenspaces
+    f4, f5, f6, f7, f8, f9 = classes[3:9]
+    f456 = f4 + f5 + f6
+    plus_l1, minus_l1 = f456 + f8, f7 + f9
+    plus_l2, minus_l2 = f8 + f9, f456 + f7
+    w.add("w2 eigenspaces", worst(
+        dec._involution(s, plus_l1, 1) - plus_l1, dec._involution(s, minus_l1, 1) + minus_l1,
+        dec._involution(s, plus_l2, 2) - plus_l2, dec._involution(s, minus_l2, 2) + minus_l2,
+    ))
+    # involution oracle: (p2 f + L1 - L2 - L2 L1)/4 on p2 f is F4 + F5 + F6
+    l1 = dec._involution(s, projs[1], 1)
+    oracle = projs[1] + l1 - dec._involution(s, projs[1], 2) - dec._involution(s, l1, 2)
+    w.add("involution oracle", worst(0.25 * oracle - f456))
+    # W2,1 refinement
+    lf4, lf5, lf6 = (_lee_forms(s, c) for c in (f4, f5, f6))
+    w.add("w21 refinement", worst(lf4.theta_star @ xi, lf5.theta @ xi, lf6.theta @ xi, lf6.theta_star @ xi))
+
+
+def _component_equivariance(w: _Worst, s, elems: list, fs: list, afs: list) -> None:
+    """Each component of af = elem . f against elem acting on that of f: one kernel call over
+    [af..., f...] per chunk of seeds, and per seed act's body on its eleven components."""
+    for chunk in _chunks(len(fs), s.dim, per_seed=2):
+        comps = dec._decompose_many(s, np.stack(afs[chunk] + fs[chunk]))[0]
+        half = len(comps) // 2
+        for elem, f, c_af, c_f in zip(elems[chunk], fs[chunk], comps[:half], comps[half:]):
+            ai = np.linalg.inv(elem)
+            w.add("component equivariance", np.abs(c_af - _pullback(c_f, ai, ai, ai)).max() / _scale(f))
 
 
 def group_suite(seeds: int) -> list:
@@ -181,6 +206,7 @@ def group_suite(seeds: int) -> list:
     })
     n = 2
     s = canonical_structure(n)
+    elems, fs, afs = [], [], []  # for the component equivariance of all seeds, checked last
     for seed in range(seeds):
         elem = random_group_element(n, seed)
         w.add("element validity", 0.0 if validate_group_element(s, elem) else 1.0)
@@ -203,14 +229,16 @@ def group_suite(seeds: int) -> list:
                 "p_i equivariance",
                 _max_abs(dec.project_w(s, af, i) - act(s, elem, dec.project_w(s, f, i))) / scale,
             )
-        _component_equivariance(w, s, elem, f, af)
+        elems.append(elem)
+        fs.append(f)
+        afs.append(af)
+    _component_equivariance(w, s, elems, fs, afs)
     # discrete representative at n = 1
     s1 = canonical_structure(1)
     refl = group_element_from_blocks(1, -np.eye(1), np.zeros((1, 1)))
     w.add("element validity", 0.0 if validate_group_element(s1, refl) else 1.0)
-    for seed in range(min(seeds, 10)):
-        f1 = random_structure_tensor(s1, seed)
-        _component_equivariance(w, s1, refl, f1, act(s1, refl, f1))
+    f1s = [random_structure_tensor(s1, seed) for seed in range(min(seeds, 10))]
+    _component_equivariance(w, s1, [refl] * len(f1s), f1s, [act(s1, refl, f1) for f1 in f1s])
     return w.results()
 
 
@@ -244,6 +272,7 @@ def models_suite(seeds: int) -> list:
         "sphere classification": 0.5,
     })
     rng = np.random.default_rng(2024)
+    family, expected = [], []  # the n = 1 tensors and their classes, classified together below
     for n in (1, 2):
         draws = [rng.uniform(-2.0, 2.0, size=2 * n) for _ in range(seeds)]
         for params in ([*_LIE_PAIRS, *draws] if n == 1 else draws):
@@ -260,11 +289,14 @@ def models_suite(seeds: int) -> list:
                 gamma, tensor = _lie_family_closed_forms(a1, a2)
                 w.add("family connection values", _max_abs(g - gamma))
                 w.add("family tensor components", _max_abs(f - tensor))
-                report = dec.classify(s, f)
-                expected = tuple(
-                    i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero
-                )
-                w.add("family classification", 0.0 if report.present == expected else 1.0)
+                family.append(f)
+                expected.append(tuple(i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero))
+    s1 = canonical_structure(1)
+    for chunk in _chunks(len(family), s1.dim):
+        fs = np.stack(family[chunk])
+        verdicts = dec._present(dec._decompose_many(s1, fs)[1], fs, DEFAULT_RTOL)
+        for present, want in zip(verdicts, expected[chunk]):
+            w.add("family classification", 0.0 if present == want else 1.0)
     # sphere grid: per n, its 21 tensors (20 grid points and t = 0) in one kernel call and one Lee-form call
     ts = np.append(np.linspace(-np.pi / 2, np.pi / 2, 20), 0.0)
     for n in (1, 2, 3):
@@ -319,19 +351,14 @@ def _dim3_closed_forms(c: np.ndarray) -> np.ndarray:
     return out
 
 
-# Seeds per kernel call of the dim3 suite, so that its memory stays bounded however
-# many seeds it runs: about 14 kB each with the temporaries, 14 MB for a chunk.
-_DIM3_CHUNK = 1000
-
-
 def dim3_suite(seeds: int) -> list:
     w = _Worst({
         "components 2,3,6,7 vanish": DEFAULT_ATOL,
         "closed forms match decompose": DEFAULT_ATOL,
     })
     s = canonical_structure(1)
-    for start in range(0, seeds, _DIM3_CHUNK):
-        fs = np.stack([random_structure_tensor(s, k) for k in range(start, min(seeds, start + _DIM3_CHUNK))])
+    for chunk in _chunks(seeds, s.dim):
+        fs = np.stack([random_structure_tensor(s, seed) for seed in range(seeds)[chunk]])
         comps = dec._decompose_many(s, fs)[0]  # one kernel call and one gate call per chunk
         scale = _scale(fs)[:, None, None, None, None]  # each seed's own
         w.add("components 2,3,6,7 vanish", np.max(np.abs(comps[:, [1, 2, 5, 6]]) / scale))

@@ -144,10 +144,13 @@ def test_check_passes_in_a_non_canonical_basis(basis, suite, check):
 
 def _verdicts(suite: str, factor: float) -> list:
     """(name, worst, passed) of `suite` at three seeds, with every random tensor times factor."""
+    drawn = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "random_structure_tensor",
-                      lambda s, seed: factor * random_structure_tensor(s, seed))
-        return [(check.name, check.worst, check.passed) for check in run_suite(suite, 3)]
+                      lambda s, seed: drawn.append(seed) or factor * random_structure_tensor(s, seed))
+        verdicts = [(check.name, check.worst, check.passed) for check in run_suite(suite, 3)]
+    assert drawn, f"{suite} no longer draws through random_structure_tensor"
+    return verdicts
 
 
 @pytest.mark.parametrize("k", [-40, 40])

@@ -496,32 +496,51 @@ class TestVerify:
     def test_closure_measures_a_present_component_by_its_own_size(self, monkeypatch):
         """An inadmissible part of 1e-6 of a small component's own size fails
         closure, though it is below 1e-9 of the tensor's size."""
-        decompose, spoiled = decomposition.decompose, []
+        decompose_many, spoiled = decomposition._decompose_many, []
 
-        def spoil(s, f):
-            d = decompose(s, f)
-            stack, scale = np.array(d.components), _max_abs(f)
-            for c in stack:
-                size = _max_abs(c)
-                if DEFAULT_RTOL * scale < size < 1e-3 * scale:
-                    # horizontal, horizontal, vertical (xi): inside the block
-                    # W2 of F4..F9, but not symmetric in the last two slots
-                    c[1, 2, 0] += 1e-6 * size
-                    spoiled.append(size)
-            return dataclasses.replace(d, components=stack)
+        def spoil(s, cs):
+            stack, magnitudes, residuals = decompose_many(s, cs)
+            stack = np.array(stack)
+            for f, components in zip(cs, stack):
+                scale = _max_abs(f)
+                for c in components:
+                    size = _max_abs(c)
+                    if DEFAULT_RTOL * scale < size < 1e-3 * scale:
+                        # horizontal, horizontal, vertical (xi): inside the block
+                        # W2 of F4..F9, but not symmetric in the last two slots
+                        c[1, 2, 0] += 1e-6 * size
+                        spoiled.append(size)
+            return stack, magnitudes, residuals
 
-        monkeypatch.setattr(decomposition, "decompose", spoil)
+        monkeypatch.setattr(decomposition, "_decompose_many", spoil)
         # seed 17 at n = 1 has an F9 component of 9.0e-5 of |F|
         closure = {check.name: check for check in verify.decomposition_suite(18)}["closure"]
         assert spoiled and not closure.passed
+
+    def test_a_nan_component_fails_closure_and_class_predicates(self, monkeypatch):
+        """A NaN in one component of one seed sticks through the batched checks, which
+        take np.max over the seeds, and fails them; Python's max would drop it."""
+        decompose_many = decomposition._decompose_many
+
+        def with_nan(s, cs):
+            stack, magnitudes, residuals = decompose_many(s, cs)
+            stack = np.array(stack)
+            stack[1, 8, 1, 2, 0] = math.nan  # seed 1, F9
+            return stack, magnitudes, residuals
+
+        monkeypatch.setattr(decomposition, "_decompose_many", with_nan)
+        checks = {check.name: check for check in verify.decomposition_suite(3)}
+        for name in ("closure", "class predicates"):
+            assert math.isnan(checks[name].worst) and not checks[name].passed, name
 
     @pytest.mark.parametrize("share", [2e-9, 1e-7, 2e-5])
     def test_closure_passes_a_small_present_component(self, monkeypatch, share):
         """A component scaled to a small share of |F| passes closure: the
         rounding that leaks from the rest of F is not measured by its size."""
-        seeded = verify.random_structure_tensor
+        seeded, drawn = verify.random_structure_tensor, []
 
         def shrink_f2(s, seed):
+            drawn.append(seed)
             f = seeded(s, seed)
             if s.n == 1:  # F2 vanishes at n = 1
                 return f
@@ -532,6 +551,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "random_structure_tensor", shrink_f2)
         # at 2e-9, seed 1 at n = 3 reports 6.7e-8 when 1e-9 of |F| counts as present
         closure = {check.name: check for check in verify.decomposition_suite(3)}["closure"]
+        assert drawn, "the suite no longer draws through random_structure_tensor"
         assert closure.passed, closure.worst
 
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):

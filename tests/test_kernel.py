@@ -158,17 +158,58 @@ def test_dim3_suite_decomposes_in_one_call(monkeypatch):
     assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 1)
 
 
-def test_models_suite_decomposes_its_sphere_grid_in_one_call_per_n(monkeypatch):
-    """The sphere grid asks no classify: per n its 21 tensors are one _decompose_many
-    call. The other calls are the family's classify, one per n = 1 parameter pair."""
-    classify = _count_calls(monkeypatch, "classify")
+def _record_shapes(monkeypatch) -> list:
+    """The shape of the stack of each _decompose_many call, in call order."""
     shapes = []
     original = dec._decompose_many
     monkeypatch.setattr(dec, "_decompose_many", lambda s, cs: shapes.append(cs.shape) or original(s, cs))
+    return shapes
+
+
+def test_models_suite_decomposes_its_sphere_grid_in_one_call_per_n(monkeypatch):
+    """The suite asks no classify: the n = 1 Lie-family tensors, one per parameter
+    pair, are one _decompose_many call, and per n the sphere grid's 21 tensors are one."""
+    classify = _count_calls(monkeypatch, "classify")
+    shapes = _record_shapes(monkeypatch)
     assert all(check.passed for check in run_suite("models", 3))
-    family = len(verify._LIE_PAIRS) + 3
-    assert len(classify) == family
-    assert shapes == [(1, 3, 3, 3)] * family + [(21, d, d, d) for d in (3, 5, 7)]
+    assert len(classify) == 0
+    assert shapes == [(len(verify._LIE_PAIRS) + 3, 3, 3, 3)] + [(21, d, d, d) for d in (3, 5, 7)]
+
+
+def test_group_suite_decomposes_in_one_call_per_n(monkeypatch):
+    """The component-equivariance check decomposes [af..., f...] of every seed in one
+    _decompose_many call per n, and acts on the components through act's body: act
+    itself runs only for the suite's other checks, 9 times per seed at n = 2 and once
+    per seed at n = 1."""
+    whole = _count_calls(monkeypatch, "decompose")
+    acts = _count_calls(monkeypatch, "act", verify)
+    shapes = _record_shapes(monkeypatch)
+    assert all(check.passed for check in run_suite("group", 3))
+    assert len(whole) == 0
+    assert len(acts) == 9 * 3 + 3
+    assert shapes == [(2 * 3, 5, 5, 5), (2 * 3, 3, 3, 3)]
+
+
+@pytest.mark.parametrize("make_structure", [_canonical, random_structure], ids=["canonical", "pushed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_residual_rows_are_single_calls(n, make_structure):
+    """_class_residual takes a stack and gives one residual per tensor: each row is the
+    call on that tensor alone, bit for bit on the canonical basis, and within 1e-15 of
+    the tensor's max-abs elsewhere, where a stacked product may add in another order.
+    The stack holds three tensors and their F_i parts, so rows both near 0 and not."""
+    s = make_structure(n, 0)
+    fs = np.stack([random_structure_tensor(s, seed) for seed in range(3)])
+    parts = dec._decompose_many(s, fs)[0]
+    for i in range(1, NUM_CLASSES + 1):
+        cs = np.concatenate([fs, parts[:, i - 1]])
+        stacked = dec._class_residual(s, cs, i)
+        assert stacked.shape == (len(cs),)
+        for c, f, row in zip(cs, np.concatenate([fs, fs]), stacked):
+            single = dec._class_residual(s, c, i)
+            if make_structure is _canonical:
+                assert row.tobytes() == single.tobytes(), f"F{i}"
+            else:
+                assert abs(row - single) <= 1e-15 * _max_abs(f), f"F{i}"
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -185,19 +226,22 @@ def test_involution_rows_are_single_calls(n, j):
 
 
 def test_decomposition_suite_reads_the_kernel(monkeypatch):
-    """Per (n, seed) the suite asks inner_product only for its eight self-adjointness
-    pairs, orthogonality being one Gram matrix; it asks no public projection or Lee
-    form (no suite imports lee_forms); and closure is one membership call on the
-    stack of the eleven components."""
+    """Per n the suite decomposes its seeds in one _decompose_many call and asks no
+    inner_product, orthogonality being one Gram matrix per seed and self-adjointness
+    stacked dots; it asks no public projection or Lee form (no suite imports
+    lee_forms); and closure is one membership call on the (seeds, 11, d, d, d) stack."""
     inner = _count_calls(monkeypatch, "inner_product", verify)
     blocks = _count_calls(monkeypatch, "project_w")
+    whole = _count_calls(monkeypatch, "decompose")
     assert not hasattr(verify, "lee_forms")
+    many = _record_shapes(monkeypatch)
     shapes = []
     original = verify._membership_residuals
     monkeypatch.setattr(verify, "_membership_residuals", lambda s, c: shapes.append(c.shape) or original(s, c))
     assert all(check.passed for check in run_suite("decomposition", 2))
-    assert (len(inner), len(blocks)) == (8 * 3 * 2, 0)
-    assert shapes == [(NUM_CLASSES, d, d, d) for d in (3, 5, 7) for _ in range(2)]
+    assert (len(inner), len(blocks), len(whole)) == (0, 0, 0)
+    assert many == [(2, d, d, d) for d in (3, 5, 7)]
+    assert shapes == [(2, NUM_CLASSES, d, d, d) for d in (3, 5, 7)]
 
 
 SUITE_CASES = [(n, seed) for n in (1, 2, 3) for seed in range(4)]
@@ -244,14 +288,22 @@ def test_private_bodies_match_the_public_maps(n, seed):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), f"p{i} {name}"
 
 
-def test_dim3_suite_decomposes_chunk_by_chunk(monkeypatch):
-    """Past _DIM3_CHUNK seeds the suite makes one kernel call per chunk, so its memory
-    does not grow with the seeds, and reports what one call over all of them reports."""
-    whole = run_suite("dim3", 5)
-    monkeypatch.setattr(verify, "_DIM3_CHUNK", 2)
+@pytest.mark.parametrize(
+    "suite, calls",
+    # with stacks of two tensors of d = 3 a call: 3, 5 and 5 calls at n = 1, 2, 3; the
+    # group's two tensors a seed, one seed a call at n = 2 and n = 1; ten family tensors,
+    # then the three sphere grids
+    [("decomposition", 13), ("group", 10), ("models", 8), ("dim3", 3)],
+)
+def test_suites_decompose_chunk_by_chunk(monkeypatch, suite, calls):
+    """Past _CHUNK_BYTES of components a batched suite makes one kernel call per chunk,
+    so its memory does not grow with the seeds, and reports what one call over all of
+    them reports."""
+    whole = run_suite(suite, 5)
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 2 * NUM_CLASSES * 3**3 * 8)
     many = _count_calls(monkeypatch, "_decompose_many")
-    assert run_suite("dim3", 5) == whole
-    assert len(many) == 3
+    assert run_suite(suite, 5) == whole
+    assert len(many) == calls
 
 
 @pytest.mark.parametrize("seeds", [range(1), range(5), range(21)], ids=["N1", "N5", "N21"])
