@@ -124,5 +124,11 @@ def act(s: StructureData, a, f) -> np.ndarray:
     pullback overflows, the ValueError "result overflows the floating-point range (...)".
     """
     c = _tensor(s, f)
-    ai = np.linalg.inv(_as_float_array(a, (s.dim, s.dim), "matrix"))  # singular: LinAlgError
-    return _sealed(_pullback(c, ai, ai, ai))
+    return _sealed(_act(_as_float_array(a, (s.dim, s.dim), "matrix"), c))
+
+
+def _act(a: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """act's pullback of cs by a^-1, unchecked: one matrix for all tensors of a stack or
+    one per tensor. A singular matrix raises LinAlgError."""
+    ai = np.linalg.inv(a)
+    return _pullback(cs, ai, ai, ai)

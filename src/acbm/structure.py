@@ -65,8 +65,9 @@ def _in_float_range(fn):
 
 def _sealed(arr: np.ndarray) -> np.ndarray:
     """arr made read-only; the same ValueError when it holds inf or NaN, which
-    np.einsum and np.vdot return without raising under _in_float_range."""
-    if not np.isfinite(arr).all():
+    np.einsum returns without raising under _in_float_range. A comparison, not
+    np.isfinite, so that an exact (Fraction) array passes too."""
+    if not (np.abs(arr) <= sys.float_info.max).all():
         raise ValueError(_OUT_OF_RANGE)
     arr.flags.writeable = False
     return arr

@@ -69,10 +69,11 @@ def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.
 
     Staged one slot at a time this costs O(d^4), against O(d^6) for the
     single four-operand einsum, and it needs no contraction-path search.
+    On a stack, a, b and m are one (d, d) matrix for all tensors or one per tensor.
     """
     d = c.shape[-1]
-    t = (a.T @ c.reshape(*c.shape[:-3], d, -1)).reshape(c.shape)
-    return (b.T @ t) @ m
+    t = (a.swapaxes(-1, -2) @ c.reshape(*c.shape[:-3], d, -1)).reshape(c.shape)
+    return (b.swapaxes(-1, -2)[..., None, :, :] @ t) @ m[..., None, :, :]
 
 
 def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -138,14 +139,18 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     does (the map is idempotent; this follows from phi^2 = -Id +
     eta (x) xi and the forced vanishing of F(x, xi, xi)).
     """
-    c = _tensor(s, f)
+    return _sealed(_embed(s, _tensor(s, f)))
+
+
+def _embed(s: StructureData, c: np.ndarray) -> np.ndarray:
+    """embed_structure_tensor's G of c, unchecked; exact on Fraction arrays."""
     phi, eta, h = s.phi, s.eta, -s.phi2
-    S = (c + c.transpose(0, 2, 1)) / 2
+    S = (c + c.swapaxes(-1, -2)) / 2
     s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
     out = (h.T @ S @ h + phi.T @ S @ phi) / 2
-    out += eta[:, None] * s_h_xi[:, None, :]
-    out += s_h_xi[:, :, None] * eta
-    return _sealed(out)
+    out += eta[:, None] * s_h_xi[..., :, None, :]
+    out += s_h_xi[..., :, :, None] * eta
+    return out
 
 
 def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
@@ -155,7 +160,7 @@ def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
     and pushed through embed_structure_tensor. seed is an integer >= 0.
     """
     rng = np.random.default_rng(_integer(seed, "seed", 0))
-    return embed_structure_tensor(s, rng.uniform(-1.0, 1.0, size=(s.dim,) * 3))
+    return _sealed(_embed(s, rng.uniform(-1.0, 1.0, size=(s.dim,) * 3)))
 
 
 @_in_float_range
@@ -167,8 +172,13 @@ def inner_product(s: StructureData, f1, f2) -> float:
     components instead.
     """
     c1, c2 = _tensor(s, f1), _tensor(s, f2)
-    gi_t = s.g_inv.T
-    return float(_sealed(np.asarray(np.vdot(c1, _pullback(c2, gi_t, gi_t, gi_t)))))
+    return float(_sealed(_inner(s, c1, c2)))
+
+
+def _inner(s: StructureData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of each pair of tensors of two stacks: one dot of a with b's g_inv pullback."""
+    lead, gi_t = a.shape[:-3], s.g_inv.T
+    return (a.reshape(*lead, 1, -1) @ _pullback(b, gi_t, gi_t, gi_t).reshape(*lead, -1, 1))[..., 0, 0]
 
 
 @_in_float_range

@@ -416,6 +416,7 @@ class TestProject:
     (["frob"], "frob"),
     ([], "command"),
     (["gen", "group", "--n", "1"], "invalid choice: 'group'"),
+    (["gen", "liegroup", "--n", "1", "--a=x,1"], "--a must be comma-separated floats"),
 ])
 def test_refused_command_line_is_one_line_exit_2(tmp_path, capsys, argv, error):
     src = str(tmp_path / "r.json")
@@ -699,11 +700,13 @@ class TestFileFormats:
         ('{"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": ' + "[" * 50 + "0" + "]" * 50 + "}]}",
          "brackets[0].coeffs must have shape (3,), got (1, 1, "),
         ('{"n": 1, "brackets": {"a": 1}}', "error: 'brackets' must be a list, got dict\n"),
-    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs", "brackets-object"])
+        ('{"n": 1, "g": [0, 0, 0, 0, 0, 0, 0, 0, 0], "comps": ' + json.dumps([0.0] * 27) + "}",
+         "error: metric g is singular\n"),
+    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs", "brackets-object", "singular-g"])
     def test_malformed_json_is_one_line(self, tmp_path, capsys, text, error):
         """Nesting too deep for the JSON decoder or for numpy, a key that json
-        would read from its last copy, and a 'brackets' that is not a list,
-        named by the type it has, each exit 2 in one line."""
+        would read from its last copy, a 'brackets' that is not a list, named
+        by the type it has, and a metric g with no inverse each exit 2 in one line."""
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert main(["classify", str(path)]) == 2

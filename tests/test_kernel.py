@@ -6,8 +6,8 @@ component formula written out with einsum, on non-canonical structures
 and on random tensors both admissible and not. The decomposition is also
 checked to be natural under a change of basis, to stay exact on
 Fraction arrays, and to split a stack of tensors row by row as
-`decompose` splits each one. The stacked calls of the `decomposition`
-verify suite are checked against the public maps they stand in for.
+`decompose` splits each one. The private bodies the verify suites call on
+stacks are checked against the public maps they stand in for.
 """
 
 from fractions import Fraction
@@ -19,10 +19,11 @@ import acbm.decomposition as dec
 import acbm.verify as verify
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose, project_w
 from acbm.errors import PreconditionError
+from acbm.group import _act, act, random_group_element
 from acbm.structure import _max_abs, canonical_structure
 from acbm.tensors import (
-    _lee_forms, _membership_residuals, _pullback, embed_structure_tensor, inner_product, lee_forms,
-    random_structure_tensor,
+    _embed, _inner, _lee_forms, _membership_residuals, _pullback, embed_structure_tensor, inner_product,
+    lee_forms, random_structure_tensor,
 )
 from acbm.verify import _dim3_closed_forms, run_suite
 
@@ -178,15 +179,13 @@ def test_models_suite_decomposes_its_sphere_grid_in_one_call_per_n(monkeypatch):
 
 def test_group_suite_decomposes_in_one_call_per_n(monkeypatch):
     """The component-equivariance check decomposes [af..., f...] of every seed in one
-    _decompose_many call per n, and acts on the components through act's body: act
-    itself runs only for the suite's other checks, 9 times per seed at n = 2 and once
-    per seed at n = 1."""
+    _decompose_many call per n, and every check acts through act's body on the stack
+    of seeds: the suite asks no decompose, and verify has no act."""
     whole = _count_calls(monkeypatch, "decompose")
-    acts = _count_calls(monkeypatch, "act", verify)
+    assert not hasattr(verify, "act")
     shapes = _record_shapes(monkeypatch)
     assert all(check.passed for check in run_suite("group", 3))
     assert len(whole) == 0
-    assert len(acts) == 9 * 3 + 3
     assert shapes == [(2 * 3, 5, 5, 5), (2 * 3, 3, 3, 3)]
 
 
@@ -227,19 +226,20 @@ def test_involution_rows_are_single_calls(n, j):
 
 def test_decomposition_suite_reads_the_kernel(monkeypatch):
     """Per n the suite decomposes its seeds in one _decompose_many call and asks no
-    inner_product, orthogonality being one Gram matrix per seed and self-adjointness
-    stacked dots; it asks no public projection or Lee form (no suite imports
-    lee_forms); and closure is one membership call on the (seeds, 11, d, d, d) stack."""
-    inner = _count_calls(monkeypatch, "inner_product", verify)
+    inner product one pair at a time, orthogonality being one Gram matrix per seed and
+    self-adjointness stacked _inner calls; it asks no public projection, inner product
+    or Lee form (no suite imports inner_product or lee_forms); and closure is one
+    membership call on the (seeds, 11, d, d, d) stack."""
     blocks = _count_calls(monkeypatch, "project_w")
     whole = _count_calls(monkeypatch, "decompose")
+    assert not hasattr(verify, "inner_product")
     assert not hasattr(verify, "lee_forms")
     many = _record_shapes(monkeypatch)
     shapes = []
     original = verify._membership_residuals
     monkeypatch.setattr(verify, "_membership_residuals", lambda s, c: shapes.append(c.shape) or original(s, c))
     assert all(check.passed for check in run_suite("decomposition", 2))
-    assert (len(inner), len(blocks), len(whole)) == (0, 0, 0)
+    assert (len(blocks), len(whole)) == (0, 0)
     assert many == [(2, d, d, d) for d in (3, 5, 7)]
     assert shapes == [(2, NUM_CLASSES, d, d, d) for d in (3, 5, 7)]
 
@@ -276,8 +276,12 @@ def test_membership_residuals_of_a_stack_are_per_tensor(n, seed):
 
 @pytest.mark.parametrize("n, seed", SUITE_CASES)
 def test_private_bodies_match_the_public_maps(n, seed):
-    """The suite's _block and _lee_forms give, bit for bit, what project_w and
-    lee_forms give on an admissible tensor."""
+    """The suites' private bodies against the public maps. _block and _lee_forms give,
+    bit for bit, what project_w and lee_forms give on an admissible tensor. On a stack
+    of three tensors, each row of _embed, _act, _inner and of _pullback with one matrix
+    per tensor is the public map, or the single call, on that tensor alone: bit for bit
+    on the canonical basis, and on the pushed one within 1e-15 of the row's max-abs or
+    of 1, whichever is larger, where a stacked product may add in another order."""
     s = random_structure(n, seed)
     f = random_structure_tensor(s, seed)
     for i in range(1, 5):
@@ -286,6 +290,26 @@ def test_private_bodies_match_the_public_maps(n, seed):
         got, want = _lee_forms(s, p), lee_forms(s, p)
         for name in ("theta", "theta_star", "omega"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), f"p{i} {name}"
+    for s in (canonical_structure(n), random_structure(n, seed)):
+        raw = np.stack([raw_tensor(n, seed + k) for k in range(3)])
+        fs = np.stack([random_structure_tensor(s, seed + k) for k in range(3)])
+        elems = np.stack([random_group_element(n, seed + k) for k in range(3)])
+        a, b, m = (np.stack([basis_change(n, 10 * seed + 3 * k + j) for k in range(3)]) for j in range(3))
+        rows = {
+            "_embed": (_embed(s, raw), [embed_structure_tensor(s, c) for c in raw]),
+            "_act": (_act(elems, fs), [act(s, e, f) for e, f in zip(elems, fs)]),
+            "_act, one matrix": (_act(elems[0], fs), [act(s, elems[0], f) for f in fs]),
+            "_inner": (_inner(s, fs, fs[::-1]), [inner_product(s, f, g) for f, g in zip(fs, fs[::-1])]),
+            "_pullback": (_pullback(fs, a, b, m), [_pullback(*args) for args in zip(fs, a, b, m)]),
+        }
+        for name, (stacked, single) in rows.items():
+            assert len(stacked) == len(single), name
+            for row, want in zip(stacked, single):
+                row, want = np.asarray(row), np.asarray(want)
+                if s is canonical_structure(n):
+                    assert row.tobytes() == want.tobytes(), name
+                else:
+                    assert np.max(np.abs(row - want)) <= 1e-15 * max(_max_abs(want), 1.0), name
 
 
 @pytest.mark.parametrize(
@@ -379,26 +403,21 @@ def test_gl_naturality(n, seed):
 
 @pytest.mark.parametrize("t", [np.eye(3), [[1, 0.5, 0], [0, 1, -3], [2, 0, 1]]], ids=["canonical", "rational"])
 def test_kernel_keeps_exact_input_exact(t):
-    """On Fraction arrays the kernel is exact: the components of an admissible tensor
-    sum back to it, are pairwise orthogonal and satisfy their class identities, each
-    with residual exactly 0, and no float enters the output (a float literal in the
-    kernel would turn its entries into floats). It runs on a stack of two tensors, so
-    the batch axis is exact too. In the canonical basis they are the paper's nine
+    """On Fraction arrays the kernel is exact end to end, _embed and _decompose_many
+    with its gate and seal: the components of an admissible tensor sum back to it, are
+    pairwise orthogonal and satisfy their class identities, each with residual exactly
+    0, and no float enters the output (a float literal in the kernel would turn its
+    entries into floats). It runs on a stack of two tensors, so the batch axis is
+    exact too. In the canonical basis they are the paper's nine
     coordinates, the dim3 suite's closed forms, entry for entry. The float kernel
     agrees with it."""
     s = exact_structure(1, t)
-    c = exact(np.random.default_rng(1).integers(-3, 4, (2, 3, 3, 3)))  # all nine coordinates nonzero
-    # the formula of embed_structure_tensor, in exact arithmetic
-    S = (c + c.swapaxes(-1, -2)) / 2
-    s_h_xi = -(S @ s.xi) @ s.phi2
-    c = (s.phi2.T @ S @ s.phi2 + s.phi.T @ S @ s.phi) / 2
-    c += s.eta[:, None] * s_h_xi[..., :, None, :] + s_h_xi[..., None] * s.eta
-    arrays = _component_arrays(s, c)
-    arrays[2], arrays[3] = _w1_pair(s, c, arrays[1])
-    stack = np.stack([arrays[i] for i in range(1, NUM_CLASSES + 1)], axis=1)
+    c = _embed(s, exact(np.random.default_rng(1).integers(-3, 4, (2, 3, 3, 3))))  # all nine coordinates nonzero
+    stack, _, residuals = dec._decompose_many(s, c)
     assert stack.shape == (2, NUM_CLASSES, 3, 3, 3)
     assert {type(x) for x in stack.ravel()} == {Fraction}
     assert not np.any(stack.sum(axis=1) - c)
+    assert not np.any(residuals)
     gi = s.g_inv
     for comps in stack:
         for i in range(NUM_CLASSES):

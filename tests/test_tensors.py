@@ -145,7 +145,7 @@ class TestInnerProduct:
     @pytest.mark.parametrize(
         "where, message",
         [
-            ("sum", "^result overflows the floating-point range$"),
+            ("sum", r"^result overflows the floating-point range \(overflow encountered in matmul\)$"),
             ("pullback", r"^result overflows the floating-point range \(overflow encountered in matmul\)$"),
         ],
         ids=["sum", "pullback"],
