@@ -237,33 +237,33 @@ def decompose(s: StructureData, f) -> Decomposition:
     Requires f admissible (the one gate, _require_structure_tensor): the
     component formulas are only meaningful on the admissible space. The
     recorded residual is max-abs(sum of components - f) relative to
-    _scale(f), the max-abs of f; past the fixed bound of _decompose_many
-    it raises PreconditionError.
+    _scale(f), the max-abs of f; past DEFAULT_RTOL it raises
+    PreconditionError. classify passes the same door, _admitted.
     """
-    stack, magnitudes, residuals = _decompose_many(s, _tensor(s, f)[None])
-    return Decomposition(stack[0], magnitudes[0], float(residuals[0]))
+    return Decomposition(*_admitted(s, _tensor(s, f)))
+
+
+def _admitted(s: StructureData, c: np.ndarray) -> tuple:
+    """The one door of decompose and classify: the checked tensor c gated, decomposed, and refused
+    unless its components sum back to it within DEFAULT_RTOL relative to _scale(c), which on
+    admissible input is rounding noise at any scale. Returns (components, magnitudes, residual)."""
+    _require_structure_tensor(s, c)
+    stack, magnitudes, (residual,) = _decompose_many(s, c[None])
+    if not residual <= DEFAULT_RTOL:
+        raise PreconditionError(f"components do not sum back to the tensor: reconstruction residual {residual:.3e}")
+    return stack[0], magnitudes[0], float(residual)
 
 
 def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
-    """The checked tensors cs, shape (N, d, d, d), split into the sealed (N, 11, d, d, d)
-    stack of their components, the (N, 11) magnitudes and the N reconstruction residuals.
-
-    Each tensor is gated, and its components must sum back to it within DEFAULT_RTOL
-    relative to its own _scale: on admissible input the difference is rounding noise
-    at any scale. A refusal names the first tensor the gate refuses, else the first
-    that does not sum back, with the message decompose gives that tensor.
-    """
-    _require_structure_tensor(s, cs)
+    """The bare kernel: the tensors cs, shape (N, d, d, d), split into the sealed (N, 11, d, d, d)
+    stack of their components, the (N, 11) magnitudes and the N reconstruction residuals, each on
+    its tensor's own _scale. It gates and refuses nothing, so that a suite measures a tensor
+    outside the admissible space as a failed check; _admitted is the public maps' door."""
     arrays = _component_arrays(s, cs)
     arrays[2], arrays[3] = _w1_pair(s, cs, arrays[1])
     # popped, so that the components are not held next to the stack
     stack = _sealed(np.stack([arrays.pop(i) for i in range(1, NUM_CLASSES + 1)], axis=1))
     residuals = np.abs(stack.sum(axis=1) - cs).max(axis=(1, 2, 3)) / _scale(cs)
-    refused = residuals[residuals > DEFAULT_RTOL]
-    if refused.size:
-        raise PreconditionError(
-            f"components do not sum back to the tensor: reconstruction residual {refused[0]:.3e}"
-        )
     return stack, _sealed(np.abs(stack).max(axis=(2, 3, 4))), residuals
 
 
@@ -321,12 +321,12 @@ def classify(s: StructureData, f, rel_tol: float = DEFAULT_RTOL) -> ClassReport:
     fixed. It is echoed in the report for reproducibility.
     """
     rel_tol = _real(rel_tol, "rel_tol", positive=True)
-    cs = _tensor(s, f)[None]
-    _, magnitudes, residuals = _decompose_many(s, cs)
+    c = _tensor(s, f)
+    _, magnitudes, residual = _admitted(s, c)
     return ClassReport(
-        present=_present(magnitudes, cs, rel_tol)[0],
-        magnitudes=magnitudes[0],
+        present=_present(magnitudes[None], c[None], rel_tol)[0],
+        magnitudes=magnitudes,
         rel_tol=rel_tol,
-        input_magnitude=_max_abs(cs),
-        reconstruction_residual=float(residuals[0]),
+        input_magnitude=_max_abs(c),
+        reconstruction_residual=residual,
     )

@@ -98,18 +98,17 @@ def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
 def _require_structure_tensor(s: StructureData, c: np.ndarray) -> None:
     """PreconditionError naming each membership residual above DEFAULT_RTOL * _scale(c).
 
-    This is the one admissibility verdict: is_structure_tensor and every map on
-    the admissible space (project_w, component, decompose and so classify) ask
-    it, under their own float-range rule. A stack is judged tensor by tensor,
-    each on its own scale, and the first one refused is named.
+    This is the one admissibility verdict, on one tensor: is_structure_tensor and
+    every map on the admissible space (project_w, component, and decompose and
+    classify through their door decomposition._admitted) ask it, under their own
+    float-range rule.
     """
-    residuals = _membership_residuals(s, c)
-    for bound, *values in zip(np.ravel(DEFAULT_RTOL * _scale(c)), *map(np.ravel, residuals.values())):
-        # `not <=` so that a NaN residual refuses rather than passes
-        bad = {k: v for k, v in zip(residuals, values) if not v <= bound}
-        if bad:
-            detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
-            raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
+    bound = DEFAULT_RTOL * _scale(c)
+    # `not <=` so that a NaN residual refuses rather than passes
+    bad = {k: v for k, v in _membership_residuals(s, c).items() if not v <= bound}
+    if bad:
+        detail = ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items())
+        raise PreconditionError(f"tensor is not an admissible structure tensor: {detail}")
 
 
 @_in_float_range

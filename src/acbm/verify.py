@@ -274,11 +274,12 @@ def models_suite(seeds: int) -> list:
         verdicts = dec._present(dec._decompose_many(s1, fs)[1], fs, DEFAULT_RTOL)
         for present, want in zip(verdicts, expected[chunk]):
             w.add("family classification", 0.0 if present == want else 1.0)
-    # sphere grid: per n, its 21 tensors (20 grid points and t = 0) in one kernel call and one Lee-form call
+    # sphere grid: per n, its 21 tensors (20 grid points and t = 0) in one kernel, Lee-form and membership call
     ts = np.append(np.linspace(-np.pi / 2, np.pi / 2, 20), 0.0)
     for n in (1, 2, 3):
         s = canonical_structure(n)
         fs = np.stack([models.sphere_structure_tensor(n, float(t))[1] for t in ts])
+        w.add("family membership", np.maximum(*_membership_residuals(s, fs).values()) / _scale(fs))
         lf = _lee_forms(s, fs)
         w.add("sphere lee values", np.max(np.abs(lf.theta @ s.xi - 2 * n * np.cos(ts))))
         w.add("sphere lee values", np.max(np.abs(lf.theta_star @ s.xi - 2 * n * np.sin(ts))))
@@ -336,7 +337,7 @@ def dim3_suite(seeds: int) -> list:
     s = canonical_structure(1)
     for chunk in _chunks(seeds, s.dim):
         fs = np.stack([random_structure_tensor(s, seed) for seed in range(seeds)[chunk]])
-        comps = dec._decompose_many(s, fs)[0]  # one kernel call and one gate call per chunk
+        comps = dec._decompose_many(s, fs)[0]  # one kernel call per chunk
         scale = _scale(fs)[:, None, None, None, None]  # each seed's own
         w.add("components 2,3,6,7 vanish", np.max(np.abs(comps[:, [1, 2, 5, 6]]) / scale))
         w.add("closed forms match decompose", np.max(np.abs(_dim3_closed_forms(fs) - comps) / scale))

@@ -534,6 +534,55 @@ class TestVerify:
         for name in ("closure", "class predicates"):
             assert math.isnan(checks[name].worst) and not checks[name].passed, name
 
+    def test_a_broken_action_is_fail_lines_not_an_error(self, monkeypatch, capsys):
+        """An action that pulls the third slot back by (a a)^-1 leaves the admissible
+        space. No suite gates its kernel calls, so the group suite reports the defect as
+        failed checks, and the CLI prints every line and exits 1 with nothing on stderr."""
+        def broken(a, cs):
+            ai = np.linalg.inv(a)
+            return tensors._pullback(cs, ai, ai, np.linalg.inv(a @ a))
+
+        monkeypatch.setattr(verify, "_act", broken)
+        failed = [check.name for check in verify.run_suite("group", 3) if not check.passed]
+        assert failed == ["space invariance", "representation homomorphism", "component equivariance"]
+        assert main(["verify", "--suite", "group", "--seeds", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "result: FAIL"
+        assert err == ""
+
+    @pytest.mark.parametrize("suite, failing", [
+        ("decomposition", {
+            "reconstruction", "orthogonality", "closure", "class predicates", "projector sum",
+            "lee form identities", "involution oracle",
+        }),
+        ("dim3", {"components 2,3,6,7 vanish", "closed forms match decompose"}),
+        ("group", {"space invariance"}),
+    ], ids=["decomposition", "dim3", "group"])
+    def test_inadmissible_draws_are_failed_checks(self, monkeypatch, suite, failing):
+        """Every seed drawn 1e-3 of uniform noise off the admissible space is measured,
+        not refused: the suite returns, and the checks its tensors feed fail."""
+        seeded = verify.random_structure_tensor
+
+        def noisy(s, seed):
+            return seeded(s, seed) + 1e-3 * np.random.default_rng(seed).uniform(-1.0, 1.0, (s.dim,) * 3)
+
+        monkeypatch.setattr(verify, "random_structure_tensor", noisy)
+        failed = {check.name for check in verify.run_suite(suite, 3) if not check.passed}
+        assert failing <= failed, failing - failed
+
+    def test_an_inadmissible_sphere_tensor_fails_family_membership(self, monkeypatch):
+        """The sphere grid's tensors feed `family membership`: 1e-3 of noise on each
+        is measured there, where the kernel, which gates nothing, would let it pass."""
+        sphere = verify.models.sphere_structure_tensor
+
+        def noisy(n, t):
+            s, f = sphere(n, t)
+            return s, f + 1e-3 * np.random.default_rng(n).uniform(-1.0, 1.0, f.shape)
+
+        monkeypatch.setattr(verify.models, "sphere_structure_tensor", noisy)
+        checks = {check.name: check for check in verify.models_suite(1)}
+        assert not checks["family membership"].passed
+
     @pytest.mark.parametrize("share", [2e-9, 1e-7, 2e-5])
     def test_closure_passes_a_small_present_component(self, monkeypatch, share):
         """A component scaled to a small share of |F| passes closure: the

@@ -20,7 +20,7 @@ import acbm.verify as verify
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose, project_w
 from acbm.errors import PreconditionError
 from acbm.group import _act, act, random_group_element
-from acbm.structure import _max_abs, canonical_structure
+from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
 from acbm.tensors import (
     _embed, _inner, _lee_forms, _membership_residuals, _pullback, embed_structure_tensor, inner_product,
     lee_forms, random_structure_tensor,
@@ -149,14 +149,15 @@ def test_decompose_builds_shared_terms_once(monkeypatch):
 
 
 def test_dim3_suite_decomposes_in_one_call(monkeypatch):
-    """One kernel call and one gate call for all the seeds; the closed forms they
-    are compared with read the coordinates of the same tensors and ask no gate."""
+    """One kernel call for all the seeds and no gate: each seed's tensor feeds the check
+    `closed forms match decompose`, whose closed forms read the coordinates of the same
+    tensors, so a seed outside the admissible space is a failed check, not an error."""
     single = _count_calls(monkeypatch, "component")
     whole = _count_calls(monkeypatch, "decompose")
     many = _count_calls(monkeypatch, "_decompose_many")
     gate = _count_calls(monkeypatch, "_require_structure_tensor")
     assert all(check.passed for check in run_suite("dim3", 3))
-    assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 1)
+    assert (len(single), len(whole), len(many), len(gate)) == (0, 0, 1, 0)
 
 
 def _record_shapes(monkeypatch) -> list:
@@ -355,19 +356,20 @@ def test_batch_rows_are_decompose(n, make_structure, seeds):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
 @pytest.mark.parametrize("k", [0, 2])
-def test_batch_refuses_as_decompose_refuses(k, scale):
-    """Tensors k.. of a stack of three are inadmissible: the stack is refused with the
-    message decompose gives tensor k, the first one refused. At 1e-12 the tensor is
-    refused on its own scale, which the stack's largest scale would not do."""
+def test_kernel_refuses_nothing_that_decompose_refuses(k, scale):
+    """Tensors k.. of a stack of three are inadmissible: the bare kernel decomposes the
+    stack and reports their reconstruction residuals past DEFAULT_RTOL, each on its own
+    scale (at k = 2 and 1e-12 the stack's largest scale would not), and the admissible
+    rows at rounding; decompose, the public door, still refuses tensor k at the gate."""
     s = random_structure(1, 0)
     cs = np.stack([random_structure_tensor(s, seed) for seed in range(3)])
     for j in range(k, 3):
         cs[j] = scale * raw_tensor(1, j)
-    with pytest.raises(PreconditionError) as single:
+    residuals = dec._decompose_many(s, cs)[2]
+    assert np.all(residuals[k:] > DEFAULT_RTOL), residuals
+    assert np.all(residuals[:k] < 1e-15), residuals
+    with pytest.raises(PreconditionError, match="^tensor is not an admissible structure tensor: "):
         decompose(s, cs[k])
-    with pytest.raises(PreconditionError) as batch:
-        dec._decompose_many(s, cs)
-    assert str(batch.value) == str(single.value)
 
 
 @pytest.mark.parametrize("i", range(1, NUM_CLASSES + 1))
@@ -404,7 +406,7 @@ def test_gl_naturality(n, seed):
 @pytest.mark.parametrize("t", [np.eye(3), [[1, 0.5, 0], [0, 1, -3], [2, 0, 1]]], ids=["canonical", "rational"])
 def test_kernel_keeps_exact_input_exact(t):
     """On Fraction arrays the kernel is exact end to end, _embed and _decompose_many
-    with its gate and seal: the components of an admissible tensor sum back to it, are
+    with its seal: the components of an admissible tensor sum back to it, are
     pairwise orthogonal and satisfy their class identities, each with residual exactly
     0, and no float enters the output (a float literal in the kernel would turn its
     entries into floats). It runs on a stack of two tensors, so the batch axis is
