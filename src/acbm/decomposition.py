@@ -1,14 +1,12 @@
 """The eleven-class orthogonal decomposition of the admissible space.
 
-Four mutually orthogonal blocks W1..W4 are cut out by projectors built
-from phi^2 and the Reeb direction:
+Four mutually orthogonal blocks W1..W4 are cut out by projectors that
+read F on each slot split by h = -phi^2 and v = xi (x) eta, h + v = Id:
 
-    p1(F)(x,y,z) = -F(phi^2 x, phi^2 y, phi^2 z)
-    p2(F)(x,y,z) = eta(y) F(phi^2 x, xi, phi^2 z)
-                   + eta(z) F(phi^2 x, phi^2 y, xi)
-    p3(F)(x,y,z) = eta(x) F(xi, phi^2 y, phi^2 z)
-    p4(F)(x,y,z) = -eta(x) { eta(y) F(xi, xi, phi^2 z)
-                             + eta(z) F(xi, phi^2 y, xi) }
+    p1(F)(x,y,z) = F(h x, h y, h z)
+    p2(F)(x,y,z) = F(h x, v y, h z) + F(h x, h y, v z)
+    p3(F)(x,y,z) = F(v x, h y, h z)
+    p4(F)(x,y,z) = F(v x, v y, h z) + F(v x, h y, v z)
 
 and p1 + p2 + p3 + p4 is the identity on the admissible space. W1
 splits into classes F1, F2, F3 (the traceful part, a cyclic part and
@@ -102,12 +100,6 @@ def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -
     return m1.T @ (c @ xi) @ m2
 
 
-def _xi_first(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Matrix M[j,k] = F(xi, e_j, e_k)."""
-    d = c.shape[-1]
-    return (xi @ c.reshape(*c.shape[:-3], d, -1)).reshape(c.shape[:-1])
-
-
 @_in_float_range
 def project_w(s: StructureData, f, i: int) -> np.ndarray:
     """Projection p_i(f) onto the block W_i, i in 1..4.
@@ -121,20 +113,18 @@ def project_w(s: StructureData, f, i: int) -> np.ndarray:
 
 
 def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
-    """Components of p_i(F), from the components c of F."""
+    """Components of p_i(F), from the components c of F; p1, p3 and p4 are pullbacks of F through h and v."""
     xi, eta, P = s.xi, s.eta, s.phi2
+    h, v = -P, np.outer(xi, eta)
     if i == 1:
-        return -_pullback(c, P, P, P)
-    if i == 2:
+        return _pullback(c, h, h, h)
+    if i == 2:  # as a pullback, p2 rounds past test_acts_on_the_w2_part's 1e-15 pin on pushed bases
         m_x_xi_z = P.T @ (xi @ c) @ P
         m_x_y_xi = _xi_bracket(c, P, P, xi)
         return m_x_xi_z[..., :, None, :] * eta[:, None] + m_x_y_xi[..., :, :, None] * eta
-    m_xi = _xi_first(c, xi)
     if i == 3:
-        return eta[:, None, None] * (P.T @ m_xi @ P)[..., None, :, :]
-    u = (xi @ m_xi) @ P
-    w = (m_xi @ xi) @ P
-    return -eta[:, None, None] * (eta[:, None] * u[..., None, :] + w[..., :, None] * eta)[..., None, :, :]
+        return _pullback(c, v, h, h)
+    return _pullback(c, v, v, h) + _pullback(c, v, h, v)
 
 
 def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
@@ -279,7 +269,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     lead = c.shape[:-3]
     if i in (1, 4, 5):
         return _max_abs_each(lead, c - _component_arrays(s, c)[i])
-    phi, xi, eta = s.phi, s.xi, s.eta
+    phi, xi, eta, v = s.phi, s.xi, s.eta, np.outer(s.xi, s.eta)
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)
         b_mat = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
@@ -290,17 +280,16 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
             extra = (lf.theta, lf.theta_star)
         recon = c - _sym_pair(d_mat, eta)
         return _max_abs_each(lead, recon, d_mat - sym * d_mat.swapaxes(-1, -2), d_mat - phi_sign * b_mat, *extra)
-    first = _xi_first(c, xi)  # F(xi, y, z)
     if i in (2, 3):
+        first = xi @ c.reshape(*lead, s.dim, -1)  # F(xi, y, z), flattened
         cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F
         cyc = cp + np.moveaxis(cp, -3, -1) + np.moveaxis(cp, -1, -3)
         extra = (_lee_forms(s, c).theta,) if i == 2 else ()
         return _max_abs_each(lead, first, xi @ c, cyc, *extra)
     if i == 10:  # eta(x) F(xi, phi y, phi z)
-        return _max_abs_each(lead, c - eta[:, None, None] * (phi.T @ first @ phi)[..., None, :, :])
-    omega = xi @ first  # F(xi, xi, z)
-    pair = eta[:, None] * omega[..., None, :] + omega[..., :, None] * eta
-    return _max_abs_each(lead, c - eta[:, None, None] * pair[..., None, :, :])
+        return _max_abs_each(lead, c - _pullback(c, v, phi, phi))
+    p = _pullback(c, v, v, np.eye(s.dim, dtype=int))  # eta(x) eta(y) F(xi, xi, z)
+    return _max_abs_each(lead, c - p - p.swapaxes(-1, -2))
 
 
 def _present(magnitudes: np.ndarray, cs: np.ndarray, rel_tol: float) -> list:

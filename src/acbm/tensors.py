@@ -8,6 +8,9 @@ came from, such a tensor always satisfies two pointwise identities:
     F(x, y, z) = F(x, phi y, phi z) + eta(y) F(x, xi, z)
                                     + eta(z) F(x, y, xi)
 
+With h = -phi^2 and v = xi (x) eta splitting each slot (h + v = Id), the second's
+right side is F(x, phi y, phi z) + F(x, v y, z) + F(x, y, v z), three _pullback calls.
+
 The set of all rank-3 tensors with these properties is the admissible
 space decomposed elsewhere into eleven classes. This module provides
 membership testing, a canonical surjection onto the space (used to
@@ -85,12 +88,8 @@ def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     """Worst-case residuals of the two defining identities, by name, unchecked."""
     axes = (-3, -2, -1)  # one residual per tensor of a stack
     sym = np.abs(c - c.swapaxes(-1, -2)).max(axis=axes)
-    phi, xi, eta = s.phi, s.xi, s.eta
-    f_xi_z = xi @ c  # F(x, xi, z)
-    f_y_xi = c @ xi  # F(x, y, xi)
-    rhs = phi.T @ c @ phi
-    rhs += eta[:, None] * f_xi_z[..., :, None, :]
-    rhs += f_y_xi[..., :, :, None] * eta
+    phi, v, I = s.phi, np.outer(s.xi, s.eta), np.eye(s.dim, dtype=int)
+    rhs = _pullback(c, I, phi, phi) + _pullback(c, I, v, I) + _pullback(c, I, I, v)
     rel = np.abs(c - rhs).max(axis=axes)
     return {"slot_symmetry": sym, "phi_relation": rel}
 
@@ -129,10 +128,10 @@ def is_structure_tensor(s: StructureData, f) -> bool:
 def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
     """Canonical surjection of an arbitrary rank-3 tensor onto the admissible space.
 
-    With S the symmetrization of f in its last two slots and h = -phi^2,
+    With S the symmetrization of f in its last two slots, h = -phi^2 and v = xi (x) eta,
 
         G(x,y,z) = (1/2) [S(x, h y, h z) + S(x, phi y, phi z)]
-                   + eta(y) S(x, h z, xi) + eta(z) S(x, h y, xi).
+                   + S(x, v y, h z) + S(x, h y, v z).
 
     G always satisfies both identities, and G = f whenever f already
     does (the map is idempotent; this follows from phi^2 = -Id +
@@ -143,13 +142,9 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
 
 def _embed(s: StructureData, c: np.ndarray) -> np.ndarray:
     """embed_structure_tensor's G of c, unchecked; exact on Fraction arrays."""
-    phi, eta, h = s.phi, s.eta, -s.phi2
+    phi, h, v, I = s.phi, -s.phi2, np.outer(s.xi, s.eta), np.eye(s.dim, dtype=int)
     S = (c + c.swapaxes(-1, -2)) / 2
-    s_h_xi = (S @ s.xi) @ h  # S(x, h y, xi)
-    out = (h.T @ S @ h + phi.T @ S @ phi) / 2
-    out += eta[:, None] * s_h_xi[..., :, None, :]
-    out += s_h_xi[..., :, :, None] * eta
-    return out
+    return (_pullback(S, I, h, h) + _pullback(S, I, phi, phi)) / 2 + _pullback(S, I, v, h) + _pullback(S, I, h, v)
 
 
 def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
@@ -158,8 +153,13 @@ def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:
     Deterministic in (s, seed): entries drawn uniformly from [-1, 1]
     and pushed through embed_structure_tensor. seed is an integer >= 0.
     """
-    rng = np.random.default_rng(_integer(seed, "seed", 0))
-    return _sealed(_embed(s, rng.uniform(-1.0, 1.0, size=(s.dim,) * 3)))
+    return _draws(s, [_integer(seed, "seed", 0)])[0]
+
+
+def _draws(s: StructureData, seeds) -> np.ndarray:
+    """random_structure_tensor of each of seeds, as one sealed stack: a default_rng(seed) each, one _embed."""
+    raw = [np.random.default_rng(seed).uniform(-1.0, 1.0, size=(s.dim,) * 3) for seed in seeds]
+    return _sealed(_embed(s, np.stack(raw)))
 
 
 @_in_float_range

@@ -30,7 +30,7 @@ from . import decomposition as dec
 from . import models
 from .group import _act, group_element_from_blocks, random_group_element, validate_group_element
 from .structure import DEFAULT_ATOL, DEFAULT_RTOL, _integer, _max_abs, _max_abs_each, canonical_structure
-from .tensors import _inner, _lee_forms, _membership_residuals, _pullback, _scale, random_structure_tensor
+from .tensors import _draws, _inner, _lee_forms, _membership_residuals, _pullback, _scale
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -112,8 +112,8 @@ def decomposition_suite(seeds: int) -> list:
         s = canonical_structure(n)
         for chunk in _chunks(seeds, s.dim):
             drawn = range(seeds)[chunk]
-            fs = np.stack([random_structure_tensor(s, seed) for seed in drawn])
-            g2s = np.stack([random_structure_tensor(s, seed + 10_000) for seed in drawn])
+            fs = _draws(s, drawn)
+            g2s = _draws(s, [seed + 10_000 for seed in drawn])
             _decomposition_checks(w, s, fs, g2s)
     return w.results()
 
@@ -190,8 +190,8 @@ def group_suite(seeds: int) -> list:
             drawn = range(count)[chunk]
             elems = np.stack([random_group_element(n, seed) if n == 2 else refl for seed in drawn])
             others = np.stack([random_group_element(n, seed + 30_000) for seed in drawn])
-            fs = np.stack([random_structure_tensor(s, seed) for seed in drawn])
-            g2s = np.stack([random_structure_tensor(s, seed + 20_000) for seed in drawn])
+            fs = _draws(s, drawn)
+            g2s = _draws(s, [seed + 20_000 for seed in drawn])
             _group_checks(w, s, elems, others, fs, g2s)
     return w.results()
 
@@ -336,7 +336,7 @@ def dim3_suite(seeds: int) -> list:
     })
     s = canonical_structure(1)
     for chunk in _chunks(seeds, s.dim):
-        fs = np.stack([random_structure_tensor(s, seed) for seed in range(seeds)[chunk]])
+        fs = _draws(s, range(seeds)[chunk])
         comps = dec._decompose_many(s, fs)[0]  # one kernel call per chunk
         scale = _scale(fs)[:, None, None, None, None]  # each seed's own
         w.add("components 2,3,6,7 vanish", np.max(np.abs(comps[:, [1, 2, 5, 6]]) / scale))

@@ -26,7 +26,7 @@ from acbm import verify
 from acbm.decomposition import component
 from acbm.group import group_element_from_blocks, random_group_element
 from acbm.structure import canonical_structure
-from acbm.tensors import random_structure_tensor
+from acbm.tensors import _draws, random_structure_tensor
 from acbm.verify import SUITE_NAMES, run_suite
 
 from conftest import basis_change, push_structure
@@ -146,10 +146,9 @@ def _verdicts(suite: str, factor: float) -> list:
     """(name, worst, passed) of `suite` at three seeds, with every random tensor times factor."""
     drawn = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "random_structure_tensor",
-                      lambda s, seed: drawn.append(seed) or factor * random_structure_tensor(s, seed))
+        patch.setattr(verify, "_draws", lambda s, seeds: drawn.extend(seeds) or factor * _draws(s, seeds))
         verdicts = [(check.name, check.worst, check.passed) for check in run_suite(suite, 3)]
-    assert drawn, f"{suite} no longer draws through random_structure_tensor"
+    assert drawn, f"{suite} no longer draws through tensors._draws"
     return verdicts
 
 

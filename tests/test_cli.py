@@ -59,6 +59,32 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "comps" in err and "brackets" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        (None, "cannot read {path}: [Errno 2] No such file or directory"),
+        ("directory", "cannot read {path}: [Errno 21] Is a directory"),
+        ([1, 2], "{path}: top-level value must be an object"),
+        ({"comps": [0.0] * 27}, "missing field: 'n' (or 'dim')"),
+        ({"n": 1, "brackets": [1]}, "brackets[0]: expected fields 'i', 'j', 'coeffs'"),
+        ({"n": 1, "brackets": [{"i": 0, "j": 1}]}, "brackets[0]: expected fields 'i', 'j', 'coeffs'"),
+    ], ids=["missing", "directory", "list", "no-rank", "bracket-not-record", "bracket-without-coeffs"])
+    def test_unreadable_or_malformed_document_is_one_line_exit_2(self, tmp_path, capsys, doc, message):
+        """A path that cannot be read as a file, a document that is not an object, one with
+        neither 'n' nor 'dim', and a bracket record without its three fields: one line, exit 2."""
+        path = tmp_path / "doc.json"
+        if doc == "directory":
+            path.mkdir()
+        elif doc is not None:
+            path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " + message.format(path=path)), err
+
+    def test_lie_document_without_brackets_is_refused(self):
+        """The CLI routes a document by its 'brackets' field, so only the reader itself sees one without it."""
+        with pytest.raises(ValueError, match=r"^missing field: 'brackets'$"):
+            fileio.lie_from_doc({"n": 1})
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("source", ["comps", "phi"])
     def test_overflowing_document_is_one_line_exit_2(self, tmp_path, capsys, source):
@@ -561,12 +587,11 @@ class TestVerify:
     def test_inadmissible_draws_are_failed_checks(self, monkeypatch, suite, failing):
         """Every seed drawn 1e-3 of uniform noise off the admissible space is measured,
         not refused: the suite returns, and the checks its tensors feed fail."""
-        seeded = verify.random_structure_tensor
-
         def noisy(s, seed):
-            return seeded(s, seed) + 1e-3 * np.random.default_rng(seed).uniform(-1.0, 1.0, (s.dim,) * 3)
+            noise = np.random.default_rng(seed).uniform(-1.0, 1.0, (s.dim,) * 3)
+            return random_structure_tensor(s, seed) + 1e-3 * noise
 
-        monkeypatch.setattr(verify, "random_structure_tensor", noisy)
+        monkeypatch.setattr(verify, "_draws", lambda s, seeds: np.stack([noisy(s, seed) for seed in seeds]))
         failed = {check.name for check in verify.run_suite(suite, 3) if not check.passed}
         assert failing <= failed, failing - failed
 
@@ -587,21 +612,21 @@ class TestVerify:
     def test_closure_passes_a_small_present_component(self, monkeypatch, share):
         """A component scaled to a small share of |F| passes closure: the
         rounding that leaks from the rest of F is not measured by its size."""
-        seeded, drawn = verify.random_structure_tensor, []
+        drawn = []
 
         def shrink_f2(s, seed):
             drawn.append(seed)
-            f = seeded(s, seed)
+            f = random_structure_tensor(s, seed)
             if s.n == 1:  # F2 vanishes at n = 1
                 return f
             f2 = decomposition.decompose(s, f).components[1]
             rest = f - f2
             return rest + (share * _max_abs(rest) / _max_abs(f2)) * f2
 
-        monkeypatch.setattr(verify, "random_structure_tensor", shrink_f2)
+        monkeypatch.setattr(verify, "_draws", lambda s, seeds: np.stack([shrink_f2(s, seed) for seed in seeds]))
         # at 2e-9, seed 1 at n = 3 reports 6.7e-8 when 1e-9 of |F| counts as present
         closure = {check.name: check for check in verify.decomposition_suite(3)}["closure"]
-        assert drawn, "the suite no longer draws through random_structure_tensor"
+        assert drawn, "the suite no longer draws through tensors._draws"
         assert closure.passed, closure.worst
 
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from acbm import decomposition as dec
+from acbm import fileio
+from acbm.cli import main
 from acbm.decomposition import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -17,7 +21,7 @@ from acbm.tensors import (
     _membership_residuals, _scale, embed_structure_tensor, inner_product, is_structure_tensor, random_structure_tensor,
 )
 
-from conftest import f1_form, f4_form, f8_form, f10_form, f11_form, random_structure
+from conftest import f1_form, f4_form, f8_form, f10_form, f11_form, push_structure, random_structure
 
 
 @pytest.mark.parametrize(
@@ -32,6 +36,28 @@ def test_overflowing_result_is_one_error(call):
     f = random_structure_tensor(s, 0)
     with pytest.raises(ValueError, match=r"^result overflows the floating-point range \(overflow encountered in add\)$"):
         call(s, f * (1.5e308 / _max_abs(f)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_einsum_overflow_is_refused_by_the_seal(tmp_path, capsys):
+    """np.einsum overflows to inf without a floating-point error, so the seal of the
+    result, structure._sealed, refuses it: the same message without the parenthesis,
+    and no warning. The case is the n = 1 basis of test_stretched_basis_up_to_the_signature_limit
+    at k = 1e4 and its seed-0 tensor at max-abs 10^304.21, inside a narrow window: below
+    about 10^304.18 nothing overflows, and from about 10^304.24 a matmul overflows
+    first and its error carries the parenthesis."""
+    t = np.diag([1.0, 1e4, 1.0])
+    t[1, 2], t[2, 1] = 0.37e4, 0.11
+    s = push_structure(canonical_structure(1), t)
+    f = random_structure_tensor(s, 0)
+    f = f * (10**304.21 / _max_abs(f))
+    for call in (lambda: component(s, f, 2), lambda: decompose(s, f), lambda: classify(s, f)):
+        with pytest.raises(ValueError, match=r"^result overflows the floating-point range$"):
+            call()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(fileio.tensor_to_doc(s, f)))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: result overflows the floating-point range\n")
 
 
 @pytest.mark.parametrize(
