@@ -95,11 +95,6 @@ class ClassReport:
         return tuple(CLASS_NAMES[i - 1] for i in self.present)
 
 
-def _xi_bracket(c: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Matrix Q[i,j] = F(m1 e_i, m2 e_j, xi)."""
-    return m1.T @ (c @ xi) @ m2
-
-
 @_in_float_range
 def project_w(s: StructureData, f, i: int) -> np.ndarray:
     """Projection p_i(f) onto the block W_i, i in 1..4.
@@ -120,7 +115,7 @@ def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
         return _pullback(c, h, h, h)
     if i == 2:  # as a pullback, p2 rounds past test_acts_on_the_w2_part's 1e-15 pin on pushed bases
         m_x_xi_z = P.T @ (xi @ c) @ P
-        m_x_y_xi = _xi_bracket(c, P, P, xi)
+        m_x_y_xi = P.T @ (c @ xi) @ P
         return m_x_xi_z[..., :, None, :] * eta[:, None] + m_x_y_xi[..., :, :, None] * eta
     if i == 3:
         return _pullback(c, v, h, h)
@@ -145,9 +140,15 @@ def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
     joint eigenspaces carve W2 into the classes F4..F9: L1 fixes F4+F5+F6+F8
     and negates F7+F9; L2 fixes F8+F9 and negates F4+F5+F6+F7.
     """
+    q = c @ s.xi  # F(x, y, xi)
     if j == 1:
-        return _sym_pair(_xi_bracket(c, s.phi2, s.phi2, s.xi).swapaxes(-1, -2), s.eta)
-    return _sym_pair(_xi_bracket(c, s.phi, s.phi, s.xi), s.eta)
+        return _sym_pair((s.phi2.T @ q @ s.phi2).swapaxes(-1, -2), s.eta)
+    return _sym_pair(s.phi.T @ q @ s.phi, s.eta)
+
+
+# Per class F6..F9, the signs t, u in the conditions D = t D^T and D = u B on
+# D = F(x, y, xi) and B = F(phi x, phi y, xi); integers, so Fraction input stays exact.
+_W2_SIGNS = {6: (1, -1), 7: (-1, -1), 8: (1, 1), 9: (-1, 1)}
 
 
 def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
@@ -163,20 +164,12 @@ def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
     # theta(xi) and theta*(xi), one per tensor, kept as (..., 1, 1, 1) by a (d, 1) xi
     f4 = -((lf.theta @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.phi_g_phi, eta)
     f5 = -((lf.theta_star @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.g_phi, eta)
-    a = _xi_bracket(c, P, P, xi)  # F(phi^2 x, phi^2 y, xi)
-    b = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
+    q = c @ xi  # F(x, y, xi)
+    a, b = P.T @ q @ P, phi.T @ q @ phi  # F(phi^2 x, phi^2 y, xi), F(phi x, phi y, xi)
     a_t, b_t = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-    return {
-        1: f1 / two_n,
-        4: f4,
-        5: f5,
-        6: (-f4) - f5 + _sym_pair((a + a_t - b - b_t) / 4, eta),
-        7: _sym_pair((a - a_t - b + b_t) / 4, eta),
-        8: _sym_pair((a + a_t + b + b_t) / 4, eta),
-        9: _sym_pair((a - a_t + b - b_t) / 4, eta),
-        10: _block(s, c, 3),
-        11: _block(s, c, 4),
-    }
+    w2 = {i: _sym_pair((a + t * a_t + u * b + t * u * b_t) / 4, eta) for i, (t, u) in _W2_SIGNS.items()}
+    w2[6] = (-f4) - f5 + w2[6]
+    return {1: f1 / two_n, 4: f4, 5: f5, **w2, 10: _block(s, c, 3), 11: _block(s, c, 4)}
 
 
 def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
@@ -257,11 +250,6 @@ def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
     return stack, _sealed(np.abs(stack).max(axis=(2, 3, 4))), residuals
 
 
-# Per class F6..F9, the signs s, t in the conditions D = s D^T and D = t B
-# on D = F(x, y, xi) and B = F(phi x, phi y, xi).
-_W2_SIGNS = {6: (1.0, -1.0), 7: (-1.0, -1.0), 8: (1.0, 1.0), 9: (-1.0, 1.0)}
-
-
 def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     """Worst residual of the defining identities of class F_i for the checked tensor c, with
     the auxiliary ones: vanishing Lee forms of F2 and F6, cyclic sums of F2 and F3. A stack
@@ -272,14 +260,14 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     phi, xi, eta, v = s.phi, s.xi, s.eta, np.outer(s.xi, s.eta)
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)
-        b_mat = _xi_bracket(c, phi, phi, xi)  # F(phi x, phi y, xi)
-        sym, phi_sign = _W2_SIGNS[i]
+        b_mat = phi.T @ d_mat @ phi  # F(phi x, phi y, xi)
+        t, u = _W2_SIGNS[i]
         extra = ()
         if i == 6:
             lf = _lee_forms(s, c)
             extra = (lf.theta, lf.theta_star)
         recon = c - _sym_pair(d_mat, eta)
-        return _max_abs_each(lead, recon, d_mat - sym * d_mat.swapaxes(-1, -2), d_mat - phi_sign * b_mat, *extra)
+        return _max_abs_each(lead, recon, d_mat - t * d_mat.swapaxes(-1, -2), d_mat - u * b_mat, *extra)
     if i in (2, 3):
         first = xi @ c.reshape(*lead, s.dim, -1)  # F(xi, y, z), flattened
         cp = c @ phi if i == 2 else c  # F(x, y, phi z) or F

@@ -149,7 +149,7 @@ class StructureData:
 
     Immutable; safe to share across threads. Built once, on construction: dim, g_inv,
     phi2 = phi^2, g_phi[i, j] = g(e_i, phi e_j), phi_g_phi[i, j] = g(phi e_i, phi e_j)
-    and lee_weights, the raveled weights h, h phi^T, xi (x) xi (h = g_inv - xi (x) xi)
+    and lee_weights, the raveled weights gi_h, gi_h phi^T, xi (x) xi (gi_h = g_inv - xi (x) xi)
     of the Lee forms theta, theta*, omega. A structure that violates an axiom
     (_axiom_residuals) is refused with one PreconditionError naming each residual.
     """
@@ -189,12 +189,12 @@ class StructureData:
 def _derived(g, phi, xi, g_inv) -> dict:
     """phi2, g_phi, phi_g_phi and lee_weights, by name, from float or Fraction arrays."""
     xi_xi = np.outer(xi, xi)
-    h = g_inv - xi_xi
+    gi_h = g_inv - xi_xi  # the inverse metric on the contact distribution
     return {
         "phi2": phi @ phi,
         "g_phi": g @ phi,
         "phi_g_phi": phi.T @ g @ phi,
-        "lee_weights": np.stack([h.ravel(), (h @ phi.T).ravel(), xi_xi.ravel()]),
+        "lee_weights": np.stack([gi_h.ravel(), (gi_h @ phi.T).ravel(), xi_xi.ravel()]),
     }
 
 

@@ -8,8 +8,8 @@ came from, such a tensor always satisfies two pointwise identities:
     F(x, y, z) = F(x, phi y, phi z) + eta(y) F(x, xi, z)
                                     + eta(z) F(x, y, xi)
 
-With h = -phi^2 and v = xi (x) eta splitting each slot (h + v = Id), the second's
-right side is F(x, phi y, phi z) + F(x, v y, z) + F(x, y, v z), three _pullback calls.
+With h = -phi^2 and v = xi (x) eta splitting each slot (h + v = Id), the second's right
+side is phi.T @ F @ phi + v.T @ F + F @ v, matrix products on the last two slots.
 
 The set of all rank-3 tensors with these properties is the admissible
 space decomposed elsewhere into eleven classes. This module provides
@@ -88,8 +88,8 @@ def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     """Worst-case residuals of the two defining identities, by name, unchecked."""
     axes = (-3, -2, -1)  # one residual per tensor of a stack
     sym = np.abs(c - c.swapaxes(-1, -2)).max(axis=axes)
-    phi, v, I = s.phi, np.outer(s.xi, s.eta), np.eye(s.dim, dtype=int)
-    rhs = _pullback(c, I, phi, phi) + _pullback(c, I, v, I) + _pullback(c, I, I, v)
+    phi, v = s.phi, np.outer(s.xi, s.eta)
+    rhs = phi.T @ c @ phi + v.T @ c + c @ v
     rel = np.abs(c - rhs).max(axis=axes)
     return {"slot_symmetry": sym, "phi_relation": rel}
 
@@ -142,9 +142,9 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
 
 def _embed(s: StructureData, c: np.ndarray) -> np.ndarray:
     """embed_structure_tensor's G of c, unchecked; exact on Fraction arrays."""
-    phi, h, v, I = s.phi, -s.phi2, np.outer(s.xi, s.eta), np.eye(s.dim, dtype=int)
+    phi, h, v = s.phi, -s.phi2, np.outer(s.xi, s.eta)
     S = (c + c.swapaxes(-1, -2)) / 2
-    return (_pullback(S, I, h, h) + _pullback(S, I, phi, phi)) / 2 + _pullback(S, I, v, h) + _pullback(S, I, h, v)
+    return (h.T @ S @ h + phi.T @ S @ phi) / 2 + v.T @ S @ h + h.T @ S @ v
 
 
 def random_structure_tensor(s: StructureData, seed: int) -> np.ndarray:

@@ -11,7 +11,7 @@ a pullback can give exactly the same numbers.
 import numpy as np
 import pytest
 
-from acbm.decomposition import _block, _class_residual, _component_arrays, _xi_bracket, project_w
+from acbm.decomposition import _block, _class_residual, _component_arrays, _involution, project_w
 from acbm.group import act
 from acbm.structure import canonical_structure
 from acbm.models import (
@@ -114,15 +114,6 @@ def test_act(n, seed):
     assert_close(act(s, a, f), np.einsum("abc,ai,bj,ck->ijk", f, ai, ai, ai))
 
 
-@pytest.mark.parametrize("n, seed", CASES)
-def test_xi_bracket(n, seed):
-    s, c = random_structure(n, seed), raw_tensor(n, seed)
-    P = s.phi @ s.phi
-    for m1, m2 in ((P, P), (s.phi, s.phi), (s.phi, P)):
-        want = np.einsum("abc,ai,bj,c->ij", c, m1, m2, s.xi)
-        assert_close(_xi_bracket(c, m1, m2, s.xi), want)
-
-
 def block_reference(s, c: np.ndarray) -> dict:
     """The four block projections p1..p4 of c, as einsum expressions."""
     xi, eta = s.xi, s.eta
@@ -162,6 +153,32 @@ def test_project_w(n, seed):
     for i in (1, 2, 3, 4):
         assert_close(project_w(s, f, i), want[i])
     assert_close(sum(project_w(s, f, i) for i in (1, 2, 3, 4)), f)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_w2_brackets(n, seed):
+    """The brackets A = F(phi^2 ., phi^2 ., xi) and B = F(phi ., phi ., xi) as the
+    involutions L1, L2 and the W2 components F6..F9 read them, through one sign table."""
+    s, c = random_structure(n, seed), raw_tensor(n, seed)
+    P, xi, eta = s.phi @ s.phi, s.xi, s.eta
+    a = np.einsum("abc,ai,bj,c->ij", c, P, P, xi)
+    b = np.einsum("abc,ai,bj,c->ij", c, s.phi, s.phi, xi)
+
+    def pair(q):  # q[i, j] eta[k] + q[i, k] eta[j]
+        return np.einsum("ij,k->ijk", q, eta) + np.einsum("ik,j->ijk", q, eta)
+
+    assert_close(_involution(s, c, 1), np.einsum("ji,k->ijk", a, eta) + np.einsum("ki,j->ijk", a, eta))
+    assert_close(_involution(s, c, 2), pair(b))
+    arrays = _component_arrays(s, c)
+    # one scale for the four: F6 and F7 vanish at n = 1, where each reads rounding noise
+    got = [arrays[6] + arrays[4] + arrays[5], arrays[7], arrays[8], arrays[9]]
+    want = [
+        pair((a + a.T - b - b.T) / 4),
+        pair((a - a.T - b + b.T) / 4),
+        pair((a + a.T + b + b.T) / 4),
+        pair((a - a.T + b - b.T) / 4),
+    ]
+    assert_close(np.stack(got), np.stack(want))
 
 
 @pytest.mark.parametrize("n, seed", CASES)

@@ -405,17 +405,22 @@ def test_gl_naturality(n, seed):
 
 @pytest.mark.parametrize("t", [np.eye(3), [[1, 0.5, 0], [0, 1, -3], [2, 0, 1]]], ids=["canonical", "rational"])
 def test_kernel_keeps_exact_input_exact(t):
-    """On Fraction arrays the kernel is exact end to end, _embed and _decompose_many
-    with its seal: the components of an admissible tensor sum back to it, are
-    pairwise orthogonal and satisfy their class identities, each with residual exactly
-    0, and no float enters the output (a float literal in the kernel would turn its
-    entries into floats). It runs on a stack of two tensors, so the batch axis is
-    exact too. In the canonical basis they are the paper's nine
+    """On Fraction arrays the kernel is exact end to end, _embed, the gate's residuals, the
+    class predicates and _decompose_many with its seal: the components of an admissible
+    tensor sum back to it, are pairwise orthogonal and satisfy their class identities,
+    each with residual exactly 0, and no float enters the output (a float literal in the
+    kernel would turn its entries into floats). It runs on a stack of two tensors, so the
+    batch axis is exact too. In the canonical basis they are the paper's nine
     coordinates, the dim3 suite's closed forms, entry for entry. The float kernel
     agrees with it."""
     s = exact_structure(1, t)
     c = _embed(s, exact(np.random.default_rng(1).integers(-3, 4, (2, 3, 3, 3))))  # all nine coordinates nonzero
     stack, _, residuals = dec._decompose_many(s, c)
+    for x in (c, stack):  # the gate: both residuals of the tensors and of their components
+        for name, r in _membership_residuals(s, x).items():
+            assert not np.any(r) and {type(v) for v in r.ravel()} == {Fraction}, name
+    for i in range(1, NUM_CLASSES + 1):  # the class predicates, on tensors outside most classes
+        assert {type(r) for r in dec._class_residual(s, c, i)} == {Fraction}, f"F{i}"
     assert stack.shape == (2, NUM_CLASSES, 3, 3, 3)
     assert {type(x) for x in stack.ravel()} == {Fraction}
     assert not np.any(stack.sum(axis=1) - c)
