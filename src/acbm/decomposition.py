@@ -1,7 +1,7 @@
 """The eleven-class orthogonal decomposition of the admissible space.
 
 Four mutually orthogonal blocks W1..W4 are cut out by projectors that
-read F on each slot split by h = -phi^2 and v = xi (x) eta, h + v = Id:
+read F on each slot split by the structure's h = -phi^2 and v = xi (x) eta, h + v = Id:
 
     p1(F)(x,y,z) = F(h x, h y, h z)
     p2(F)(x,y,z) = F(h x, v y, h z) + F(h x, h y, v z)
@@ -109,13 +109,12 @@ def project_w(s: StructureData, f, i: int) -> np.ndarray:
 
 def _block(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     """Components of p_i(F), from the components c of F; p1, p3 and p4 are pullbacks of F through h and v."""
-    xi, eta, P = s.xi, s.eta, s.phi2
-    h, v = -P, np.outer(xi, eta)
+    xi, eta, h, v = s.xi, s.eta, s.h, s.v
     if i == 1:
         return _pullback(c, h, h, h)
     if i == 2:  # as a pullback, p2 rounds past test_acts_on_the_w2_part's 1e-15 pin on pushed bases
-        m_x_xi_z = P.T @ (xi @ c) @ P
-        m_x_y_xi = P.T @ (c @ xi) @ P
+        m_x_xi_z = h.T @ (xi @ c) @ h
+        m_x_y_xi = h.T @ (c @ xi) @ h
         return m_x_xi_z[..., :, None, :] * eta[:, None] + m_x_y_xi[..., :, :, None] * eta
     if i == 3:
         return _pullback(c, v, h, h)
@@ -126,15 +125,14 @@ def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
     """The involutive isometry L_j (j = 1, 2) of the block W2, of the components c,
     unchecked, so that a suite can measure a broken component.
 
-    L1 transposes the first two slots through phi^2; L2 replaces them
+    L1 transposes the first two slots through h = -phi^2; L2 replaces them
     by their phi images:
 
-        L1(F)(x,y,z) = F(phi^2 y, phi^2 x, xi) eta(z)
-                       + F(phi^2 z, phi^2 x, xi) eta(y)
+        L1(F)(x,y,z) = F(h y, h x, xi) eta(z) + F(h z, h x, xi) eta(y)
         L2(F)(x,y,z) = F(phi x, phi y, xi) eta(z)
                        + F(phi x, phi z, xi) eta(y)
 
-    Both read c only through F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi),
+    Both read c only through F(h ., h ., xi) and F(phi ., phi ., xi),
     which p2 keeps, so on an admissible f the result is L_j(p2 f): it vanishes
     on W1, W3 and W4, and on W2 each operator is an involution. Their
     joint eigenspaces carve W2 into the classes F4..F9: L1 fixes F4+F5+F6+F8
@@ -142,7 +140,7 @@ def _involution(s: StructureData, c: np.ndarray, j: int) -> np.ndarray:
     """
     q = c @ s.xi  # F(x, y, xi)
     if j == 1:
-        return _sym_pair((s.phi2.T @ q @ s.phi2).swapaxes(-1, -2), s.eta)
+        return _sym_pair((s.h.T @ q @ s.h).swapaxes(-1, -2), s.eta)
     return _sym_pair(s.phi.T @ q @ s.phi, s.eta)
 
 
@@ -154,18 +152,18 @@ _W2_SIGNS = {6: (1, -1), 7: (-1, -1), 8: (1, 1), 9: (-1, 1)}
 def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
     """The components of the checked tensor c in F1 and F4..F11, as {i: array}, in one pass:
     the Lee forms and the xi-brackets a and b are each built once, and F2, F3 are _w1_pair's."""
-    phi, xi, eta, P = s.phi, s.xi, s.eta, s.phi2
+    phi, xi, eta, h = s.phi, s.xi, s.eta, s.h
     two_n = 2 * s.n
     lf = _lee_forms(s, c)
     t_phi = (lf.theta @ phi)[..., None, None, :]  # phi^T theta
-    t_phi2 = (lf.theta @ P)[..., None, None, :]
-    f1 = s.phi_g_phi[:, :, None] * t_phi2 + s.g_phi[:, :, None] * t_phi
-    f1 += s.phi_g_phi[:, None, :] * t_phi2.swapaxes(-1, -2) + s.g_phi[:, None, :] * t_phi.swapaxes(-1, -2)
+    t_h = (lf.theta @ h)[..., None, None, :]
+    f1 = s.g_phi[:, :, None] * t_phi - s.phi_g_phi[:, :, None] * t_h
+    f1 += s.g_phi[:, None, :] * t_phi.swapaxes(-1, -2) - s.phi_g_phi[:, None, :] * t_h.swapaxes(-1, -2)
     # theta(xi) and theta*(xi), one per tensor, kept as (..., 1, 1, 1) by a (d, 1) xi
     f4 = -((lf.theta @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.phi_g_phi, eta)
     f5 = -((lf.theta_star @ xi[:, None])[..., None, None] / two_n) * _sym_pair(s.g_phi, eta)
     q = c @ xi  # F(x, y, xi)
-    a, b = P.T @ q @ P, phi.T @ q @ phi  # F(phi^2 x, phi^2 y, xi), F(phi x, phi y, xi)
+    a, b = h.T @ q @ h, phi.T @ q @ phi  # F(h x, h y, xi), F(phi x, phi y, xi)
     a_t, b_t = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     w2 = {i: _sym_pair((a + t * a_t + u * b + t * u * b_t) / 4, eta) for i, (t, u) in _W2_SIGNS.items()}
     w2[6] = (-f4) - f5 + w2[6]
@@ -179,18 +177,18 @@ def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
     A stack is copied so that its tensors lie innermost in memory, shape unchanged:
     einsum's inner loop then runs over the tensors, while each sum over (a, b, c)
     keeps its order. One tensor keeps its own layout."""
-    phi, P = s.phi, s.phi2
+    phi, h = s.phi, s.h
     d = c.shape[-1]
     c = c.reshape(-1, d, d, d).transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2).reshape(c.shape)
-    t_xyz = np.einsum("...abc,ai,bj,ck->...ijk", c, P, P, P)  # F(p x, p y, p z), p = phi^2
-    t_yzx = np.einsum("...abc,aj,bk,ci->...ijk", c, P, P, P)  # F(p y, p z, p x)
-    t_yx = np.einsum("...abc,aj,bk,ci->...ijk", c, phi, P, phi)  # F(phi y, p z, phi x)
-    t_xzy = np.einsum("...abc,ai,bk,cj->...ijk", c, P, P, P)  # F(p x, p z, p y)
-    t_zyx = np.einsum("...abc,ak,bj,ci->...ijk", c, P, P, P)  # F(p z, p y, p x)
-    t_zx = np.einsum("...abc,ak,bj,ci->...ijk", c, phi, P, phi)  # F(phi z, p y, phi x)
+    t_xyz = np.einsum("...abc,ai,bj,ck->...ijk", c, h, h, h)  # F(h x, h y, h z), p1's pullback
+    t_yzx = np.einsum("...abc,aj,bk,ci->...ijk", c, h, h, h)  # F(h y, h z, h x)
+    t_yx = np.einsum("...abc,aj,bk,ci->...ijk", c, phi, h, phi)  # F(phi y, h z, phi x)
+    t_xzy = np.einsum("...abc,ai,bk,cj->...ijk", c, h, h, h)  # F(h x, h z, h y)
+    t_zyx = np.einsum("...abc,ak,bj,ci->...ijk", c, h, h, h)  # F(h z, h y, h x)
+    t_zx = np.einsum("...abc,ak,bj,ci->...ijk", c, phi, h, phi)  # F(phi z, h y, phi x)
     return (
-        -(t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) / 4 - f1,
-        -(t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx) / 4,
+        (t_xyz + t_yzx - t_yx + t_xzy + t_zyx - t_zx) / 4 - f1,
+        (t_xyz - t_yzx + t_yx + t_xzy - t_zyx + t_zx) / 4,
     )
 
 
@@ -201,7 +199,7 @@ def component(s: StructureData, f, i: int) -> np.ndarray:
     F1, F4, F5, F6 use Lee-form contractions of f; F2, F3 subtract the
     traceful part from slot-permuted pullbacks on the contact
     distribution; F6..F9 are assembled from the symmetrized brackets
-    F(phi^2 ., phi^2 ., xi) and F(phi ., phi ., xi); F10 and F11 are
+    F(h ., h ., xi) and F(phi ., phi ., xi); F10 and F11 are
     the W3 and W4 projections. Requires f admissible, as decompose does.
     """
     c = _tensor(s, f)
@@ -257,7 +255,7 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
     lead = c.shape[:-3]
     if i in (1, 4, 5):
         return _max_abs_each(lead, c - _component_arrays(s, c)[i])
-    phi, xi, eta, v = s.phi, s.xi, s.eta, np.outer(s.xi, s.eta)
+    phi, xi, eta, v = s.phi, s.xi, s.eta, s.v
     if i in _W2_SIGNS:
         d_mat = c @ xi  # F(x, y, xi)
         b_mat = phi.T @ d_mat @ phi  # F(phi x, phi y, xi)
@@ -276,14 +274,14 @@ def _class_residual(s: StructureData, c: np.ndarray, i: int) -> np.ndarray:
         return _max_abs_each(lead, first, xi @ c, cyc, *extra)
     if i == 10:  # eta(x) F(xi, phi y, phi z)
         return _max_abs_each(lead, c - _pullback(c, v, phi, phi))
-    p = _pullback(c, v, v, np.eye(s.dim, dtype=int))  # eta(x) eta(y) F(xi, xi, z)
-    return _max_abs_each(lead, c - p - p.swapaxes(-1, -2))
+    return _max_abs_each(lead, c - _sym_pair(np.outer(eta, eta), xi @ (xi @ c)))  # omega = F(xi, xi, .)
 
 
 def _present(magnitudes: np.ndarray, cs: np.ndarray, rel_tol: float) -> list:
     """The class verdict of each tensor of the stack cs, from its (N, 11) magnitudes: the
     tuple of the classes i whose magnitude exceeds rel_tol * _scale of that tensor."""
-    over = magnitudes > rel_tol * _scale(cs)[:, None]
+    with np.errstate(over="ignore"):  # a threshold past the float range is inf: no class is present
+        over = magnitudes > rel_tol * _scale(cs)[:, None]
     return [tuple(i for i in range(1, NUM_CLASSES + 1) if row[i - 1]) for row in over]
 
 

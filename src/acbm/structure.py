@@ -148,7 +148,8 @@ class StructureData:
     """A point-wise structure (phi, xi, eta, g) and the read-only matrices derived from it.
 
     Immutable; safe to share across threads. Built once, on construction: dim, g_inv,
-    phi2 = phi^2, g_phi[i, j] = g(e_i, phi e_j), phi_g_phi[i, j] = g(phi e_i, phi e_j)
+    the slot split h = -phi^2 (onto the contact distribution) and v = xi (x) eta (onto the
+    Reeb line), h + v = Id, g_phi[i, j] = g(e_i, phi e_j), phi_g_phi[i, j] = g(phi e_i, phi e_j)
     and lee_weights, the raveled weights gi_h, gi_h phi^T, xi (x) xi (gi_h = g_inv - xi (x) xi)
     of the Lee forms theta, theta*, omega. A structure that violates an axiom
     (_axiom_residuals) is refused with one PreconditionError naming each residual.
@@ -161,7 +162,8 @@ class StructureData:
     eta: np.ndarray
     dim: int = field(init=False)
     g_inv: np.ndarray = field(init=False)
-    phi2: np.ndarray = field(init=False)
+    h: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
     g_phi: np.ndarray = field(init=False)
     phi_g_phi: np.ndarray = field(init=False)
     lee_weights: np.ndarray = field(init=False)
@@ -178,7 +180,7 @@ class StructureData:
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric g is singular") from exc
         object.__setattr__(self, "g_inv", _as_float_array(g_inv, (d, d), "g_inv"))
-        for name, value in _derived(self.g, self.phi, self.xi, self.g_inv).items():
+        for name, value in _derived(self.g, self.phi, self.xi, self.eta, self.g_inv).items():
             object.__setattr__(self, name, _as_float_array(value, value.shape, name))
         bad = {k: v for k, v in _axiom_residuals(self).items() if v > DEFAULT_RTOL}
         if bad:
@@ -186,12 +188,13 @@ class StructureData:
             raise PreconditionError(f"structure violates axioms: {worst}")
 
 
-def _derived(g, phi, xi, g_inv) -> dict:
-    """phi2, g_phi, phi_g_phi and lee_weights, by name, from float or Fraction arrays."""
+def _derived(g, phi, xi, eta, g_inv) -> dict:
+    """h, v, g_phi, phi_g_phi and lee_weights, by name, from float or Fraction arrays."""
     xi_xi = np.outer(xi, xi)
     gi_h = g_inv - xi_xi  # the inverse metric on the contact distribution
     return {
-        "phi2": phi @ phi,
+        "h": -(phi @ phi),
+        "v": np.outer(xi, eta),
         "g_phi": g @ phi,
         "phi_g_phi": phi.T @ g @ phi,
         "lee_weights": np.stack([gi_h.ravel(), (gi_h @ phi.T).ravel(), xi_xi.ravel()]),
@@ -217,7 +220,7 @@ def _axiom_residuals(s: StructureData) -> dict:
         "g_inverse": _max_abs(s.g @ s.g_inv - ident),
         "signature": float(abs(pos - (s.n + 1)) + abs(neg - s.n)),
         "phi_xi": _max_abs(s.phi @ s.xi) / max(phi * xi, tiny),
-        "phi_squared": _max_abs(s.phi2 + ident - np.outer(s.xi, s.eta)) / max(1.0, phi * phi, xi * eta),
+        "phi_squared": _max_abs(ident - s.h - s.v) / max(1.0, phi * phi, xi * eta),
         "eta_phi": _max_abs(s.eta @ s.phi) / max(eta * phi, tiny),
         "eta_xi": abs(s.eta @ s.xi - 1.0) / max(1.0, eta * xi),
         "b_metric": _max_abs(s.phi_g_phi + s.g - np.outer(s.eta, s.eta)) / max(phi * phi * g, g, eta * eta),

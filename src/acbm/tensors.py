@@ -8,8 +8,8 @@ came from, such a tensor always satisfies two pointwise identities:
     F(x, y, z) = F(x, phi y, phi z) + eta(y) F(x, xi, z)
                                     + eta(z) F(x, y, xi)
 
-With h = -phi^2 and v = xi (x) eta splitting each slot (h + v = Id), the second's right
-side is phi.T @ F @ phi + v.T @ F + F @ v, matrix products on the last two slots.
+With the structure's slot split s.h = -phi^2 and s.v = xi (x) eta (h + v = Id), the second's
+right side is phi.T @ F @ phi + v.T @ F + F @ v, matrix products on the last two slots.
 
 The set of all rank-3 tensors with these properties is the admissible
 space decomposed elsewhere into eleven classes. This module provides
@@ -79,16 +79,16 @@ def _pullback(c: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.
     return (b.swapaxes(-1, -2)[..., None, :, :] @ t) @ m[..., None, :, :]
 
 
-def _sym_pair(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Assemble T[i,j,k] = q[i,j] eta[k] + q[i,k] eta[j]."""
-    return q[..., :, :, None] * eta + q[..., :, None, :] * eta[:, None]
+def _sym_pair(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Assemble T[i,j,k] = q[i,j] w[k] + q[i,k] w[j], w one form for a whole stack or one per tensor."""
+    return q[..., :, :, None] * w[..., None, None, :] + q[..., :, None, :] * w[..., None, :, None]
 
 
 def _membership_residuals(s: StructureData, c: np.ndarray) -> dict:
     """Worst-case residuals of the two defining identities, by name, unchecked."""
     axes = (-3, -2, -1)  # one residual per tensor of a stack
     sym = np.abs(c - c.swapaxes(-1, -2)).max(axis=axes)
-    phi, v = s.phi, np.outer(s.xi, s.eta)
+    phi, v = s.phi, s.v
     rhs = phi.T @ c @ phi + v.T @ c + c @ v
     rel = np.abs(c - rhs).max(axis=axes)
     return {"slot_symmetry": sym, "phi_relation": rel}
@@ -142,7 +142,7 @@ def embed_structure_tensor(s: StructureData, f) -> np.ndarray:
 
 def _embed(s: StructureData, c: np.ndarray) -> np.ndarray:
     """embed_structure_tensor's G of c, unchecked; exact on Fraction arrays."""
-    phi, h, v = s.phi, -s.phi2, np.outer(s.xi, s.eta)
+    phi, h, v = s.phi, s.h, s.v
     S = (c + c.swapaxes(-1, -2)) / 2
     return (h.T @ S @ h + phi.T @ S @ phi) / 2 + v.T @ S @ h + h.T @ S @ v
 

@@ -65,7 +65,7 @@ def exact_structure(n: int, t) -> SimpleNamespace:
     g, phi, xi, eta = t_inv.T @ exact(c.g) @ t_inv, t @ exact(c.phi) @ t_inv, t @ exact(c.xi), exact(c.eta) @ t_inv
     g_inv = t @ exact(c.g) @ t.T  # the canonical g is its own inverse
     return SimpleNamespace(
-        n=n, dim=2 * n + 1, g=g, phi=phi, xi=xi, eta=eta, g_inv=g_inv, **_derived(g, phi, xi, g_inv),
+        n=n, dim=2 * n + 1, g=g, phi=phi, xi=xi, eta=eta, g_inv=g_inv, **_derived(g, phi, xi, eta, g_inv),
     )
 
 

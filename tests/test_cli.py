@@ -161,13 +161,17 @@ class TestClassify:
             error = f"error: {flag} must be a finite number {rule}, got {float(value)}\n"
             assert capsys.readouterr() == ("", error)
 
-    def test_tol_has_no_upper_bound(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale, tol", [(1.0, "1e300"), (1e10, "1e300"), (1e8, "1e308")])
+    def test_tol_has_no_upper_bound(self, tmp_path, capsys, scale, tol):
         """A component can be larger than its tensor, so no --tol is a safe cap:
-        a threshold above every component reports F0 for a nonzero tensor."""
-        src = str(tmp_path / "rand.json")
-        main(["gen", "random", "--dim", "5", "--seed", "3", "--out", src])
-        assert main(["classify", src, "--tol", "1e300"]) == 0
+        a threshold above every component reports F0 for a nonzero tensor, in the
+        library and the CLI, also where tol times the tensor's max-abs overflows."""
+        s = canonical_structure(2)
+        f = scale * random_structure_tensor(s, 3)
+        src = write(tmp_path, "rand.json", fileio.tensor_to_doc(s, f))
+        assert main(["classify", src, "--tol", tol]) == 0
         assert "classes: F0" in capsys.readouterr().out
+        assert decomposition.classify(s, f, rel_tol=float(tol)).is_F0
 
     def test_invalid_structure_exit_3(self, tmp_path, capsys):
         doc = {"n": 1, "g": [float(x) for x in np.eye(3).ravel()], "comps": [0.0] * 27}

@@ -252,7 +252,7 @@ def _in_w_subspace(s, f, i) -> bool:
     whenever the first slot is vertical or the last two are both horizontal;
     W3 and W4 are the mirror conditions on the first slot. Within DEFAULT_RTOL
     of max-abs(f)."""
-    xi, h = s.xi, -s.phi2
+    xi, h = s.xi, s.h
     maxima = np.array([
         np.max(np.abs(np.einsum("ajk,a->jk", f, xi))),
         np.max(np.abs(np.einsum("iak,a->ik", f, xi))),

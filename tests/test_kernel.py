@@ -331,6 +331,20 @@ def test_suites_decompose_chunk_by_chunk(monkeypatch, suite, calls):
     assert len(many) == calls
 
 
+def test_models_suite_streams_its_lie_family(monkeypatch):
+    """The models suite draws, checks and classifies its n = 1 Lie family one kernel chunk
+    at a time, so that its memory does not grow with the seeds: past _CHUNK_BYTES the
+    first family kernel call comes before the last n = 1 lie_family call."""
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 2 * NUM_CLASSES * 3**3 * 8)
+    events = []
+    lie_family, kernel = verify.models.lie_family, dec._decompose_many
+    monkeypatch.setattr(verify.models, "lie_family", lambda n, p: events.append(("lie", n)) or lie_family(n, p))
+    monkeypatch.setattr(dec, "_decompose_many", lambda s, cs: events.append(("kernel", s.n)) or kernel(s, cs))
+    assert all(check.passed for check in run_suite("models", 5))
+    last_family_draw = max(k for k, event in enumerate(events) if event == ("lie", 1))
+    assert events.index(("kernel", 1)) < last_family_draw
+
+
 @pytest.mark.parametrize("seeds", [range(1), range(5), range(21)], ids=["N1", "N5", "N21"])
 @pytest.mark.parametrize("make_structure", [_canonical, random_structure], ids=["canonical", "pushed"])
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -44,7 +44,8 @@ def _contact_inverse(s: StructureData) -> np.ndarray:
 # Each matrix a structure builds on construction, and its defining product.
 DERIVED = {
     "g_inv": lambda s: np.linalg.inv(s.g),
-    "phi2": lambda s: s.phi @ s.phi,
+    "h": lambda s: -(s.phi @ s.phi),
+    "v": lambda s: np.outer(s.xi, s.eta),
     "g_phi": lambda s: s.g @ s.phi,
     "phi_g_phi": lambda s: s.phi.T @ s.g @ s.phi,
     "lee_weights": lambda s: np.stack([
@@ -93,7 +94,7 @@ class TestCanonicalStructure:
         s = canonical_structure(np.int64(n))
         assert type(s.n) is int
         assert canonical_structure(n) is s
-        for arr in (s.g, s.phi, s.xi, s.eta, s.g_inv, s.phi2, s.g_phi, s.phi_g_phi, s.lee_weights):
+        for arr in (s.g, s.phi, s.xi, s.eta, s.g_inv, s.h, s.v, s.g_phi, s.phi_g_phi, s.lee_weights):
             assert not arr.flags.writeable
         again = canonical_structure(n)
         assert all(getattr(again, k) is getattr(s, k) for k in DERIVED)
@@ -223,26 +224,17 @@ class TestAssociatedMetric:
         assert _worst_axiom(companion) <= 1e-12
 
 
-def _h_project(s: StructureData, x) -> np.ndarray:
-    """Projection h(x) = -phi^2 x onto the contact distribution ker(eta)."""
-    x = np.asarray(x, dtype=float)
-    return -(s.phi @ (s.phi @ x))
-
-
-def _v_project(s: StructureData, x) -> np.ndarray:
-    """Projection v(x) = eta(x) xi onto the Reeb line."""
-    x = np.asarray(x, dtype=float)
-    return (s.eta @ x) * s.xi
-
-
 class TestProjectors:
+    """The structure's slot split: h = -phi^2 onto the contact distribution ker(eta),
+    v = xi (x) eta onto the Reeb line."""
+
     def test_reeb_vector(self, s1):
-        np.testing.assert_allclose(_h_project(s1, s1.xi), np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(_v_project(s1, s1.xi), s1.xi, atol=1e-15)
+        np.testing.assert_allclose(s1.h @ s1.xi, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(s1.v @ s1.xi, s1.xi, atol=1e-15)
 
     def test_contact_vector(self, s1):
         e1 = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(_h_project(s1, e1), e1, atol=1e-15)
+        np.testing.assert_allclose(s1.h @ e1, e1, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_idempotent_complementary(self, seed):
@@ -250,11 +242,11 @@ class TestProjectors:
         s = random_structure(n, seed)
         rng = np.random.default_rng(seed + 100)
         x = rng.uniform(-1.0, 1.0, s.dim)
-        hx, vx = _h_project(s, x), _v_project(s, x)
+        hx, vx = s.h @ x, s.v @ x
         np.testing.assert_allclose(hx + vx, x, atol=1e-12)
-        np.testing.assert_allclose(_h_project(s, hx), hx, atol=1e-12)
-        np.testing.assert_allclose(_v_project(s, vx), vx, atol=1e-12)
-        np.testing.assert_allclose(_h_project(s, vx), np.zeros(s.dim), atol=1e-12)
+        np.testing.assert_allclose(s.h @ hx, hx, atol=1e-12)
+        np.testing.assert_allclose(s.v @ vx, vx, atol=1e-12)
+        np.testing.assert_allclose(s.h @ vx, np.zeros(s.dim), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_anti_isometry_identity(self, seed):
