@@ -26,7 +26,6 @@ from .group import (
 )
 from .models import (
     check_jacobi,
-    connection_residuals,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -56,7 +55,6 @@ __all__ = [
     "check_jacobi",
     "classify",
     "component",
-    "connection_residuals",
     "decompose",
     "group_element_from_blocks",
     "inner_product",

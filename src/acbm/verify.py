@@ -224,16 +224,17 @@ def _group_checks(
 _LIE_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 2.0))
 
 
-def _lie_family_closed_forms(a1: float, a2: float) -> tuple:
-    """(gamma, F) of the dimension-3 Lie family at (a1, a2), whole: every entry not set is 0."""
-    gamma, f = np.zeros((3, 3, 3)), np.zeros((3, 3, 3))
-    gamma[1, 1, 0] = gamma[2, 2, 0] = gamma[2, 0, 2] = -a1
-    gamma[1, 0, 1] = a1
-    gamma[0, 1, 2] = gamma[0, 2, 1] = -a2
-    f[0, 1, 1] = f[0, 2, 2] = -2 * a2
-    f[1, 0, 2] = f[1, 2, 0] = a1
-    f[2, 0, 1] = f[2, 1, 0] = -a1
-    return gamma, f
+def _lie_family_closed_forms(a1: np.ndarray, a2: np.ndarray, gammas: np.ndarray, fs: np.ndarray) -> tuple:
+    """The max-abs differences of gammas and fs from the dimension-3 Lie family's (gamma, F) at each (a1, a2),
+    compared whole (every entry not set is 0); taken here, so no closed-form stack lives on into the kernel."""
+    gamma, f = np.zeros((len(a1), 3, 3, 3)), np.zeros((len(a1), 3, 3, 3))
+    gamma[:, 1, 1, 0] = gamma[:, 2, 2, 0] = gamma[:, 2, 0, 2] = -a1
+    gamma[:, 1, 0, 1] = a1
+    gamma[:, 0, 1, 2] = gamma[:, 0, 2, 1] = -a2
+    f[:, 0, 1, 1] = f[:, 0, 2, 2] = -2 * a2
+    f[:, 1, 0, 2] = f[:, 1, 2, 0] = a1
+    f[:, 2, 0, 1] = f[:, 2, 1, 0] = -a1
+    return _max_abs(gammas - gamma), _max_abs(fs - f)
 
 
 def models_suite(seeds: int) -> list:
@@ -249,32 +250,27 @@ def models_suite(seeds: int) -> list:
         "sphere classification": 0.5,
     })
     rng = np.random.default_rng(2024)
-    s1 = canonical_structure(1)
     for n, fixed in ((1, _LIE_PAIRS), (2, ())):
-        # drawn, checked and (at n = 1) classified one kernel chunk at a time, so memory stays bounded
-        for chunk in _chunks(len(fixed) + seeds, s1.dim):
-            family, expected = [], []  # the chunk's n = 1 tensors and their classes
-            for k in range(len(fixed) + seeds)[chunk]:
-                params = fixed[k] if k < len(fixed) else rng.uniform(-2.0, 2.0, size=2 * n)
-                s, c = models.lie_family(n, params)
-                w.add("jacobi", 0.0 if models.check_jacobi(s, c) else 1.0)
-                g = models.koszul_connection(s, c)
-                torsion, compat = models.connection_residuals(s, c, g)
-                w.add("koszul torsion", torsion / _scale(c))
-                w.add("koszul metric compatibility", compat / _scale(c))
-                f = models.structure_tensor_from_connection(s, g)
-                w.add("family membership", max(_membership_residuals(s, f).values()) / _scale(f))
-                if n == 1:
-                    a1, a2 = params
-                    gamma, tensor = _lie_family_closed_forms(a1, a2)
-                    w.add("family connection values", _max_abs(g - gamma))
-                    w.add("family tensor components", _max_abs(f - tensor))
-                    family.append(f)
-                    expected.append(tuple(i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero))
-            if family:
-                fs = np.stack(family)
-                verdicts = dec._present(dec._decompose_many(s1, fs)[1], fs, DEFAULT_RTOL)
-                for present, want in zip(verdicts, expected):
+        s = canonical_structure(n)
+        # one kernel chunk at a time, so memory stays bounded; one draw a chunk reads the per-seed stream
+        for chunk in _chunks(len(fixed) + seeds, s.dim):
+            drawn = rng.uniform(-2.0, 2.0, (len(range(len(fixed) + seeds)[chunk]) - len(fixed[chunk]), 2 * n))
+            params = np.concatenate([np.reshape(fixed[chunk], (-1, 2 * n)), drawn])
+            cs = models._lie_tables(n, params)
+            w.add("jacobi", np.where(models._jacobi(cs) <= DEFAULT_ATOL, 0.0, 1.0))
+            gammas = models._koszul(s, cs)
+            torsion, compat = models._connection_residuals(s, cs, gammas)
+            w.add("koszul torsion", torsion / _scale(cs))
+            w.add("koszul metric compatibility", compat / _scale(cs))
+            fs = models._from_connection(s, gammas)
+            w.add("family membership", np.maximum(*_membership_residuals(s, fs).values()) / _scale(fs))
+            if n == 1:
+                connection, components = _lie_family_closed_forms(*params.T, gammas, fs)
+                w.add("family connection values", connection)
+                w.add("family tensor components", components)
+                verdicts = dec._present(dec._decompose_many(s, fs)[1], fs, DEFAULT_RTOL)
+                for present, (a1, a2) in zip(verdicts, params):
+                    want = tuple(i for i, nonzero in ((9, a1 != 0.0), (10, a2 != 0.0)) if nonzero)
                     w.add("family classification", 0.0 if present == want else 1.0)
     # sphere grid: per n, its 21 tensors (20 grid points and t = 0) in one kernel, Lee-form and membership call
     ts = np.append(np.linspace(-np.pi / 2, np.pi / 2, 20), 0.0)

@@ -163,15 +163,15 @@ def test_suites_judge_a_power_of_two_multiple_alike(suite, k):
 def test_family_closed_forms_are_compared_whole(monkeypatch):
     """An admissible F11 entry the family never has, 1e-3 at F[0, 0, 1] and
     F[0, 1, 0], fails `family tensor components`: every entry is compared."""
-    exact = verify.models.structure_tensor_from_connection
+    exact = verify.models._from_connection
 
-    def with_f11(s, gamma):
-        f = exact(s, gamma).copy()
-        f[0, 0, 1] += 1e-3
-        f[0, 1, 0] += 1e-3
-        return f
+    def with_f11(s, gammas):
+        fs = exact(s, gammas)
+        fs[:, 0, 0, 1] += 1e-3
+        fs[:, 0, 1, 0] += 1e-3
+        return fs
 
-    monkeypatch.setattr(verify.models, "structure_tensor_from_connection", with_f11)
+    monkeypatch.setattr(verify.models, "_from_connection", with_f11)
     checks = {check.name: check for check in run_suite("models", 1)}
     assert checks["family membership"].passed
     assert checks["family connection values"].passed

@@ -21,8 +21,7 @@ from conftest import random_structure
 PUBLIC = [
     "ClassReport", "Decomposition",
     "NUM_CLASSES", "PreconditionError", "StructureData",
-    "act", "canonical_structure", "check_jacobi", "classify", "component",
-    "connection_residuals", "decompose",
+    "act", "canonical_structure", "check_jacobi", "classify", "component", "decompose",
     "group_element_from_blocks", "inner_product", "is_structure_tensor",
     "koszul_connection", "lee_forms", "lie_family", "project_w",
     "random_group_element", "random_structure_tensor",
@@ -184,9 +183,6 @@ OVERFLOWING_CALLS = {
     "validate_group_element": lambda s: acbm.validate_group_element(_S1, 1.5e308 * np.eye(3)),
     "act": lambda s: acbm.act(_S1, np.diag([1.0, 1.0, 1e-300]), random_structure_tensor(_S1, 0)),
     "koszul_connection": lambda s: acbm.koszul_connection(*acbm.lie_family(1, [1e308, 1e308])),
-    "connection_residuals": lambda s: acbm.connection_residuals(
-        *acbm.lie_family(1, [1.0, 1.0]), _near_max(_S1)
-    ),
     "structure_tensor_from_connection": lambda s: acbm.structure_tensor_from_connection(
         _S1, _near_max(_S1)
     ),

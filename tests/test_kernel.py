@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import acbm.decomposition as dec
+import acbm.models as models
 import acbm.verify as verify
 from acbm.decomposition import NUM_CLASSES, _component_arrays, _w1_pair, component, decompose, project_w
 from acbm.errors import PreconditionError
 from acbm.group import _act, act, random_group_element
-from acbm.structure import DEFAULT_RTOL, _max_abs, canonical_structure
+from acbm.models import check_jacobi, koszul_connection, lie_family, structure_tensor_from_connection
+from acbm.structure import DEFAULT_ATOL, DEFAULT_RTOL, _max_abs, canonical_structure
 from acbm.tensors import (
     _embed, _inner, _lee_forms, _membership_residuals, _pullback, embed_structure_tensor, inner_product,
     lee_forms, random_structure_tensor,
@@ -280,9 +282,11 @@ def test_private_bodies_match_the_public_maps(n, seed):
     """The suites' private bodies against the public maps. _block and _lee_forms give,
     bit for bit, what project_w and lee_forms give on an admissible tensor. On a stack
     of three tensors, each row of _embed, _act, _inner and of _pullback with one matrix
-    per tensor is the public map, or the single call, on that tensor alone: bit for bit
-    on the canonical basis, and on the pushed one within 1e-15 of the row's max-abs or
-    of 1, whichever is larger, where a stacked product may add in another order."""
+    per tensor is the public map, or the single call, on that tensor alone, and so is each
+    row of the Lie bodies _lie_tables, _jacobi (two Lie algebras and a table that is not
+    one), _koszul and _from_connection on a stack of three tables: bit for bit on the
+    canonical basis, and on the pushed one within 1e-15 of the row's max-abs or of 1,
+    whichever is larger, where a stacked product or solve may add in another order."""
     s = random_structure(n, seed)
     f = random_structure_tensor(s, seed)
     for i in range(1, 5):
@@ -303,10 +307,22 @@ def test_private_bodies_match_the_public_maps(n, seed):
             "_inner": (_inner(s, fs, fs[::-1]), [inner_product(s, f, g) for f, g in zip(fs, fs[::-1])]),
             "_pullback": (_pullback(fs, a, b, m), [_pullback(*args) for args in zip(fs, a, b, m)]),
         }
+        params = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, 2 * n))
+        lie = models._lie_tables(n, params)
+        brackets = np.stack([lie[0], raw[1] - raw[1].transpose(1, 0, 2), lie[2]])
+        rows |= {
+            "_lie_tables": (lie, [lie_family(n, p)[1] for p in params]),
+            "_jacobi": (models._jacobi(brackets) <= DEFAULT_ATOL, [check_jacobi(s, c) for c in brackets]),
+            "_koszul": (models._koszul(s, raw), [koszul_connection(s, c) for c in raw]),
+            "_from_connection": (
+                models._from_connection(s, raw), [structure_tensor_from_connection(s, g) for g in raw]
+            ),
+        }
+        assert rows["_jacobi"][1] == [True, False, True]
         for name, (stacked, single) in rows.items():
             assert len(stacked) == len(single), name
             for row, want in zip(stacked, single):
-                row, want = np.asarray(row), np.asarray(want)
+                row, want = np.asarray(row, dtype=float), np.asarray(want, dtype=float)
                 if s is canonical_structure(n):
                     assert row.tobytes() == want.tobytes(), name
                 else:
@@ -334,15 +350,34 @@ def test_suites_decompose_chunk_by_chunk(monkeypatch, suite, calls):
 def test_models_suite_streams_its_lie_family(monkeypatch):
     """The models suite draws, checks and classifies its n = 1 Lie family one kernel chunk
     at a time, so that its memory does not grow with the seeds: past _CHUNK_BYTES the
-    first family kernel call comes before the last n = 1 lie_family call."""
+    first family kernel call comes before the last n = 1 _lie_tables call."""
     monkeypatch.setattr(verify, "_CHUNK_BYTES", 2 * NUM_CLASSES * 3**3 * 8)
     events = []
-    lie_family, kernel = verify.models.lie_family, dec._decompose_many
-    monkeypatch.setattr(verify.models, "lie_family", lambda n, p: events.append(("lie", n)) or lie_family(n, p))
+    tables, kernel = verify.models._lie_tables, dec._decompose_many
+    monkeypatch.setattr(verify.models, "_lie_tables", lambda n, p: events.append(("lie", n)) or tables(n, p))
     monkeypatch.setattr(dec, "_decompose_many", lambda s, cs: events.append(("kernel", s.n)) or kernel(s, cs))
     assert all(check.passed for check in run_suite("models", 5))
     last_family_draw = max(k for k, event in enumerate(events) if event == ("lie", 1))
     assert events.index(("kernel", 1)) < last_family_draw
+
+
+def test_models_suite_reads_the_per_seed_stream(monkeypatch):
+    """One draw per (n, chunk) hands _lie_tables the numbers that one default_rng(2024) draw
+    per seed gives, in the suite's order: the five _LIE_PAIRS and every n = 1 draw, then the
+    n = 2 draws. Every Lie check reads exactly 0.0 on this family, so equal CheckResults
+    could not show a reordered or reseeded stream."""
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 2 * NUM_CLASSES * 3**3 * 8)
+    seeds, calls = 7, []
+    tables = verify.models._lie_tables
+    monkeypatch.setattr(verify.models, "_lie_tables", lambda n, p: calls.append((n, p.copy())) or tables(n, p))
+    run_suite("models", seeds)
+    assert [n for n, _ in calls].count(1) >= 2 and [n for n, _ in calls].count(2) >= 2  # several chunks each
+    rng = np.random.default_rng(2024)
+    want = [(1, np.array(pair)) for pair in verify._LIE_PAIRS]
+    want += [(n, rng.uniform(-2.0, 2.0, size=2 * n)) for n in (1, 2) for _ in range(seeds)]
+    got = [(n, row) for n, params in calls for row in params]
+    assert [n for n, _ in got] == [n for n, _ in want]
+    assert all(row.tobytes() == draw.tobytes() for (_, row), (_, draw) in zip(got, want))
 
 
 @pytest.mark.parametrize("seeds", [range(1), range(5), range(21)], ids=["N1", "N5", "N21"])

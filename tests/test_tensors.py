@@ -14,7 +14,6 @@ from acbm.errors import PreconditionError
 from acbm.group import act, random_group_element
 from acbm.models import (
     check_jacobi,
-    connection_residuals,
     koszul_connection,
     lie_family,
     sphere_structure_tensor,
@@ -217,16 +216,12 @@ TENSOR_TAKERS = {
     "act": lambda s, f: act(s, np.eye(3), f),
     "tensor_to_doc": lambda s, f: fileio.tensor_to_doc(s, f),
     "structure_tensor_from_connection": lambda s, f: structure_tensor_from_connection(s, f),
-    "connection_residuals connection": lambda s, f: connection_residuals(s, np.zeros((3, 3, 3)), f),
-    "connection_residuals constants": lambda s, f: connection_residuals(s, f, np.zeros((3, 3, 3))),
     "koszul_connection": lambda s, f: koszul_connection(s, f),
     "check_jacobi": lambda s, f: check_jacobi(s, f),
     "lie_to_doc": lambda s, f: fileio.lie_to_doc(s, f),
 }
 ARRAY_NAMES = {
     "structure_tensor_from_connection": "connection",
-    "connection_residuals connection": "connection",
-    "connection_residuals constants": "structure constants",
     "koszul_connection": "structure constants",
     "check_jacobi": "structure constants",
     "lie_to_doc": "structure constants",
