@@ -10,6 +10,7 @@ Fraction arrays, and to split a stack of tensors row by row as
 stacks are checked against the public maps they stand in for.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -361,17 +362,21 @@ def test_models_suite_streams_its_lie_family(monkeypatch):
     assert events.index(("kernel", 1)) < last_family_draw
 
 
-def test_models_suite_reads_the_per_seed_stream(monkeypatch):
+@pytest.mark.parametrize("per_call", [1, 2, 4, 5, 6, 12])
+def test_models_suite_reads_the_per_seed_stream(monkeypatch, per_call):
     """One draw per (n, chunk) hands _lie_tables the numbers that one default_rng(2024) draw
     per seed gives, in the suite's order: the five _LIE_PAIRS and every n = 1 draw, then the
     n = 2 draws. Every Lie check reads exactly 0.0 on this family, so equal CheckResults
-    could not show a reordered or reseeded stream."""
-    monkeypatch.setattr(verify, "_CHUNK_BYTES", 2 * NUM_CLASSES * 3**3 * 8)
+    could not show a reordered or reseeded stream. With per_call d = 3 tensors a chunk,
+    a chunk may hold only fixed pairs (4, 5), end part way into the pairs (2, 4, 6) or
+    hold the whole n = 1 family (12); at n = 2 it holds per_call * 27 // 125 tensors, or one."""
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", per_call * NUM_CLASSES * 3**3 * 8)
     seeds, calls = 7, []
     tables = verify.models._lie_tables
     monkeypatch.setattr(verify.models, "_lie_tables", lambda n, p: calls.append((n, p.copy())) or tables(n, p))
     run_suite("models", seeds)
-    assert [n for n, _ in calls].count(1) >= 2 and [n for n, _ in calls].count(2) >= 2  # several chunks each
+    per_call_n2 = max(1, per_call * 27 // 125)
+    assert [n for n, _ in calls] == [1] * math.ceil((5 + seeds) / per_call) + [2] * math.ceil(seeds / per_call_n2)
     rng = np.random.default_rng(2024)
     want = [(1, np.array(pair)) for pair in verify._LIE_PAIRS]
     want += [(n, rng.uniform(-2.0, 2.0, size=2 * n)) for n in (1, 2) for _ in range(seeds)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from acbm import fileio
+from acbm import fileio, models
 from acbm.decomposition import classify, decompose
 from acbm.errors import PreconditionError
 from acbm.models import (
@@ -13,7 +13,7 @@ from acbm.models import (
     sphere_structure_tensor,
     structure_tensor_from_connection,
 )
-from acbm.structure import _max_abs, canonical_structure
+from acbm.structure import DEFAULT_ATOL, _max_abs, canonical_structure
 from acbm.tensors import is_structure_tensor, lee_forms, random_structure_tensor
 
 from conftest import basis_change, f8_form, f11_form
@@ -43,6 +43,44 @@ class TestLieFamily:
     def test_rejects_non_finite_parameters(self, bad):
         with pytest.raises(ValueError, match="^parameter vector contains non-finite entries$"):
             lie_family(1, [bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([-np.inf, 1.0], "^parameter vector contains non-finite entries$"),
+            (["0.5", 1.0], "^parameter vector must be an array of numbers$"),
+            ([True, 1], "^parameter vector must be an array of numbers$"),
+            (np.zeros(2, dtype=bool), "^parameter vector must be an array of numbers$"),
+            (np.zeros(2, dtype=complex), "^parameter vector must be an array of numbers$"),
+            ([10**400, 1], "^parameter vector contains an entry outside the float range$"),
+            (np.zeros((2, 2)), r"^parameter vector must have shape \(2,\), got \(2, 2\)$"),
+            (np.zeros((1, 2)), r"^parameter vector must have shape \(2,\), got \(1, 2\)$"),
+            (1.0, r"^parameter vector must have shape \(2,\), got \(\)$"),
+            ([], r"^parameter vector must have shape \(2,\), got \(0,\)$"),
+        ],
+        ids=["minus-inf", "string", "bool-among-integers", "bools", "complex", "huge-integer",
+             "matrix", "one-row-stack", "scalar", "empty"],
+    )
+    def test_refuses_a_malformed_parameter_vector(self, bad, message):
+        """The entry check is all that stands before the stack body _lie_tables, which
+        would read a (1, 2) stack or a (2, 2) matrix as rows of parameters."""
+        with pytest.raises(ValueError, match=message) as info:
+            lie_family(1, bad)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_brackets_follow_the_docstring(self, n):
+        """Every bracket, for each i in 1..n, as the docstring lists it, and zero otherwise."""
+        a = np.random.default_rng(n).uniform(-2.0, 2.0, 2 * n)
+        want = np.zeros((2 * n + 1,) * 3)
+        for i in range(1, n + 1):
+            ai, bi = a[i - 1], a[n + i - 1]
+            want[0, i, i], want[0, i, n + i] = -ai, -bi  # [E_0, E_i] = -a_i E_i - a_(n+i) E_(n+i)
+            want[0, n + i, i], want[0, n + i, n + i] = -bi, ai  # [E_0, E_(n+i)] = -a_(n+i) E_i + a_i E_(n+i)
+            want[i, 0], want[n + i, 0] = -want[0, i], -want[0, n + i]
+        s, c = lie_family(n, a)
+        assert s is canonical_structure(n)
+        assert c.tobytes() == want.tobytes()
 
 
 def _jacobi_oracle(c: np.ndarray) -> float:
@@ -93,6 +131,20 @@ class TestCheckJacobi:
         c = c - c.transpose(1, 0, 2)  # antisymmetric, but violates Jacobi
         assert not check_jacobi(s, scale * c)
         assert check_jacobi(*lie_family(2, [scale, -scale, 0.5 * scale, scale]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-7, 1e7, 1e300])
+    def test_stack_reads_each_table_on_its_own_scale(self, s1, scale):
+        """The stack body _jacobi takes each table over its own max-abs entry: a stack
+        of the zero table, a table that is not a Lie algebra and a Lie algebra, each also
+        at the scale, gives check_jacobi's verdict on every row. Over one max-abs for the
+        whole stack, the tables at the smaller scale would read as Lie algebras."""
+        bad = np.zeros((3, 3, 3))
+        bad[1, 2, 1], bad[2, 1, 1], bad[0, 1, 2], bad[1, 0, 2] = 1.0, -1.0, 1.0, -1.0
+        lie = lie_family(1, [1.5, -0.5])[1]
+        cs = np.stack([np.zeros((3, 3, 3)), bad, lie, scale * bad, scale * lie])
+        verdicts = list(models._jacobi(cs) <= DEFAULT_ATOL)
+        assert verdicts == [check_jacobi(s1, c) for c in cs] == [True, False, True, False, True]
 
     @pytest.mark.parametrize(
         "entry, residual",
