@@ -151,7 +151,8 @@ _W2_SIGNS = {6: (1, -1), 7: (-1, -1), 8: (1, 1), 9: (-1, 1)}
 
 def _component_arrays(s: StructureData, c: np.ndarray) -> dict:
     """The components of the checked tensor c in F1 and F4..F11, as {i: array}, in one pass:
-    the Lee forms and the xi-brackets a and b are each built once, and F2, F3 are _w1_pair's."""
+    the Lee forms and the xi-brackets a and b are each built once, and F2, F3 are _w1_pair's.
+    a and b keep p2's order, not a pullback's: they feed test_acts_on_the_w2_part's pin too."""
     phi, xi, eta, h = s.phi, s.xi, s.eta, s.h
     two_n = 2 * s.n
     lf = _lee_forms(s, c)
@@ -176,7 +177,8 @@ def _w1_pair(s: StructureData, c: np.ndarray, f1: np.ndarray) -> tuple:
 
     A stack is copied so that its tensors lie innermost in memory, shape unchanged:
     einsum's inner loop then runs over the tensors, while each sum over (a, b, c)
-    keeps its order. One tensor keeps its own layout."""
+    keeps its order; laid out tensor by tensor, a stack cost as much as a loop of
+    single calls. One tensor keeps its own layout."""
     phi, h = s.phi, s.h
     d = c.shape[-1]
     c = c.reshape(-1, d, d, d).transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2).reshape(c.shape)
@@ -239,7 +241,9 @@ def _decompose_many(s: StructureData, cs: np.ndarray) -> tuple:
     """The bare kernel: the tensors cs, shape (N, d, d, d), split into the sealed (N, 11, d, d, d)
     stack of their components, the (N, 11) magnitudes and the N reconstruction residuals, each on
     its tensor's own _scale. It gates and refuses nothing, so that a suite measures a tensor
-    outside the admissible space as a failed check; _admitted is the public maps' door."""
+    outside the admissible space as a failed check; _admitted is the public maps' door.
+    Each row is the single call's bit for bit on a canonical basis, and within 1e-15 of its
+    tensor's max-abs elsewhere, where a stacked matrix product may add in another order."""
     arrays = _component_arrays(s, cs)
     arrays[2], arrays[3] = _w1_pair(s, cs, arrays[1])
     # popped, so that the components are not held next to the stack

@@ -60,7 +60,8 @@ def _object(pairs: list) -> dict:
     """A JSON object, refused when it gives a key twice: json would keep the last copy."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        seen = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise ValueError(f"key {repeated!r} is given twice in one object")
     return obj
 

@@ -41,9 +41,8 @@ DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
 
 # Largest dimension d = 2n + 1 of a structure (the rank rule, _rank);
-# larger sizes are refused before anything is allocated. classify costs
-# O(d^6) in its W1 terms: at d = 21 one call takes 2.9-3.5 s with a
-# 38 MB peak resident set (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
+# larger sizes are refused before anything is allocated, since classify
+# costs O(d^6) in its W1 terms.
 MAX_DIM = 21
 
 _OUT_OF_RANGE = "result overflows the floating-point range"

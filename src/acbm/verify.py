@@ -17,6 +17,11 @@ elements at n = 2 with det(A + iB) = (-1)^seed, so any run of two or
 more seeds acts with both components of the structure group; at n = 1,
 where the identity component is trivial, it acts with the discrete
 element (A, B) = (-I_1, 0) on at most 10 seeds, with every check of n = 2.
+
+No suite calls decompose, classify or another public map of the admissible
+space, and none has its own copy of one: each reads the stack bodies those
+maps are the N = 1 case of, which gate nothing, so a broken body or input
+reads as a failed check, never as an error.
 """
 
 from __future__ import annotations

@@ -205,6 +205,8 @@ def test_readme_table_is_the_suites_checks(monkeypatch, request):
     for suite in SUITE_NAMES:
         named = [name for row_suite, names, _ in _TABLE if row_suite == suite for name in names]
         assert named == list(request.getfixturevalue(suite)[0])
+    # a renamed check would silently lose its tighter bound
+    assert set(_TIGHTER) <= {(suite, name) for suite, names, _ in _TABLE for name in names}
     asserted = {}
 
     def record(criterion, run, names, max_seconds=None):

@@ -775,16 +775,21 @@ class TestFileFormats:
         ('{"n": 1, "comps": ' + "[" * 5000 + "0" + "]" * 5000 + "}", ""),
         ('{"n": 1, "comps": [0], "comps": ' + json.dumps([0.0] * 27) + "}",
          "key 'comps' is given twice in one object"),
+        # 2 604 899 characters, just under MAX_DOCUMENT_CHARS: the repeat is found in one pass
+        ("{" + "".join(f'"k{i}": 0, ' for i in range(194_000)) + '"k0": 0}',
+         "error: key 'k0' is given twice in one object\n"),
         ('{"n": 1, "brackets": [{"i": 0, "j": 1, "coeffs": ' + "[" * 50 + "0" + "]" * 50 + "}]}",
          "brackets[0].coeffs must have shape (3,), got (1, 1, "),
         ('{"n": 1, "brackets": {"a": 1}}', "error: 'brackets' must be a list, got dict\n"),
         ('{"n": 1, "g": [0, 0, 0, 0, 0, 0, 0, 0, 0], "comps": ' + json.dumps([0.0] * 27) + "}",
          "error: metric g is singular\n"),
-    ], ids=["deep-array", "deep-comps", "repeated-key", "deep-coeffs", "brackets-object", "singular-g"])
+    ], ids=["deep-array", "deep-comps", "repeated-key", "repeated-key-near-limit", "deep-coeffs",
+            "brackets-object", "singular-g"])
     def test_malformed_json_is_one_line(self, tmp_path, capsys, text, error):
         """Nesting too deep for the JSON decoder or for numpy, a key that json
-        would read from its last copy, a 'brackets' that is not a list, named
-        by the type it has, and a metric g with no inverse each exit 2 in one line."""
+        would read from its last copy, also last of about 194 000, a 'brackets' that
+        is not a list, named by the type it has, and a metric g with no inverse each
+        exit 2 in one line."""
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert main(["classify", str(path)]) == 2
